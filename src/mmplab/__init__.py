@@ -11,7 +11,8 @@ Submodules
 grid            periodic box, wavevectors, transforms, dealias mask
 fields          9-component spectral state, Leray projection, norms
 symbol          9x9 Fourier symbol matrix, eigenvalue bounds, semigroup
-propagator      grid-cached exact linear propagator and phi weights
+propagator      closed-form sector kernel for exp/phi1/phi2 of the symbol,
+                exact grid propagator and phi weights
 decay_character decay indicator, decay character estimation, data generator
 linear          exact linear evolution on the grid and on a continuum
                 radial quadrature (whole-space decay rates)

@@ -7,7 +7,8 @@ once the shrinking dominant band falls below the fundamental wavenumber the
 lattice forces exponential decay.  The continuum radial path therefore
 evaluates the semigroup on a log-radial x spherical quadrature of Fourier
 space, which sustains the algebraic rates and is the quantitative reference
-for all rate measurements.
+for all rate measurements.  Both paths evaluate the semigroup with the
+closed-form sector kernel of propagator.py.
 """
 
 from __future__ import annotations
@@ -19,15 +20,13 @@ from scipy import integrate
 
 from .decay_character import QuadratureError, SpectralProfile
 from .fields import PhysParams, StateField
-from .propagator import get_propagator
-from .symbol import assemble_entries_batch
+from .propagator import SectorKernel, get_propagator
+from .symbol import transverse_frame
 from .analysis import NormSeries
 
 
 def evolve_linear_grid(state: StateField, params: PhysParams, t: float) -> StateField:
-    """Advance every mode by e^{t M(xi)}; exact in time."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    """Advance every mode by e^{t M(xi)}; exact in time, t >= 0."""
     return get_propagator(state.grid, params).evolve(state, t)
 
 
@@ -60,23 +59,14 @@ def sphere_rule_26() -> tuple[np.ndarray, np.ndarray]:
     return np.array(points), np.array(weights)
 
 
-def _transverse_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    helper = np.array([1.0, 0.0, 0.0])
-    if abs(direction @ helper) > 0.9:
-        helper = np.array([0.0, 1.0, 0.0])
-    e1 = helper - (helper @ direction) * direction
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(direction, e1)
-
-
 @dataclass(frozen=True)
 class RadialLinearState:
     """Continuum initial data sampled on a log-radial x spherical grid.
 
     coeffs holds the 9-vector of spectral values per (radius, direction)
     node; radial_weights integrate d rho, sphere_weights integrate the unit
-    sphere (they sum to 4 pi).  The eigendecomposition of the symbol at
-    every node is precomputed.
+    sphere (they sum to 4 pi).  coeffs_at evolves every node with the
+    sector kernel, the node vector carrying both |xi|^2 and the coupling.
     """
 
     radii: np.ndarray
@@ -84,8 +74,6 @@ class RadialLinearState:
     coeffs: np.ndarray
     radial_weights: np.ndarray
     sphere_weights: np.ndarray
-    eigenvalues: np.ndarray
-    unitary: np.ndarray
     params: PhysParams
     profile: "SpectralProfile | None" = None
     construction: dict | None = None
@@ -97,9 +85,11 @@ class RadialLinearState:
 
     def coeffs_at(self, t: float) -> np.ndarray:
         """Spectral coefficients at time t, shape (n_r, n_dir, 9)."""
-        inner = np.einsum("rdji,rdj->rdi", self.unitary.conj(), self.coeffs)
-        return np.einsum("rdij,rdj->rdi",
-                         self.unitary, np.exp(t * self.eigenvalues) * inner)
+        nodes = self.radii[None, :, None] * self.directions.T[:, None, :]
+        kernel = SectorKernel(nodes, (nodes ** 2).sum(axis=0), self.params)
+        parts = np.moveaxis(self.coeffs, -1, 0)
+        out = kernel.apply(parts[0:3], parts[3:6], parts[6:9], t)
+        return np.moveaxis(np.concatenate(out), 0, -1)
 
     def norms_at(self, t: float) -> dict[str, float]:
         c = self.coeffs_at(t)
@@ -184,7 +174,7 @@ def make_radial_state(profile: SpectralProfile, params: PhysParams,
     long_frac = np.sqrt(w_longitudinal_fraction)
     trans_frac = np.sqrt(1.0 - w_longitudinal_fraction)
     for d, n_hat in enumerate(directions):
-        e1, e2 = _transverse_frame(n_hat)
+        e1, e2 = transverse_frame(n_hat)
         # odd-in-direction polarization pieces carry a factor i so the same
         # construction is conjugate-symmetric when realized on a lattice;
         # norms are unaffected (orthogonal pieces, phases drop out).
@@ -193,13 +183,9 @@ def make_radial_state(profile: SpectralProfile, params: PhysParams,
                                               + trans_frac * e1)[None]
         coeffs[:, d, 6:9] = mag_b[:, None] * (1j * e2)[None]
 
-    nodes = radii[:, None, None] * directions[None, :, :]
-    M = assemble_entries_batch(nodes.reshape(-1, 3), params)
-    lam, U = np.linalg.eigh(M)
     return RadialLinearState(
         radii=radii, directions=directions, coeffs=coeffs,
         radial_weights=radial_weights, sphere_weights=sphere_weights,
-        eigenvalues=lam.reshape(n_r, n_d, 9), unitary=U.reshape(n_r, n_d, 9, 9),
         params=params, profile=profile,
         construction={"rho_min": rho_min, "per_decade": per_decade,
                       "component_weights": component_weights,
@@ -244,7 +230,7 @@ def realize_profile_on_grid(grid, profile: SpectralProfile,
             continue
         mag = np.sqrt(intensity * cell)
         n_hat = np.array([grid.xi[a][i1, i2, i3] for a in range(3)]) / rho
-        e1, e2 = _transverse_frame(n_hat)
+        e1, e2 = transverse_frame(n_hat)
         uhat[:, i1, i2, i3] = np.sqrt(cu / total) * mag * e1
         what[:, i1, i2, i3] = np.sqrt(cw / total) * mag * (
             1j * long_frac * n_hat + trans_frac * e1)

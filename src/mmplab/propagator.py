@@ -1,18 +1,26 @@
-"""Exact linear propagator on the periodic grid.
+"""Closed-form sector kernel for exp, phi1 and phi2 of the symbol, and the
+exact grid propagator built on it.
 
-The symbol matrix is block diagonal: the magnetic components evolve by the
-scalar heat factor exp(-nu |xi|^2 t), while the velocity / micro-rotation
-pair couples through a 6x6 Hermitian block per mode.  The 6x6 blocks are
-eigendecomposed once per (grid, params) pair and cached; semigroup and
-exponential-integrator weights are then diagonal in the eigenbasis.
+Per mode, M splits (see symbol.py) into the magnetic heat block, the
+longitudinal (u, w) pair along the coupling wavevector x, and the
+transverse block A = [[-a, C], [C, -b]], a = (mu+chi)|xi|^2,
+b = gamma|xi|^2 + 2chi, whose coupling C = i chi R3(x) obeys
+C^2 = chi^2 |x|^2.  So f(tA) = alpha I + beta A, the Lagrange interpolant
+on the eigenvalues lam- <= lam+ <= 0 (Higham, Functions of Matrices,
+ch. 1), with beta = t f[t lam+, t lam-] and alpha = f(t lam+) - beta lam+.
+No divided difference divides by the gap, so coincident eigenvalues need
+no branch: exp[x, y] = e^x phi1(y - x) anchored at x = t lam+, and
+phi_k[x, y] = (phi_{k-1}[x, y] - phi_k(y)) / x with x = t lam-, or a
+Taylor series when both nodes are small.
 
-phi weights:  phi1(x) = (e^x - 1)/x  and  phi2(x) = (e^x - 1 - x)/x^2.
-phi1 is evaluated through expm1 (no cancellation); phi2 switches to its
-Taylor series below |x| = 1e-2, where the direct formula starts losing
-digits to cancellation.
+phi1(x) = (e^x - 1)/x and phi2(x) = (e^x - 1 - x)/x^2 (Cox & Matthews
+2002).  phi1 goes through expm1 (no cancellation); phi2(x) = phi1[0, x]
+is the same divided difference.
 """
 
 from __future__ import annotations
+
+from math import factorial
 
 import numpy as np
 
@@ -21,84 +29,108 @@ from .fields import Grid, PhysParams, StateField
 
 def phi1(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    nz = x != 0
-    out[nz] = np.expm1(x[nz]) / x[nz]
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 1.0, np.expm1(x) / x)
 
 
 def phi2(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-2
-    xs = np.where(small, 0.0, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (np.expm1(xs) - xs) / (xs * xs)
-    series = (1.0 / 2.0 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x * (
-        1.0 / 120.0 + x * (1.0 / 720.0 + x / 5040.0)))))
-    return np.where(small, series, direct)
+    return _divided_difference("phi1", np.zeros_like(x), x)[1]  # phi1[0, x]
 
 
 _WEIGHTS = {"exp": np.exp, "phi1": phi1, "phi2": phi2}
+_ORDER = {"exp": 0, "phi1": 1, "phi2": 2}
+
+
+def sector_eigenvalues(a, b, c2):
+    """Eigenvalues lam- <= lam+ <= 0 of [[-a, c], [c, -b]] with c^2 = c2;
+    lam+ comes from the determinant, accurate where |lam+| << |lam-|."""
+    lam_lo = -0.5 * (a + b) - np.sqrt((0.5 * (a - b)) ** 2 + c2)
+    lam_hi = np.divide(a * b - c2, lam_lo, out=np.zeros_like(lam_lo), where=lam_lo < 0)
+    return lam_lo, lam_hi
+
+
+def _phi_series(k: int, x: np.ndarray, y: np.ndarray, terms: int = 12) -> np.ndarray:
+    """phi_k[x, y] = sum_j h_j(x, y) / (j + k + 1)!, h_j complete symmetric;
+    12 terms reach 1e-18 for |x|, |y| < 0.2."""
+    h, power = np.ones_like(x), np.ones_like(y)
+    total = h / factorial(k + 1)
+    for j in range(1, terms):
+        power = power * y
+        h = x * h + power
+        total += h / factorial(j + k + 1)
+    return total
+
+
+def _divided_difference(kind: str, hi: np.ndarray, lo: np.ndarray):
+    """(f(hi), f[hi, lo]) for lo <= hi <= 0, exact at hi == lo."""
+    f_hi = np.exp(hi)
+    dd = f_hi * phi1(lo - hi)
+    small = np.abs(lo) < 0.2
+    for k in range(1, _ORDER[kind] + 1):
+        f_hi = _WEIGHTS[f"phi{k}"](hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dd = np.asarray((dd - f_hi) / lo)
+        dd[small] = _phi_series(k, lo[small], hi[small])
+    return f_hi, dd
+
+
+class SectorKernel:
+    """f(tM) applied to (u, w, b) in closed form at every mode.
+
+    coupling carries the wavevector of the sign-carrying terms, shape
+    (3, ...); xi_sq the |xi|^2 of the dissipation, shape (...).  Vector
+    fields have the component axis first.
+    """
+
+    def __init__(self, coupling: np.ndarray, xi_sq: np.ndarray, params: PhysParams):
+        # v x (chi coupling) = v[[1, 2, 0]] * rot_a - v[[2, 0, 1]] * rot_b
+        self.rot_a = params.chi * coupling[[2, 0, 1]]
+        self.rot_b = params.chi * coupling[[1, 2, 0]]
+        q2 = (coupling ** 2).sum(axis=0)
+        # unit vector of the longitudinal pair; 1/q2 would overflow for
+        # subnormal q2, where the pair's weights equal the transverse ones
+        self.direction = np.divide(coupling, np.sqrt(q2), out=np.zeros_like(coupling),
+                                   where=q2 > 0)
+        self.a = (params.mu + params.chi) * xi_sq
+        self.b = params.gamma * xi_sq + 2.0 * params.chi
+        self.lam_w_long = -(self.b + q2)
+        self.lam_mag = -params.nu * xi_sq
+        self.lam_lo, self.lam_hi = sector_eigenvalues(self.a, self.b, params.chi ** 2 * q2)
+
+    @property
+    def spectral_radius(self) -> float:
+        return float(max(-self.lam_lo.min(), -self.lam_w_long.min(), -self.lam_mag.min()))
+
+    def apply(self, u, w, b, t: float, kind: str = "exp"):
+        f = _WEIGHTS[kind]
+        f_hi, dd = _divided_difference(kind, t * self.lam_hi, t * self.lam_lo)
+        beta = t * dd
+        alpha = f_hi - beta * self.lam_hi
+        u_t = alpha - beta * self.a
+        w_t = alpha - beta * self.b
+        u_l = f(-t * self.a) - u_t
+        w_l = f(t * self.lam_w_long) - w_t
+        d, ra, rb, c = self.direction, self.rot_a, self.rot_b, 1j * beta
+        u_out = u_t * u + u_l * (d * u).sum(0) * d + c * (w[[1, 2, 0]] * ra - w[[2, 0, 1]] * rb)
+        w_out = w_t * w + w_l * (d * w).sum(0) * d + c * (u[[1, 2, 0]] * ra - u[[2, 0, 1]] * rb)
+        return u_out, w_out, f(t * self.lam_mag) * b
 
 
 class GridPropagator:
-    """Cached eigen-propagator for one (grid, params) pair."""
+    """Sector-kernel propagator for one (grid, params) pair."""
 
     def __init__(self, grid: Grid, params: PhysParams):
-        self.grid = grid
-        self.params = params
-        n = grid.n
-        m = n ** 3
         # dissipation weights are even and keep the full wavevector; the
-        # rotational coupling and grad-div blocks carry signs and use the
+        # rotational coupling and grad-div terms carry signs and use the
         # Nyquist-zeroed copy so realness survives the semigroup
-        xi_flat = grid.xi_odd.reshape(3, m)
-        s2 = grid.xi_sq.reshape(m)
-
-        block = np.zeros((m, 6, 6), dtype=complex)
-        eye = np.eye(3)
-        block[:, 0:3, 0:3] = -(params.mu + params.chi) * s2[:, None, None] * eye
-        R = np.zeros((m, 3, 3))
-        R[:, 0, 1] = xi_flat[2]
-        R[:, 0, 2] = -xi_flat[1]
-        R[:, 1, 0] = -xi_flat[2]
-        R[:, 1, 2] = xi_flat[0]
-        R[:, 2, 0] = xi_flat[1]
-        R[:, 2, 1] = -xi_flat[0]
-        coupling = 1j * params.chi * R
-        block[:, 0:3, 3:6] = coupling
-        block[:, 3:6, 0:3] = coupling
-        block[:, 3:6, 3:6] = (-(params.gamma * s2 + 2.0 * params.chi)[:, None, None] * eye
-                              - xi_flat.T[:, :, None] * xi_flat.T[:, None, :])
-
-        self.lam_uw, self.U_uw = np.linalg.eigh(block)
-        self.lam_b = -params.nu * s2
-
-    def _apply_uw(self, uhat: np.ndarray, what: np.ndarray, t: float,
-                  kind: str) -> tuple[np.ndarray, np.ndarray]:
-        n = self.grid.n
-        m = n ** 3
-        x = np.empty((m, 6), dtype=complex)
-        x[:, 0:3] = uhat.reshape(3, m).T
-        x[:, 3:6] = what.reshape(3, m).T
-        weights = _WEIGHTS[kind](t * self.lam_uw)
-        coeffs = np.einsum("mji,mj->mi", self.U_uw.conj(), x)
-        y = np.einsum("mij,mj->mi", self.U_uw, weights * coeffs)
-        u_out = np.ascontiguousarray(y[:, 0:3].T).reshape(3, n, n, n)
-        w_out = np.ascontiguousarray(y[:, 3:6].T).reshape(3, n, n, n)
-        return u_out, w_out
-
-    def _apply_b(self, bhat: np.ndarray, t: float, kind: str) -> np.ndarray:
-        n = self.grid.n
-        factor = _WEIGHTS[kind](t * self.lam_b).reshape(n, n, n)
-        return bhat * factor[None]
+        self.kernel = SectorKernel(grid.xi_odd, grid.xi_sq, params)
 
     def apply(self, uhat, what, bhat, t: float, kind: str = "exp"):
         """Apply exp(tM), phi1(tM) or phi2(tM) to raw coefficient arrays."""
         if t < 0:
             raise ValueError(f"propagation time must be nonnegative, got {t}")
-        u, w = self._apply_uw(uhat, what, t, kind)
-        return u, w, self._apply_b(bhat, t, kind)
+        return self.kernel.apply(uhat, what, bhat, t, kind)
 
     def evolve(self, state: StateField, t: float) -> StateField:
         """Exact semigroup e^{tM} applied to a StateField."""
@@ -106,16 +138,6 @@ class GridPropagator:
         return state.with_coeffs(u, w, b)
 
 
-_cache: dict[tuple, GridPropagator] = {}
-
-
 def get_propagator(grid: Grid, params: PhysParams) -> GridPropagator:
-    """Shared propagator cache keyed by grid and parameter values."""
-    key = (grid.n, grid.length, params.mu, params.gamma, params.chi, params.nu)
-    prop = _cache.get(key)
-    if prop is None:
-        prop = GridPropagator(grid, params)
-        if len(_cache) > 8:
-            _cache.clear()
-        _cache[key] = prop
-    return prop
+    """Propagator for a grid and parameter set; a build takes milliseconds."""
+    return GridPropagator(grid, params)

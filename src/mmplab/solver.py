@@ -8,8 +8,8 @@ already).  The micro-rotation increment is never projected since w carries
 no divergence constraint.
 
 The stiff linear part, including the rotational coupling, the grad-div term
-and the 2 chi damping, is propagated exactly through the cached matrix
-exponential per mode; only advection and stretching are explicit.  The
+and the 2 chi damping, is propagated exactly through the closed-form
+sector kernel per mode; only advection and stretching are explicit.  The
 default scheme is the two-stage exponential integrator
 
     a       = e^{h M} z_n + h phi1(h M) N(z_n)
@@ -289,8 +289,7 @@ def simulate(config: SolverConfig, z0: StateField,
         "dealias": config.dealias,
         "bound_valid": params.bound_valid,
         "dt_initial": config.dt,
-        "dt_lambda_max": config.dt * float(
-            max(np.abs(prop.lam_uw).max(), np.abs(prop.lam_b).max())),
+        "dt_lambda_max": config.dt * prop.kernel.spectral_radius,
         "cfl_halvings": 0,
         "max_divergence": 0.0,
         "max_conjugate_symmetry_error": 0.0,

@@ -8,9 +8,11 @@ block matrix
         [  0                       0                   -nu |xi|^2 I      ]
 
 where i R3(xi) is the Hermitian rotation generator with spectrum
-{-|xi|, 0, |xi|}.  Because M is self-adjoint it diagonalizes with a unitary
-eigenbasis, and the exact semigroup e^{t M} follows from the
-eigendecomposition.
+{-|xi|, 0, |xi|}.  Its eigenvectors split M into invariant sectors: the
+magnetic block, the longitudinal (u, w) pair and two transverse 2x2
+blocks.  The closed-form sector kernel in propagator.py evaluates
+functions of M from that split; the dense eigendecomposition kept here
+(:attr:`SymbolMatrix.eigen`, :func:`semigroup_apply`) is its test oracle.
 
 Two bounds on the largest eigenvalue are provided:
 
@@ -22,15 +24,16 @@ Two bounds on the largest eigenvalue are provided:
   bound's fourth entry, and the rotational coupling shifts the mixed
   sectors above the second entry.  :func:`verify_eigenvalue_bound`
   measures the violation honestly.
-* :func:`sector_lambda_max` is the exact largest eigenvalue, computed in
-  closed form from the three invariant 2x2 sectors plus the magnetic
-  block; it certifies lambda_max(M) <= -C |xi|^2 with a measured C > 0.
+* :func:`sector_lambda_max` is the exact largest eigenvalue, read from the
+  sector kernel's transverse eigenvalue and the magnetic block; it
+  certifies lambda_max(M) <= -C |xi|^2 with a measured C > 0.
 
 The closed-form constant is C = min(mu, gamma, nu): Young's inequality on
 the coupling, 2 chi |xi||u||w| <= chi |xi|^2 |u|^2 + chi |w|^2, gives
 v* M v <= -min{mu|xi|^2, gamma|xi|^2 + chi, nu|xi|^2} |v|^2 for every
-parameter set, chi = 0 included.  :func:`verify_eigenvalue_bound` reports
-the measured C as ``empirical_C_true``.
+parameter set, chi = 0 included; :func:`young_bound` evaluates that
+minimum.  :func:`verify_eigenvalue_bound` reports the measured C as
+``empirical_C_true``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import PhysParams
+from .propagator import sector_eigenvalues
 
 
 class BoundInvalidError(ValueError):
@@ -48,11 +52,12 @@ class BoundInvalidError(ValueError):
 
 
 def rotation_matrix(xi) -> np.ndarray:
-    """Real antisymmetric R3(xi); i R3(xi) generates rotations about xi."""
+    """Real antisymmetric R3(xi), shape (3, 3, ...); i R3 rotates about xi."""
     x1, x2, x3 = np.asarray(xi, dtype=float)
-    return np.array([[0.0, x3, -x2],
-                     [-x3, 0.0, x1],
-                     [x2, -x1, 0.0]])
+    zero = np.zeros_like(x1)
+    return np.array([[zero, x3, -x2],
+                     [-x3, zero, x1],
+                     [x2, -x1, zero]])
 
 
 def rotation_symbol(xi) -> np.ndarray:
@@ -62,40 +67,20 @@ def rotation_symbol(xi) -> np.ndarray:
 
 def assemble_entries(xi, params: PhysParams) -> np.ndarray:
     """Dense 9x9 Hermitian symbol matrix at a single wavevector."""
-    xi = np.asarray(xi, dtype=float)
-    s2 = float(xi @ xi)
-    M = np.zeros((9, 9), dtype=complex)
-    M[0:3, 0:3] = -(params.mu + params.chi) * s2 * np.eye(3)
-    coupling = 1j * params.chi * rotation_matrix(xi)
-    M[0:3, 3:6] = coupling
-    M[3:6, 0:3] = coupling
-    M[3:6, 3:6] = (-(params.gamma * s2 + 2.0 * params.chi) * np.eye(3)
-                   - np.outer(xi, xi))
-    M[6:9, 6:9] = -params.nu * s2 * np.eye(3)
-    return M
+    return assemble_entries_batch(np.asarray(xi, dtype=float)[None], params)[0]
 
 
 def assemble_entries_batch(xis: np.ndarray, params: PhysParams) -> np.ndarray:
     """Vectorized assembly; xis has shape (N, 3), result (N, 9, 9)."""
     xis = np.asarray(xis, dtype=float)
-    N = xis.shape[0]
-    s2 = (xis ** 2).sum(axis=1)
-    M = np.zeros((N, 9, 9), dtype=complex)
+    s2 = (xis ** 2).sum(axis=1)[:, None, None]
     eye = np.eye(3)
-    M[:, 0:3, 0:3] = -(params.mu + params.chi) * s2[:, None, None] * eye
-    R = np.zeros((N, 3, 3))
-    R[:, 0, 1] = xis[:, 2]
-    R[:, 0, 2] = -xis[:, 1]
-    R[:, 1, 0] = -xis[:, 2]
-    R[:, 1, 2] = xis[:, 0]
-    R[:, 2, 0] = xis[:, 1]
-    R[:, 2, 1] = -xis[:, 0]
-    coupling = 1j * params.chi * R
-    M[:, 0:3, 3:6] = coupling
-    M[:, 3:6, 0:3] = coupling
-    M[:, 3:6, 3:6] = (-(params.gamma * s2 + 2.0 * params.chi)[:, None, None] * eye
+    M = np.zeros((xis.shape[0], 9, 9), dtype=complex)
+    M[:, 0:3, 0:3] = -(params.mu + params.chi) * s2 * eye
+    M[:, 0:3, 3:6] = M[:, 3:6, 0:3] = 1j * params.chi * np.moveaxis(rotation_matrix(xis.T), -1, 0)
+    M[:, 3:6, 3:6] = (-(params.gamma * s2 + 2.0 * params.chi) * eye
                       - xis[:, :, None] * xis[:, None, :])
-    M[:, 6:9, 6:9] = -params.nu * s2[:, None, None] * eye
+    M[:, 6:9, 6:9] = -params.nu * s2 * eye
     return M
 
 
@@ -145,23 +130,15 @@ def spectral_bound(xi, params: PhysParams) -> float:
     32 chi (mu + chi + gamma) <= 1, in which case the first entry may have
     real roots.
     """
-    if not params.bound_valid:
-        raise BoundInvalidError(
-            f"32 chi (mu+chi+gamma) = {32 * params.chi * (params.mu + params.chi + params.gamma):g} <= 1")
     s = float(np.linalg.norm(xi)) if np.ndim(xi) else float(xi)
-    s2 = s * s
-    return min(
-        (params.mu + params.chi + params.gamma) * s2 - 0.5 * s + 2.0 * params.chi,
-        (params.mu + params.chi) * s2,
-        params.gamma * s2 + 2.0 * params.chi,
-        2.0 * params.nu * s2,
-    )
+    return float(spectral_bound_radii(s, params))
 
 
 def spectral_bound_radii(s: np.ndarray, params: PhysParams) -> np.ndarray:
     """Vectorized :func:`spectral_bound` over an array of radii."""
     if not params.bound_valid:
-        raise BoundInvalidError("32 chi (mu+chi+gamma) <= 1")
+        raise BoundInvalidError(
+            f"32 chi (mu+chi+gamma) = {32 * params.chi * (params.mu + params.chi + params.gamma):g} <= 1")
     s = np.asarray(s, dtype=float)
     s2 = s * s
     return np.minimum.reduce([
@@ -175,25 +152,24 @@ def spectral_bound_radii(s: np.ndarray, params: PhysParams) -> np.ndarray:
 def sector_lambda_max(s, params: PhysParams):
     """Exact largest eigenvalue of M as a function of the radius |xi|.
 
-    M splits into invariant sectors spanned by the eigenvectors of
-    i R3(xi): the magnetic block (-nu s^2), the longitudinal (u, w) pair
-    (diagonal, since the coupling vanishes on the zero eigenvector), and
-    two transverse 2x2 blocks [[-a, d], [d, -b]] with a = (mu+chi) s^2,
-    b = gamma s^2 + 2 chi and d = chi s, whose top eigenvalue is
-    -(a+b)/2 + sqrt(((a-b)/2)^2 + d^2).
+    It is the larger of the magnetic block (-nu s^2) and the sector
+    kernel's top transverse eigenvalue, which lies above both diagonal
+    entries -(mu+chi) s^2 and -(gamma s^2 + 2 chi) and so above the
+    longitudinal (u, w) pair.
     """
-    s = np.asarray(s, dtype=float)
-    s2 = s * s
-    a = (params.mu + params.chi) * s2
-    b = params.gamma * s2 + 2.0 * params.chi
-    transverse = -(a + b) / 2.0 + np.sqrt(((a - b) / 2.0) ** 2 + (params.chi * s) ** 2)
-    out = np.maximum.reduce([
-        -params.nu * s2,
-        -a,
-        -(b + s2),
-        transverse,
-    ])
+    s2 = np.asarray(s, dtype=float) ** 2
+    _, transverse = sector_eigenvalues((params.mu + params.chi) * s2,
+                                       params.gamma * s2 + 2.0 * params.chi,
+                                       params.chi ** 2 * s2)
+    out = np.maximum(-params.nu * s2, transverse)
     return out if out.ndim else float(out)
+
+
+def young_bound(s, params: PhysParams):
+    """min{mu s^2, gamma s^2 + chi, nu s^2}: -lambda_max >= this at |xi| = s."""
+    s2 = np.asarray(s, dtype=float) ** 2
+    return np.minimum.reduce([params.mu * s2, params.gamma * s2 + params.chi,
+                              params.nu * s2])
 
 
 def sample_wavevectors(n_samples: int, radius_lo: float = 1e-3,
@@ -211,7 +187,8 @@ def verify_eigenvalue_bound(params: PhysParams, xi_samples: np.ndarray) -> dict:
 
     Returns a report with the largest signed violation
     lambda_max + spectral_bound (a positive value means the four-way
-    minimum fails as a bound at that sample), the empirical constants
+    minimum fails as a bound at that sample), the largest excess
+    lambda_max + young_bound over the valid bound, the empirical constants
 
         empirical_C        = inf spectral_bound / |xi|^2   (bound shape)
         empirical_C_true   = inf (-lambda_max) / |xi|^2    (measured decay)
@@ -226,6 +203,7 @@ def verify_eigenvalue_bound(params: PhysParams, xi_samples: np.ndarray) -> dict:
     lam_max = np.linalg.eigvalsh(Ms)[:, -1]
     bounds = spectral_bound_radii(radii, params)
     violations = lam_max + bounds
+    young_excess = float((lam_max + young_bound(radii, params)).max())
     worst = int(np.argmax(violations))
     nonzero = radii > 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -239,8 +217,23 @@ def verify_eigenvalue_bound(params: PhysParams, xi_samples: np.ndarray) -> dict:
         "empirical_C": float(c_bound),
         "empirical_C_true": float(c_true),
         "bound_holds": bool(violations.max() <= 1e-10),
+        "young_max_excess": young_excess,
+        "young_bound_holds": bool(young_excess <= 1e-10),
         "quadratic_decay_holds": bool(c_true > 0),
     }
+
+
+def transverse_frame(n_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal (e1, e2 = n_hat x e1) spanning the plane normal to n_hat.
+
+    e1 is even in n_hat, so the frame realizes conjugate-symmetric fields.
+    """
+    helper = np.array([1.0, 0.0, 0.0])
+    if abs(n_hat @ helper) > 0.9:
+        helper = np.array([0.0, 1.0, 0.0])
+    e1 = helper - (helper @ n_hat) * n_hat
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(n_hat, e1)
 
 
 def _rotation_eigenvectors(xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,12 +243,7 @@ def _rotation_eigenvectors(xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if s == 0:
         raise ValueError("rotation eigenbasis undefined at xi = 0")
     n_hat = xi / s
-    helper = np.array([1.0, 0.0, 0.0])
-    if abs(n_hat @ helper) > 0.9:
-        helper = np.array([0.0, 1.0, 0.0])
-    e1 = helper - (helper @ n_hat) * n_hat
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n_hat, e1)
+    e1, e2 = transverse_frame(n_hat)
     v_minus = (e1 + 1j * e2) / np.sqrt(2.0)
     v_plus = (e1 - 1j * e2) / np.sqrt(2.0)
     return v_minus, n_hat.astype(complex), v_plus
@@ -290,7 +278,7 @@ def rayleigh_basis_check(xi, params: PhysParams) -> dict:
     v* M v on each basis vector, the split contributions of the
     longitudinal projector part (nonpositive) and of the coupling part
     (zero on the rotation kernel directions), and compares every quotient
-    against -spectral_bound(xi).
+    against -spectral_bound(xi) and against -young_bound(|xi|).
     """
     xi = np.asarray(xi, dtype=float)
     if not np.linalg.norm(xi) > 0:
@@ -313,6 +301,7 @@ def rayleigh_basis_check(xi, params: PhysParams) -> dict:
     quotients_m3 = np.real(np.einsum("ik,ij,jk->k", B.conj(), M3, B))
     bound = spectral_bound(xi, params)
     margins = quotients + bound
+    young_excess = float(quotients.max() + young_bound(np.linalg.norm(xi), params))
     return {
         "gram_error": gram_err,
         "quotients": quotients.tolist(),
@@ -322,6 +311,8 @@ def rayleigh_basis_check(xi, params: PhysParams) -> dict:
         "spectral_bound": bound,
         "max_violation": float(margins.max()),
         "bound_holds": bool(margins.max() <= 1e-10),
+        "young_max_excess": young_excess,
+        "young_bound_holds": bool(young_excess <= 1e-10),
         "projector_part_nonpositive": bool(quotients_m2.max() <= 1e-12),
     }
 

@@ -92,6 +92,10 @@ class TestCliBasics:
         assert out["max_violation"] > 0
         assert out["quadratic_decay_holds"]
         assert out["empirical_C_true"] > 0
+        # the valid Young's-inequality bound holds; the exit code stays on
+        # the four-way minimum
+        assert out["young_bound_holds"]
+        assert out["young_max_excess"] <= 1e-10
 
     def test_symbol_check_invalid_params(self, capsys):
         rc = main(["symbol-check", "--chi", "0.001", "--samples", "10"])

@@ -150,6 +150,17 @@ class TestVerifyEigenvalueBound:
         half = 0.5 * spectral_bound_radii(radii, params)
         assert np.max(lam + half) <= 1e-10
 
+    @pytest.mark.parametrize("p", [PhysParams(), PhysParams(mu=1.0, gamma=0.1, chi=0.05, nu=2.0)])
+    def test_young_excess_matches_independent_eigvalsh(self, p):
+        xis = sample_wavevectors(300, seed=6)
+        report = verify_eigenvalue_bound(p, xis)
+        lam = np.array([sla.eigvalsh(transcription_oracle(xi, p))[-1] for xi in xis])
+        s2 = (xis ** 2).sum(axis=1)
+        young = np.minimum(np.minimum(p.mu * s2, p.gamma * s2 + p.chi), p.nu * s2)
+        assert report["young_max_excess"] == pytest.approx((lam + young).max(), abs=1e-12)
+        assert report["young_max_excess"] <= 1e-10
+        assert report["young_bound_holds"]
+
 
 class TestRayleighBasis:
     def test_gram_identity(self, params):
@@ -176,6 +187,15 @@ class TestRayleighBasis:
         for k in range(9):
             direct = float(np.real(B[:, k].conj() @ M @ B[:, k]))
             assert abs(direct - rep["quotients"][k]) < 1e-12
+
+    def test_young_excess_matches_direct_evaluation(self, params, rng):
+        xi = rng.normal(size=3) * 2
+        rep = rayleigh_basis_check(xi, params)
+        s2 = xi @ xi
+        young = min(params.mu * s2, params.gamma * s2 + params.chi, params.nu * s2)
+        assert rep["young_max_excess"] == pytest.approx(max(rep["quotients"]) + young,
+                                                        abs=1e-12)
+        assert rep["young_bound_holds"]
 
     def test_quotients_dominated_by_lambda_max(self, params, rng):
         xi = rng.normal(size=3) * 2
