@@ -94,7 +94,9 @@ class SpectralProfile:
         """Shell-binned profile of gridded coefficients (bin = fundamental).
 
         Shell j collects modes with (j-1) dk < |xi| <= j dk, so the ball
-        mass at an edge radius j dk is the inclusive closed-ball sum.
+        mass at an edge radius j dk is the inclusive closed-ball sum.  The
+        arrays are half spectra; each mode counts with its Parseval
+        multiplicity, so the masses are those of the full spectrum.
         """
         dk = grid.fundamental
         shell_index = np.ceil(grid.xi_mag / dk - 1e-9).astype(int)
@@ -102,7 +104,7 @@ class SpectralProfile:
         masses = np.zeros(n_shells)
         for arr in spectral_arrays:
             mag = (np.abs(arr) ** 2).sum(axis=0) if arr.ndim == 4 else np.abs(arr) ** 2
-            np.add.at(masses, shell_index, mag)
+            np.add.at(masses, shell_index, mag * grid.multiplicity)
         masses *= grid.volume
         edges = dk * np.arange(n_shells)
         return cls(kind="sampled", rho_edges=edges, shell_masses=masses,
@@ -279,10 +281,11 @@ def generate_data_with_character(grid: Grid, r: float, seed: int,
     """Random state whose spectral magnitudes follow |xi|^r exp(-|xi|^2/2s^2).
 
     Phases come from a counter-based generator, so equal seeds give
-    bit-identical fields.  The u and b components are Leray-projected after
-    shaping (an angular factor that leaves r* unchanged), all means vanish,
-    spectral support is restricted to the dealiased mode set, and the total
-    L2 norm is scaled to `amplitude`.
+    bit-identical fields.  The noise is drawn and symmetrized on the full
+    spectrum and sliced to the stored half.  The u and b components are
+    Leray-projected after shaping (an angular factor that leaves r*
+    unchanged), all means vanish, spectral support is restricted to the
+    dealiased mode set, and the total L2 norm is scaled to `amplitude`.
     """
     if not -1.5 < r < 6.0:
         raise ValueError(f"decay character target {r} outside resolvable (-3/2, 6)")
@@ -296,12 +299,14 @@ def generate_data_with_character(grid: Grid, r: float, seed: int,
 
     rng = np.random.Generator(np.random.Philox(seed))
     shape = (3, grid.n, grid.n, grid.n)
+    half = grid.n // 2 + 1
 
     def shaped_noise():
         # Conjugate-symmetric random phases with exactly the target
         # magnitude law (symmetrizing white noise and keeping only its
         # phase preserves the law without shot noise on shell masses).
         noise = hermitian_symmetrize(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        noise = noise[..., :half]
         amp = np.abs(noise)
         phase = np.divide(noise, amp, out=np.ones_like(noise), where=amp > 0)
         return phase * mag[None]

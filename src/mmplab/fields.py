@@ -3,11 +3,13 @@
 The state z = (u, w, b) couples an incompressible velocity u, a
 micro-rotational field w and a solenoidal magnetic field b.  Fields live in
 spectral space (see :mod:`mmplab.grid` for the normalization); physical
-space is only visited transiently when forming products.  The Leray
-projection implemented here is what removes the pressure gradient from the
-velocity equation: taking divergence of the momentum equation determines
-the pressure, and subtracting its gradient is exactly the projection
-vhat - xi (xi . vhat) / |xi|^2 mode by mode.
+space is only visited transiently when forming products.  Each component
+is stored as the half spectrum of a real field, shape (3, n, n, n//2 + 1),
+and norms weight the kz planes by the grid's Parseval multiplicity.  The
+Leray projection implemented here is what removes the pressure gradient
+from the velocity equation: taking divergence of the momentum equation
+determines the pressure, and subtracting its gradient is exactly the
+projection vhat - xi (xi . vhat) / |xi|^2 mode by mode.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid, conjugate_symmetry_error, forward, inverse_real
+from . import grid as _grid
+from .grid import Grid
 
 SOLENOIDAL_TOL = 1e-8
 
@@ -64,8 +67,9 @@ class PhysParams:
 class StateField:
     """Spectral coefficients of z = (u, w, b) on a periodic grid.
 
-    Each component array has shape (3, n, n, n) in FFT mode order.  Instances
-    are immutable values; every operation returns a new StateField.
+    Each component array is a half spectrum of shape (3, n, n, n//2 + 1) in
+    FFT mode order.  Instances are immutable values; every operation returns
+    a new StateField.
     """
 
     grid: Grid
@@ -76,7 +80,7 @@ class StateField:
     solenoidal_b: bool = True
 
     def __post_init__(self):
-        shape = (3, self.grid.n, self.grid.n, self.grid.n)
+        shape = (3,) + self.grid.spectral_shape
         for name in ("uhat", "what", "bhat"):
             arr = getattr(self, name)
             if arr.shape != shape:
@@ -85,15 +89,14 @@ class StateField:
 
     @classmethod
     def zero(cls, grid: Grid) -> "StateField":
-        shape = (3, grid.n, grid.n, grid.n)
-        z = np.zeros(shape, dtype=complex)
+        z = np.zeros((3,) + grid.spectral_shape, dtype=complex)
         return cls(grid, z, z.copy(), z.copy())
 
     @classmethod
     def from_physical(cls, grid: Grid, u, w, b) -> "StateField":
-        return cls(grid, forward(np.asarray(u, float)),
-                   forward(np.asarray(w, float)),
-                   forward(np.asarray(b, float)))
+        return cls(grid, _grid.forward(np.asarray(u, float)),
+                   _grid.forward(np.asarray(w, float)),
+                   _grid.forward(np.asarray(b, float)))
 
     def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.uhat, self.what, self.bhat
@@ -102,13 +105,8 @@ class StateField:
         return replace(self, uhat=uhat, what=what, bhat=bhat)
 
     def to_physical(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (inverse_real(self.uhat), inverse_real(self.what),
-                inverse_real(self.bhat))
-
-    def conjugate_symmetry_error(self) -> float:
-        return max(conjugate_symmetry_error(self.uhat),
-                   conjugate_symmetry_error(self.what),
-                   conjugate_symmetry_error(self.bhat))
+        return (_grid.inverse(self.uhat), _grid.inverse(self.what),
+                _grid.inverse(self.bhat))
 
     def divergence_error(self) -> float:
         """Max relative |xi . vhat| over u and b (solenoidality residual)."""
@@ -125,7 +123,7 @@ def _div_residual(grid: Grid, vhat: np.ndarray) -> float:
 def transform_roundtrip(state: StateField) -> StateField:
     """Inverse-then-forward transform of every component (contract check)."""
     u, w, b = state.to_physical()
-    return state.with_coeffs(forward(u), forward(w), forward(b))
+    return state.with_coeffs(_grid.forward(u), _grid.forward(w), _grid.forward(b))
 
 
 def leray_project(grid: Grid, vhat: np.ndarray) -> np.ndarray:
@@ -134,7 +132,7 @@ def leray_project(grid: Grid, vhat: np.ndarray) -> np.ndarray:
     The zero mode passes through unchanged (the projector formula is
     singular there and the mean flow carries no gradient part).
     """
-    if vhat.shape != (3, grid.n, grid.n, grid.n):
+    if vhat.shape != (3,) + grid.spectral_shape:
         raise ContractViolation(f"expected 3-component spectral array, got {vhat.shape}")
     xi = grid.xi_odd
     s2 = (xi ** 2).sum(axis=0)
@@ -170,12 +168,14 @@ def spectrum_norm_sq(grid: Grid, *spectral_arrays: np.ndarray,
                      weight: np.ndarray | None = None) -> float:
     """L2 norm squared, volume * sum of |coefficients|^2, optionally weighted.
 
-    Accumulation order is fixed (numpy pairwise sum over C-ordered arrays),
-    so results are bit-stable across worker counts.
+    The sum runs over the full spectrum: each stored half-spectrum mode
+    counts with the grid's Parseval multiplicity.  Accumulation order is
+    fixed (numpy pairwise sum over C-ordered arrays), so results are
+    bit-stable across worker counts.
     """
     total = 0.0
     for arr in spectral_arrays:
-        mag = (arr.real ** 2 + arr.imag ** 2)
+        mag = (arr.real ** 2 + arr.imag ** 2) * grid.multiplicity
         if weight is not None:
             mag = mag * weight
         total += float(mag.sum())

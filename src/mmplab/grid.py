@@ -6,6 +6,17 @@ f(x) = sum_k fhat(k) exp(i xi_k . x) with xi_k = (2 pi / L) k and integer
 k in [-n/2, n/2) per axis.  With this normalization Parseval reads
 int |f|^2 dx = L^3 sum_k |fhat(k)|^2, which is what every norm in the
 package uses.
+
+Every field is real, so its spectrum is conjugate-symmetric,
+fhat(-k) = conj(fhat(k)), and only the half spectrum of the real transform
+is stored: the kz = 0 .. n/2 planes, shape (n, n, n//2 + 1), the first
+n//2 + 1 planes of the full FFT-ordered array.  Reality holds by
+construction.  Sums over all modes count each stored mode with its
+Parseval multiplicity: the kz = 0 and kz = n/2 planes hold their own
+conjugate partners and count once, every other plane stands for itself
+and its missing partner and counts twice.  Full spectra appear only at
+the edges: shaped random data are drawn full and sliced, and snapshots
+are expanded on write and sliced on read (:func:`full_spectrum`).
 """
 
 from __future__ import annotations
@@ -64,15 +75,22 @@ class Grid:
         """Integer mode numbers along one axis in FFT order."""
         return np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
 
-    @cached_property
-    def xi(self) -> np.ndarray:
-        """Wavevectors, shape (3, n, n, n)."""
-        k = self.fundamental * self.k_int.astype(float)
-        out = np.empty((3, self.n, self.n, self.n))
+    @property
+    def spectral_shape(self) -> tuple[int, int, int]:
+        """Shape of one stored half spectrum, (n, n, n//2 + 1)."""
+        return (self.n, self.n, self.n // 2 + 1)
+
+    def _wavevectors(self, k: np.ndarray) -> np.ndarray:
+        out = np.empty((3,) + self.spectral_shape)
         out[0] = k[:, None, None]
         out[1] = k[None, :, None]
-        out[2] = k[None, None, :]
+        out[2] = k[None, None, :self.n // 2 + 1]
         return out
+
+    @cached_property
+    def xi(self) -> np.ndarray:
+        """Wavevectors, shape (3, n, n, n//2 + 1)."""
+        return self._wavevectors(self.fundamental * self.k_int.astype(float))
 
     @cached_property
     def xi_odd(self) -> np.ndarray:
@@ -85,15 +103,11 @@ class Grid:
         """
         k = self.fundamental * self.k_int.astype(float)
         k[self.n // 2] = 0.0
-        out = np.empty((3, self.n, self.n, self.n))
-        out[0] = k[:, None, None]
-        out[1] = k[None, :, None]
-        out[2] = k[None, None, :]
-        return out
+        return self._wavevectors(k)
 
     @cached_property
     def xi_sq(self) -> np.ndarray:
-        """|xi|^2, shape (n, n, n)."""
+        """|xi|^2, shape (n, n, n//2 + 1)."""
         return (self.xi ** 2).sum(axis=0)
 
     @cached_property
@@ -105,7 +119,16 @@ class Grid:
         """Boolean 2/3-rule mask: keep modes with |k_i| <= floor(n/3)."""
         cut = self.n // 3
         keep1 = np.abs(self.k_int) <= cut
-        return keep1[:, None, None] & keep1[None, :, None] & keep1[None, None, :]
+        return (keep1[:, None, None] & keep1[None, :, None]
+                & keep1[None, None, :self.n // 2 + 1])
+
+    @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """Parseval weight per kz plane of the half spectrum, shape (n//2 + 1,):
+        1 on the self-conjugate kz = 0 and kz = n/2 planes, 2 elsewhere."""
+        out = np.full(self.n // 2 + 1, 2.0)
+        out[[0, -1]] = 1.0
+        return out
 
     def points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Physical grid coordinates (x, y, z), each of shape (n, n, n)."""
@@ -114,35 +137,34 @@ class Grid:
 
 
 def forward(phys: np.ndarray, workers: int | None = None) -> np.ndarray:
-    """Physical -> spectral over the last three axes (carries 1/n^3)."""
-    n3 = phys.shape[-1] * phys.shape[-2] * phys.shape[-3]
-    return _fft.fftn(phys, axes=(-3, -2, -1), workers=workers or worker_count()) / n3
+    """Real physical -> half spectrum over the last three axes (carries 1/n^3)."""
+    return _fft.rfftn(phys, axes=(-3, -2, -1), norm="forward",
+                      workers=workers or worker_count())
 
 
 def inverse(spec: np.ndarray, workers: int | None = None) -> np.ndarray:
-    """Spectral -> physical over the last three axes (complex output)."""
-    n3 = spec.shape[-1] * spec.shape[-2] * spec.shape[-3]
-    return _fft.ifftn(spec, axes=(-3, -2, -1), workers=workers or worker_count()) * n3
-
-
-def inverse_real(spec: np.ndarray, workers: int | None = None) -> np.ndarray:
-    """Spectral -> physical, dropping the roundoff imaginary part."""
-    return inverse(spec, workers=workers).real
+    """Half spectrum -> real physical field over the last three axes."""
+    n = spec.shape[-2]
+    return _fft.irfftn(spec, s=(n, n, n), axes=(-3, -2, -1), norm="forward",
+                       workers=workers or worker_count())
 
 
 def conjugate_flip(spec: np.ndarray) -> np.ndarray:
-    """Return conj(a(-k)) on the FFT index grid (last three axes)."""
+    """Return conj(a(-k)) on the full FFT index grid (last three axes)."""
     rev = spec[..., ::-1, ::-1, ::-1]
     return np.conj(np.roll(rev, 1, axis=(-3, -2, -1)))
 
 
 def hermitian_symmetrize(spec: np.ndarray) -> np.ndarray:
-    """Project onto the conjugate-symmetric part (real physical field)."""
+    """Project a full spectrum onto its conjugate-symmetric part."""
     return 0.5 * (spec + conjugate_flip(spec))
 
 
-def conjugate_symmetry_error(spec: np.ndarray) -> float:
-    """Max |a(k) - conj(a(-k))| relative to the largest coefficient."""
-    err = np.abs(spec - conjugate_flip(spec)).max()
-    scale = np.abs(spec).max()
-    return float(err / scale) if scale > 0 else 0.0
+def full_spectrum(half: np.ndarray) -> np.ndarray:
+    """Expand half spectra (..., n, n, n//2 + 1) to full FFT-ordered arrays
+    (..., n, n, n); the missing planes are conj(a(-k)) of stored modes."""
+    n = half.shape[-2]
+    full = np.zeros(half.shape[:-1] + (n,), dtype=complex)
+    full[..., :n // 2 + 1] = half
+    full[..., n // 2 + 1:] = conjugate_flip(full)[..., n // 2 + 1:]
+    return full

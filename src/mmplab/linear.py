@@ -199,13 +199,13 @@ def realize_profile_on_grid(grid, profile: SpectralProfile,
     :func:`make_radial_state`, for grid-versus-continuum comparisons.
 
     The transverse frame is even in the direction, so real shaped
-    magnitudes give a conjugate-symmetric (real) field.  Support is
-    restricted to the dealiased mode set.
+    magnitudes give a conjugate-symmetric (real) field, which is built
+    directly on the stored half spectrum.  Support is restricted to the
+    dealiased mode set.
     """
     if profile.kind != "analytic":
         raise ValueError("grid realization needs an analytic profile")
-    n = grid.n
-    uhat = np.zeros((3, n, n, n), dtype=complex)
+    uhat = np.zeros((3,) + grid.spectral_shape, dtype=complex)
     what = np.zeros_like(uhat)
     bhat = np.zeros_like(uhat)
     cu, cw, cb = component_weights

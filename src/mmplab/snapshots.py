@@ -11,7 +11,11 @@ Layout (all little-endian):
                   (kx, ky, kz)
 
 Coefficients are stored in single precision; snapshots are for restart and
-inspection, not for bit-exact archival.
+inspection, not for bit-exact archival.  States hold half spectra (see
+:mod:`mmplab.grid`); the file holds the full spectrum, so a state is
+expanded with its conjugate-symmetric partners on write and sliced back to
+the stored half on read.  Reading a snapshot returns exactly the stored
+half in complex64 precision.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import Grid, StateField
+from .grid import full_spectrum
 
 MAGIC = b"MMPLAB-SNAP-v001"
 _HEADER = struct.Struct("<IdI")
@@ -39,8 +44,7 @@ def write_snapshot(path, state: StateField) -> None:
         fh.write(_HEADER.pack(state.grid.n, state.grid.length, flags))
         for comp in state.components():
             for axis in range(3):
-                fh.write(np.ascontiguousarray(
-                    comp[axis], dtype=np.complex64).tobytes())
+                fh.write(full_spectrum(comp[axis]).astype(np.complex64).tobytes())
 
 
 def read_snapshot(path) -> StateField:
@@ -54,13 +58,13 @@ def read_snapshot(path) -> StateField:
         count = n ** 3
         comps = []
         for _ in range(3):
-            block = np.empty((3, n, n, n), dtype=complex)
+            block = np.empty((3,) + grid.spectral_shape, dtype=complex)
             for axis in range(3):
                 raw = fh.read(count * 8)
                 if len(raw) != count * 8:
                     raise SnapshotFormatError(f"{path} truncated")
                 block[axis] = np.frombuffer(
-                    raw, dtype=np.complex64).reshape(n, n, n)
+                    raw, dtype=np.complex64).reshape(n, n, n)[..., :n // 2 + 1]
             comps.append(block)
     return StateField(grid, *comps,
                       solenoidal_u=bool(flags & 1), solenoidal_b=bool(flags & 2))

@@ -318,7 +318,13 @@ def rayleigh_basis_check(xi, params: PhysParams) -> dict:
 
 
 def semigroup_apply(M: SymbolMatrix, t: float, v: np.ndarray) -> np.ndarray:
-    """e^{t M} v from the cached eigendecomposition; exact for t >= 0."""
+    """e^{t M} v from the cached eigendecomposition, for t >= 0.
+
+    Not exact: eigenvalue and eigenvector errors of order eps ||M|| are
+    multiplied by t, so the error grows like t eps ||M|| (2.8e-12 of |v| at
+    t = 1e4 on a radial node with |xi| = 1.3e-4).  Long-time checks should
+    use scipy.linalg.expm as the oracle.
+    """
     if t < 0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
     v = np.asarray(v, dtype=complex)

@@ -24,8 +24,24 @@ def params():
     return PhysParams(mu=1.0, gamma=1.0, chi=0.5, nu=1.0)
 
 
+def reality_error(spec):
+    """Largest change of a half spectrum under inverse-then-forward transform,
+    relative to its largest coefficient.  It vanishes up to roundoff exactly
+    when the array is the half spectrum of a real field, i.e. when the
+    self-conjugate kz = 0 and kz = n/2 planes are conjugate-symmetric."""
+    from mmplab.grid import forward, inverse
+    scale = np.abs(spec).max()
+    return float(np.abs(forward(inverse(spec)) - spec).max() / scale) if scale > 0 else 0.0
+
+
+def full_xi_mag(grid):
+    """|xi| on the full FFT-ordered grid, shape (n, n, n), from k_int alone."""
+    k = grid.fundamental * grid.k_int.astype(float)
+    return np.sqrt(k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2)
+
+
 def random_state(grid, rng, solenoidal=True):
-    """Random conjugate-symmetric StateField, optionally projected."""
+    """Random StateField of real fields, optionally projected."""
     from mmplab.fields import StateField, leray_project
     from mmplab.grid import forward
 

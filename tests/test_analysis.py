@@ -10,7 +10,9 @@ from mmplab.decay_character import SpectralProfile
 from mmplab.fields import Grid, PhysParams, l2_norm_sq
 from mmplab.linear import make_radial_state
 
-from conftest import random_state
+from mmplab.grid import full_spectrum
+
+from conftest import full_xi_mag, random_state
 
 
 class TestFit:
@@ -79,6 +81,16 @@ class TestFourierSplit:
         values = [fourier_split_integral(state, t, A) for A in (4.0, 16.0, 64.0, 400.0)]
         assert np.all(np.diff(values) >= 0)
         assert values[-1] <= l2_norm_sq(state) * (1 + 1e-12)
+
+    def test_half_spectrum_matches_full_spectrum(self, grid16, rng):
+        # multiplicity-weighted half sums equal the sums over the expanded state
+        state = random_state(grid16, rng)
+        mag = full_xi_mag(grid16)
+        for t, A in ((0.0, 4.0), (1.0, 30.0), (3.0, 200.0)):
+            inside = mag <= fourier_split_radius(t, A)
+            want = grid16.volume * sum(float((np.abs(full_spectrum(c)) ** 2 * inside).sum())
+                                       for c in state.components())
+            assert fourier_split_integral(state, t, A) == pytest.approx(want, rel=1e-13)
 
     def test_sub_fundamental_ball_warns_and_returns_zero(self, rng):
         grid = Grid(8, 0.5)  # fundamental = 4 pi

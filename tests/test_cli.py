@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 from mmplab.cli import main
 from mmplab.fields import Grid
 from mmplab.decay_character import generate_data_with_character
+from mmplab.grid import full_spectrum
 from mmplab.harness import (CSV_COLUMNS, RunConfig, execute_run, format_float,
                             read_series_csv, report_from_run)
 from mmplab.snapshots import (SnapshotFormatError, read_snapshot,
@@ -245,6 +247,22 @@ class TestSnapshots:
         for a, b in zip(back.components(), state.components()):
             # storage is complex64
             assert np.abs(a - b).max() < 1e-6
+
+    def test_file_holds_expanded_full_spectrum(self, tmp_path):
+        # the v001 layout: header, then the full spectrum of every component
+        # in complex64, as written from the expanded arrays
+        grid = Grid(8, 2 * np.pi)
+        state = generate_data_with_character(grid, 0.0, seed=5, amplitude=1.0)
+        path = tmp_path / "state.snap"
+        write_snapshot(path, state)
+        expected = MAGIC + struct.pack("<IdI", 8, grid.length, 3) + b"".join(
+            full_spectrum(comp).astype(np.complex64).tobytes()
+            for comp in state.components())
+        assert path.read_bytes() == expected
+        back = read_snapshot(path)
+        for a, b in zip(back.components(), state.components()):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b.astype(np.complex64))
 
     def test_magic_header(self, tmp_path):
         grid = Grid(8, 2 * np.pi)

@@ -8,7 +8,9 @@ from mmplab.decay_character import (SpectralProfile, combine_profiles,
                                     generate_data_with_character,
                                     min_rule_check)
 from mmplab.fields import Grid, l2_norm_sq, leray_project
-from mmplab.grid import hermitian_symmetrize
+from mmplab.grid import full_spectrum, hermitian_symmetrize
+
+from conftest import full_xi_mag, random_state, reality_error
 
 FOUR_PI = 4.0 * np.pi
 
@@ -148,7 +150,7 @@ class TestGenerator:
     def test_structure(self):
         grid = Grid(16)
         state = generate_data_with_character(grid, 1.0, seed=3)
-        assert state.conjugate_symmetry_error() < 1e-12
+        assert all(reality_error(comp) < 1e-14 for comp in state.components())
         assert state.divergence_error() < 1e-12
         for comp in state.components():
             assert np.abs(comp[:, 0, 0, 0]).max() == 0.0  # zero mean
@@ -173,6 +175,20 @@ class TestGenerator:
         assert not est.boundary
         assert abs(est.r_star - r) < 0.1
 
+    @pytest.mark.parametrize("component", ["z", "u", "w"])
+    def test_shell_masses_match_full_spectrum(self, component):
+        grid = Grid(16, 3.0)
+        state = random_state(grid, np.random.Generator(np.random.Philox(4)))
+        profile = SpectralProfile.from_state(state, component)
+        arrays = {"z": state.components(), "u": (state.uhat,), "w": (state.what,)}[component]
+        shell = np.ceil(full_xi_mag(grid) / grid.fundamental - 1e-9).astype(int)
+        want = np.zeros(shell.max() + 1)
+        for arr in arrays:
+            np.add.at(want, shell, (np.abs(full_spectrum(arr)) ** 2).sum(axis=0))
+        want *= grid.volume
+        assert profile.shell_masses.shape == want.shape
+        assert np.allclose(profile.shell_masses, want, rtol=1e-13, atol=0)
+
     def test_leray_shell_factor(self):
         # projection of an isotropically shaped random field scales shell
         # masses by an angular factor in [1/3, 1] and leaves r* in place
@@ -181,7 +197,9 @@ class TestGenerator:
         mag = np.where(grid.xi_sq > 0, np.exp(-grid.xi_sq / (2 * 81.0)), 0.0)
         mag *= grid.dealias_mask
         noise = rng.normal(size=(3, 32, 32, 32)) + 1j * rng.normal(size=(3, 32, 32, 32))
-        vhat = hermitian_symmetrize(noise * mag[None])
+        # shape white noise on the full spectrum (mag is even in k), keep the half
+        full_mag = full_spectrum(mag).real
+        vhat = hermitian_symmetrize(noise * full_mag[None])[..., :17]
         proj = leray_project(grid, vhat)
         before = SpectralProfile.from_spectral_array(grid, vhat)
         after = SpectralProfile.from_spectral_array(grid, proj)

@@ -8,10 +8,10 @@ from mmplab.fields import (ContractViolation, Grid, StateField, curl,
                            leray_project, physical_norm_sq,
                            second_deriv_norm_sq, spectrum_norm_sq,
                            transform_roundtrip)
-from mmplab.grid import (conjugate_symmetry_error, forward,
-                         hermitian_symmetrize, inverse_real)
+from mmplab.grid import (conjugate_flip, forward, full_spectrum,
+                         hermitian_symmetrize, inverse)
 
-from conftest import random_state
+from conftest import random_state, reality_error
 
 
 def dft_oracle(phys):
@@ -48,12 +48,30 @@ class TestGrid:
         keep = np.abs(grid.k_int) <= cut
         assert grid.dealias_mask[0, 0, 0]
         assert not grid.dealias_mask[4, 0, 0]
-        assert grid.dealias_mask.sum() == keep.sum() ** 3
+        assert grid.dealias_mask.sum() == keep.sum() ** 2 * keep[:5].sum()
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_half_arrays_are_full_slices(self, n):
+        # every per-mode array holds the kz = 0 .. n/2 planes of its full
+        # FFT-ordered counterpart
+        grid = Grid(n, 3.0)
+        k = grid.k_int
+        KX, KY, KZ = np.meshgrid(k, k, k, indexing="ij")
+        xi = grid.fundamental * np.stack([KX, KY, KZ]).astype(float)
+        odd = np.where(np.stack([KX, KY, KZ]) == -n // 2, 0.0, xi)
+        keep = (np.abs(np.stack([KX, KY, KZ])) <= n // 3).all(axis=0)
+        half = (Ellipsis, slice(0, n // 2 + 1))
+        assert grid.spectral_shape == (n, n, n // 2 + 1)
+        assert np.array_equal(grid.xi, xi[half])
+        assert np.array_equal(grid.xi_odd, odd[half])
+        assert np.array_equal(grid.xi_sq, (xi ** 2).sum(axis=0)[half])
+        assert np.array_equal(grid.dealias_mask, keep[half])
+        assert grid.multiplicity.tolist() == [1.0] + [2.0] * (n // 2 - 1) + [1.0]
 
 
 class TestTransforms:
     def test_single_mode_roundtrip(self, grid16):
-        spec = np.zeros((3, 16, 16, 16), dtype=complex)
+        spec = np.zeros((3, 16, 16, 9), dtype=complex)
         spec[0, 1, 0, 0] = 1.0
         spec[0, -1 % 16, 0, 0] = 1.0  # conjugate partner
         state = StateField(grid16, spec, np.zeros_like(spec), np.zeros_like(spec))
@@ -73,32 +91,37 @@ class TestTransforms:
 
     def test_against_direct_dft(self, rng):
         phys = rng.normal(size=(8, 8, 8))
-        assert np.abs(forward(phys) - dft_oracle(phys)).max() < 1e-13
+        assert np.abs(forward(phys) - dft_oracle(phys)[..., :5]).max() < 1e-13
 
     def test_real_field_conjugate_symmetry(self, grid8, rng):
-        spec = forward(rng.normal(size=(8, 8, 8)))
-        assert conjugate_symmetry_error(spec) < 1e-12
+        # the expanded half spectrum is the full, conjugate-symmetric DFT
+        phys = rng.normal(size=(8, 8, 8))
+        assert np.abs(full_spectrum(forward(phys)) - dft_oracle(phys)).max() < 1e-13
+
+    def test_inverse_is_real(self, grid8, rng):
+        phys = rng.normal(size=(2, 8, 8, 8))
+        back = inverse(forward(phys))
+        assert back.dtype == np.float64 and back.shape == phys.shape
+        assert np.abs(back - phys).max() < 1e-14
 
     def test_shape_contract(self, grid8):
+        half = np.zeros((3, 8, 8, 5), dtype=complex)
         with pytest.raises(ContractViolation):
-            StateField(grid8, np.zeros((3, 4, 4, 4), dtype=complex),
-                       np.zeros((3, 8, 8, 8), dtype=complex),
-                       np.zeros((3, 8, 8, 8), dtype=complex))
+            StateField(grid8, np.zeros((3, 4, 4, 4), dtype=complex), half, half)
+        with pytest.raises(ContractViolation):  # a full spectrum is rejected
+            StateField(grid8, np.zeros((3, 8, 8, 8), dtype=complex), half, half)
 
 
 def leray_oracle(grid, vhat):
     """Independent componentwise projection formula, plain loops."""
-    n = grid.n
     out = np.array(vhat, dtype=complex)
-    for i1 in range(n):
-        for i2 in range(n):
-            for i3 in range(n):
-                xi = np.array([grid.xi_odd[a][i1, i2, i3] for a in range(3)])
-                s2 = xi @ xi
-                if s2 == 0:
-                    continue
-                v = vhat[:, i1, i2, i3]
-                out[:, i1, i2, i3] = v - xi * (xi @ v) / s2
+    for i1, i2, i3 in np.ndindex(grid.spectral_shape):
+        xi = np.array([grid.xi_odd[a][i1, i2, i3] for a in range(3)])
+        s2 = xi @ xi
+        if s2 == 0:
+            continue
+        v = vhat[:, i1, i2, i3]
+        out[:, i1, i2, i3] = v - xi * (xi @ v) / s2
     return out
 
 
@@ -127,7 +150,7 @@ class TestLeray:
                       leray_oracle(grid8, vhat)).max() < 1e-14
 
     def test_zero_mode_passthrough(self, grid8):
-        vhat = np.zeros((3, 8, 8, 8), dtype=complex)
+        vhat = np.zeros((3, 8, 8, 5), dtype=complex)
         vhat[:, 0, 0, 0] = [1.0, 2.0, 3.0]
         proj = leray_project(grid8, vhat)
         assert np.array_equal(proj[:, 0, 0, 0], vhat[:, 0, 0, 0])
@@ -147,7 +170,7 @@ class TestNorms:
 
     def test_single_mode_pairing_factor(self, grid8):
         # one real mode occupies k and -k; norm is 2 V |a|^2
-        spec = np.zeros((3, 8, 8, 8), dtype=complex)
+        spec = np.zeros((3, 8, 8, 5), dtype=complex)
         a = 0.3 + 0.4j
         spec[0, 2, 0, 0] = a
         spec[0, -2 % 8, 0, 0] = np.conj(a)
@@ -162,15 +185,37 @@ class TestNorms:
         b = l2_norm_sq(forward(phys), grid)
         assert abs(a - b) / a < 1e-10
 
+    def test_single_interior_mode_counts_twice(self, grid8):
+        # kz = 2 is stored, its partner at kz = -2 is not: multiplicity 2
+        spec = np.zeros((3, 8, 8, 5), dtype=complex)
+        a = 0.3 - 0.1j
+        spec[1, 3, 5, 2] = a
+        assert l2_norm_sq(spec, grid8) == pytest.approx(
+            2.0 * grid8.volume * abs(a) ** 2, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_half_spectrum_parseval_self_conjugate_planes(self, n, rng):
+        # energy on the kz = 0 and kz = n/2 planes, which count once
+        grid = Grid(n, 3.0)
+        phys = rng.normal(size=(3, n, n, n))
+        phys += 2.0 * rng.normal(size=(3, n, n, 1))
+        phys += 2.0 * rng.normal(size=(3, n, n, 1)) * (-1.0) ** np.arange(n)
+        spec = forward(phys)
+        a = physical_norm_sq(grid, phys)
+        for plane in (0, n // 2):
+            share = grid.volume * (np.abs(spec[..., plane]) ** 2).sum() / a
+            assert share > 0.3
+        assert abs(spectrum_norm_sq(grid, spec) - a) / a < 1e-13
+
     def test_gradient_single_mode(self):
         grid = Grid(8, 2 * np.pi)  # |xi| = 1 for the fundamental
-        spec = np.zeros((3, 8, 8, 8), dtype=complex)
+        spec = np.zeros((3, 8, 8, 5), dtype=complex)
         spec[0, 0, 1, 0] = 0.5
         spec[0, 0, -1 % 8, 0] = 0.5
         assert abs(gradient_norm_sq(spec, grid) - l2_norm_sq(spec, grid)) < 1e-13
 
     def test_constant_field_gradient(self, grid8):
-        spec = np.zeros((3, 8, 8, 8), dtype=complex)
+        spec = np.zeros((3, 8, 8, 5), dtype=complex)
         spec[:, 0, 0, 0] = 1.0
         assert gradient_norm_sq(spec, grid8) == 0.0
 
@@ -196,19 +241,25 @@ class TestOperators:
     def test_gradient_shape(self, grid8, rng):
         fhat = forward(rng.normal(size=(8, 8, 8)))
         g = gradient(grid8, fhat)
-        assert g.shape == (3, 8, 8, 8)
+        assert g.shape == (3, 8, 8, 5)
 
     def test_reality_preserved(self, grid16, rng):
         state = random_state(grid16, rng)
         proj = leray_project(grid16, state.uhat)
-        assert conjugate_symmetry_error(proj) < 1e-12
-        assert conjugate_symmetry_error(curl(grid16, state.what)) < 1e-12
+        assert reality_error(proj) < 1e-14
+        assert reality_error(curl(grid16, state.what)) < 1e-14
 
 
 class TestHermitianSymmetrize:
     def test_projection_property(self, rng):
         spec = rng.normal(size=(8, 8, 8)) + 1j * rng.normal(size=(8, 8, 8))
         sym = hermitian_symmetrize(spec)
-        assert conjugate_symmetry_error(sym) < 1e-14
-        phys = inverse_real(sym)
-        assert np.abs(forward(phys) - sym).max() < 1e-13
+        assert np.abs(sym - conjugate_flip(sym)).max() < 1e-14
+        half = sym[..., :5]
+        phys = inverse(half)
+        assert np.abs(forward(phys) - half).max() < 1e-13
+
+    def test_full_spectrum_inverts_slicing(self, rng):
+        spec = rng.normal(size=(2, 8, 8, 8)) + 1j * rng.normal(size=(2, 8, 8, 8))
+        sym = hermitian_symmetrize(spec)
+        assert np.array_equal(full_spectrum(sym[..., :5]), sym)

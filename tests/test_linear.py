@@ -12,7 +12,7 @@ from mmplab.linear import (evolve_linear_grid, heat_bound_check,
                            realize_profile_on_grid, sphere_rule_26)
 from mmplab.symbol import assemble_symbol, semigroup_apply
 
-from conftest import random_state
+from conftest import random_state, reality_error
 
 
 class TestGridEvolution:
@@ -62,7 +62,7 @@ class TestGridEvolution:
         state = random_state(grid8, rng)
         t = 0.3
         out = evolve_linear_grid(state, params, t)
-        for idx in ((1, 2, 3), (0, 0, 1), (2, 7, 5)):
+        for idx in ((1, 2, 3), (0, 0, 1), (6, 1, 3)):
             xi = np.array([grid8.xi_odd[a][idx] for a in range(3)])
             sl = (slice(None),) + idx
             v = np.concatenate([state.uhat[sl], state.what[sl], state.bhat[sl]])
@@ -73,7 +73,8 @@ class TestGridEvolution:
     def test_reality_preserved(self, grid16, params, rng):
         state = random_state(grid16, rng)
         out = evolve_linear_grid(state, params, 0.7)
-        assert out.conjugate_symmetry_error() < 1e-12
+        for comp in out.components():
+            assert reality_error(comp) < 1e-14
 
     def test_negative_time_rejected(self, grid8, params):
         with pytest.raises(ValueError):
@@ -166,7 +167,8 @@ class TestGridVersusRadial:
         grid = Grid(32, 32 * np.pi)
         prof = SpectralProfile.power_law(0.0, cutoff_radius=0.2, cutoff="gauss")
         state = realize_profile_on_grid(grid, prof)
-        assert state.conjugate_symmetry_error() < 1e-13
+        for comp in state.components():
+            assert reality_error(comp) < 1e-14
         assert state.divergence_error() < 1e-13
         radial = make_radial_state(prof, params, rho_min=1e-4, rho_max=3.0)
         for t in (0.0, 1.0, 5.0, 10.0):

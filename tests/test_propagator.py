@@ -43,9 +43,8 @@ MODES = ((0, 0, 0), (4, 0, 0), (0, 4, 3), (4, 4, 1), (4, 4, 4), (1, 2, 3), (7, 5
 
 def grid_errors(grid, params, t, rng):
     """Largest |kernel - oracle| / |v| over MODES of the grid."""
-    n = grid.n
-    z = [rng.normal(size=(3, n, n, n)) + 1j * rng.normal(size=(3, n, n, n))
-         for _ in range(3)]
+    shape = (3,) + grid.spectral_shape
+    z = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(3)]
     prop = get_propagator(grid, params)
     worst = {}
     for kind in KINDS:

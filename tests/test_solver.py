@@ -7,21 +7,24 @@ import scipy.fft as sfft
 from mmplab.decay_character import generate_data_with_character
 from mmplab.fields import (ContractViolation, Grid, PhysParams, StateField,
                            leray_project)
+from mmplab.grid import full_spectrum, inverse
 from mmplab.propagator import get_propagator, phi1, phi2
-from mmplab.solver import (BlowupError, SolverConfig, energy_balance_check,
-                           nonlinear_rhs, simulate, step, tensor_bound_report)
+from mmplab.solver import (BlowupError, SolverConfig, advective_products,
+                           energy_balance_check, nonlinear_rhs, simulate,
+                           step, tensor_bound_report)
 
-from conftest import random_state
+from conftest import random_state, reality_error
 
 
 def two_mode_state(grid, k1, c1, k2, c2):
-    """u with two solenoidal modes (plus conjugates); w = b = 0."""
-    spec = np.zeros((3, grid.n, grid.n, grid.n), dtype=complex)
+    """u with two solenoidal modes (plus conjugates); w = b = 0.  A mode is
+    stored where its kz index lies in the half spectrum."""
+    spec = np.zeros((3,) + grid.spectral_shape, dtype=complex)
     for k, c in ((k1, c1), (k2, c2)):
-        idx = tuple(np.asarray(k) % grid.n)
-        spec[(slice(None),) + idx] = c
-        idx_m = tuple((-np.asarray(k)) % grid.n)
-        spec[(slice(None),) + idx_m] = np.conj(c)
+        for kk, cc in ((np.asarray(k), c), (-np.asarray(k), np.conj(c))):
+            idx = tuple(kk % grid.n)
+            if idx[2] <= grid.n // 2:
+                spec[(slice(None),) + idx] = cc
     zero = np.zeros_like(spec)
     return StateField(grid, spec, zero, zero.copy())
 
@@ -95,9 +98,34 @@ class TestNonlinearRHS:
 
     def test_reality_preserved(self, grid16, rng):
         state = random_state(grid16, rng)
-        from mmplab.grid import conjugate_symmetry_error
         for arr in nonlinear_rhs(state)[:3]:
-            assert conjugate_symmetry_error(arr) < 1e-11
+            assert reality_error(arr) < 1e-14
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_divergence_form_matches_advective_form(self, n, rng):
+        # the dealiased divergence/curl form equals the advective products
+        # on random solenoidal states
+        grid = Grid(n, 2 * np.pi)
+        state = random_state(grid, rng)
+        Nu, Nw, Nb, u_max = nonlinear_rhs(state)
+        adv = advective_products(state)
+        oNu = leray_project(grid, adv["b", "b"] - adv["u", "u"])
+        oNw = -adv["u", "w"]
+        oNb = leray_project(grid, adv["b", "u"] - adv["u", "b"])
+        for got, want in ((Nu, oNu), (Nw, oNw), (Nb, oNb)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        u = inverse(state.uhat * grid.dealias_mask)
+        assert u_max == np.sqrt((u ** 2).sum(axis=0).max())
+
+    def test_bytes_independent_of_thread_count(self, grid16, rng, monkeypatch):
+        state = random_state(grid16, rng)
+        outputs = {}
+        for threads in ("1", "4"):
+            monkeypatch.setenv("MMP_THREADS", threads)
+            outputs[threads] = nonlinear_rhs(state)
+        for a, b in zip(outputs["1"][:3], outputs["4"][:3]):
+            assert a.tobytes() == b.tobytes()
+        assert outputs["1"][3] == outputs["4"][3]
 
     def test_contract_violation_for_nonsolenoidal_velocity(self, grid8, rng):
         state = random_state(grid8, rng, solenoidal=False)
@@ -113,14 +141,16 @@ class TestNonlinearRHS:
 
 
 def convolution_oracle(state):
-    """Direct convolution sums for the three increments (n = 8 scale)."""
+    """Direct convolution sums for the three increments (n = 8 scale), over
+    the full spectra of the state, returned as half spectra."""
     grid = state.grid
     n = grid.n
-    mask = grid.dealias_mask
-    uh = state.uhat * mask
-    wh = state.what * mask
-    bh = state.bhat * mask
     k_int = grid.k_int
+    keep = np.abs(k_int) <= n // 3
+    mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
+    uh = full_spectrum(state.uhat) * mask
+    wh = full_spectrum(state.what) * mask
+    bh = full_spectrum(state.bhat) * mask
     dk = grid.fundamental
     active = {}
     for name, arr in (("u", uh), ("w", wh), ("b", bh)):
@@ -137,7 +167,7 @@ def convolution_oracle(state):
                     continue
                 idx = tuple(ks % n)
                 out[(slice(None),) + idx] += 1j * (cF @ (dk * kp)) * cG
-        return out * mask
+        return (out * mask)[..., :n // 2 + 1]
 
     Nu = leray_project(grid, conv("b", "b") - conv("u", "u"))
     Nw = -conv("u", "w")
@@ -211,8 +241,10 @@ class TestStep:
 
 
 def ns_reference_step(grid, uhat, dt, mu):
-    """Independent incompressible Navier-Stokes ETD2RK step."""
+    """Independent incompressible Navier-Stokes ETD2RK step on the full
+    spectrum of the half-spectrum input; returns the half spectrum."""
     n = grid.n
+    uhat = full_spectrum(uhat)
     ki = np.fft.fftfreq(n, 1.0 / n)
     ki_odd = ki.copy()
     ki_odd[n // 2] = 0.0
@@ -246,7 +278,7 @@ def ns_reference_step(grid, uhat, dt, mu):
     P2 = phi2(dt * lam)[None]
     N0 = NL(uhat)
     a = E * uhat + dt * P1 * N0
-    return a + dt * P2 * (NL(a) - N0)
+    return (a + dt * P2 * (NL(a) - N0))[..., :n // 2 + 1]
 
 
 class TestSimulate:
@@ -261,11 +293,14 @@ class TestSimulate:
         z0 = generate_data_with_character(grid, 0.0, seed=3, amplitude=1e-2)
         cfg = SolverConfig(grid=grid, params=params, dt=0.05, t_end=2.0,
                            output_every=4)
-        traj = simulate(cfg, z0)
+        traj = simulate(cfg, z0, save_snapshots=True)
         E = traj.column("l2_z_sq")
         assert np.all(np.diff(E) < 0)
         assert traj.diagnostics["max_divergence"] < 1e-10
-        assert traj.diagnostics["max_conjugate_symmetry_error"] < 1e-11
+        # the final state survives forward(inverse(z)): it is still the half
+        # spectrum of real fields
+        for comp in traj.snapshots[-1].components():
+            assert reality_error(comp) <= 1e-14
 
     def test_determinism(self, params):
         grid = Grid(16, 2 * np.pi)
@@ -333,6 +368,16 @@ class TestSimulate:
         with pytest.raises(ValueError):
             SolverConfig(grid=grid8, params=params, dt=0.1, t_end=1.0,
                          dealias="half")
+
+    def test_t_end_must_be_whole_outputs(self, grid8, params):
+        # 1.0 / (0.15 * 2) = 3.33 outputs used to be rounded to 3 silently
+        with pytest.raises(ValueError, match="multiple"):
+            SolverConfig(grid=grid8, params=params, dt=0.15, t_end=1.0,
+                         output_every=2)
+        # floating-point quotients within 1e-9 of a whole count are accepted
+        cfg = SolverConfig(grid=grid8, params=params, dt=0.1, t_end=0.3)
+        assert simulate(cfg, StateField.zero(grid8)).times[-1] == pytest.approx(0.3)
+        SolverConfig(grid=grid8, params=params, dt=0.1, t_end=0.0)
 
 
 class TestEnergyBalance:
