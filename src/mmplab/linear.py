@@ -5,10 +5,17 @@ mode by the exact semigroup and is used for comparisons against nonlinear
 torus runs.  It cannot reproduce whole-space algebraic decay at late times:
 once the shrinking dominant band falls below the fundamental wavenumber the
 lattice forces exponential decay.  The continuum radial path therefore
-evaluates the semigroup on a log-radial x spherical quadrature of Fourier
+evaluates the semigroup on log-radial Gauss-Legendre nodes of Fourier
 space, which sustains the algebraic rates and is the quantitative reference
 for all rate measurements.  Both paths evaluate the semigroup with the
 closed-form sector kernel of propagator.py.
+
+The radial nodes lie on one fixed direction.  The polarization scheme and
+the symbol are both rotation covariant (R3(R xi) = R R3(xi) R^T for proper
+rotations, and the polarization frame is right-handed), so the norms on
+every sphere |xi| = rho are 4 pi times the value on that direction.  The
+26-point sphere rule of selftest.sphere_rule_26 is kept only as the oracle
+that checks this reduction.
 """
 
 from __future__ import annotations
@@ -30,80 +37,68 @@ def evolve_linear_grid(state: StateField, params: PhysParams, t: float) -> State
     return get_propagator(state.grid, params).evolve(state, t)
 
 
-def sphere_rule_26() -> tuple[np.ndarray, np.ndarray]:
-    """Octahedral 26-point spherical rule (degree 7); weights sum to 1."""
-    points = []
-    weights = []
-    for axis in range(3):
-        for sign in (+1.0, -1.0):
-            p = np.zeros(3)
-            p[axis] = sign
-            points.append(p)
-            weights.append(1.0 / 21.0)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for a in range(3):
-        for b in range(a + 1, 3):
-            for sa in (+1.0, -1.0):
-                for sb in (+1.0, -1.0):
-                    p = np.zeros(3)
-                    p[a] = sa * inv_sqrt2
-                    p[b] = sb * inv_sqrt2
-                    points.append(p)
-                    weights.append(4.0 / 105.0)
-    inv_sqrt3 = 1.0 / np.sqrt(3.0)
-    for sx in (+1.0, -1.0):
-        for sy in (+1.0, -1.0):
-            for sz in (+1.0, -1.0):
-                points.append(np.array([sx, sy, sz]) * inv_sqrt3)
-                weights.append(27.0 / 840.0)
-    return np.array(points), np.array(weights)
+# Fixed direction of the radial nodes; any unit vector gives the same norms.
+_AXIS = np.array([0.0, 0.0, 1.0])
+
+
+def _polarization(n_hat: np.ndarray,
+                  component_weights: tuple[float, float, float],
+                  w_longitudinal_fraction: float) -> np.ndarray:
+    """Unit 9-vector (u, w, b) of the polarization scheme at direction n_hat.
+
+    u and b are transverse to n_hat (pointwise solenoidal) and w mixes a
+    longitudinal and a transverse part so the grad-div term is exercised.
+    The odd-in-direction pieces carry a factor i so the scheme is
+    conjugate-symmetric when realized on a lattice; norms are unaffected
+    (orthogonal pieces, phases drop out).
+    """
+    cu, cw, cb = np.sqrt(np.asarray(component_weights) / sum(component_weights))
+    e1, e2 = transverse_frame(n_hat)
+    w_dir = (1j * np.sqrt(w_longitudinal_fraction) * n_hat
+             + np.sqrt(1.0 - w_longitudinal_fraction) * e1)
+    return np.concatenate([cu * e1, cw * w_dir, cb * 1j * e2])
 
 
 @dataclass(frozen=True)
 class RadialLinearState:
-    """Continuum initial data sampled on a log-radial x spherical grid.
+    """Continuum initial data sampled on log-radial nodes along one direction.
 
-    coeffs holds the 9-vector of spectral values per (radius, direction)
-    node; radial_weights integrate d rho, sphere_weights integrate the unit
-    sphere (they sum to 4 pi).  coeffs_at evolves every node with the
-    sector kernel, the node vector carrying both |xi|^2 and the coupling.
+    The datum and the symbol are rotation covariant: a proper rotation
+    taking one direction's polarization frame to another's maps the node
+    vector and M(xi) alike, so every direction of a radius carries the same
+    norms.  The sphere integral is therefore 4 pi times the value on one
+    fixed direction, with no quadrature error; the 26-point sphere rule is
+    kept only as the oracle for this reduction (selftest.sphere_rule_26).
+
+    coeffs holds the 9-vector of spectral values per radial node along the
+    fixed direction, shape (n_r, 9); weights are the d^3 xi weights
+    4 pi rho^2 w_rho of the nodes.  coeffs_at evolves every node with the
+    sector kernel.
     """
 
     radii: np.ndarray
-    directions: np.ndarray
     coeffs: np.ndarray
-    radial_weights: np.ndarray
-    sphere_weights: np.ndarray
+    weights: np.ndarray
     params: PhysParams
     profile: "SpectralProfile | None" = None
     construction: dict | None = None
 
-    @property
-    def node_volume_weights(self) -> np.ndarray:
-        """Combined d^3 xi weight per node, shape (n_r, n_dir)."""
-        return (self.radial_weights * self.radii ** 2)[:, None] * self.sphere_weights[None, :]
-
     def coeffs_at(self, t: float) -> np.ndarray:
-        """Spectral coefficients at time t, shape (n_r, n_dir, 9)."""
-        nodes = self.radii[None, :, None] * self.directions.T[:, None, :]
-        kernel = SectorKernel(nodes, (nodes ** 2).sum(axis=0), self.params)
-        parts = np.moveaxis(self.coeffs, -1, 0)
-        out = kernel.apply(parts[0:3], parts[3:6], parts[6:9], t)
-        return np.moveaxis(np.concatenate(out), 0, -1)
+        """Spectral coefficients at time t, shape (n_r, 9)."""
+        kernel = SectorKernel(_AXIS[:, None] * self.radii, self.radii ** 2, self.params)
+        out = kernel.apply(*np.split(self.coeffs.T, 3), t)
+        return np.concatenate(out).T
 
     def norms_at(self, t: float) -> dict[str, float]:
-        c = self.coeffs_at(t)
-        dens = np.abs(c) ** 2
-        w = self.node_volume_weights
+        dens = np.abs(self.coeffs_at(t)) ** 2 * self.weights[:, None]
         blocks = {"u": slice(0, 3), "w": slice(3, 6), "b": slice(6, 9)}
-        out = {f"l2_{k}_sq": float((dens[:, :, s].sum(axis=2) * w).sum())
-               for k, s in blocks.items()}
+        out = {f"l2_{k}_sq": float(dens[:, s].sum()) for k, s in blocks.items()}
         out["l2_z_sq"] = out["l2_u_sq"] + out["l2_w_sq"] + out["l2_b_sq"]
-        out["h1_z_sq"] = float((dens.sum(axis=2) * w * self.radii[:, None] ** 2).sum())
+        out["h1_z_sq"] = float((dens.sum(axis=1) * self.radii ** 2).sum())
         return out
 
     def total_mass(self) -> float:
-        return float(((np.abs(self.coeffs) ** 2).sum(axis=2) * self.node_volume_weights).sum())
+        return float(((np.abs(self.coeffs) ** 2).sum(axis=1) * self.weights).sum())
 
     def ball_mass_at(self, t: float, radius: float) -> float:
         """Integral of |zhat(t)|^2 over |xi| <= radius.
@@ -120,10 +115,9 @@ class RadialLinearState:
             kw["rho_max"] = radius
             sub = make_radial_state(self.profile, self.params, **kw)
             return sub.norms_at(t)["l2_z_sq"]
-        c = self.coeffs_at(t)
         inside = self.radii <= radius
-        dens = (np.abs(c) ** 2).sum(axis=2)
-        return float((dens[inside] * self.node_volume_weights[inside]).sum())
+        dens = (np.abs(self.coeffs_at(t)[inside]) ** 2).sum(axis=1)
+        return float((dens * self.weights[inside]).sum())
 
 
 def make_radial_state(profile: SpectralProfile, params: PhysParams,
@@ -134,9 +128,8 @@ def make_radial_state(profile: SpectralProfile, params: PhysParams,
     """Realize an isotropic analytic profile as radial initial data.
 
     The spectral intensity psi(rho) = density(rho) / (4 pi rho^2) is split
-    across the three components; u and b are polarized transverse to xi
-    (pointwise solenoidal) while w mixes a longitudinal and a transverse
-    part so the grad-div term is exercised.
+    across the three components with the polarization of
+    :func:`_polarization` on the fixed node direction.
     """
     if profile.kind != "analytic":
         raise ValueError("radial states need an analytic profile")
@@ -154,38 +147,14 @@ def make_radial_state(profile: SpectralProfile, params: PhysParams,
     u_nodes = (centers[:, None] + half[:, None] * gl_x[None, :]).ravel()
     u_weights = (half[:, None] * gl_w[None, :]).ravel()
     radii = np.exp(u_nodes)
-    radial_weights = u_weights * radii
-    n_r = radii.size
-
-    directions, sphere_w = sphere_rule_26()
-    sphere_weights = 4.0 * np.pi * sphere_w
+    shell = 4.0 * np.pi * radii ** 2
 
     dens = np.array([profile.radial_density(rho) for rho in radii])
-    intensity = dens / (4.0 * np.pi * radii ** 2)
-    cu, cw, cb = component_weights
-    total = cu + cw + cb
-    mag = np.sqrt(np.maximum(intensity, 0.0))
-    mag_u = np.sqrt(cu / total) * mag
-    mag_w = np.sqrt(cw / total) * mag
-    mag_b = np.sqrt(cb / total) * mag
-
-    n_d = directions.shape[0]
-    coeffs = np.zeros((n_r, n_d, 9), dtype=complex)
-    long_frac = np.sqrt(w_longitudinal_fraction)
-    trans_frac = np.sqrt(1.0 - w_longitudinal_fraction)
-    for d, n_hat in enumerate(directions):
-        e1, e2 = transverse_frame(n_hat)
-        # odd-in-direction polarization pieces carry a factor i so the same
-        # construction is conjugate-symmetric when realized on a lattice;
-        # norms are unaffected (orthogonal pieces, phases drop out).
-        coeffs[:, d, 0:3] = mag_u[:, None] * e1[None]
-        coeffs[:, d, 3:6] = mag_w[:, None] * (1j * long_frac * n_hat
-                                              + trans_frac * e1)[None]
-        coeffs[:, d, 6:9] = mag_b[:, None] * (1j * e2)[None]
-
+    mag = np.sqrt(np.maximum(dens / shell, 0.0))
+    coeffs = mag[:, None] * _polarization(_AXIS, component_weights,
+                                          w_longitudinal_fraction)
     return RadialLinearState(
-        radii=radii, directions=directions, coeffs=coeffs,
-        radial_weights=radial_weights, sphere_weights=sphere_weights,
+        radii=radii, coeffs=coeffs, weights=shell * u_weights * radii,
         params=params, profile=profile,
         construction={"rho_min": rho_min, "per_decade": per_decade,
                       "component_weights": component_weights,
@@ -195,8 +164,9 @@ def make_radial_state(profile: SpectralProfile, params: PhysParams,
 def realize_profile_on_grid(grid, profile: SpectralProfile,
                             component_weights: tuple[float, float, float] = (1/3, 1/3, 1/3),
                             w_longitudinal_fraction: float = 0.5) -> StateField:
-    """Deterministic grid field with the same polarization scheme as
-    :func:`make_radial_state`, for grid-versus-continuum comparisons.
+    """Deterministic grid field with the polarization of
+    :func:`_polarization` at every mode, for grid-versus-continuum
+    comparisons.
 
     The transverse frame is even in the direction, so real shaped
     magnitudes give a conjugate-symmetric (real) field, which is built
@@ -205,37 +175,22 @@ def realize_profile_on_grid(grid, profile: SpectralProfile,
     """
     if profile.kind != "analytic":
         raise ValueError("grid realization needs an analytic profile")
-    uhat = np.zeros((3,) + grid.spectral_shape, dtype=complex)
-    what = np.zeros_like(uhat)
-    bhat = np.zeros_like(uhat)
-    cu, cw, cb = component_weights
-    total = cu + cw + cb
-    long_frac = np.sqrt(w_longitudinal_fraction)
-    trans_frac = np.sqrt(1.0 - w_longitudinal_fraction)
-
+    z = np.zeros((9,) + grid.spectral_shape, dtype=complex)
     mags = grid.xi_mag
-    mask = grid.dealias_mask & (mags > 0)
-    idxs = np.argwhere(mask)
     # One lattice cell covers d^3 xi = (2 pi / L)^3, and the package norm is
     # volume * sum |c_k|^2, so continuum intensity psi maps to coefficients
     # |c_k|^2 = psi(xi_k) (2 pi / L)^3 / volume.
     cell = grid.fundamental ** 3 / grid.volume
     dens = {}
-    for i1, i2, i3 in idxs:
+    for i1, i2, i3 in np.argwhere(grid.dealias_mask & (mags > 0)):
         rho = mags[i1, i2, i3]
         if rho not in dens:
             dens[rho] = profile.radial_density(rho) / (4.0 * np.pi * rho ** 2)
-        intensity = dens[rho]
-        if intensity <= 0:
+        if dens[rho] <= 0:
             continue
-        mag = np.sqrt(intensity * cell)
-        n_hat = np.array([grid.xi[a][i1, i2, i3] for a in range(3)]) / rho
-        e1, e2 = transverse_frame(n_hat)
-        uhat[:, i1, i2, i3] = np.sqrt(cu / total) * mag * e1
-        what[:, i1, i2, i3] = np.sqrt(cw / total) * mag * (
-            1j * long_frac * n_hat + trans_frac * e1)
-        bhat[:, i1, i2, i3] = np.sqrt(cb / total) * mag * (1j * e2)
-    return StateField(grid, uhat, what, bhat)
+        z[:, i1, i2, i3] = np.sqrt(dens[rho] * cell) * _polarization(
+            grid.xi[:, i1, i2, i3] / rho, component_weights, w_longitudinal_fraction)
+    return StateField(grid, z[0:3], z[3:6], z[6:9])
 
 
 def radial_linear_decay(profile: SpectralProfile, times, params: PhysParams,

@@ -4,20 +4,24 @@ Each check is a pure function returning (ok, detail).  The suite covers the
 load-bearing identities: transform round trips against a direct DFT sum,
 projector algebra, Parseval and its half-spectrum multiplicity, symbol
 Hermiticity, the eigendecomposition semigroup against a scaling-and-squaring
-matrix exponential, generator determinism, exact power-law fitting and
-energy monotonicity of a short nonlinear run.  Runs in well under a minute.
+matrix exponential, generator determinism, exact power-law fitting,
+energy monotonicity of a short nonlinear run and the one-direction radial
+reduction against the 26-point sphere rule.  Runs in well under a minute.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .analysis import fit_decay_exponent
-from .decay_character import generate_data_with_character
+from .decay_character import SpectralProfile, generate_data_with_character
 from .fields import (Grid, PhysParams, StateField, l2_norm_sq, leray_project,
                      physical_norm_sq, spectrum_norm_sq)
 from .grid import forward, full_spectrum
-from .propagator import get_propagator
+from .linear import RadialLinearState, _polarization, make_radial_state
+from .propagator import SectorKernel, get_propagator
 from .solver import SolverConfig, energy_balance_check, simulate
 from .symbol import (assemble_symbol, rotation_symbol, sample_wavevectors,
                      sector_lambda_max, semigroup_apply)
@@ -30,6 +34,40 @@ def _dft_oracle(phys: np.ndarray) -> np.ndarray:
     x = np.arange(n)
     phase = np.exp(-2j * np.pi * np.outer(k, x) / n)
     return np.einsum("Ka,Lb,Mc,abc->KLM", phase, phase, phase, phys) / n ** 3
+
+
+def sphere_rule_26() -> tuple[np.ndarray, np.ndarray]:
+    """Octahedral 26-point spherical rule (degree 7); weights sum to 1.
+
+    The points are the normalized nonzero vectors of {-1, 0, 1}^3; the
+    weight depends on the count of nonzero entries (vertices, edge
+    midpoints and face centres of the octahedron).
+    """
+    cube = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
+    points = cube[np.abs(cube).sum(axis=1) > 0]
+    weights = np.array([0.0, 1.0 / 21.0, 4.0 / 105.0, 27.0 / 840.0])
+    return (points / np.linalg.norm(points, axis=1)[:, None],
+            weights[np.abs(points).sum(axis=1).astype(int)])
+
+
+def sphere_rule_norms(state: RadialLinearState, t: float) -> dict[str, np.ndarray]:
+    """Oracle for RadialLinearState.norms_at: the state's radial nodes
+    placed on each of the 26 directions of :func:`sphere_rule_26`, with the
+    polarization of that direction.  Each key holds the 26 per-direction
+    norms; their rule-weighted sum integrates the unit sphere."""
+    mag = np.linalg.norm(state.coeffs, axis=1)  # the polarization is a unit vector
+    kw = state.construction
+    rows = []
+    for n_hat in sphere_rule_26()[0]:
+        nodes = n_hat[:, None] * state.radii
+        pol = _polarization(n_hat, kw["component_weights"], kw["w_longitudinal_fraction"])
+        kernel = SectorKernel(nodes, (nodes ** 2).sum(axis=0), state.params)
+        c = np.concatenate(kernel.apply(*np.split(np.outer(pol, mag), 3), t))
+        dens = np.abs(c) ** 2 * state.weights
+        rows.append({"l2_u_sq": dens[0:3].sum(), "l2_w_sq": dens[3:6].sum(),
+                     "l2_b_sq": dens[6:9].sum(), "l2_z_sq": dens.sum(),
+                     "h1_z_sq": (dens * state.radii ** 2).sum()})
+    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
 
 
 def check_roundtrip() -> tuple[bool, str]:
@@ -159,6 +197,19 @@ def check_energy_monotone() -> tuple[bool, str]:
                 f"divergence {traj.diagnostics['max_divergence']:.2e}")
 
 
+def check_radial_reduction() -> tuple[bool, str]:
+    params = PhysParams()
+    state = make_radial_state(SpectralProfile.power_law(0.0), params, per_decade=16)
+    weights = sphere_rule_26()[1]
+    worst = 0.0
+    for t in (0.8, 1e3):
+        got = state.norms_at(t)
+        for key, rows in sphere_rule_norms(state, t).items():
+            want = weights @ rows
+            worst = max(worst, abs(got[key] - want) / want)
+    return worst < 1e-12, f"one direction vs 26-point rule {worst:.2e}"
+
+
 def check_grid_propagator() -> tuple[bool, str]:
     grid = Grid(8)
     params = PhysParams()
@@ -195,6 +246,7 @@ CHECKS = [
     ("exact power-law fit", check_fit_exact),
     ("energy monotone micro-run", check_energy_monotone),
     ("grid propagator vs symbol", check_grid_propagator),
+    ("radial one-direction reduction", check_radial_reduction),
 ]
 
 

@@ -12,14 +12,12 @@ which is 9 inverse and 18 forward real transforms per evaluation: the 9
 masked components go out in one batch and the 6 symmetric products
 u_i u_j - b_i b_j, the 3 products u x b and the 9 products u_j w_i come
 back in another.  On the retained modes the identities are exact, because
-the truncated u and b are solenoidal and the 2/3 rule keeps aliasing off
-those modes.  Without dealiasing (dealias="none") both sides carry
-aliasing error and differ from the advective form by it.  The velocity
-increment is Leray-projected, which realizes the pressure gradient
-exactly, and the magnetic increment is projected as well to pin down
-solenoidality (it is analytically solenoidal already).  The
-micro-rotation increment is never projected since w carries no divergence
-constraint.
+the truncated u and b are solenoidal and the 2/3 rule, always applied,
+keeps aliasing off those modes.  The velocity increment is
+Leray-projected, which realizes the pressure gradient exactly, and the
+magnetic increment is projected as well to pin down solenoidality (it is
+analytically solenoidal already).  The micro-rotation increment is never
+projected since w carries no divergence constraint.
 
 The stiff linear part, including the rotational coupling, the grad-div term
 and the 2 chi damping, is propagated exactly through the closed-form
@@ -72,7 +70,6 @@ class SolverConfig:
     params: PhysParams
     dt: float
     t_end: float
-    dealias: str = "two-thirds"
     output_every: int = 1
     scheme: str = "etd-rk2"
     ball_A: float = 1.0
@@ -87,8 +84,6 @@ class SolverConfig:
             raise ValueError("output_every must be a positive integer")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if self.dealias not in ("two-thirds", "none"):
-            raise ValueError(f"unknown dealias mode {self.dealias!r}")
         outputs = self.t_end / (self.dt * self.output_every)
         if abs(outputs - round(outputs)) > 1e-9 * max(outputs, 1.0):
             raise ValueError(
@@ -121,10 +116,6 @@ _SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 _SYM_INDEX = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 
 
-def _mask(grid: Grid, dealias: str) -> np.ndarray | None:
-    return grid.dealias_mask if dealias == "two-thirds" else None
-
-
 def _contract(xi: np.ndarray, rows) -> np.ndarray:
     """out_i = sum_j xi_j rows[i][j], accumulated in place."""
     out = np.empty((3,) + xi.shape[1:], dtype=complex)
@@ -135,8 +126,7 @@ def _contract(xi: np.ndarray, rows) -> np.ndarray:
     return out
 
 
-def nonlinear_rhs(state: StateField, dealias: str = "two-thirds",
-                  check_solenoidal: bool = True
+def nonlinear_rhs(state: StateField, check_solenoidal: bool = True
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Spectral increments (Nu, Nw, Nb) of the quadratic terms, plus max |u|.
 
@@ -152,10 +142,9 @@ def nonlinear_rhs(state: StateField, dealias: str = "two-thirds",
         raise ContractViolation(
             f"u or b not solenoidal: relative divergence {state.divergence_error():.3e}")
 
-    mask = _mask(grid, dealias)
+    mask = grid.dealias_mask
     z = np.concatenate(state.components())
-    if mask is not None:
-        z *= mask
+    z *= mask
     # resolved on the grid module at call time, so wrappers installed there see it
     phys = _grid.inverse(z)
     u, w, b = phys[0:3], phys[3:6], phys[6:9]
@@ -177,10 +166,9 @@ def nonlinear_rhs(state: StateField, dealias: str = "two-thirds",
     Nb = curl(grid, spec[6:9])
     Nu *= -1j
     Nw *= -1j
-    if mask is not None:
-        Nu *= mask
-        Nw *= mask
-        Nb *= mask
+    Nu *= mask
+    Nw *= mask
+    Nb *= mask
     u_max = float(np.sqrt((u ** 2).sum(axis=0).max()))
     return leray_project(grid, Nu), Nw, leray_project(grid, Nb), u_max
 
@@ -190,26 +178,24 @@ def _advect(field_phys: np.ndarray, grad_phys: np.ndarray) -> np.ndarray:
     return np.einsum("j...,ij...->i...", field_phys, grad_phys)
 
 
-def advective_products(state: StateField, dealias: str = "two-thirds") -> dict:
+def advective_products(state: StateField) -> dict:
     """Masked spectra of the advective products (F.grad)G, keyed (F, G), for
     the pairs uu, uw, ub, bb and bu.  Formed from physical gradients, they
     serve the tensor-bound diagnostic and test the divergence form."""
     grid = state.grid
-    mask = _mask(grid, dealias)
-    fields = dict(zip("uwb", state.components()))
-    if mask is not None:
-        fields = {name: comp * mask for name, comp in fields.items()}
+    mask = grid.dealias_mask
+    fields = {name: comp * mask for name, comp in zip("uwb", state.components())}
     phys = {name: _grid.inverse(fields[name]) for name in "ub"}
     grads = {name: _grid.inverse(1j * grid.xi_odd[None, :] * comp[:, None])
              for name, comp in fields.items()}
     out = {}
     for F, G in (("u", "u"), ("u", "w"), ("u", "b"), ("b", "b"), ("b", "u")):
         spec = forward(_advect(phys[F], grads[G]))
-        out[F, G] = spec if mask is None else spec * mask
+        out[F, G] = spec * mask
     return out
 
 
-def tensor_bound_report(state: StateField, dealias: str = "two-thirds") -> dict:
+def tensor_bound_report(state: StateField) -> dict:
     """Measured constants in the modewise bound |NLhat(xi)| <= |xi| ||F|| ||G||.
 
     With series coefficients the convolution estimate reads
@@ -234,29 +220,27 @@ def tensor_bound_report(state: StateField, dealias: str = "two-thirds") -> dict:
         return float(ratio.max())
 
     constants = {f"({F}.grad){G}": pair_constant(F, G, spec)
-                 for (F, G), spec in advective_products(state, dealias).items()}
+                 for (F, G), spec in advective_products(state).items()}
     worst = max(constants.values())
     return {"pair_constants": constants, "max_constant": worst,
             "bound_holds": bool(worst <= 1.0 + 1e-10)}
 
 
 def step(state: StateField, params: PhysParams, dt: float,
-         scheme: str = "etd-rk2", dealias: str = "two-thirds",
-         prop: GridPropagator | None = None) -> StateField:
+         scheme: str = "etd-rk2", prop: GridPropagator | None = None) -> StateField:
     """Advance one time step; linear part exact, nonlinearity explicit."""
     if prop is None:
         prop = get_propagator(state.grid, params)
-    arrays, _ = _step_arrays(prop, state.components(), state.grid, dt, scheme, dealias)
+    arrays, _ = _step_arrays(prop, state.components(), state.grid, dt, scheme)
     return state.with_coeffs(*arrays)
 
 
-def _step_arrays(prop: GridPropagator, z, grid: Grid, dt: float,
-                 scheme: str, dealias: str):
+def _step_arrays(prop: GridPropagator, z, grid: Grid, dt: float, scheme: str):
     """One step on raw coefficient tuples; returns (arrays, u_max)."""
 
     def rhs(arrays):
         tmp = StateField(grid, *arrays)
-        return nonlinear_rhs(tmp, dealias=dealias, check_solenoidal=False)
+        return nonlinear_rhs(tmp, check_solenoidal=False)
 
     if scheme == "etd-rk2":
         Nu, Nw, Nb, u_max = rhs(z)
@@ -343,7 +327,6 @@ def simulate(config: SolverConfig, z0: StateField,
     traj = Trajectory()
     traj.diagnostics.update({
         "scheme": config.scheme,
-        "dealias": config.dealias,
         "bound_valid": params.bound_valid,
         "dt_initial": config.dt,
         "dt_lambda_max": config.dt * prop.kernel.spectral_radius,
@@ -369,7 +352,7 @@ def simulate(config: SolverConfig, z0: StateField,
         traj.diagnostics["max_divergence"] = max(
             traj.diagnostics["max_divergence"], st.divergence_error())
         if record_tensor:
-            rep = tensor_bound_report(st, config.dealias)
+            rep = tensor_bound_report(st)
             traj.diagnostics["max_tensor_constant"] = max(
                 traj.diagnostics["max_tensor_constant"], rep["max_constant"])
         if save_snapshots:
@@ -377,8 +360,10 @@ def simulate(config: SolverConfig, z0: StateField,
 
     record(0.0, z, z if pair_linear else None)
 
-    _, _, _, u_max = nonlinear_rhs(StateField(grid, *z), dealias=config.dealias,
-                                   check_solenoidal=False)
+    # max|u| of the masked velocity as nonlinear_rhs reports it; each step
+    # then returns the speed at its start
+    u_max = float(np.sqrt((_grid.inverse(z[0] * grid.dealias_mask) ** 2)
+                          .sum(axis=0).max()))
     t = 0.0
     for k in range(1, n_outputs + 1):
         t_target = k * output_dt
@@ -389,7 +374,7 @@ def simulate(config: SolverConfig, z0: StateField,
             steps_per_output *= 2
             traj.diagnostics["cfl_halvings"] += 1
         for _ in range(steps_per_output):
-            z, u_max = _step_arrays(prop, z, grid, dt, config.scheme, config.dealias)
+            z, u_max = _step_arrays(prop, z, grid, dt, config.scheme)
         t = t_target
         probe = float(np.abs(z[0]).max() + np.abs(z[1]).max() + np.abs(z[2]).max())
         if not np.isfinite(probe):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmplab.fields import (ContractViolation, Grid, StateField, curl,
                            divergence, gradient, gradient_norm_sq, l2_norm_sq,
@@ -154,6 +155,26 @@ class TestLeray:
         vhat[:, 0, 0, 0] = [1.0, 2.0, 3.0]
         proj = leray_project(grid8, vhat)
         assert np.array_equal(proj[:, 0, 0, 0], vhat[:, 0, 0, 0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.sampled_from([8, 10, 12, 14, 16]), length=st.floats(0.5, 100.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_projector_properties(self, n, length, seed):
+        grid = Grid(n, length)
+        rng = np.random.Generator(np.random.Philox(seed))
+        shape = (3,) + grid.spectral_shape
+        vhat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        proj = leray_project(grid, vhat)
+        size = np.sqrt((np.abs(vhat) ** 2).sum(axis=0))
+        div = np.abs((grid.xi_odd * proj).sum(axis=0))
+        assert np.all(div <= 1e-12 * size)
+        again = np.sqrt((np.abs(leray_project(grid, proj) - proj) ** 2).sum(axis=0))
+        assert np.all(again <= 1e-13 * size)
+        # the zero mode and the pure-Nyquist modes (each index 0 or n/2)
+        # have xi_odd = 0 and pass through
+        fixed = ~grid.xi_odd.any(axis=0)
+        assert fixed.sum() == 8
+        assert np.array_equal(proj[:, fixed], vhat[:, fixed])
 
     def test_pythagoras(self, grid16, rng):
         vhat = forward(rng.normal(size=(3, 16, 16, 16)))

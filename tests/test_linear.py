@@ -9,7 +9,8 @@ from mmplab.decay_character import SpectralProfile
 from mmplab.fields import Grid, PhysParams, StateField, l2_norm_sq
 from mmplab.linear import (evolve_linear_grid, heat_bound_check,
                            make_radial_state, radial_linear_decay,
-                           realize_profile_on_grid, sphere_rule_26)
+                           realize_profile_on_grid)
+from mmplab.selftest import sphere_rule_26, sphere_rule_norms
 from mmplab.symbol import assemble_symbol, semigroup_apply
 
 from conftest import random_state, reality_error
@@ -110,14 +111,25 @@ class TestRadialState:
 
     def test_direction_contributions_identical(self, params):
         # rotational equivariance: every direction contributes equally
-        prof = SpectralProfile.power_law(0.0)
-        state = make_radial_state(prof, params)
-        c = state.coeffs_at(0.8)
-        dens = (np.abs(c) ** 2).sum(axis=2)
-        radial = (dens * state.radial_weights[:, None] * state.radii[:, None] ** 2)
-        per_direction = radial.sum(axis=0)
+        state = make_radial_state(SpectralProfile.power_law(0.0), params)
+        per_direction = sphere_rule_norms(state, 0.8)["l2_z_sq"]
         spread = per_direction.max() - per_direction.min()
         assert spread < 1e-12 * per_direction.max()
+
+    @pytest.mark.parametrize("r_star, rho_min", [(-1.0, 1e-6), (0.0, 1e-4), (1.0, 1e-4)])
+    @pytest.mark.parametrize("phys", [
+        PhysParams(), PhysParams(mu=0.3, gamma=0.8, chi=0.7, nu=0.4),
+        PhysParams(mu=0.7, gamma=1.0, chi=0.0, nu=1.0)], ids=["canonical", "mixed", "chi0"])
+    def test_one_direction_matches_sphere_rule(self, r_star, rho_min, phys):
+        # the 26-direction rule is the oracle for the one-direction reduction
+        state = make_radial_state(SpectralProfile.power_law(r_star), phys,
+                                  rho_min=rho_min)
+        weights = sphere_rule_26()[1]
+        for t in (0.0, 0.8, 1e2, 1e3, 1e4):
+            got = state.norms_at(t)
+            for key, rows in sphere_rule_norms(state, t).items():
+                want = weights @ rows
+                assert abs(got[key] - want) <= 1e-12 * want, (key, t)
 
     def test_norms_at_zero_match_initial(self, params):
         prof = SpectralProfile.power_law(0.0)
