@@ -321,11 +321,12 @@ def generate_data_with_character(grid: Grid, r: float, seed: int,
         scale = np.divide(target, amp, out=np.zeros_like(mag), where=amp > 0)
         return proj * scale[None]
 
-    uhat = project_rescaled(shaped_noise())
-    what = shaped_noise()
-    bhat = project_rescaled(shaped_noise())
+    z = np.empty((9,) + grid.spectral_shape, dtype=complex)
+    z[0:3] = project_rescaled(shaped_noise())
+    z[3:6] = shaped_noise()
+    z[6:9] = project_rescaled(shaped_noise())
 
-    state = StateField(grid, uhat, what, bhat)
-    norm = np.sqrt(l2_norm_sq(state))
+    norm = np.sqrt(l2_norm_sq(StateField(grid, z)))
     scale = amplitude / norm if norm > 0 and amplitude != 0 else 0.0
-    return state.with_coeffs(uhat * scale, what * scale, bhat * scale)
+    z *= scale
+    return StateField(grid, z)

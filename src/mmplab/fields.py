@@ -3,9 +3,10 @@
 The state z = (u, w, b) couples an incompressible velocity u, a
 micro-rotational field w and a solenoidal magnetic field b.  Fields live in
 spectral space (see :mod:`mmplab.grid` for the normalization); physical
-space is only visited transiently when forming products.  Each component
-is stored as the half spectrum of a real field, shape (3, n, n, n//2 + 1),
-and norms weight the kz planes by the grid's Parseval multiplicity.  The
+space is only visited transiently when forming products.  The whole state
+is one array of half spectra of real fields, shape (9, n, n, n//2 + 1),
+whose rows 0:3, 3:6 and 6:9 are u, w and b; norms sum per component and
+weight the kz planes by the grid's Parseval multiplicity.  The
 Leray projection implemented here is what removes the pressure gradient
 from the velocity equation: taking divergence of the momentum equation
 determines the pressure, and subtracting its gradient is exactly the
@@ -67,51 +68,48 @@ class PhysParams:
 class StateField:
     """Spectral coefficients of z = (u, w, b) on a periodic grid.
 
-    Each component array is a half spectrum of shape (3, n, n, n//2 + 1) in
-    FFT mode order.  Instances are immutable values; every operation returns
-    a new StateField.
+    z is one half spectrum of shape (9, n, n, n//2 + 1) in FFT mode order;
+    uhat, what and bhat are read-only views of its rows 0:3, 3:6 and 6:9.
+    Instances are immutable values; every operation returns a new
+    StateField.
     """
 
     grid: Grid
-    uhat: np.ndarray
-    what: np.ndarray
-    bhat: np.ndarray
-    solenoidal_u: bool = True
-    solenoidal_b: bool = True
+    z: np.ndarray
 
     def __post_init__(self):
-        shape = (3,) + self.grid.spectral_shape
-        for name in ("uhat", "what", "bhat"):
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ContractViolation(
-                    f"{name} has shape {arr.shape}, expected {shape}")
+        shape = (9,) + self.grid.spectral_shape
+        if self.z.shape != shape:
+            raise ContractViolation(f"z has shape {self.z.shape}, expected {shape}")
 
     @classmethod
     def zero(cls, grid: Grid) -> "StateField":
-        z = np.zeros((3,) + grid.spectral_shape, dtype=complex)
-        return cls(grid, z, z.copy(), z.copy())
+        return cls(grid, np.zeros((9,) + grid.spectral_shape, dtype=complex))
 
     @classmethod
-    def from_physical(cls, grid: Grid, u, w, b) -> "StateField":
-        return cls(grid, _grid.forward(np.asarray(u, float)),
-                   _grid.forward(np.asarray(w, float)),
-                   _grid.forward(np.asarray(b, float)))
+    def from_physical(cls, grid: Grid, phys) -> "StateField":
+        """State from the nine physical components (u, w, b) in one array."""
+        return cls(grid, _grid.forward(np.asarray(phys, float)))
+
+    uhat = property(lambda self: _read_only(self.z[0:3]))
+    what = property(lambda self: _read_only(self.z[3:6]))
+    bhat = property(lambda self: _read_only(self.z[6:9]))
 
     def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.uhat, self.what, self.bhat
 
-    def with_coeffs(self, uhat, what, bhat) -> "StateField":
-        return replace(self, uhat=uhat, what=what, bhat=bhat)
-
-    def to_physical(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (_grid.inverse(self.uhat), _grid.inverse(self.what),
-                _grid.inverse(self.bhat))
+    def with_coeffs(self, z: np.ndarray) -> "StateField":
+        return replace(self, z=z)
 
     def divergence_error(self) -> float:
         """Max relative |xi . vhat| over u and b (solenoidality residual)."""
         return max(_div_residual(self.grid, self.uhat),
                    _div_residual(self.grid, self.bhat))
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 def _div_residual(grid: Grid, vhat: np.ndarray) -> float:
@@ -122,8 +120,7 @@ def _div_residual(grid: Grid, vhat: np.ndarray) -> float:
 
 def transform_roundtrip(state: StateField) -> StateField:
     """Inverse-then-forward transform of every component (contract check)."""
-    u, w, b = state.to_physical()
-    return state.with_coeffs(_grid.forward(u), _grid.forward(w), _grid.forward(b))
+    return state.with_coeffs(_grid.forward(_grid.inverse(state.z)))
 
 
 def leray_project(grid: Grid, vhat: np.ndarray) -> np.ndarray:

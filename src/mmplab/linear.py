@@ -21,6 +21,7 @@ that checks this reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate
@@ -56,7 +57,7 @@ def _polarization(n_hat: np.ndarray,
     e1, e2 = transverse_frame(n_hat)
     w_dir = (1j * np.sqrt(w_longitudinal_fraction) * n_hat
              + np.sqrt(1.0 - w_longitudinal_fraction) * e1)
-    return np.concatenate([cu * e1, cw * w_dir, cb * 1j * e2])
+    return np.array([cu * e1, cw * w_dir, cb * 1j * e2]).ravel()
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ class RadialLinearState:
     coeffs holds the 9-vector of spectral values per radial node along the
     fixed direction, shape (n_r, 9); weights are the d^3 xi weights
     4 pi rho^2 w_rho of the nodes.  coeffs_at evolves every node with the
-    sector kernel.
+    sector kernel, which is built on the nodes once per state.
     """
 
     radii: np.ndarray
@@ -83,11 +84,14 @@ class RadialLinearState:
     profile: "SpectralProfile | None" = None
     construction: dict | None = None
 
+    @cached_property
+    def kernel(self) -> SectorKernel:
+        """The sector kernel on the nodes, built once per state."""
+        return SectorKernel(_AXIS[:, None] * self.radii, self.radii ** 2, self.params)
+
     def coeffs_at(self, t: float) -> np.ndarray:
         """Spectral coefficients at time t, shape (n_r, 9)."""
-        kernel = SectorKernel(_AXIS[:, None] * self.radii, self.radii ** 2, self.params)
-        out = kernel.apply(*np.split(self.coeffs.T, 3), t)
-        return np.concatenate(out).T
+        return self.kernel.apply(self.coeffs.T, t).T
 
     def norms_at(self, t: float) -> dict[str, float]:
         dens = np.abs(self.coeffs_at(t)) ** 2 * self.weights[:, None]
@@ -190,7 +194,7 @@ def realize_profile_on_grid(grid, profile: SpectralProfile,
             continue
         z[:, i1, i2, i3] = np.sqrt(dens[rho] * cell) * _polarization(
             grid.xi[:, i1, i2, i3] / rho, component_weights, w_longitudinal_fraction)
-    return StateField(grid, z[0:3], z[3:6], z[6:9])
+    return StateField(grid, z)
 
 
 def radial_linear_decay(profile: SpectralProfile, times, params: PhysParams,

@@ -16,6 +16,10 @@ Taylor series when both nodes are small.
 phi1(x) = (e^x - 1)/x and phi2(x) = (e^x - 1 - x)/x^2 (Cox & Matthews
 2002).  phi1 goes through expm1 (no cancellation); phi2(x) = phi1[0, x]
 is the same divided difference.
+
+Both the kernel and the grid propagator take and return one array with
+z = (u, w, b) on a leading axis of 9: (9, n, n, n//2 + 1) on the grid,
+(9, n_r) on the radial nodes.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ def _divided_difference(kind: str, hi: np.ndarray, lo: np.ndarray):
 
 
 class SectorKernel:
-    """f(tM) applied to (u, w, b) in closed form at every mode.
+    """f(tM) applied to z = (u, w, b) in closed form at every mode.
 
     coupling carries the wavevector of the sign-carrying terms, shape
     (3, ...); xi_sq the |xi|^2 of the dissipation, shape (...).  Vector
@@ -102,7 +106,8 @@ class SectorKernel:
     def spectral_radius(self) -> float:
         return float(max(-self.lam_lo.min(), -self.lam_w_long.min(), -self.lam_mag.min()))
 
-    def apply(self, u, w, b, t: float, kind: str = "exp"):
+    def apply(self, z: np.ndarray, t: float, kind: str = "exp") -> np.ndarray:
+        """f(tM) z for z = (u, w, b) stacked on a leading axis of 9."""
         f = _WEIGHTS[kind]
         f_hi, dd = _divided_difference(kind, t * self.lam_hi, t * self.lam_lo)
         beta = t * dd
@@ -112,9 +117,14 @@ class SectorKernel:
         u_l = f(-t * self.a) - u_t
         w_l = f(t * self.lam_w_long) - w_t
         d, ra, rb, c = self.direction, self.rot_a, self.rot_b, 1j * beta
-        u_out = u_t * u + u_l * (d * u).sum(0) * d + c * (w[[1, 2, 0]] * ra - w[[2, 0, 1]] * rb)
-        w_out = w_t * w + w_l * (d * w).sum(0) * d + c * (u[[1, 2, 0]] * ra - u[[2, 0, 1]] * rb)
-        return u_out, w_out, f(t * self.lam_mag) * b
+        u, w, b = z[0:3], z[3:6], z[6:9]
+        out = np.empty(z.shape, dtype=complex)
+        for o, x, y, x_t, x_l in ((out[0:3], u, w, u_t, u_l), (out[3:6], w, u, w_t, w_l)):
+            np.multiply(x_t, x, out=o)
+            o += x_l * (d * x).sum(0) * d
+            o += c * (y[[1, 2, 0]] * ra - y[[2, 0, 1]] * rb)
+        np.multiply(f(t * self.lam_mag), b, out=out[6:9])
+        return out
 
 
 class GridPropagator:
@@ -126,16 +136,15 @@ class GridPropagator:
         # Nyquist-zeroed copy so realness survives the semigroup
         self.kernel = SectorKernel(grid.xi_odd, grid.xi_sq, params)
 
-    def apply(self, uhat, what, bhat, t: float, kind: str = "exp"):
-        """Apply exp(tM), phi1(tM) or phi2(tM) to raw coefficient arrays."""
+    def apply(self, z: np.ndarray, t: float, kind: str = "exp") -> np.ndarray:
+        """Apply exp(tM), phi1(tM) or phi2(tM) to a (9, ...) coefficient array."""
         if t < 0:
             raise ValueError(f"propagation time must be nonnegative, got {t}")
-        return self.kernel.apply(uhat, what, bhat, t, kind)
+        return self.kernel.apply(z, t, kind)
 
     def evolve(self, state: StateField, t: float) -> StateField:
         """Exact semigroup e^{tM} applied to a StateField."""
-        u, w, b = self.apply(state.uhat, state.what, state.bhat, t, "exp")
-        return state.with_coeffs(u, w, b)
+        return state.with_coeffs(self.apply(state.z, t, kind="exp"))
 
 
 def get_propagator(grid: Grid, params: PhysParams) -> GridPropagator:

@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import fit_decay_exponent
 from .decay_character import SpectralProfile, generate_data_with_character
 from .fields import (Grid, PhysParams, StateField, l2_norm_sq, leray_project,
-                     physical_norm_sq, spectrum_norm_sq)
+                     physical_norm_sq, spectrum_norm_sq, transform_roundtrip)
 from .grid import forward, full_spectrum
 from .linear import RadialLinearState, _polarization, make_radial_state
 from .propagator import SectorKernel, get_propagator
@@ -62,7 +62,7 @@ def sphere_rule_norms(state: RadialLinearState, t: float) -> dict[str, np.ndarra
         nodes = n_hat[:, None] * state.radii
         pol = _polarization(n_hat, kw["component_weights"], kw["w_longitudinal_fraction"])
         kernel = SectorKernel(nodes, (nodes ** 2).sum(axis=0), state.params)
-        c = np.concatenate(kernel.apply(*np.split(np.outer(pol, mag), 3), t))
+        c = kernel.apply(np.outer(pol, mag), t)
         dens = np.abs(c) ** 2 * state.weights
         rows.append({"l2_u_sq": dens[0:3].sum(), "l2_w_sq": dens[3:6].sum(),
                      "l2_b_sq": dens[6:9].sum(), "l2_z_sq": dens.sum(),
@@ -73,11 +73,8 @@ def sphere_rule_norms(state: RadialLinearState, t: float) -> dict[str, np.ndarra
 def check_roundtrip() -> tuple[bool, str]:
     grid = Grid(16, 2 * np.pi)
     rng = np.random.Generator(np.random.Philox(7))
-    state = StateField.from_physical(grid, *(rng.normal(size=(3, 16, 16, 16))
-                                             for _ in range(3)))
-    from .fields import transform_roundtrip
-    rt = transform_roundtrip(state)
-    err = max(np.abs(a - b).max() for a, b in zip(rt.components(), state.components()))
+    state = StateField.from_physical(grid, rng.normal(size=(9, 16, 16, 16)))
+    err = np.abs(transform_roundtrip(state).z - state.z).max()
     return err < 1e-12, f"roundtrip error {err:.2e}"
 
 
@@ -173,8 +170,7 @@ def check_generator_determinism() -> tuple[bool, str]:
     grid = Grid(16)
     a = generate_data_with_character(grid, 0.5, seed=99)
     b = generate_data_with_character(grid, 0.5, seed=99)
-    same = all(x.tobytes() == y.tobytes()
-               for x, y in zip(a.components(), b.components()))
+    same = a.z.tobytes() == b.z.tobytes()
     return same, "bitwise identical" if same else "seed reuse differs"
 
 
@@ -215,21 +211,14 @@ def check_grid_propagator() -> tuple[bool, str]:
     params = PhysParams()
     prop = get_propagator(grid, params)
     rng = np.random.Generator(np.random.Philox(21))
-    shape = (3,) + grid.spectral_shape
-    z = StateField(grid, *(rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                           for _ in range(3)))
-    out = prop.evolve(z, 0.3)
+    shape = (9,) + grid.spectral_shape
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    out = prop.evolve(StateField(grid, z), 0.3).z
     worst = 0.0
     for idx in ((1, 2, 3), (0, 0, 1), (5, 1, 3)):
         xi = np.array([grid.xi[a][idx] for a in range(3)])
-        v = np.concatenate([z.uhat[(slice(None),) + idx],
-                            z.what[(slice(None),) + idx],
-                            z.bhat[(slice(None),) + idx]])
-        ref = semigroup_apply(assemble_symbol(xi, params), 0.3, v)
-        got = np.concatenate([out.uhat[(slice(None),) + idx],
-                              out.what[(slice(None),) + idx],
-                              out.bhat[(slice(None),) + idx]])
-        worst = max(worst, np.abs(ref - got).max())
+        ref = semigroup_apply(assemble_symbol(xi, params), 0.3, z[(slice(None),) + idx])
+        worst = max(worst, np.abs(ref - out[(slice(None),) + idx]).max())
     return worst < 1e-11, f"grid vs per-mode semigroup {worst:.2e}"
 
 

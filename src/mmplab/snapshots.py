@@ -5,7 +5,8 @@ Layout (all little-endian):
     bytes 0..15   magic b"MMPLAB-SNAP-v001"
     uint32        n (modes per axis)
     float64       box side length
-    uint32        flags: bit0 solenoidal_u, bit1 solenoidal_b
+    uint32        flags: bit0 solenoidal u, bit1 solenoidal b; always
+                  written as 3 and skipped on read
     9 x n^3       complex64 coefficient blocks in component order
                   u0 u1 u2 w0 w1 w2 b0 b1 b2, C order over the FFT axes
                   (kx, ky, kz)
@@ -38,13 +39,11 @@ class SnapshotFormatError(ValueError):
 
 def write_snapshot(path, state: StateField) -> None:
     path = Path(path)
-    flags = (1 if state.solenoidal_u else 0) | (2 if state.solenoidal_b else 0)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(_HEADER.pack(state.grid.n, state.grid.length, flags))
-        for comp in state.components():
-            for axis in range(3):
-                fh.write(full_spectrum(comp[axis]).astype(np.complex64).tobytes())
+        fh.write(_HEADER.pack(state.grid.n, state.grid.length, 3))
+        for comp in state.z:
+            fh.write(full_spectrum(comp).astype(np.complex64).tobytes())
 
 
 def read_snapshot(path) -> StateField:
@@ -53,18 +52,13 @@ def read_snapshot(path) -> StateField:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise SnapshotFormatError(f"{path} is not a snapshot file (bad magic)")
-        n, length, flags = _HEADER.unpack(fh.read(_HEADER.size))
+        n, length, _ = _HEADER.unpack(fh.read(_HEADER.size))
         grid = Grid(n=n, length=length)
         count = n ** 3
-        comps = []
-        for _ in range(3):
-            block = np.empty((3,) + grid.spectral_shape, dtype=complex)
-            for axis in range(3):
-                raw = fh.read(count * 8)
-                if len(raw) != count * 8:
-                    raise SnapshotFormatError(f"{path} truncated")
-                block[axis] = np.frombuffer(
-                    raw, dtype=np.complex64).reshape(n, n, n)[..., :n // 2 + 1]
-            comps.append(block)
-    return StateField(grid, *comps,
-                      solenoidal_u=bool(flags & 1), solenoidal_b=bool(flags & 2))
+        z = np.empty((9,) + grid.spectral_shape, dtype=complex)
+        for comp in z:
+            raw = fh.read(count * 8)
+            if len(raw) != count * 8:
+                raise SnapshotFormatError(f"{path} truncated")
+            comp[...] = np.frombuffer(raw, dtype=np.complex64).reshape(n, n, n)[..., :n // 2 + 1]
+    return StateField(grid, z)

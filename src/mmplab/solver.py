@@ -8,8 +8,8 @@ rule) in divergence and curl form,
     (b.grad)u - (u.grad)b = curl(u x b)
     (u.grad)w             = div(u(x)w),
 
-which is 9 inverse and 18 forward real transforms per evaluation: the 9
-masked components go out in one batch and the 6 symmetric products
+which is 9 inverse and 18 forward real transforms per evaluation: the
+masked (9, ...) state goes out in one batch and the 6 symmetric products
 u_i u_j - b_i b_j, the 3 products u x b and the 9 products u_j w_i come
 back in another.  On the retained modes the identities are exact, because
 the truncated u and b are solenoidal and the 2/3 rule, always applied,
@@ -28,15 +28,18 @@ default scheme is the two-stage exponential integrator
     z_{n+1} = a + h phi2(h M) (N(a) - N(z_n)),
 
 second order in h; an integrating-factor RK4 is available for convergence
-studies.  The time step only ever shrinks (halving at output boundaries on
-CFL violation), so recorded output times stay exact.
+studies.  The state is one (9, n, n, n//2 + 1) array throughout, the
+stages are whole-array sums, and N carries the three increments in the
+same row layout.  The CFL number uses the Elsasser speed
+max(|u| + |b|) and is checked before every step; the time step only ever
+shrinks, and a halving doubles the remaining steps, so recorded output
+times stay exact.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -52,7 +55,7 @@ SCHEMES = ("etd-rk2", "if-rk4")
 
 
 class BlowupError(RuntimeError):
-    """NaN or Inf detected in the state; carries the simulation time.
+    """NaN or Inf detected in the state; carries the simulation time reached.
 
     The trajectory recorded up to the failure rides along so callers can
     persist partial results.
@@ -110,25 +113,26 @@ class Trajectory:
                           values=self.column(name))
 
 
+# rows of u, w and b in the (9, ...) state
+_ROWS = {"u": slice(0, 3), "w": slice(3, 6), "b": slice(6, 9)}
 # component pairs (i, j) of the symmetric tensor T = u(x)u - b(x)b as they
 # are stored, and the storage index of T_ij for every (i, j)
 _SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 _SYM_INDEX = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 
 
-def _contract(xi: np.ndarray, rows) -> np.ndarray:
+def _contract(xi: np.ndarray, rows, out: np.ndarray) -> None:
     """out_i = sum_j xi_j rows[i][j], accumulated in place."""
-    out = np.empty((3,) + xi.shape[1:], dtype=complex)
     for i, row in enumerate(rows):
         np.multiply(xi[0], row[0], out=out[i])
         out[i] += xi[1] * row[1]
         out[i] += xi[2] * row[2]
-    return out
 
 
 def nonlinear_rhs(state: StateField, check_solenoidal: bool = True
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Spectral increments (Nu, Nw, Nb) of the quadratic terms, plus max |u|.
+                  ) -> tuple[np.ndarray, float]:
+    """Spectral increment N = (Nu, Nw, Nb) of the quadratic terms, plus the
+    Elsasser speed max(|u| + |b|) of the masked state.
 
     Nu = P[(b.grad)b - (u.grad)u] = P[div(b(x)b - u(x)u)]
     Nw = -(u.grad)w               = -div(u(x)w)       (not projected)
@@ -143,8 +147,7 @@ def nonlinear_rhs(state: StateField, check_solenoidal: bool = True
             f"u or b not solenoidal: relative divergence {state.divergence_error():.3e}")
 
     mask = grid.dealias_mask
-    z = np.concatenate(state.components())
-    z *= mask
+    z = state.z * mask
     # resolved on the grid module at call time, so wrappers installed there see it
     phys = _grid.inverse(z)
     u, w, b = phys[0:3], phys[3:6], phys[6:9]
@@ -161,16 +164,22 @@ def nonlinear_rhs(state: StateField, check_solenoidal: bool = True
     spec = forward(prod)
 
     xi = grid.xi_odd
-    Nu = _contract(xi, [[spec[k] for k in row] for row in _SYM_INDEX])
-    Nw = _contract(xi, [[spec[9 + 3 * j + i] for j in range(3)] for i in range(3)])
-    Nb = curl(grid, spec[6:9])
-    Nu *= -1j
-    Nw *= -1j
-    Nu *= mask
-    Nw *= mask
-    Nb *= mask
-    u_max = float(np.sqrt((u ** 2).sum(axis=0).max()))
-    return leray_project(grid, Nu), Nw, leray_project(grid, Nb), u_max
+    N = np.empty(z.shape, dtype=complex)
+    _contract(xi, [[spec[k] for k in row] for row in _SYM_INDEX], N[0:3])
+    _contract(xi, [[spec[9 + 3 * j + i] for j in range(3)] for i in range(3)], N[3:6])
+    N[0:6] *= -1j
+    N[6:9] = curl(grid, spec[6:9])
+    N *= mask
+    N[0:3] = leray_project(grid, N[0:3])
+    N[6:9] = leray_project(grid, N[6:9])
+    return N, _elsasser_speed(u, b)
+
+
+def _elsasser_speed(u: np.ndarray, b: np.ndarray) -> float:
+    """max(|u| + |b|) over the grid points of physical u and b: the speed of
+    the Elsasser variables u +- b, which bounds the explicit transport by u
+    in (u.grad) and by b in (b.grad)."""
+    return float((np.sqrt((u ** 2).sum(axis=0)) + np.sqrt((b ** 2).sum(axis=0))).max())
 
 
 def _advect(field_phys: np.ndarray, grad_phys: np.ndarray) -> np.ndarray:
@@ -184,13 +193,12 @@ def advective_products(state: StateField) -> dict:
     serve the tensor-bound diagnostic and test the divergence form."""
     grid = state.grid
     mask = grid.dealias_mask
-    fields = {name: comp * mask for name, comp in zip("uwb", state.components())}
-    phys = {name: _grid.inverse(fields[name]) for name in "ub"}
-    grads = {name: _grid.inverse(1j * grid.xi_odd[None, :] * comp[:, None])
-             for name, comp in fields.items()}
+    z = state.z * mask
+    phys = {F: _grid.inverse(z[_ROWS[F]]) for F in "ub"}
+    grads = _grid.inverse(1j * grid.xi_odd[None, :] * z[:, None])
     out = {}
     for F, G in (("u", "u"), ("u", "w"), ("u", "b"), ("b", "b"), ("b", "u")):
-        spec = forward(_advect(phys[F], grads[G]))
+        spec = forward(_advect(phys[F], grads[_ROWS[G]]))
         out[F, G] = spec * mask
     return out
 
@@ -208,8 +216,8 @@ def tensor_bound_report(state: StateField) -> dict:
     nonzero = grid.xi_mag > 0
     xi_mag = np.where(nonzero, grid.xi_mag, 1.0)
 
-    norms = {name: np.sqrt(spectrum_norm_sq(grid, comp))
-             for name, comp in zip("uwb", state.components())}
+    norms = {name: np.sqrt(spectrum_norm_sq(grid, state.z[rows]))
+             for name, rows in _ROWS.items()}
 
     def pair_constant(F_name, G_name, spec):
         mag = np.sqrt((np.abs(spec) ** 2).sum(axis=0))
@@ -231,45 +239,40 @@ def step(state: StateField, params: PhysParams, dt: float,
     """Advance one time step; linear part exact, nonlinearity explicit."""
     if prop is None:
         prop = get_propagator(state.grid, params)
-    arrays, _ = _step_arrays(prop, state.components(), state.grid, dt, scheme)
-    return state.with_coeffs(*arrays)
+    z, _ = _step_arrays(prop, state.z, state.grid, dt, scheme)
+    return state.with_coeffs(z)
 
 
-def _step_arrays(prop: GridPropagator, z, grid: Grid, dt: float, scheme: str):
-    """One step on raw coefficient tuples; returns (arrays, u_max)."""
+def _step_arrays(prop: GridPropagator, z: np.ndarray, grid: Grid, dt: float, scheme: str):
+    """One step on a raw (9, ...) coefficient array; returns the new array
+    and the Elsasser speed of the step's starting state."""
 
-    def rhs(arrays):
-        tmp = StateField(grid, *arrays)
-        return nonlinear_rhs(tmp, check_solenoidal=False)
+    def rhs(arr):
+        return nonlinear_rhs(StateField(grid, arr), check_solenoidal=False)
 
     if scheme == "etd-rk2":
-        Nu, Nw, Nb, u_max = rhs(z)
-        Ez = prop.apply(*z, dt, "exp")
-        P1 = prop.apply(Nu, Nw, Nb, dt, "phi1")
-        a = tuple(e + dt * p for e, p in zip(Ez, P1))
-        Nu_a, Nw_a, Nb_a, _ = rhs(a)
-        P2 = prop.apply(Nu_a - Nu, Nw_a - Nw, Nb_a - Nb, dt, "phi2")
-        return tuple(x + dt * p for x, p in zip(a, P2)), u_max
+        N, speed = rhs(z)
+        a = prop.apply(z, dt, kind="exp")
+        a += dt * prop.apply(N, dt, kind="phi1")
+        dN, _ = rhs(a)
+        dN -= N
+        # the result is a new array: allocated last, it sits above the step's
+        # freed transients, so malloc keeps them mapped for the next step
+        # rather than trimming them and faulting them back in
+        return a + dt * prop.apply(dN, dt, kind="phi2"), speed
 
     if scheme == "if-rk4":
-        k1 = rhs(z)
-        u_max = k1[3]
-        k1 = k1[:3]
-        Ez_half = prop.apply(*z, dt / 2, "exp")
-        stage2 = prop.apply(*(zi + (dt / 2) * ki for zi, ki in zip(z, k1)), dt / 2, "exp")
-        k2 = rhs(stage2)[:3]
-        stage3 = tuple(e + (dt / 2) * ki for e, ki in zip(Ez_half, k2))
-        k3 = rhs(stage3)[:3]
-        Ez_full = prop.apply(*z, dt, "exp")
-        k3_half = prop.apply(*k3, dt / 2, "exp")
-        stage4 = tuple(e + dt * ki for e, ki in zip(Ez_full, k3_half))
-        k4 = rhs(stage4)[:3]
-        k1_full = prop.apply(*k1, dt, "exp")
-        k2_half = prop.apply(*k2, dt / 2, "exp")
-        out = tuple(
-            e + (dt / 6.0) * (a + 2.0 * (b + c) + d)
-            for e, a, b, c, d in zip(Ez_full, k1_full, k2_half, k3_half, k4))
-        return out, u_max
+        k1, speed = rhs(z)
+        stage = prop.apply(z, dt / 2, kind="exp")
+        k2, _ = rhs(prop.apply(z + (dt / 2) * k1, dt / 2, kind="exp"))
+        stage += (dt / 2) * k2
+        k3, _ = rhs(stage)
+        Ez = prop.apply(z, dt, kind="exp")
+        k3 = prop.apply(k3, dt / 2, kind="exp")
+        k4, _ = rhs(Ez + dt * k3)
+        k2 = prop.apply(k2, dt / 2, kind="exp")
+        k2 += k3
+        return Ez + (dt / 6.0) * (prop.apply(k1, dt, kind="exp") + 2.0 * k2 + k4), speed
 
     raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -296,9 +299,7 @@ def _norm_row(state: StateField, t: float, ball_A: float,
         row["l2_diff_w_sq"] = None
         row["h1_diff_z_sq"] = None
     else:
-        du = state.uhat - linear_state.uhat
-        dw = state.what - linear_state.what
-        db = state.bhat - linear_state.bhat
+        du, dw, db = state.with_coeffs(state.z - linear_state.z).components()
         row["l2_diff_z_sq"] = spectrum_norm_sq(grid, du, dw, db)
         row["l2_diff_w_sq"] = spectrum_norm_sq(grid, dw)
         row["h1_diff_z_sq"] = spectrum_norm_sq(grid, du, dw, db, weight=grid.xi_sq)
@@ -307,8 +308,7 @@ def _norm_row(state: StateField, t: float, ball_A: float,
 
 def simulate(config: SolverConfig, z0: StateField,
              pair_linear: bool = False, record_tensor: bool = False,
-             save_snapshots: bool = False,
-             progress: Callable[[float], None] | None = None) -> Trajectory:
+             save_snapshots: bool = False) -> Trajectory:
     """Advance z0 to t_end recording norms every output_every steps.
 
     pair_linear additionally evolves the linear system from the same datum
@@ -335,15 +335,15 @@ def simulate(config: SolverConfig, z0: StateField,
         "max_tensor_constant": 0.0,
     })
 
-    z = tuple(np.array(c, dtype=complex) for c in z0.components())
+    z = np.array(z0.z, dtype=complex)
     dt = config.dt
     steps_per_output = config.output_every
     n_outputs = int(round(config.t_end / (config.dt * config.output_every)))
     output_dt = config.dt * config.output_every
 
-    def record(t, arrays, linear_arrays):
-        st = StateField(grid, *arrays)
-        lin = StateField(grid, *linear_arrays) if linear_arrays is not None else None
+    def record(t, coeffs, linear_coeffs):
+        st = StateField(grid, coeffs)
+        lin = StateField(grid, linear_coeffs) if linear_coeffs is not None else None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             row = _norm_row(st, t, config.ball_A, lin)
@@ -360,29 +360,29 @@ def simulate(config: SolverConfig, z0: StateField,
 
     record(0.0, z, z if pair_linear else None)
 
-    # max|u| of the masked velocity as nonlinear_rhs reports it; each step
-    # then returns the speed at its start
-    u_max = float(np.sqrt((_grid.inverse(z[0] * grid.dealias_mask) ** 2)
-                          .sum(axis=0).max()))
-    t = 0.0
+    # the Elsasser speed of the masked z0 as nonlinear_rhs reports it; each
+    # step then returns the speed of the state it started from
+    ub = _grid.inverse(z[[0, 1, 2, 6, 7, 8]] * grid.dealias_mask)
+    speed = _elsasser_speed(ub[0:3], ub[3:6])
+    del ub
     for k in range(1, n_outputs + 1):
         t_target = k * output_dt
-        # CFL check at output boundaries; dt only ever halves, and the
-        # steps-per-output count doubles with it, so output times are exact.
-        while u_max > 0 and dt * u_max * grid.n / grid.length > config.cfl_limit:
-            dt *= 0.5
-            steps_per_output *= 2
-            traj.diagnostics["cfl_halvings"] += 1
-        for _ in range(steps_per_output):
-            z, u_max = _step_arrays(prop, z, grid, dt, config.scheme)
-        t = t_target
-        probe = float(np.abs(z[0]).max() + np.abs(z[1]).max() + np.abs(z[2]).max())
-        if not np.isfinite(probe):
-            raise BlowupError(t, trajectory=traj)
-        linear_arrays = prop.apply(*z0.components(), t, "exp") if pair_linear else None
-        record(t, z, linear_arrays)
-        if progress is not None:
-            progress(t)
+        remaining = steps_per_output
+        while remaining:
+            # CFL check before every step.  dt only ever halves, and the
+            # remaining steps double with it, so output times stay exact.
+            while np.isfinite(speed) and dt * speed * grid.n / grid.length > config.cfl_limit:
+                dt *= 0.5
+                remaining *= 2
+                steps_per_output *= 2
+                traj.diagnostics["cfl_halvings"] += 1
+            z, speed = _step_arrays(prop, z, grid, dt, config.scheme)
+            remaining -= 1
+            if not np.isfinite(speed):
+                raise BlowupError(t_target - remaining * dt, trajectory=traj)
+        if not np.isfinite(z).all():
+            raise BlowupError(t_target, trajectory=traj)
+        record(t_target, z, prop.apply(z0.z, t_target, kind="exp") if pair_linear else None)
 
     traj.diagnostics["dt_final"] = dt
     return traj

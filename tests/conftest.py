@@ -52,4 +52,4 @@ def random_state(grid, rng, solenoidal=True):
     if solenoidal:
         u = leray_project(grid, u)
         b = leray_project(grid, b)
-    return StateField(grid, u, w, b)
+    return StateField(grid, np.concatenate([u, w, b]))

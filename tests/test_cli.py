@@ -243,7 +243,6 @@ class TestSnapshots:
         write_snapshot(path, state)
         back = read_snapshot(path)
         assert back.grid == grid
-        assert back.solenoidal_u and back.solenoidal_b
         for a, b in zip(back.components(), state.components()):
             # storage is complex64
             assert np.abs(a - b).max() < 1e-6

@@ -75,7 +75,7 @@ class TestTransforms:
         spec = np.zeros((3, 16, 16, 9), dtype=complex)
         spec[0, 1, 0, 0] = 1.0
         spec[0, -1 % 16, 0, 0] = 1.0  # conjugate partner
-        state = StateField(grid16, spec, np.zeros_like(spec), np.zeros_like(spec))
+        state = StateField(grid16, np.concatenate([spec, np.zeros_like(spec), np.zeros_like(spec)]))
         rt = transform_roundtrip(state)
         assert np.abs(rt.uhat - spec).max() < 1e-14
 
@@ -106,11 +106,12 @@ class TestTransforms:
         assert np.abs(back - phys).max() < 1e-14
 
     def test_shape_contract(self, grid8):
-        half = np.zeros((3, 8, 8, 5), dtype=complex)
         with pytest.raises(ContractViolation):
-            StateField(grid8, np.zeros((3, 4, 4, 4), dtype=complex), half, half)
+            StateField(grid8, np.zeros((9, 4, 4, 4), dtype=complex))
         with pytest.raises(ContractViolation):  # a full spectrum is rejected
-            StateField(grid8, np.zeros((3, 8, 8, 8), dtype=complex), half, half)
+            StateField(grid8, np.zeros((9, 8, 8, 8), dtype=complex))
+        with pytest.raises(ContractViolation):  # so is one 3-component field
+            StateField(grid8, np.zeros((3, 8, 8, 5), dtype=complex))
 
 
 def leray_oracle(grid, vhat):

@@ -26,7 +26,7 @@ class TestGridEvolution:
     def test_magnetic_block_pure_heat(self, grid16, params, rng):
         state = random_state(grid16, rng)
         zero = np.zeros_like(state.bhat)
-        b_only = StateField(grid16, zero, zero.copy(), state.bhat)
+        b_only = StateField(grid16, np.concatenate([zero, zero, state.bhat]))
         t = 0.4
         out = evolve_linear_grid(b_only, params, t)
         factor = np.exp(-params.nu * grid16.xi_sq * t)
@@ -39,7 +39,7 @@ class TestGridEvolution:
         params = PhysParams(mu=0.7, gamma=1.0, chi=0.0, nu=1.0)
         state = random_state(grid16, rng)
         zero = np.zeros_like(state.uhat)
-        u_only = StateField(grid16, state.uhat, zero, zero.copy())
+        u_only = StateField(grid16, np.concatenate([state.uhat, zero, zero]))
         t = 0.8
         out = evolve_linear_grid(u_only, params, t)
         factor = np.exp(-params.mu * grid16.xi_sq * t)
@@ -136,6 +136,24 @@ class TestRadialState:
         state = make_radial_state(prof, params)
         row = state.norms_at(0.0)
         assert row["l2_z_sq"] == pytest.approx(state.total_mass(), rel=1e-12)
+
+
+    def test_kernel_built_once_per_state(self, params, monkeypatch):
+        import mmplab.linear as linear
+        builds = []
+
+        class CountingKernel(linear.SectorKernel):
+            def __init__(self, *args):
+                builds.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(linear, "SectorKernel", CountingKernel)
+        state = make_radial_state(SpectralProfile.power_law(0.0), params, per_decade=16)
+        first = state.norms_at(1e2)
+        for t in (1e2, 1e3, 1e4):
+            state.norms_at(t)
+        assert state.norms_at(1e2) == first
+        assert len(builds) == 1
 
 
 class TestRadialDecay:
