@@ -64,7 +64,7 @@ def cmd_decay_char(args) -> int:
 def cmd_linear_decay(args) -> int:
     from .decay_character import SpectralProfile
     from .fields import PhysParams
-    from .harness import LINEAR_CSV_COLUMNS, write_columns_csv
+    from .harness import LINEAR_CSV_COLUMNS, csv_text
     from .linear import radial_linear_decay
     params = PhysParams(mu=args.mu, gamma=args.gamma, chi=args.chi, nu=args.nu)
     profile = SpectralProfile.power_law(args.r_star, cutoff_radius=args.cutoff_radius,
@@ -73,17 +73,13 @@ def cmd_linear_decay(args) -> int:
     series = radial_linear_decay(profile, times, params,
                                  per_decade=args.per_decade,
                                  check_convergence=args.check_convergence)
-    columns = {"t": times}
-    columns.update({name: series[name].values for name in LINEAR_CSV_COLUMNS[1:]})
+    text = csv_text(LINEAR_CSV_COLUMNS, zip(
+        times, *(series[name].values for name in LINEAR_CSV_COLUMNS[1:])))
     if args.out:
-        write_columns_csv(args.out, columns)
+        Path(args.out).write_text(text)
         print(f"wrote {args.out}")
     else:
-        from .harness import format_float
-        print(",".join(LINEAR_CSV_COLUMNS))
-        for i in range(times.size):
-            print(",".join(format_float(float(columns[c][i]))
-                           for c in LINEAR_CSV_COLUMNS))
+        sys.stdout.write(text)
     return 0
 
 

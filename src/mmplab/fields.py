@@ -5,12 +5,13 @@ micro-rotational field w and a solenoidal magnetic field b.  Fields live in
 spectral space (see :mod:`mmplab.grid` for the normalization); physical
 space is only visited transiently when forming products.  The whole state
 is one array of half spectra of real fields, shape (9, n, n, n//2 + 1),
-whose rows 0:3, 3:6 and 6:9 are u, w and b; norms sum per component and
-weight the kz planes by the grid's Parseval multiplicity.  The
-Leray projection implemented here is what removes the pressure gradient
-from the velocity equation: taking divergence of the momentum equation
-determines the pressure, and subtracting its gradient is exactly the
-projection vhat - xi (xi . vhat) / |xi|^2 mode by mode.
+whose rows 0:3, 3:6 and 6:9 are u, w and b.  :func:`state_norms` is the
+one definition of the norms, for torus rows (weighting the kz planes by the
+grid's Parseval multiplicity) and radial nodes alike.  The Leray projection
+implemented here is what removes the pressure gradient from the velocity
+equation: taking divergence of the momentum equation determines the
+pressure, and subtracting its gradient is exactly the projection
+vhat - xi (xi . vhat) / |xi|^2 mode by mode.
 """
 
 from __future__ import annotations
@@ -189,20 +190,26 @@ def l2_norm_sq(state_or_array, grid: Grid | None = None) -> float:
     return spectrum_norm_sq(grid, state_or_array)
 
 
-def gradient_norm_sq(state_or_array, grid: Grid | None = None) -> float:
-    """||grad f||^2 = volume * sum |xi|^2 |fhat|^2."""
-    if isinstance(state_or_array, StateField):
-        g = state_or_array.grid
-        return spectrum_norm_sq(g, *state_or_array.components(), weight=g.xi_sq)
-    if grid is None:
-        raise ValueError("grid required for bare arrays")
-    return spectrum_norm_sq(grid, state_or_array, weight=grid.xi_sq)
+def state_norms(z: np.ndarray, weight, xi_sq) -> dict[str, float]:
+    """The norms of the paper's estimates as weighted coefficient sums.
 
-
-def second_deriv_norm_sq(state: StateField) -> float:
-    """||D^2 f||^2 = volume * sum |xi|^4 |fhat|^2."""
-    g = state.grid
-    return spectrum_norm_sq(g, *state.components(), weight=g.xi_sq ** 2)
+    z is any (9, ...) coefficient array, a torus half spectrum (weight
+    Grid.multiplicity; the torus scales each sum by Grid.volume) or the
+    radial nodes (weight the d^3 xi node weights); xi_sq is |xi|^2 there.
+    With e = |z|^2 weight, returns the u, w and b block sums of e
+    (l2_*_sq), e |xi|^2 (h1_z_sq, h1_w_sq) and e |xi|^4 (h2_z_sq); every
+    z total adds the u, w and b sums in that order.
+    """
+    e = z.real ** 2
+    e += z.imag ** 2
+    e *= weight
+    # one contiguous row per u, w and b block: each row sum has the bits of
+    # a separate sum over that block
+    l2, h1, h2 = (f.reshape(3, -1).sum(axis=1).tolist()
+                  for f in (e, e * xi_sq, e * xi_sq ** 2))
+    return {"l2_z_sq": sum(l2), "l2_u_sq": l2[0], "l2_w_sq": l2[1],
+            "l2_b_sq": l2[2], "h1_z_sq": sum(h1), "h1_w_sq": h1[1],
+            "h2_z_sq": sum(h2)}
 
 
 def physical_norm_sq(grid: Grid, phys: np.ndarray) -> float:

@@ -136,17 +136,17 @@ class Grid:
         return np.meshgrid(x1, x1, x1, indexing="ij")
 
 
-def forward(phys: np.ndarray, workers: int | None = None) -> np.ndarray:
+def forward(phys: np.ndarray) -> np.ndarray:
     """Real physical -> half spectrum over the last three axes (carries 1/n^3)."""
     return _fft.rfftn(phys, axes=(-3, -2, -1), norm="forward",
-                      workers=workers or worker_count())
+                      workers=worker_count())
 
 
-def inverse(spec: np.ndarray, workers: int | None = None) -> np.ndarray:
+def inverse(spec: np.ndarray) -> np.ndarray:
     """Half spectrum -> real physical field over the last three axes."""
     n = spec.shape[-2]
     return _fft.irfftn(spec, s=(n, n, n), axes=(-3, -2, -1), norm="forward",
-                       workers=workers or worker_count())
+                       workers=worker_count())
 
 
 def conjugate_flip(spec: np.ndarray) -> np.ndarray:

@@ -157,24 +157,18 @@ def _now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat()
 
 
-def write_series_csv(path, traj: Trajectory, columns=CSV_COLUMNS) -> None:
-    lines = [",".join(columns)]
-    for row in traj.norm_rows:
-        cells = []
-        for col in columns:
-            val = row.get(col)
-            cells.append("" if val is None else format_float(val))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_columns_csv(path, columns: dict[str, np.ndarray]) -> None:
-    names = list(columns)
-    rows = zip(*(columns[name] for name in names))
+def csv_text(names, rows) -> str:
+    """CSV text: a header of names, then one line per row of values, each
+    rendered by :func:`format_float`; None leaves the cell empty."""
     lines = [",".join(names)]
-    for row in rows:
-        lines.append(",".join(format_float(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines.extend(",".join("" if v is None else format_float(float(v)) for v in row)
+                 for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def write_series_csv(path, traj: Trajectory, columns=CSV_COLUMNS) -> None:
+    rows = ([row.get(col) for col in columns] for row in traj.norm_rows)
+    Path(path).write_text(csv_text(columns, rows))
 
 
 def read_series_csv(path) -> dict[str, np.ndarray]:
@@ -217,9 +211,7 @@ def execute_run(config: RunConfig, out_dir=None, pair_linear: bool = False,
     manifest.artifacts["series"] = "series.csv"
     manifest.artifacts["config"] = "config.ini"
     if pair_linear:
-        extra = {"t": np.array(traj.times),
-                 "h1_diff_z_sq": traj.column("h1_diff_z_sq")}
-        write_columns_csv(out / "extra_series.csv", extra)
+        write_series_csv(out / "extra_series.csv", traj, ("t", "h1_diff_z_sq"))
         manifest.artifacts["extra_series"] = "extra_series.csv"
     manifest.summary = {
         "paired_linear": pair_linear,

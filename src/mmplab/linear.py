@@ -15,7 +15,8 @@ the symbol are both rotation covariant (R3(R xi) = R R3(xi) R^T for proper
 rotations, and the polarization frame is right-handed), so the norms on
 every sphere |xi| = rho are 4 pi times the value on that direction.  The
 26-point sphere rule of selftest.sphere_rule_26 is kept only as the oracle
-that checks this reduction.
+that checks this reduction.  The nodes hold (9, n_r) rows like the grid
+state, and their norms come from the torus rows' fields.state_norms.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from scipy import integrate
 
 from .decay_character import QuadratureError, SpectralProfile
-from .fields import PhysParams, StateField
+from .fields import PhysParams, StateField, state_norms
 from .propagator import SectorKernel, get_propagator
 from .symbol import transverse_frame
 from .analysis import NormSeries
@@ -72,9 +73,10 @@ class RadialLinearState:
     kept only as the oracle for this reduction (selftest.sphere_rule_26).
 
     coeffs holds the 9-vector of spectral values per radial node along the
-    fixed direction, shape (n_r, 9); weights are the d^3 xi weights
-    4 pi rho^2 w_rho of the nodes.  coeffs_at evolves every node with the
-    sector kernel, which is built on the nodes once per state.
+    fixed direction, shape (9, n_r) like the rows of a grid state; weights
+    are the d^3 xi weights 4 pi rho^2 w_rho of the nodes.  coeffs_at
+    evolves every node with the sector kernel, which is built on the nodes
+    once per state.
     """
 
     radii: np.ndarray
@@ -90,19 +92,15 @@ class RadialLinearState:
         return SectorKernel(_AXIS[:, None] * self.radii, self.radii ** 2, self.params)
 
     def coeffs_at(self, t: float) -> np.ndarray:
-        """Spectral coefficients at time t, shape (n_r, 9)."""
-        return self.kernel.apply(self.coeffs.T, t).T
+        """Spectral coefficients at time t, shape (9, n_r)."""
+        return self.kernel.apply(self.coeffs, t)
 
     def norms_at(self, t: float) -> dict[str, float]:
-        dens = np.abs(self.coeffs_at(t)) ** 2 * self.weights[:, None]
-        blocks = {"u": slice(0, 3), "w": slice(3, 6), "b": slice(6, 9)}
-        out = {f"l2_{k}_sq": float(dens[:, s].sum()) for k, s in blocks.items()}
-        out["l2_z_sq"] = out["l2_u_sq"] + out["l2_w_sq"] + out["l2_b_sq"]
-        out["h1_z_sq"] = float((dens.sum(axis=1) * self.radii ** 2).sum())
-        return out
+        """The :func:`mmplab.fields.state_norms` integrals at time t."""
+        return state_norms(self.coeffs_at(t), self.weights, self.radii ** 2)
 
     def total_mass(self) -> float:
-        return float(((np.abs(self.coeffs) ** 2).sum(axis=1) * self.weights).sum())
+        return state_norms(self.coeffs, self.weights, self.radii ** 2)["l2_z_sq"]
 
     def ball_mass_at(self, t: float, radius: float) -> float:
         """Integral of |zhat(t)|^2 over |xi| <= radius.
@@ -120,8 +118,8 @@ class RadialLinearState:
             sub = make_radial_state(self.profile, self.params, **kw)
             return sub.norms_at(t)["l2_z_sq"]
         inside = self.radii <= radius
-        dens = (np.abs(self.coeffs_at(t)[inside]) ** 2).sum(axis=1)
-        return float((dens * self.weights[inside]).sum())
+        return state_norms(self.coeffs_at(t)[:, inside], self.weights[inside],
+                           self.radii[inside] ** 2)["l2_z_sq"]
 
 
 def make_radial_state(profile: SpectralProfile, params: PhysParams,
@@ -155,8 +153,8 @@ def make_radial_state(profile: SpectralProfile, params: PhysParams,
 
     dens = np.array([profile.radial_density(rho) for rho in radii])
     mag = np.sqrt(np.maximum(dens / shell, 0.0))
-    coeffs = mag[:, None] * _polarization(_AXIS, component_weights,
-                                          w_longitudinal_fraction)
+    coeffs = _polarization(_AXIS, component_weights,
+                           w_longitudinal_fraction)[:, None] * mag
     return RadialLinearState(
         radii=radii, coeffs=coeffs, weights=shell * u_weights * radii,
         params=params, profile=profile,

@@ -18,7 +18,8 @@ import numpy as np
 from .analysis import fit_decay_exponent
 from .decay_character import SpectralProfile, generate_data_with_character
 from .fields import (Grid, PhysParams, StateField, l2_norm_sq, leray_project,
-                     physical_norm_sq, spectrum_norm_sq, transform_roundtrip)
+                     physical_norm_sq, spectrum_norm_sq, state_norms,
+                     transform_roundtrip)
 from .grid import forward, full_spectrum
 from .linear import RadialLinearState, _polarization, make_radial_state
 from .propagator import SectorKernel, get_propagator
@@ -55,18 +56,15 @@ def sphere_rule_norms(state: RadialLinearState, t: float) -> dict[str, np.ndarra
     placed on each of the 26 directions of :func:`sphere_rule_26`, with the
     polarization of that direction.  Each key holds the 26 per-direction
     norms; their rule-weighted sum integrates the unit sphere."""
-    mag = np.linalg.norm(state.coeffs, axis=1)  # the polarization is a unit vector
+    mag = np.linalg.norm(state.coeffs, axis=0)  # the polarization is a unit vector
     kw = state.construction
     rows = []
     for n_hat in sphere_rule_26()[0]:
         nodes = n_hat[:, None] * state.radii
         pol = _polarization(n_hat, kw["component_weights"], kw["w_longitudinal_fraction"])
         kernel = SectorKernel(nodes, (nodes ** 2).sum(axis=0), state.params)
-        c = kernel.apply(np.outer(pol, mag), t)
-        dens = np.abs(c) ** 2 * state.weights
-        rows.append({"l2_u_sq": dens[0:3].sum(), "l2_w_sq": dens[3:6].sum(),
-                     "l2_b_sq": dens[6:9].sum(), "l2_z_sq": dens.sum(),
-                     "h1_z_sq": (dens * state.radii ** 2).sum()})
+        rows.append(state_norms(kernel.apply(np.outer(pol, mag), t),
+                                state.weights, state.radii ** 2))
     return {key: np.array([row[key] for row in rows]) for key in rows[0]}
 
 

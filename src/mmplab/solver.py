@@ -31,9 +31,10 @@ second order in h; an integrating-factor RK4 is available for convergence
 studies.  The state is one (9, n, n, n//2 + 1) array throughout, the
 stages are whole-array sums, and N carries the three increments in the
 same row layout.  The CFL number uses the Elsasser speed
-max(|u| + |b|) and is checked before every step; the time step only ever
-shrinks, and a halving doubles the remaining steps, so recorded output
-times stay exact.
+max(|u| + |b|) and is checked against CFL_LIMIT before every step; the
+time step only ever shrinks, and a halving doubles the remaining steps, so
+recorded output times stay exact.  An output row takes its norms from
+fields.state_norms, over the state and over its paired linear difference.
 """
 
 from __future__ import annotations
@@ -46,12 +47,14 @@ import numpy as np
 from . import grid as _grid
 from .analysis import fourier_split_integral, fourier_split_radius
 from .fields import (SOLENOIDAL_TOL, ContractViolation, Grid, PhysParams,
-                     StateField, curl, gradient_norm_sq, l2_norm_sq,
-                     leray_project, second_deriv_norm_sq, spectrum_norm_sq)
+                     StateField, curl, leray_project, spectrum_norm_sq,
+                     state_norms)
 from .grid import forward
 from .propagator import GridPropagator, get_propagator
 
 SCHEMES = ("etd-rk2", "if-rk4")
+# largest admissible CFL number dt max(|u| + |b|) n / L
+CFL_LIMIT = 0.5
 
 
 class BlowupError(RuntimeError):
@@ -76,7 +79,6 @@ class SolverConfig:
     output_every: int = 1
     scheme: str = "etd-rk2"
     ball_A: float = 1.0
-    cfl_limit: float = 0.5
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -279,30 +281,21 @@ def _step_arrays(prop: GridPropagator, z: np.ndarray, grid: Grid, dt: float, sch
 
 def _norm_row(state: StateField, t: float, ball_A: float,
               linear_state: StateField | None) -> dict:
+    """One series row: the state norms, the splitting-ball integral and,
+    against a paired linear state, the difference norms."""
     grid = state.grid
-    row = {
-        "t": t,
-        "l2_z_sq": l2_norm_sq(state),
-        "l2_u_sq": spectrum_norm_sq(grid, state.uhat),
-        "l2_w_sq": spectrum_norm_sq(grid, state.what),
-        "l2_b_sq": spectrum_norm_sq(grid, state.bhat),
-        "h1_z_sq": gradient_norm_sq(state),
-        "h1_w_sq": spectrum_norm_sq(grid, state.what, weight=grid.xi_sq),
-        "h2_z_sq": second_deriv_norm_sq(state),
-    }
-    if fourier_split_radius(t, ball_A) < grid.fundamental:
-        row["ball_integral"] = 0.0
-    else:
-        row["ball_integral"] = fourier_split_integral(state, t, ball_A)
-    if linear_state is None:
-        row["l2_diff_z_sq"] = None
-        row["l2_diff_w_sq"] = None
-        row["h1_diff_z_sq"] = None
-    else:
-        du, dw, db = state.with_coeffs(state.z - linear_state.z).components()
-        row["l2_diff_z_sq"] = spectrum_norm_sq(grid, du, dw, db)
-        row["l2_diff_w_sq"] = spectrum_norm_sq(grid, dw)
-        row["h1_diff_z_sq"] = spectrum_norm_sq(grid, du, dw, db, weight=grid.xi_sq)
+
+    def norms(z):
+        return {key: grid.volume * val for key, val in
+                state_norms(z, grid.multiplicity, grid.xi_sq).items()}
+
+    row = {"t": t, **norms(state.z)}
+    row["ball_integral"] = (0.0 if fourier_split_radius(t, ball_A) < grid.fundamental
+                            else fourier_split_integral(state, t, ball_A))
+    diff = {} if linear_state is None else norms(state.z - linear_state.z)
+    row["l2_diff_z_sq"] = diff.get("l2_z_sq")
+    row["l2_diff_w_sq"] = diff.get("l2_w_sq")
+    row["h1_diff_z_sq"] = diff.get("h1_z_sq")
     return row
 
 
@@ -344,9 +337,7 @@ def simulate(config: SolverConfig, z0: StateField,
     def record(t, coeffs, linear_coeffs):
         st = StateField(grid, coeffs)
         lin = StateField(grid, linear_coeffs) if linear_coeffs is not None else None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            row = _norm_row(st, t, config.ball_A, lin)
+        row = _norm_row(st, t, config.ball_A, lin)
         traj.times.append(t)
         traj.norm_rows.append(row)
         traj.diagnostics["max_divergence"] = max(
@@ -371,7 +362,7 @@ def simulate(config: SolverConfig, z0: StateField,
         while remaining:
             # CFL check before every step.  dt only ever halves, and the
             # remaining steps double with it, so output times stay exact.
-            while np.isfinite(speed) and dt * speed * grid.n / grid.length > config.cfl_limit:
+            while np.isfinite(speed) and dt * speed * grid.n / grid.length > CFL_LIMIT:
                 dt *= 0.5
                 remaining *= 2
                 steps_per_output *= 2

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmplab.fields import (ContractViolation, Grid, StateField, curl,
-                           divergence, gradient, gradient_norm_sq, l2_norm_sq,
-                           leray_project, physical_norm_sq,
-                           second_deriv_norm_sq, spectrum_norm_sq,
+                           divergence, gradient, l2_norm_sq, leray_project,
+                           physical_norm_sq, spectrum_norm_sq, state_norms,
                            transform_roundtrip)
 from mmplab.grid import (conjugate_flip, forward, full_spectrum,
                          hermitian_symmetrize, inverse)
@@ -231,21 +230,23 @@ class TestNorms:
 
     def test_gradient_single_mode(self):
         grid = Grid(8, 2 * np.pi)  # |xi| = 1 for the fundamental
-        spec = np.zeros((3, 8, 8, 5), dtype=complex)
-        spec[0, 0, 1, 0] = 0.5
-        spec[0, 0, -1 % 8, 0] = 0.5
-        assert abs(gradient_norm_sq(spec, grid) - l2_norm_sq(spec, grid)) < 1e-13
+        z = np.zeros((9, 8, 8, 5), dtype=complex)
+        z[0, 0, 1, 0] = 0.5
+        z[0, 0, -1 % 8, 0] = 0.5
+        norms = state_norms(z, grid.multiplicity, grid.xi_sq)
+        assert abs(grid.volume * norms["h1_z_sq"] - l2_norm_sq(z[0:3], grid)) < 1e-13
 
     def test_constant_field_gradient(self, grid8):
-        spec = np.zeros((3, 8, 8, 5), dtype=complex)
-        spec[:, 0, 0, 0] = 1.0
-        assert gradient_norm_sq(spec, grid8) == 0.0
+        z = np.zeros((9, 8, 8, 5), dtype=complex)
+        z[0:3, 0, 0, 0] = 1.0
+        assert state_norms(z, grid8.multiplicity, grid8.xi_sq)["h1_z_sq"] == 0.0
 
     def test_second_derivative_weight(self, grid8, rng):
         state = random_state(grid8, rng)
         direct = spectrum_norm_sq(grid8, *state.components(),
                                   weight=grid8.xi_sq ** 2)
-        assert abs(second_deriv_norm_sq(state) - direct) < 1e-12
+        norms = state_norms(state.z, grid8.multiplicity, grid8.xi_sq)
+        assert abs(grid8.volume * norms["h2_z_sq"] - direct) < 1e-12
 
 
 class TestOperators:

@@ -161,11 +161,13 @@ class TestRadialDecay:
         prof = SpectralProfile.power_law(0.0)
         state = make_radial_state(prof, params, component_weights=(0, 0, 1))
         for t in (0.5, 3.0, 20.0):
-            measured = state.norms_at(t)["l2_b_sq"]
-            exact, _ = si.quad(
-                lambda rho: np.exp(-2 * params.nu * t * rho ** 2)
-                * 4 * np.pi * rho ** 2, 0, 1, epsrel=1e-12)
-            assert abs(measured - exact) / exact < 1e-6
+            norms = state.norms_at(t)
+            # l2_b_sq, h1_z_sq and h2_z_sq carry |xi|^0, |xi|^2 and |xi|^4
+            for key, power in (("l2_b_sq", 0), ("h1_z_sq", 2), ("h2_z_sq", 4)):
+                exact, _ = si.quad(
+                    lambda rho: rho ** power * np.exp(-2 * params.nu * t * rho ** 2)
+                    * 4 * np.pi * rho ** 2, 0, 1, epsrel=1e-12)
+                assert abs(norms[key] - exact) / exact < 1e-6, key
 
     def test_sharp_rate_for_flat_datum(self, params):
         times = np.geomspace(1e2, 1e4, 20)

@@ -84,13 +84,13 @@ def test_radial_state_at_long_time():
     t = 1e4
     got = state.coeffs_at(t)
     assert np.all(np.isfinite(got))
-    assert got.shape == (state.radii.size, 9)
+    assert got.shape == (9, state.radii.size)
     worst = 0.0
-    for r, v in enumerate(state.coeffs):
+    for r, v in enumerate(state.coeffs.T):
         if not np.abs(v).max() > 0:
             continue
         ref = expm(t * assemble_entries(state.radii[r] * _AXIS, params)) @ v
-        worst = max(worst, np.abs(ref - got[r]).max() / np.abs(v).max())
+        worst = max(worst, np.abs(ref - got[:, r]).max() / np.abs(v).max())
     assert worst <= 1e-12
 
 

@@ -5,13 +5,14 @@ import pytest
 import scipy.fft as sfft
 
 from mmplab.decay_character import generate_data_with_character
+from mmplab.analysis import fourier_split_integral
 from mmplab.fields import (ContractViolation, Grid, PhysParams, StateField,
-                           leray_project)
+                           leray_project, spectrum_norm_sq)
 from mmplab.grid import full_spectrum, inverse
 from mmplab.propagator import get_propagator, phi1, phi2
-from mmplab.solver import (BlowupError, SolverConfig, advective_products,
-                           energy_balance_check, nonlinear_rhs, simulate,
-                           step, tensor_bound_report)
+from mmplab.solver import (BlowupError, SolverConfig, _norm_row,
+                           advective_products, energy_balance_check,
+                           nonlinear_rhs, simulate, step, tensor_bound_report)
 
 from conftest import random_state, reality_error
 
@@ -347,6 +348,33 @@ class TestSimulate:
         assert diff[0] == 0.0
         assert np.all(diff[1:] > 0)
         assert np.all(diff[1:] < traj.column("l2_z_sq")[1:])
+
+    def test_norm_row_equals_per_component_sums(self, grid16, rng):
+        # one state_norms pass gives the per-component spectrum_norm_sq bits
+        state = random_state(grid16, rng)
+        linear = random_state(grid16, rng)
+        t = 0.5
+        row = _norm_row(state, t, 4.0, linear)
+        u, w, b = state.components()
+        diff = state.z - linear.z
+        du, dw, db = diff[0:3], diff[3:6], diff[6:9]
+        xi_sq = grid16.xi_sq
+        want = {
+            "t": t,
+            "l2_z_sq": spectrum_norm_sq(grid16, u, w, b),
+            "l2_u_sq": spectrum_norm_sq(grid16, u),
+            "l2_w_sq": spectrum_norm_sq(grid16, w),
+            "l2_b_sq": spectrum_norm_sq(grid16, b),
+            "h1_z_sq": spectrum_norm_sq(grid16, u, w, b, weight=xi_sq),
+            "h1_w_sq": spectrum_norm_sq(grid16, w, weight=xi_sq),
+            "h2_z_sq": spectrum_norm_sq(grid16, u, w, b, weight=xi_sq ** 2),
+            "ball_integral": fourier_split_integral(state, t, 4.0),
+            "l2_diff_z_sq": spectrum_norm_sq(grid16, du, dw, db),
+            "l2_diff_w_sq": spectrum_norm_sq(grid16, dw),
+            "h1_diff_z_sq": spectrum_norm_sq(grid16, du, dw, db, weight=xi_sq),
+        }
+        assert row["ball_integral"] > 0
+        assert row == want
 
     def test_blowup_detection(self, grid8, params):
         bad = StateField.zero(grid8)
