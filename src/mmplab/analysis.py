@@ -49,9 +49,9 @@ class NormSeries:
 
 
 def fit_decay_exponent(series: NormSeries | tuple,
-                       window: tuple[float, float],
-                       min_samples: int = 10) -> tuple[float, float]:
-    """OLS slope of log(values) against log(1+t) inside the window.
+                       window: tuple[float, float]) -> tuple[float, float]:
+    """OLS slope of log(values) against log(1+t) inside the window, which
+    must hold at least 10 samples.
 
     Returns (exponent, residual) where residual is the largest absolute
     log deviation from the fitted line.
@@ -62,9 +62,9 @@ def fit_decay_exponent(series: NormSeries | tuple,
         times, values = (np.asarray(x, dtype=float) for x in series)
     lo, hi = window
     mask = (times >= lo) & (times <= hi)
-    if mask.sum() < min_samples:
+    if mask.sum() < 10:
         raise ValueError(
-            f"need at least {min_samples} samples in window [{lo:g}, {hi:g}], "
+            f"need at least 10 samples in window [{lo:g}, {hi:g}], "
             f"got {int(mask.sum())}")
     vals = values[mask]
     if np.any(vals <= 0):
@@ -149,8 +149,7 @@ _SERIES_TO_PREDICTION = {
 
 
 def theorem_report(series_map: dict[str, NormSeries], r_star: float,
-                   window: tuple[float, float], quantitative: bool = False,
-                   tolerance: float | None = None) -> dict:
+                   window: tuple[float, float], quantitative: bool = False) -> dict:
     """Tabulate measured versus predicted exponents.
 
     quantitative=True marks rows as binding at the radial tolerance;
@@ -161,8 +160,7 @@ def theorem_report(series_map: dict[str, NormSeries], r_star: float,
     prediction = RatePrediction(r_star)
     predicted = prediction.predicted
     mode = "quantitative" if quantitative else "windowed/indicative"
-    tol = tolerance if tolerance is not None else (
-        DEFAULT_TOL_RADIAL if quantitative else DEFAULT_TOL_TORUS_DIFF)
+    tol = DEFAULT_TOL_RADIAL if quantitative else DEFAULT_TOL_TORUS_DIFF
 
     rows = []
     fitted: dict[str, float] = {}

@@ -130,11 +130,6 @@ class Grid:
         out[[0, -1]] = 1.0
         return out
 
-    def points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Physical grid coordinates (x, y, z), each of shape (n, n, n)."""
-        x1 = np.arange(self.n) * self.spacing
-        return np.meshgrid(x1, x1, x1, indexing="ij")
-
 
 def forward(phys: np.ndarray) -> np.ndarray:
     """Real physical -> half spectrum over the last three axes (carries 1/n^3)."""

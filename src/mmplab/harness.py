@@ -24,7 +24,8 @@ from .analysis import theorem_report
 from .decay_character import generate_data_with_character
 from .fields import Grid, PhysParams, StateField
 from .snapshots import write_snapshot
-from .solver import BlowupError, SolverConfig, Trajectory, simulate
+from .solver import (BlowupError, SolverConfig, Trajectory, energy_balance_check,
+                     simulate)
 
 CSV_COLUMNS = ("t", "l2_z_sq", "l2_u_sq", "l2_w_sq", "l2_b_sq", "h1_z_sq",
                "h1_w_sq", "h2_z_sq", "ball_integral", "l2_diff_z_sq",
@@ -200,11 +201,10 @@ def execute_run(config: RunConfig, out_dir=None, pair_linear: bool = False,
                         record_tensor=record_tensor, save_snapshots=save_snaps)
     except BlowupError as exc:
         # preserve the rows recorded before the failure, then propagate
-        if exc.trajectory is not None:
-            write_series_csv(out / "series.csv", exc.trajectory)
-            manifest.summary = {"error": str(exc), "blowup_t": exc.t}
-            manifest.finished = _now()
-            manifest.write(out / "manifest.json")
+        write_series_csv(out / "series.csv", exc.trajectory)
+        manifest.summary = {"error": str(exc), "blowup_t": exc.t}
+        manifest.finished = _now()
+        manifest.write(out / "manifest.json")
         raise
 
     write_series_csv(out / "series.csv", traj)
@@ -215,7 +215,7 @@ def execute_run(config: RunConfig, out_dir=None, pair_linear: bool = False,
         manifest.artifacts["extra_series"] = "extra_series.csv"
     manifest.summary = {
         "paired_linear": pair_linear,
-        "monotone_energy": bool(np.all(np.diff(traj.column("l2_z_sq")) <= 0.0)),
+        "monotone_energy": energy_balance_check(traj)["monotone"],
         "max_divergence": traj.diagnostics["max_divergence"],
         "cfl_halvings": traj.diagnostics["cfl_halvings"],
         "bound_valid": traj.diagnostics["bound_valid"],

@@ -44,20 +44,18 @@ _AXIS = np.array([0.0, 0.0, 1.0])
 
 
 def _polarization(n_hat: np.ndarray,
-                  component_weights: tuple[float, float, float],
-                  w_longitudinal_fraction: float) -> np.ndarray:
+                  component_weights: tuple[float, float, float]) -> np.ndarray:
     """Unit 9-vector (u, w, b) of the polarization scheme at direction n_hat.
 
-    u and b are transverse to n_hat (pointwise solenoidal) and w mixes a
-    longitudinal and a transverse part so the grad-div term is exercised.
+    u and b are transverse to n_hat (pointwise solenoidal) and w mixes equal
+    longitudinal and transverse parts so the grad-div term is exercised.
     The odd-in-direction pieces carry a factor i so the scheme is
     conjugate-symmetric when realized on a lattice; norms are unaffected
     (orthogonal pieces, phases drop out).
     """
     cu, cw, cb = np.sqrt(np.asarray(component_weights) / sum(component_weights))
     e1, e2 = transverse_frame(n_hat)
-    w_dir = (1j * np.sqrt(w_longitudinal_fraction) * n_hat
-             + np.sqrt(1.0 - w_longitudinal_fraction) * e1)
+    w_dir = np.sqrt(0.5) * (1j * n_hat + e1)
     return np.array([cu * e1, cw * w_dir, cb * 1j * e2]).ravel()
 
 
@@ -83,8 +81,8 @@ class RadialLinearState:
     coeffs: np.ndarray
     weights: np.ndarray
     params: PhysParams
-    profile: "SpectralProfile | None" = None
-    construction: dict | None = None
+    profile: SpectralProfile
+    construction: dict
 
     @cached_property
     def kernel(self) -> SectorKernel:
@@ -105,17 +103,15 @@ class RadialLinearState:
     def ball_mass_at(self, t: float, radius: float) -> float:
         """Integral of |zhat(t)|^2 over |xi| <= radius.
 
-        When the construction recipe is available the ball is integrated on
-        a fresh quadrature whose panels end exactly at the cut radius;
-        otherwise the node sum is truncated (first-order accurate at the
-        cut).
+        Inside the node range the ball is integrated on a fresh quadrature,
+        built from the same construction recipe, whose panels end exactly at
+        the cut radius; a radius past the last node takes every node.
         """
         if not radius > self.radii[0]:
             return 0.0
-        if self.profile is not None and radius < self.radii[-1]:
-            kw = dict(self.construction or {})
-            kw["rho_max"] = radius
-            sub = make_radial_state(self.profile, self.params, **kw)
+        if radius < self.radii[-1]:
+            sub = make_radial_state(self.profile, self.params, rho_max=radius,
+                                    **self.construction)
             return sub.norms_at(t)["l2_z_sq"]
         inside = self.radii <= radius
         return state_norms(self.coeffs_at(t)[:, inside], self.weights[inside],
@@ -125,8 +121,8 @@ class RadialLinearState:
 def make_radial_state(profile: SpectralProfile, params: PhysParams,
                       rho_min: float = 1e-4, rho_max: float = 1e2,
                       per_decade: int = 64,
-                      component_weights: tuple[float, float, float] = (1/3, 1/3, 1/3),
-                      w_longitudinal_fraction: float = 0.5) -> RadialLinearState:
+                      component_weights: tuple[float, float, float] = (1/3, 1/3, 1/3)
+                      ) -> RadialLinearState:
     """Realize an isotropic analytic profile as radial initial data.
 
     The spectral intensity psi(rho) = density(rho) / (4 pi rho^2) is split
@@ -153,20 +149,16 @@ def make_radial_state(profile: SpectralProfile, params: PhysParams,
 
     dens = np.array([profile.radial_density(rho) for rho in radii])
     mag = np.sqrt(np.maximum(dens / shell, 0.0))
-    coeffs = _polarization(_AXIS, component_weights,
-                           w_longitudinal_fraction)[:, None] * mag
+    coeffs = _polarization(_AXIS, component_weights)[:, None] * mag
     return RadialLinearState(
         radii=radii, coeffs=coeffs, weights=shell * u_weights * radii,
         params=params, profile=profile,
         construction={"rho_min": rho_min, "per_decade": per_decade,
-                      "component_weights": component_weights,
-                      "w_longitudinal_fraction": w_longitudinal_fraction})
+                      "component_weights": component_weights})
 
 
-def realize_profile_on_grid(grid, profile: SpectralProfile,
-                            component_weights: tuple[float, float, float] = (1/3, 1/3, 1/3),
-                            w_longitudinal_fraction: float = 0.5) -> StateField:
-    """Deterministic grid field with the polarization of
+def realize_profile_on_grid(grid, profile: SpectralProfile) -> StateField:
+    """Deterministic grid field with the equal-weight polarization of
     :func:`_polarization` at every mode, for grid-versus-continuum
     comparisons.
 
@@ -191,31 +183,30 @@ def realize_profile_on_grid(grid, profile: SpectralProfile,
         if dens[rho] <= 0:
             continue
         z[:, i1, i2, i3] = np.sqrt(dens[rho] * cell) * _polarization(
-            grid.xi[:, i1, i2, i3] / rho, component_weights, w_longitudinal_fraction)
+            grid.xi[:, i1, i2, i3] / rho, (1/3, 1/3, 1/3))
     return StateField(grid, z)
 
 
 def radial_linear_decay(profile: SpectralProfile, times, params: PhysParams,
                         per_decade: int = 64, rho_min: float = 1e-4,
-                        rho_max: float = 1e2,
-                        check_convergence: bool = False,
-                        convergence_tol: float = 1e-5) -> dict[str, NormSeries]:
-    """Component norms of the linear solution at the requested times.
+                        check_convergence: bool = False) -> dict[str, NormSeries]:
+    """Every norm of :meth:`RadialLinearState.norms_at` at the requested
+    times, on nodes up to rho = 1e2.
 
     With check_convergence the quadrature is repeated at doubled radial
     resolution and a QuadratureError is raised if any norm moves by more
-    than convergence_tol relatively.
+    than 1e-5 relatively.
     """
     times = np.asarray(times, dtype=float)
     if times.size and np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
 
     def run(per_dec):
-        state = make_radial_state(profile, params, rho_min=rho_min,
-                                  rho_max=rho_max, per_decade=per_dec)
+        state = make_radial_state(profile, params, rho_min=rho_min, per_decade=per_dec)
         rows = [state.norms_at(t) for t in times]
-        return {key: np.array([row[key] for row in rows])
-                for key in ("l2_z_sq", "l2_u_sq", "l2_w_sq", "l2_b_sq", "h1_z_sq")}
+        # the keys of norms_at, which an empty time list must still carry
+        keys = (rows or [state.norms_at(0.0)])[0]
+        return {key: np.array([row[key] for row in rows]) for key in keys}
 
     coarse = run(per_decade)
     if check_convergence:
@@ -224,7 +215,7 @@ def radial_linear_decay(profile: SpectralProfile, times, params: PhysParams,
             ref = fine[key]
             scale = np.maximum(np.abs(ref), np.abs(ref).max() * 1e-300 + 1e-300)
             rel = np.abs(vals - ref) / scale
-            if rel.max() > convergence_tol:
+            if rel.max() > 1e-5:
                 raise QuadratureError(
                     f"radial quadrature not converged for {key}: "
                     f"max rel change {rel.max():.3e} on node doubling")
@@ -233,8 +224,7 @@ def radial_linear_decay(profile: SpectralProfile, times, params: PhysParams,
             for key, vals in coarse.items()}
 
 
-def heat_bound_check(profile: SpectralProfile, t_samples,
-                     derivative_orders=(0, 1)) -> dict:
+def heat_bound_check(profile: SpectralProfile, t_samples) -> dict:
     """Measure admissible constants in the heat semigroup estimates.
 
     For a scalar datum f with isotropic |fhat|^2 intensity taken from the
@@ -266,7 +256,7 @@ def heat_bound_check(profile: SpectralProfile, t_samples,
     fhat_sup = float(np.sqrt(np.nanmax(intensity)))
 
     report: dict = {"t_samples": t_samples.tolist(), "cases": {}}
-    for m in derivative_orders:
+    for m in (0, 1):
         ratios = np.array([np.sqrt(norm_sq(t, m)) * t ** (m / 2.0) / f_norm
                            for t in t_samples])
         report["cases"][f"l2_m{m}"] = {

@@ -54,12 +54,12 @@ def sector_eigenvalues(a, b, c2):
     return lam_lo, lam_hi
 
 
-def _phi_series(k: int, x: np.ndarray, y: np.ndarray, terms: int = 12) -> np.ndarray:
+def _phi_series(k: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """phi_k[x, y] = sum_j h_j(x, y) / (j + k + 1)!, h_j complete symmetric;
     12 terms reach 1e-18 for |x|, |y| < 0.2."""
     h, power = np.ones_like(x), np.ones_like(y)
     total = h / factorial(k + 1)
-    for j in range(1, terms):
+    for j in range(1, 12):
         power = power * y
         h = x * h + power
         total += h / factorial(j + k + 1)

@@ -57,11 +57,10 @@ def sphere_rule_norms(state: RadialLinearState, t: float) -> dict[str, np.ndarra
     polarization of that direction.  Each key holds the 26 per-direction
     norms; their rule-weighted sum integrates the unit sphere."""
     mag = np.linalg.norm(state.coeffs, axis=0)  # the polarization is a unit vector
-    kw = state.construction
     rows = []
     for n_hat in sphere_rule_26()[0]:
         nodes = n_hat[:, None] * state.radii
-        pol = _polarization(n_hat, kw["component_weights"], kw["w_longitudinal_fraction"])
+        pol = _polarization(n_hat, state.construction["component_weights"])
         kernel = SectorKernel(nodes, (nodes ** 2).sum(axis=0), state.params)
         rows.append(state_norms(kernel.apply(np.outer(pol, mag), t),
                                 state.weights, state.radii ** 2))
