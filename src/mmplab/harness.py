@@ -196,16 +196,13 @@ def execute_run(config: RunConfig, out_dir=None, pair_linear: bool = False,
     z0 = config.initial_state()
     solver_cfg = config.solver_config()
     save_snaps = config.getbool("output", "save_snapshots")
+    error = None
     try:
         traj = simulate(solver_cfg, z0, pair_linear=pair_linear,
                         record_tensor=record_tensor, save_snapshots=save_snaps)
     except BlowupError as exc:
-        # preserve the rows recorded before the failure, then propagate
-        write_series_csv(out / "series.csv", exc.trajectory)
-        manifest.summary = {"error": str(exc), "blowup_t": exc.t}
-        manifest.finished = _now()
-        manifest.write(out / "manifest.json")
-        raise
+        # a failed run writes everything it recorded, below, then propagates
+        traj, error = exc.trajectory, exc
 
     write_series_csv(out / "series.csv", traj)
     manifest.artifacts["series"] = "series.csv"
@@ -223,6 +220,8 @@ def execute_run(config: RunConfig, out_dir=None, pair_linear: bool = False,
         if config.get("init", "kind") == "power" else None,
         "t_end": float(traj.times[-1]) if traj.times else 0.0,
     }
+    if error is not None:
+        manifest.summary.update(error=str(error), blowup_t=error.t)
     if save_snaps:
         snap_dir = out / "snapshots"
         snap_dir.mkdir(exist_ok=True)
@@ -237,6 +236,8 @@ def execute_run(config: RunConfig, out_dir=None, pair_linear: bool = False,
 
     manifest.finished = _now()
     manifest.write(out / "manifest.json")
+    if error is not None:
+        raise error
     return out, traj
 
 

@@ -302,6 +302,9 @@ def simulate(config: SolverConfig, z0: StateField,
              save_snapshots: bool = False) -> Trajectory:
     """Advance z0 to t_end recording norms every output_every steps.
 
+    z0 must have solenoidal u and b (relative divergence at most
+    SOLENOIDAL_TOL); otherwise ContractViolation is raised before the first
+    step.  A non-finite z0 passes this check and ends in BlowupError.
     pair_linear additionally evolves the linear system from the same datum
     (exactly, via the semigroup) and records difference norms.  The run is
     deterministic: equal (config, z0) produce identical trajectories for
@@ -348,6 +351,12 @@ def simulate(config: SolverConfig, z0: StateField,
             traj.snapshots.append(st)
 
     record(0.0, z, z if pair_linear else None)
+    # the stepper skips nonlinear_rhs's check, so the datum is checked here,
+    # on the divergence that record measured
+    if traj.diagnostics["max_divergence"] > SOLENOIDAL_TOL:
+        raise ContractViolation(
+            f"z0: u or b not solenoidal: relative divergence "
+            f"{traj.diagnostics['max_divergence']:.3e}")
 
     # the Elsasser speed of the masked z0 as nonlinear_rhs reports it; each
     # step then returns the speed of the state it started from

@@ -184,6 +184,28 @@ class TestRunDirectory:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "blowup_t" in manifest["summary"]
 
+    def test_blowup_writes_every_artifact(self, tmp_path):
+        # a paired run with snapshots that blows up in its first step leaves
+        # the same files as a finished one, up to the last recorded output
+        import warnings
+        from mmplab.solver import BlowupError
+        text = CONFIG_TEXT.replace("amplitude = 0.01", "amplitude = nan").replace(
+            "save_snapshots = false", "save_snapshots = true")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(BlowupError) as err:
+                execute_run(RunConfig.from_text(text), out_dir=tmp_path / "boom",
+                            pair_linear=True)
+        out, traj = tmp_path / "boom", err.value.trajectory
+        assert traj.times == [0.0]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.ini", "extra_series.csv", "manifest.json", "series.csv", "snapshots"]
+        assert len(list((out / "snapshots").glob("*.snap"))) == 1
+        assert read_series_csv(out / "extra_series.csv")["t"].tolist() == [0.0]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["summary"]["blowup_t"] == err.value.t
+        assert manifest["artifacts"]["snapshots"] == "snapshots/"
+
     def test_save_snapshots(self, tmp_path):
         cfg = RunConfig.from_text(CONFIG_TEXT.replace(
             "save_snapshots = false", "save_snapshots = true"))

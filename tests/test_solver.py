@@ -389,6 +389,14 @@ class TestSimulate:
         assert err.value.trajectory is not None
         assert err.value.trajectory.times[0] == 0.0
 
+    def test_rejects_nonsolenoidal_datum(self, grid8, params, rng):
+        # the stepper skips nonlinear_rhs's check, so simulate checks z0
+        bad = random_state(grid8, rng, solenoidal=False)
+        assert bad.divergence_error() > 0.1
+        cfg = SolverConfig(grid=grid8, params=params, dt=0.1, t_end=0.5)
+        with pytest.raises(ContractViolation, match="z0"):
+            simulate(cfg, bad)
+
     def test_cfl_halving_keeps_output_times(self, params):
         grid = Grid(8, 2 * np.pi)
         z0 = generate_data_with_character(grid, 0.0, seed=7, amplitude=10.0)
