@@ -14,10 +14,10 @@ u_i u_j - b_i b_j, the 3 products u x b and the 9 products u_j w_i come
 back in another.  On the retained modes the identities are exact, because
 the truncated u and b are solenoidal and the 2/3 rule, always applied,
 keeps aliasing off those modes.  The velocity increment is
-Leray-projected, which realizes the pressure gradient exactly, and the
-magnetic increment is projected as well to pin down solenoidality (it is
-analytically solenoidal already).  The micro-rotation increment is never
-projected since w carries no divergence constraint.
+Leray-projected, which realizes the pressure gradient exactly.  The
+magnetic increment is not projected: curl(u x b) formed with xi_odd is
+solenoidal by construction, to rounding.  The micro-rotation increment is
+never projected since w carries no divergence constraint.
 
 The stiff linear part, including the rotational coupling, the grad-div term
 and the 2 chi damping, is propagated exactly through the closed-form
@@ -137,11 +137,11 @@ def nonlinear_rhs(state: StateField, check_solenoidal: bool = True
     Elsasser speed max(|u| + |b|) of the masked state.
 
     Nu = P[(b.grad)b - (u.grad)u] = P[div(b(x)b - u(x)u)]
-    Nw = -(u.grad)w               = -div(u(x)w)       (not projected)
-    Nb = P[(b.grad)u - (u.grad)b] = P[curl(u x b)]
+    Nw = -(u.grad)w               = -div(u(x)w)
+    Nb = (b.grad)u - (u.grad)b    = curl(u x b)
 
-    The Leray projection P supplies -grad p in Nu and enforces exact
-    solenoidality in Nb.
+    The Leray projection P supplies -grad p in Nu; Nb is a curl, so it is
+    solenoidal without one.
     """
     grid = state.grid
     if check_solenoidal and state.divergence_error() > SOLENOIDAL_TOL:
@@ -173,7 +173,6 @@ def nonlinear_rhs(state: StateField, check_solenoidal: bool = True
     N[6:9] = curl(grid, spec[6:9])
     N *= mask
     N[0:3] = leray_project(grid, N[0:3])
-    N[6:9] = leray_project(grid, N[6:9])
     return N, _elsasser_speed(u, b)
 
 
