@@ -304,6 +304,7 @@ def simulate(config: SolverConfig, z0: StateField,
     z0 must have solenoidal u and b (relative divergence at most
     SOLENOIDAL_TOL); otherwise ContractViolation is raised before the first
     step.  A non-finite z0 passes this check and ends in BlowupError.
+
     pair_linear additionally evolves the linear system from the same datum
     (exactly, via the semigroup) and records difference norms.  The run is
     deterministic: equal (config, z0) produce identical trajectories for
