@@ -30,10 +30,12 @@ default scheme is the two-stage exponential integrator
 second order in h; an integrating-factor RK4 is available for convergence
 studies.  The state is one (9, n, n, n//2 + 1) array throughout, the
 stages are whole-array sums, and N carries the three increments in the
-same row layout.  The CFL number uses the Elsasser speed
-max(|u| + |b|) and is checked against CFL_LIMIT before every step; the
-time step only ever shrinks, and a halving doubles the remaining steps, so
-recorded output times stay exact.  An output row takes its norms from
+same row layout.  Every step opens with one evaluation of N(z_n), which
+is its first stage and also reports the Elsasser speed max(|u| + |b|) of
+z_n: a non-finite speed ends the run, and the CFL number of the state the
+step advances is checked against CFL_LIMIT.  The time step only ever
+shrinks, and a halving doubles the remaining steps, so recorded output
+times stay exact.  An output row takes its norms from
 fields.state_norms, over the state and over its paired linear difference.
 """
 
@@ -134,7 +136,9 @@ def _contract(xi: np.ndarray, rows, out: np.ndarray) -> None:
 def nonlinear_rhs(state: StateField, check_solenoidal: bool = True
                   ) -> tuple[np.ndarray, float]:
     """Spectral increment N = (Nu, Nw, Nb) of the quadratic terms, plus the
-    Elsasser speed max(|u| + |b|) of the masked state.
+    Elsasser speed max(|u| + |b|) over the grid points of the masked state:
+    the speed of u +- b, which bounds the explicit transport by u in
+    (u.grad) and by b in (b.grad).
 
     Nu = P[(b.grad)b - (u.grad)u] = P[div(b(x)b - u(x)u)]
     Nw = -(u.grad)w               = -div(u(x)w)
@@ -173,14 +177,7 @@ def nonlinear_rhs(state: StateField, check_solenoidal: bool = True
     N[6:9] = curl(grid, spec[6:9])
     N *= mask
     N[0:3] = leray_project(grid, N[0:3])
-    return N, _elsasser_speed(u, b)
-
-
-def _elsasser_speed(u: np.ndarray, b: np.ndarray) -> float:
-    """max(|u| + |b|) over the grid points of physical u and b: the speed of
-    the Elsasser variables u +- b, which bounds the explicit transport by u
-    in (u.grad) and by b in (b.grad)."""
-    return float((np.sqrt((u ** 2).sum(axis=0)) + np.sqrt((b ** 2).sum(axis=0))).max())
+    return N, float((np.sqrt((u ** 2).sum(axis=0)) + np.sqrt((b ** 2).sum(axis=0))).max())
 
 
 def _advect(field_phys: np.ndarray, grad_phys: np.ndarray) -> np.ndarray:
@@ -238,40 +235,39 @@ def tensor_bound_report(state: StateField) -> dict:
 def step(state: StateField, params: PhysParams, dt: float) -> StateField:
     """Advance one ETD-RK2 step; linear part exact, nonlinearity explicit."""
     prop = get_propagator(state.grid, params)
-    z, _ = _step_arrays(prop, state.z, state.grid, dt, "etd-rk2")
-    return state.with_coeffs(z)
+    N, _ = nonlinear_rhs(state, check_solenoidal=False)
+    return state.with_coeffs(_step_arrays(prop, state.z, N, state.grid, dt, "etd-rk2"))
 
 
-def _step_arrays(prop: GridPropagator, z: np.ndarray, grid: Grid, dt: float, scheme: str):
-    """One step on a raw (9, ...) coefficient array; returns the new array
-    and the Elsasser speed of the step's starting state."""
+def _step_arrays(prop: GridPropagator, z: np.ndarray, N: np.ndarray, grid: Grid,
+                 dt: float, scheme: str) -> np.ndarray:
+    """One step on a raw (9, ...) coefficient array from its right-hand
+    side N = N(z), which is the first stage; returns the new array."""
 
     def rhs(arr):
-        return nonlinear_rhs(StateField(grid, arr), check_solenoidal=False)
+        return nonlinear_rhs(StateField(grid, arr), check_solenoidal=False)[0]
 
     if scheme == "etd-rk2":
-        N, speed = rhs(z)
         a = prop.apply(z, dt, kind="exp")
         a += dt * prop.apply(N, dt, kind="phi1")
-        dN, _ = rhs(a)
+        dN = rhs(a)
         dN -= N
         # the result is a new array: allocated last, it sits above the step's
         # freed transients, so malloc keeps them mapped for the next step
         # rather than trimming them and faulting them back in
-        return a + dt * prop.apply(dN, dt, kind="phi2"), speed
+        return a + dt * prop.apply(dN, dt, kind="phi2")
 
     if scheme == "if-rk4":
-        k1, speed = rhs(z)
         stage = prop.apply(z, dt / 2, kind="exp")
-        k2, _ = rhs(prop.apply(z + (dt / 2) * k1, dt / 2, kind="exp"))
+        k2 = rhs(prop.apply(z + (dt / 2) * N, dt / 2, kind="exp"))
         stage += (dt / 2) * k2
-        k3, _ = rhs(stage)
+        k3 = rhs(stage)
         Ez = prop.apply(z, dt, kind="exp")
         k3 = prop.apply(k3, dt / 2, kind="exp")
-        k4, _ = rhs(Ez + dt * k3)
+        k4 = rhs(Ez + dt * k3)
         k2 = prop.apply(k2, dt / 2, kind="exp")
         k2 += k3
-        return Ez + (dt / 6.0) * (prop.apply(k1, dt, kind="exp") + 2.0 * k2 + k4), speed
+        return Ez + (dt / 6.0) * (prop.apply(N, dt, kind="exp") + 2.0 * k2 + k4)
 
     raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -358,26 +354,23 @@ def simulate(config: SolverConfig, z0: StateField,
             f"z0: u or b not solenoidal: relative divergence "
             f"{traj.diagnostics['max_divergence']:.3e}")
 
-    # the Elsasser speed of the masked z0 as nonlinear_rhs reports it; each
-    # step then returns the speed of the state it started from
-    ub = _grid.inverse(z[[0, 1, 2, 6, 7, 8]] * grid.dealias_mask)
-    speed = _elsasser_speed(ub[0:3], ub[3:6])
-    del ub
     for k in range(1, n_outputs + 1):
         t_target = k * output_dt
         remaining = steps_per_output
         while remaining:
+            # the step's first stage, with the speed of the state it advances
+            N, speed = nonlinear_rhs(StateField(grid, z), check_solenoidal=False)
+            if not np.isfinite(speed):
+                raise BlowupError(t_target - (remaining - 1) * dt, trajectory=traj)
             # CFL check before every step.  dt only ever halves, and the
             # remaining steps double with it, so output times stay exact.
-            while np.isfinite(speed) and dt * speed * grid.n / grid.length > CFL_LIMIT:
+            while dt * speed * grid.n / grid.length > CFL_LIMIT:
                 dt *= 0.5
                 remaining *= 2
                 steps_per_output *= 2
                 traj.diagnostics["cfl_halvings"] += 1
-            z, speed = _step_arrays(prop, z, grid, dt, config.scheme)
+            z = _step_arrays(prop, z, N, grid, dt, config.scheme)
             remaining -= 1
-            if not np.isfinite(speed):
-                raise BlowupError(t_target - remaining * dt, trajectory=traj)
         if not np.isfinite(z).all():
             raise BlowupError(t_target, trajectory=traj)
         record(t_target, z, prop.apply(z0.z, t_target, kind="exp") if pair_linear else None)

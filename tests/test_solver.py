@@ -202,7 +202,8 @@ class TestStep:
             from mmplab.solver import _step_arrays
             z = np.array(z0.z)
             for _ in range(int(round(t_end / dt))):
-                z, _ = _step_arrays(prop, z, grid, dt, "etd-rk2")
+                z = _step_arrays(prop, z, nonlinear_rhs(z0.with_coeffs(z))[0],
+                                 grid, dt, "etd-rk2")
             return z
 
         z1, z2, z3 = advance(0.1), advance(0.05), advance(0.025)
@@ -220,7 +221,8 @@ class TestStep:
         def advance(scheme, dt, t_end=0.4):
             z = np.array(z0.z)
             for _ in range(int(round(t_end / dt))):
-                z, _ = _step_arrays(prop, z, grid, dt, scheme)
+                z = _step_arrays(prop, z, nonlinear_rhs(z0.with_coeffs(z))[0],
+                                 grid, dt, scheme)
             return z
 
         ref = advance("if-rk4", 0.0125)
@@ -315,12 +317,17 @@ class TestSimulate:
         assert a.norm_rows == b.norm_rows
 
     def test_two_rhs_evaluations_per_etdrk2_step(self, params, monkeypatch):
-        # the first CFL speed comes from u alone, not from a discarded N(z0)
+        # each step's CFL speed comes with its first stage N(z_n), so no
+        # evaluation or inverse transform is spent on the speed alone
+        import mmplab.grid
         import mmplab.solver as solver
-        calls = []
+        calls, inverses = [], []
         real = solver.nonlinear_rhs
         monkeypatch.setattr(solver, "nonlinear_rhs",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        real_inverse = mmplab.grid.inverse
+        monkeypatch.setattr(mmplab.grid, "inverse",
+                            lambda *a, **kw: inverses.append(1) or real_inverse(*a, **kw))
         grid = Grid(8, 2 * np.pi)
         z0 = generate_data_with_character(grid, 0.0, seed=3, amplitude=1e-2)
         cfg = SolverConfig(grid=grid, params=params, dt=0.1, t_end=0.6,
@@ -328,6 +335,7 @@ class TestSimulate:
         traj = simulate(cfg, z0)
         assert traj.diagnostics["cfl_halvings"] == 0
         assert len(calls) == 2 * 6
+        assert len(inverses) == 2 * 6
 
     def test_magnetic_zero_stays_zero(self, params):
         grid = Grid(16, 2 * np.pi)
@@ -412,17 +420,23 @@ class TestSimulate:
         # within one output interval.  A check on max|u| at output
         # boundaries saw u = 0 and blew up at t = 0.5; the Elsasser speed
         # max(|u| + |b|), checked before every step, halves dt in time.
+        # Started at CFL 0.49, the second step begins above CFL_LIMIT, which
+        # a check on the speed of the previous step's state misses.
         grid = Grid(16, 2 * np.pi)
         params = PhysParams(mu=0.01, gamma=0.01, chi=0.5, nu=0.01)
         full = generate_data_with_character(grid, 0.0, seed=1, amplitude=1000.0)
-        z0 = np.concatenate([np.zeros_like(full.uhat), np.zeros_like(full.what), full.bhat])
-        cfg = SolverConfig(grid=grid, params=params, dt=0.05, t_end=1.0,
-                           output_every=10)
-        traj = simulate(cfg, StateField(grid, z0))
-        assert traj.times == [0.0, 0.5, 1.0]
-        assert traj.diagnostics["cfl_halvings"] >= 1
-        assert all(np.isfinite(v) for row in traj.norm_rows for v in row.values()
-                   if v is not None)
+        z0 = StateField(grid, np.concatenate(
+            [np.zeros_like(full.uhat), np.zeros_like(full.what), full.bhat]))
+        dt_049 = 0.49 * grid.length / (grid.n * nonlinear_rhs(z0)[1])
+        for dt, output_every, times in ((0.05, 10, [0.0, 0.5, 1.0]),
+                                        (dt_049, 2, [0.0, 2 * dt_049])):
+            cfg = SolverConfig(grid=grid, params=params, dt=dt, t_end=times[-1],
+                               output_every=output_every)
+            traj = simulate(cfg, z0)
+            assert traj.times == times
+            assert traj.diagnostics["cfl_halvings"] >= 1
+            assert all(np.isfinite(v) for row in traj.norm_rows
+                       for v in row.values() if v is not None)
 
     def test_bound_invalid_warns(self, grid8):
         p = PhysParams(mu=0.05, gamma=0.05, chi=0.05, nu=1.0)
