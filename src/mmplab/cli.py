@@ -83,23 +83,21 @@ def cmd_linear_decay(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_run(args) -> int:
     from .harness import RunConfig, execute_run
+    from .solver import BlowupError
     config = RunConfig.from_file(args.config)
-    out, traj = execute_run(config, out_dir=args.out,
-                            record_tensor=args.record_tensor)
+    out = Path(args.out if args.out is not None else config.get("output", "dir"))
+    try:
+        _, traj = execute_run(config, out_dir=out, pair_linear=args.pair_linear,
+                              record_tensor=args.record_tensor)
+        failure = {}
+    except BlowupError as err:
+        # execute_run has written the run directory up to the last output
+        traj, failure = err.trajectory, {"error": str(err), "blowup_t": err.t}
     _print_json({"run_dir": str(out), "outputs": len(traj.times),
-                 "diagnostics": traj.diagnostics})
-    return 0
-
-
-def cmd_compare_linear(args) -> int:
-    from .harness import RunConfig, compare_linear
-    config = RunConfig.from_file(args.config)
-    out, traj = compare_linear(config, out_dir=args.out)
-    _print_json({"run_dir": str(out), "outputs": len(traj.times),
-                 "diagnostics": traj.diagnostics})
-    return 0
+                 "diagnostics": traj.diagnostics, **failure})
+    return 1 if failure else 0
 
 
 def cmd_fit_rate(args) -> int:
@@ -191,13 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--record-tensor", action="store_true",
                    help="audit the modewise nonlinear Fourier bound at outputs")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_run, pair_linear=False)
 
     p = sub.add_parser("compare-linear",
                        help="paired nonlinear/linear run with difference norms")
     p.add_argument("--config", type=str, required=True)
     p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_compare_linear)
+    p.set_defaults(func=cmd_run, pair_linear=True, record_tensor=False)
 
     p = sub.add_parser("fit-rate", help="fit a decay exponent from a CSV column")
     p.add_argument("--csv", type=str, required=True)

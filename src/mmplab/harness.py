@@ -182,10 +182,13 @@ def read_series_csv(path) -> dict[str, np.ndarray]:
     return {name: np.array(vals) for name, vals in cols.items()}
 
 
-def execute_run(config: RunConfig, out_dir=None, pair_linear: bool = False,
+def execute_run(config: RunConfig, out_dir, pair_linear: bool = False,
                 record_tensor: bool = False) -> tuple[Path, Trajectory]:
-    """Run a simulation into a run directory; returns (dir, trajectory)."""
-    out = Path(out_dir) if out_dir is not None else Path(config.get("output", "dir"))
+    """Run a simulation into a run directory; returns (dir, trajectory).
+
+    A run that blows up writes the same files up to its last output, then
+    raises the BlowupError."""
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     manifest = RunManifest(config_hash=config.config_hash(),
@@ -239,12 +242,6 @@ def execute_run(config: RunConfig, out_dir=None, pair_linear: bool = False,
     if error is not None:
         raise error
     return out, traj
-
-
-def compare_linear(config: RunConfig, out_dir=None) -> tuple[Path, Trajectory]:
-    """Nonlinear and exact linear evolution from the same datum on the same
-    grid, with the difference norms recorded alongside the usual columns."""
-    return execute_run(config, out_dir=out_dir, pair_linear=True)
 
 
 def _to_ini(config: RunConfig) -> str:

@@ -206,6 +206,26 @@ class TestRunDirectory:
         assert manifest["summary"]["blowup_t"] == err.value.t
         assert manifest["artifacts"]["snapshots"] == "snapshots/"
 
+    @pytest.mark.parametrize("command", ["simulate", "compare-linear"])
+    def test_blowup_exits_one_with_json(self, command, tmp_path, capsys):
+        # exit 1 with the run's JSON on stdout, as for any check failure
+        import warnings
+        config = tmp_path / "nan.ini"
+        config.write_text(CONFIG_TEXT.replace("n = 16", "n = 8").replace(
+            "amplitude = 0.01", "amplitude = nan"))
+        out = tmp_path / "boom"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = main([command, "--config", str(config), "--out", str(out)])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert payload["run_dir"] == str(out)
+        assert payload["outputs"] == 1
+        assert payload["diagnostics"]["cfl_halvings"] == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert payload["blowup_t"] == manifest["summary"]["blowup_t"] > 0
+        assert payload["error"] == manifest["summary"]["error"]
+
     def test_save_snapshots(self, tmp_path):
         cfg = RunConfig.from_text(CONFIG_TEXT.replace(
             "save_snapshots = false", "save_snapshots = true"))
