@@ -11,7 +11,7 @@ cancels, to binding checks.  Radial continuum runs carry quantitative rows.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +23,11 @@ DEFAULT_TOL_TORUS_DIFF = 0.3
 
 @dataclass(frozen=True)
 class NormSeries:
-    """A named time series of a squared norm, with optional fit results."""
+    """A named time series of a squared norm."""
 
     name: str
     times: np.ndarray
     values: np.ndarray
-    fitted_exponent: float | None = None
-    fit_window: tuple[float, float] | None = None
-    residual: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -41,11 +38,6 @@ class NormSeries:
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-
-    def fitted(self, window: tuple[float, float]) -> "NormSeries":
-        exponent, residual = fit_decay_exponent(self, window)
-        return replace(self, fitted_exponent=exponent,
-                       fit_window=tuple(window), residual=residual)
 
 
 def fit_decay_exponent(series: NormSeries | tuple,

@@ -40,11 +40,11 @@ def cmd_symbol_check(args) -> int:
 
 
 def cmd_decay_char(args) -> int:
-    from .decay_character import SpectralProfile, estimate_decay_character
+    from .decay_character import ShellProfile, SpectralProfile, estimate_decay_character
     if args.field:
         from .snapshots import read_snapshot
         state = read_snapshot(args.field)
-        profile = SpectralProfile.from_state(state, component=args.component)
+        profile = ShellProfile.from_state(state, component=args.component)
     else:
         profile = SpectralProfile.power_law(args.r, cutoff_radius=args.cutoff_radius,
                                             cutoff=args.cutoff)

@@ -8,18 +8,18 @@ against log rho over a window of small radii: E(rho) ~ rho^{2r*+3} means
 r* = (slope - 3)/2.  Profiles whose mass oscillates (no limit exists) are
 classified as boundary cases and no r* is asserted.
 
-Profiles come in two kinds.  Analytic profiles carry a callable shell
-density dE/drho and are integrated adaptively; they are the authoritative
-path for quantitative work.  Sampled profiles come from gridded fields via
-shell binning at the fundamental wavenumber; only a handful of shells are
-usable at desk-scale resolution, so grid estimates carry roughly +-0.2
-uncertainty.
+Profiles come as two types.  A SpectralProfile carries a callable shell
+density dE/drho and is integrated adaptively; it is the authoritative path
+for quantitative work.  A ShellProfile bins a gridded field into shells at
+the fundamental wavenumber; only a handful of shells are usable at
+desk-scale resolution, so grid estimates carry roughly +-0.2 uncertainty.
+Both offer ball_mass, default_window, sample_radii and boundary_residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy import integrate
@@ -34,22 +34,21 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralProfile:
-    """Radial description of the spectral mass of an initial datum.
+    """Analytic radial description of the spectral mass of an initial datum.
 
-    kind            "analytic" or "sampled"
-    radial_density  dE/drho: callable for analytic profiles, else None
-    rho_edges       shell edges for sampled profiles (ascending, from 0)
-    shell_masses    mass per shell for sampled profiles
+    radial_density  dE/drho, a scalar callable (quad needs the scalar contract)
     support_radius  radius beyond which the density is (numerically) zero
     description     free-form label used in reports
     """
 
-    kind: str
-    radial_density: Callable[[float], float] | None = None
-    rho_edges: np.ndarray | None = None
-    shell_masses: np.ndarray | None = None
+    radial_density: Callable[[float], float]
     support_radius: float = np.inf
     description: str = ""
+
+    kind: ClassVar[str] = "analytic"
+    # Analytic profiles follow power laws to quadrature accuracy, so any
+    # sizable residual signals genuinely oscillatory mass (no limit).
+    boundary_residual: ClassVar[float] = 0.1
 
     @classmethod
     def power_law(cls, r: float, cutoff_radius: float = 1.0,
@@ -64,32 +63,69 @@ class SpectralProfile:
         four_pi = 4.0 * np.pi
 
         if cutoff == "hard":
-            def density(rho, _r=r, _a=amplitude, _c=cutoff_radius):
+            def density(rho):
                 rho = float(rho)
-                if rho <= 0 or rho > _c:
+                if rho <= 0 or rho > cutoff_radius:
                     return 0.0
-                return four_pi * _a * rho ** (2 * _r + 2)
+                return four_pi * amplitude * rho ** (2 * r + 2)
             support = cutoff_radius
         else:
-            def density(rho, _r=r, _a=amplitude, _c=cutoff_radius):
+            def density(rho):
                 rho = float(rho)
                 if rho <= 0:
                     return 0.0
-                return four_pi * _a * rho ** (2 * _r + 2) * np.exp(-(rho / _c) ** 2)
+                return (four_pi * amplitude * rho ** (2 * r + 2)
+                        * np.exp(-(rho / cutoff_radius) ** 2))
             support = 8.0 * cutoff_radius
-        return cls(kind="analytic", radial_density=density,
-                   support_radius=support,
+        return cls(density, support_radius=support,
                    description=f"power r={r:g} cutoff={cutoff}")
 
-    @classmethod
-    def from_density(cls, density: Callable[[float], float],
-                     support_radius: float = np.inf) -> "SpectralProfile":
-        return cls(kind="analytic", radial_density=density,
-                   support_radius=support_radius)
+    def ball_mass(self, rho: float) -> float:
+        """E(rho) = integral of the shell density over [0, rho]."""
+        rho = float(rho)
+        if rho <= 0:
+            return 0.0
+        upper = min(rho, self.support_radius)
+        val, err, info, *rest = integrate.quad(
+            self.radial_density, 0.0, upper, epsabs=0.0, epsrel=1e-10,
+            limit=200, full_output=1)
+        if rest:
+            raise QuadratureError(
+                f"shell integration failed at rho={rho:g}: {rest[0]}")
+        if val != 0 and err > 1e-6 * abs(val):
+            raise QuadratureError(
+                f"shell integration did not converge at rho={rho:g} "
+                f"(estimate {val:g}, error {err:g})")
+        return val
+
+    def default_window(self) -> tuple[float, float]:
+        hi = min(1e-1, 0.5 * self.support_radius)
+        return (1e-2 * hi, hi)
+
+    def sample_radii(self, lo: float, hi: float) -> np.ndarray:
+        return np.geomspace(lo, hi, 24)
+
+
+@dataclass(frozen=True)
+class ShellProfile:
+    """Shell-binned spectral mass of a gridded field.
+
+    rho_edges     shell edges (ascending, from 0)
+    shell_masses  mass per shell
+    description   free-form label used in reports
+    """
+
+    rho_edges: np.ndarray
+    shell_masses: np.ndarray
+    description: str
+
+    kind: ClassVar[str] = "sampled"
+    # Grid shells wobble from lattice counting alone, hence the looser gate.
+    boundary_residual: ClassVar[float] = 0.3
 
     @classmethod
     def from_spectral_array(cls, grid: Grid, *spectral_arrays: np.ndarray,
-                            description: str = "") -> "SpectralProfile":
+                            description: str = "") -> "ShellProfile":
         """Shell-binned profile of gridded coefficients (bin = fundamental).
 
         Shell j collects modes with (j-1) dk < |xi| <= j dk, so the ball
@@ -105,64 +141,46 @@ class SpectralProfile:
             mag = (np.abs(arr) ** 2).sum(axis=0) if arr.ndim == 4 else np.abs(arr) ** 2
             np.add.at(masses, shell_index, mag * grid.multiplicity)
         masses *= grid.volume
-        edges = dk * np.arange(n_shells)
-        return cls(kind="sampled", rho_edges=edges, shell_masses=masses,
-                   support_radius=float(edges[-1]), description=description)
+        return cls(dk * np.arange(n_shells), masses, description)
 
     @classmethod
-    def from_state(cls, state: StateField, component: str = "z") -> "SpectralProfile":
+    def from_state(cls, state: StateField, component: str = "z") -> "ShellProfile":
         arrays = {"z": state.components(), "u": (state.uhat,),
                   "w": (state.what,), "b": (state.bhat,)}[component]
         return cls.from_spectral_array(state.grid, *arrays,
                                        description=f"grid field, component {component}")
 
     def ball_mass(self, rho: float) -> float:
-        """E(rho) = integral of the shell density over [0, rho]."""
+        """E(rho): the summed masses of every shell whose edge is <= rho."""
         rho = float(rho)
         if rho <= 0:
             return 0.0
-        if self.kind == "analytic":
-            upper = min(rho, self.support_radius)
-            val, err, info, *rest = integrate.quad(
-                self.radial_density, 0.0, upper, epsabs=0.0, epsrel=1e-10,
-                limit=200, full_output=1)
-            if rest:
-                raise QuadratureError(
-                    f"shell integration failed at rho={rho:g}: {rest[0]}")
-            if val != 0 and err > 1e-6 * abs(val):
-                raise QuadratureError(
-                    f"shell integration did not converge at rho={rho:g} "
-                    f"(estimate {val:g}, error {err:g})")
-            return val
         cum = np.cumsum(self.shell_masses)
         idx = int(np.searchsorted(self.rho_edges, rho * (1 + 1e-12), side="right")) - 1
         if idx < 0:
             return 0.0
         return float(cum[min(idx, cum.size - 1)])
 
-    def total_mass(self) -> float:
-        if self.kind == "sampled":
-            return float(self.shell_masses.sum())
-        return self.ball_mass(self.support_radius)
-
     def default_window(self) -> tuple[float, float]:
-        if self.kind == "analytic":
-            hi = min(1e-1, 0.5 * self.support_radius)
-            return (1e-2 * hi, hi)
         # Skip the first shell: its handful of modes carries the worst
         # lattice-count irregularity and poisons the slope.
         dk = float(self.rho_edges[1])
         top = min(12, len(self.rho_edges) - 1)
         return (2.0 * dk, top * dk)
 
+    def sample_radii(self, lo: float, hi: float) -> np.ndarray:
+        edges = self.rho_edges
+        rhos = edges[(edges >= lo * (1 - 1e-12)) & (edges <= hi * (1 + 1e-12))]
+        return rhos[rhos > 0]
+
 
 @dataclass(frozen=True)
 class DecayCharacterEstimate:
     """Fitted decay character with diagnostics.
 
-    r_star is None when the fit residual exceeds the boundary threshold,
-    meaning the data do not follow a power law over the window and no
-    decay character is asserted.
+    r_star is None when the fit residual exceeds the profile's boundary
+    residual, meaning the data do not follow a power law over the window
+    and no decay character is asserted.
     """
 
     r_star: float | None
@@ -173,37 +191,27 @@ class DecayCharacterEstimate:
     boundary: bool
     kind: str
 
-    # Analytic profiles follow power laws to quadrature accuracy, so any
-    # sizable residual signals genuinely oscillatory mass (no limit).  Grid
-    # shells wobble from lattice counting alone, hence the looser gate.
-    BOUNDARY_RESIDUAL = 0.1
-    BOUNDARY_RESIDUAL_SAMPLED = 0.3
 
-
-def decay_indicator(profile: SpectralProfile, r: float, rho: float) -> float:
+def decay_indicator(profile: SpectralProfile | ShellProfile, r: float,
+                    rho: float) -> float:
     """rho^{-2r-3} E(rho), the finite-radius decay indicator."""
     if rho <= 0:
         raise ValueError("rho must be positive")
     return rho ** (-2.0 * r - 3.0) * profile.ball_mass(rho)
 
 
-def estimate_decay_character(profile: SpectralProfile,
+def estimate_decay_character(profile: SpectralProfile | ShellProfile,
                              rho_window: tuple[float, float] | None = None
                              ) -> DecayCharacterEstimate:
-    """Least-squares slope of log E(rho) vs log rho at 24 log-spaced radii
-    (the shell edges for sampled profiles); r* = (slope - 3)/2."""
+    """Least-squares slope of log E(rho) vs log rho at the profile's sample
+    radii; r* = (slope - 3)/2."""
     if rho_window is None:
         rho_window = profile.default_window()
     lo, hi = rho_window
     if not 0 < lo < hi:
         raise ValueError(f"invalid window {rho_window}")
 
-    if profile.kind == "sampled":
-        edges = profile.rho_edges
-        rhos = edges[(edges >= lo * (1 - 1e-12)) & (edges <= hi * (1 + 1e-12))]
-        rhos = rhos[rhos > 0]
-    else:
-        rhos = np.geomspace(lo, hi, 24)
+    rhos = profile.sample_radii(lo, hi)
     if rhos.size < 8:
         raise ValueError(f"need at least 8 sample radii in window, got {rhos.size}")
 
@@ -217,10 +225,7 @@ def estimate_decay_character(profile: SpectralProfile,
     residual = float(np.abs(log_mass - (slope * log_rho + intercept)).max())
 
     r_star = (slope - 3.0) / 2.0
-    threshold = (DecayCharacterEstimate.BOUNDARY_RESIDUAL
-                 if profile.kind == "analytic"
-                 else DecayCharacterEstimate.BOUNDARY_RESIDUAL_SAMPLED)
-    boundary = residual > threshold
+    boundary = residual > profile.boundary_residual
     p_table = [(float(rho), float(rho ** (-2 * r_star - 3) * m))
                for rho, m in zip(rhos, masses)]
     return DecayCharacterEstimate(
@@ -236,17 +241,15 @@ def estimate_decay_character(profile: SpectralProfile,
 
 def combine_profiles(*profiles: SpectralProfile) -> SpectralProfile:
     """Profile of the concatenated datum: shell masses add."""
-    if all(p.kind == "analytic" for p in profiles):
-        densities = [p.radial_density for p in profiles]
+    if not all(isinstance(p, SpectralProfile) for p in profiles):
+        raise ValueError("combine_profiles expects analytic profiles")
+    densities = tuple(p.radial_density for p in profiles)
 
-        def density(rho, _ds=tuple(densities)):
-            return sum(d(rho) for d in _ds)
+    def density(rho):
+        return sum(d(rho) for d in densities)
 
-        return SpectralProfile(
-            kind="analytic", radial_density=density,
-            support_radius=max(p.support_radius for p in profiles),
-            description=" + ".join(p.description for p in profiles))
-    raise ValueError("combine_profiles expects analytic profiles")
+    return SpectralProfile(density, support_radius=max(p.support_radius for p in profiles),
+                           description=" + ".join(p.description for p in profiles))
 
 
 def min_rule_check(u_profile: SpectralProfile, w_profile: SpectralProfile,

@@ -31,7 +31,7 @@ CSV_COLUMNS = ("t", "l2_z_sq", "l2_u_sq", "l2_w_sq", "l2_b_sq", "h1_z_sq",
                "h1_w_sq", "h2_z_sq", "ball_integral", "l2_diff_z_sq",
                "l2_diff_w_sq")
 
-LINEAR_CSV_COLUMNS = ("t", "l2_z_sq", "l2_u_sq", "l2_w_sq", "l2_b_sq", "h1_z_sq")
+LINEAR_CSV_COLUMNS = CSV_COLUMNS[:8]  # t and the seven norms of norms_at
 
 _DEFAULTS = {
     ("grid", "n"): "32",
@@ -69,12 +69,19 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        parser = configparser.ConfigParser()
-        parser.read_string(text)
+        """Parse literal INI values; bad text or an unknown key is a ValueError."""
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            parser.read_string(text)
+        except configparser.Error as exc:
+            raise ValueError(f"malformed config: {exc}") from exc
         raw = dict(_DEFAULTS)
         for section in parser.sections():
             for key, value in parser.items(section):
-                raw[(section.lower(), key.lower())] = value.strip()
+                name = (section.lower(), key.lower())
+                if name not in _DEFAULTS:
+                    raise ValueError(f"unknown config key {name[0]}.{name[1]}")
+                raw[name] = value.strip()
         return cls(raw=raw)
 
     @classmethod
@@ -91,7 +98,11 @@ class RunConfig:
         return int(self.get(section, key))
 
     def getbool(self, section, key):
-        return self.get(section, key).lower() in ("1", "true", "yes", "on")
+        value = self.get(section, key)
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+        except KeyError:
+            raise ValueError(f"{section}.{key} = {value!r} is not a boolean") from None
 
     def canonical_text(self) -> str:
         lines = [f"{sec}.{key}={val}" for (sec, key), val in sorted(self.raw.items())]
@@ -188,17 +199,17 @@ def execute_run(config: RunConfig, out_dir, pair_linear: bool = False,
 
     A run that blows up writes the same files up to its last output, then
     raises the BlowupError."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     manifest = RunManifest(config_hash=config.config_hash(),
                            seed=config.getint("init", "seed"),
                            code_version=__version__, started=_now())
-    (out / "config.ini").write_text(_to_ini(config))
-
+    # read every config value before writing, so a bad one leaves no run dir
     z0 = config.initial_state()
     solver_cfg = config.solver_config()
     save_snaps = config.getbool("output", "save_snapshots")
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.ini").write_text(_to_ini(config))
     error = None
     try:
         traj = simulate(solver_cfg, z0, pair_linear=pair_linear,

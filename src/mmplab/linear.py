@@ -132,8 +132,6 @@ def make_radial_state(profile: SpectralProfile, params: PhysParams,
     across the three components with the polarization of
     :func:`_polarization` on the fixed node direction.
     """
-    if profile.kind != "analytic":
-        raise ValueError("radial states need an analytic profile")
     rho_max = min(rho_max, profile.support_radius)
     n_panels = max(int(np.ceil(per_decade * np.log10(rho_max / rho_min)))
                    // _GL_X.size, 1)
@@ -165,8 +163,6 @@ def realize_profile_on_grid(grid, profile: SpectralProfile) -> StateField:
     directly on the stored half spectrum.  Support is restricted to the
     dealiased mode set.
     """
-    if profile.kind != "analytic":
-        raise ValueError("grid realization needs an analytic profile")
     z = np.zeros((9,) + grid.spectral_shape, dtype=complex)
     mags = grid.xi_mag
     # One lattice cell covers d^3 xi = (2 pi / L)^3, and the package norm is
@@ -233,8 +229,6 @@ def heat_bound_check(profile: SpectralProfile, t_samples) -> dict:
 
     and reports the smallest K per case over the sampled times.
     """
-    if profile.kind != "analytic":
-        raise ValueError("heat bound check needs an analytic profile")
     t_samples = np.asarray(t_samples, dtype=float)
     if np.any(t_samples <= 0):
         raise ValueError("t samples must be positive")

@@ -88,9 +88,8 @@ class SectorKernel:
     """
 
     def __init__(self, coupling: np.ndarray, xi_sq: np.ndarray, params: PhysParams):
-        # v x (chi coupling) = v[[1, 2, 0]] * rot_a - v[[2, 0, 1]] * rot_b
-        self.rot_a = params.chi * coupling[[2, 0, 1]]
-        self.rot_b = params.chi * coupling[[1, 2, 0]]
+        # the rotational coupling enters as the cross product v x (chi coupling)
+        self.rot = params.chi * coupling
         q2 = (coupling ** 2).sum(axis=0)
         # unit vector of the longitudinal pair; 1/q2 would overflow for
         # subnormal q2, where the pair's weights equal the transverse ones
@@ -116,13 +115,14 @@ class SectorKernel:
         w_t = alpha - beta * self.b
         u_l = f(-t * self.a) - u_t
         w_l = f(t * self.lam_w_long) - w_t
-        d, ra, rb, c = self.direction, self.rot_a, self.rot_b, 1j * beta
+        d, q, c = self.direction, self.rot, 1j * beta
         u, w, b = z[0:3], z[3:6], z[6:9]
         out = np.empty(z.shape, dtype=complex)
         for o, x, y, x_t, x_l in ((out[0:3], u, w, u_t, u_l), (out[3:6], w, u, w_t, w_l)):
             np.multiply(x_t, x, out=o)
             o += x_l * (d * x).sum(0) * d
-            o += c * (y[[1, 2, 0]] * ra - y[[2, 0, 1]] * rb)
+            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                o[i] += c * (y[j] * q[k] - y[k] * q[j])
         np.multiply(f(t * self.lam_mag), b, out=out[6:9])
         return out
 

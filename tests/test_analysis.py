@@ -50,9 +50,8 @@ class TestFit:
     def test_norm_series_fitted_copy(self):
         t = np.linspace(0.0, 100.0, 40)
         series = NormSeries("demo", t, (1.0 + t) ** -2.0)
-        fit = series.fitted((0.0, 100.0))
-        assert fit.fitted_exponent == pytest.approx(-2.0, abs=1e-10)
-        assert series.fitted_exponent is None
+        exponent, _ = fit_decay_exponent(series, (0.0, 100.0))
+        assert exponent == pytest.approx(-2.0, abs=1e-10)
 
     def test_series_validation(self):
         with pytest.raises(ValueError):

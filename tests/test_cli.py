@@ -13,8 +13,8 @@ from mmplab.cli import main
 from mmplab.fields import Grid
 from mmplab.decay_character import generate_data_with_character
 from mmplab.grid import full_spectrum
-from mmplab.harness import (CSV_COLUMNS, RunConfig, execute_run, format_float,
-                            read_series_csv, report_from_run)
+from mmplab.harness import (CSV_COLUMNS, RunConfig, _to_ini, execute_run,
+                            format_float, read_series_csv, report_from_run)
 from mmplab.snapshots import (SnapshotFormatError, read_snapshot,
                               write_snapshot, MAGIC)
 
@@ -83,6 +83,7 @@ class TestCliBasics:
         assert rc == 0
         assert out["r_star"] == pytest.approx(0.5, abs=0.05)
         assert not out["boundary"]
+        assert out["kind"] == "analytic"
 
     def test_symbol_check_reports_violations_honestly(self, capsys):
         rc = main(["symbol-check", "--samples", "500", "--seed", "1"])
@@ -110,7 +111,7 @@ class TestCliBasics:
                    "--t-hi", "100", "--n-times", "6", "--per-decade", "16"])
         lines = capsys.readouterr().out.strip().splitlines()
         assert rc == 0
-        assert lines[0] == "t,l2_z_sq,l2_u_sq,l2_w_sq,l2_b_sq,h1_z_sq"
+        assert lines[0] == "t,l2_z_sq,l2_u_sq,l2_w_sq,l2_b_sq,h1_z_sq,h1_w_sq,h2_z_sq"
         assert len(lines) == 7
 
 
@@ -136,6 +137,33 @@ class TestConfig:
     def test_fit_window_defaults_to_last_two_decades(self):
         cfg = RunConfig.from_text(CONFIG_TEXT)
         assert cfg.fit_window(1000.0) == (10.0, 1000.0)
+
+    @pytest.mark.parametrize("text, message", [
+        ("dir = run\n", "section header"),
+        ("[time]\noutputevery = 20\n", "time.outputevery"),
+        ("[output]\nsave_snapshots = ture\n", "output.save_snapshots"),
+    ], ids=["no-section-header", "unknown-key", "not-a-boolean"])
+    def test_input_errors_are_value_errors(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig.from_text(text).getbool("output", "save_snapshots")
+
+    def test_values_are_literal(self):
+        cfg = RunConfig.from_text("[output]\ndir = out_50%\n")
+        assert cfg.get("output", "dir") == "out_50%"
+        assert RunConfig.from_text(_to_ini(cfg)).raw == cfg.raw
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("output_every", "outputevery", "unknown config key time.outputevery"),
+        ("save_snapshots = false", "save_snapshots = ture", "'ture' is not a boolean"),
+    ], ids=["unknown-key", "not-a-boolean"])
+    def test_bad_config_exits_with_error(self, tmp_path, capsys, old, new, message):
+        config = tmp_path / "bad.ini"
+        config.write_text(CONFIG_TEXT.replace(old, new))
+        rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestRunDirectory:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from mmplab.decay_character import (SpectralProfile, combine_profiles,
-                                    decay_indicator, estimate_decay_character,
+from mmplab.decay_character import (ShellProfile, SpectralProfile,
+                                    combine_profiles, decay_indicator,
+                                    estimate_decay_character,
                                     generate_data_with_character,
                                     min_rule_check)
 from mmplab.fields import Grid, l2_norm_sq, leray_project
@@ -62,7 +63,7 @@ class TestEstimator:
         # continuous nonzero spectral density at the origin: r* = 0
         def density(rho):
             return FOUR_PI * rho ** 2 * (1.0 + rho) if rho <= 1 else 0.0
-        prof = SpectralProfile.from_density(density, support_radius=1.0)
+        prof = SpectralProfile(density, support_radius=1.0)
         est = estimate_decay_character(prof)
         assert abs(est.r_star - 0.0) < 0.05
 
@@ -76,7 +77,7 @@ class TestEstimator:
         def density(rho):
             lr = np.log(rho)
             return rho ** 2 * (3.0 * (1.0 + np.sin(lr) ** 2) + np.sin(2 * lr))
-        prof = SpectralProfile.from_density(density, support_radius=1.0)
+        prof = SpectralProfile(density, support_radius=1.0)
         est = estimate_decay_character(prof)
         assert est.boundary
         assert est.r_star is None
@@ -171,7 +172,7 @@ class TestGenerator:
         grid = Grid(64, 2 * np.pi)
         state = generate_data_with_character(grid, r, seed=5, amplitude=1.0,
                                              sigma=32.0)
-        est = estimate_decay_character(SpectralProfile.from_state(state))
+        est = estimate_decay_character(ShellProfile.from_state(state))
         assert not est.boundary
         assert abs(est.r_star - r) < 0.1
 
@@ -179,7 +180,7 @@ class TestGenerator:
     def test_shell_masses_match_full_spectrum(self, component):
         grid = Grid(16, 3.0)
         state = random_state(grid, np.random.Generator(np.random.Philox(4)))
-        profile = SpectralProfile.from_state(state, component)
+        profile = ShellProfile.from_state(state, component)
         arrays = {"z": state.components(), "u": (state.uhat,), "w": (state.what,)}[component]
         shell = np.ceil(full_xi_mag(grid) / grid.fundamental - 1e-9).astype(int)
         want = np.zeros(shell.max() + 1)
@@ -201,8 +202,8 @@ class TestGenerator:
         full_mag = full_spectrum(mag).real
         vhat = hermitian_symmetrize(noise * full_mag[None])[..., :17]
         proj = leray_project(grid, vhat)
-        before = SpectralProfile.from_spectral_array(grid, vhat)
-        after = SpectralProfile.from_spectral_array(grid, proj)
+        before = ShellProfile.from_spectral_array(grid, vhat)
+        after = ShellProfile.from_spectral_array(grid, proj)
         ratio = after.shell_masses[1:11] / before.shell_masses[1:11]
         assert np.all(ratio >= 1.0 / 3.0 - 1e-12)
         assert np.all(ratio <= 1.0 + 1e-12)

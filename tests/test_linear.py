@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
-from mmplab.analysis import fit_decay_exponent
+from mmplab.analysis import fit_decay_exponent, theorem_report
 from mmplab.decay_character import SpectralProfile
 from mmplab.fields import Grid, PhysParams, StateField, l2_norm_sq
 from mmplab.linear import (evolve_linear_grid, heat_bound_check,
@@ -182,6 +182,19 @@ class TestRadialDecay:
                                      times, params)
         exponent, _ = fit_decay_exponent(series["l2_w_sq"], (1e2, 1e4))
         assert exponent <= -2.5 + 0.15
+
+    @pytest.mark.parametrize("r_star, rho_min", [(-1.0, 1e-6), (0.0, 1e-4), (1.0, 1e-4)])
+    def test_derivative_rates_quantitative(self, params, r_star, rho_min):
+        # the criterion-4 cases; the gradient and second-derivative rows
+        # bind the paper's derivative rates at the radial tolerance
+        times = np.geomspace(1e2, 1e4, 25)
+        series = radial_linear_decay(SpectralProfile.power_law(r_star), times, params,
+                                     rho_min=rho_min, check_convergence=True)
+        report = theorem_report(series, r_star, (1e2, 1e4), quantitative=True)
+        assert [row["series"] for row in report["rows"]] == [
+            "l2_z_sq", "l2_w_sq", "h1_z_sq", "h1_w_sq", "h2_z_sq"]
+        assert all(row["pass"] for row in report["rows"]), report["rows"]
+        assert report["overall_pass"]
 
     def test_node_doubling_convergence_gate(self, params):
         times = np.geomspace(1e2, 1e3, 12)
