@@ -190,7 +190,7 @@ def l2_norm_sq(state_or_array, grid: Grid | None = None) -> float:
     return spectrum_norm_sq(grid, state_or_array)
 
 
-def state_norms(z: np.ndarray, weight, xi_sq) -> dict[str, float]:
+def state_norms(z: np.ndarray, weight, xi_sq) -> dict:
     """The norms of the paper's estimates as weighted coefficient sums.
 
     z is any (9, ...) coefficient array, a torus half spectrum (weight
@@ -198,18 +198,25 @@ def state_norms(z: np.ndarray, weight, xi_sq) -> dict[str, float]:
     radial nodes (weight the d^3 xi node weights); xi_sq is |xi|^2 there.
     With e = |z|^2 weight, returns the u, w and b block sums of e
     (l2_*_sq), e |xi|^2 (h1_z_sq, h1_w_sq) and e |xi|^4 (h2_z_sq); every
-    z total adds the u, w and b sums in that order.
+    z total adds the u, w and b sums in that order.  The sums run over the
+    trailing axes that xi_sq spans; axes of z between the leading 9 and
+    those (a time axis, say) become axes of array results, and without
+    them every norm is a float.
     """
-    e = z.real ** 2
+    batch = z.shape[1:z.ndim - np.ndim(xi_sq)]
+    row = 3 * int(np.prod(z.shape[1 + len(batch):]))
+    # e is laid out with the 9 rows after the batch axes, so each u, w and b
+    # block is one contiguous row per batch index, and its sum has the bits
+    # of a separate sum over that block
+    z = np.moveaxis(z, 0, len(batch))
+    e = np.square(z.real, order="C")
     e += z.imag ** 2
     e *= weight
-    # one contiguous row per u, w and b block: each row sum has the bits of
-    # a separate sum over that block
-    l2, h1, h2 = (f.reshape(3, -1).sum(axis=1).tolist()
-                  for f in (e, e * xi_sq, e * xi_sq ** 2))
-    return {"l2_z_sq": sum(l2), "l2_u_sq": l2[0], "l2_w_sq": l2[1],
-            "l2_b_sq": l2[2], "h1_z_sq": sum(h1), "h1_w_sq": h1[1],
-            "h2_z_sq": sum(h2)}
+    sums = [f.reshape(batch + (3, row)).sum(axis=-1) for f in (e, e * xi_sq, e * xi_sq ** 2)]
+    (lu, lw, lb), (hu, hw, hb), (su, sw, sb) = ((s[..., 0], s[..., 1], s[..., 2]) for s in sums)
+    norms = {"l2_z_sq": lu + lw + lb, "l2_u_sq": lu, "l2_w_sq": lw, "l2_b_sq": lb,
+             "h1_z_sq": hu + hw + hb, "h1_w_sq": hw, "h2_z_sq": su + sw + sb}
+    return norms if batch else {key: float(val) for key, val in norms.items()}
 
 
 def physical_norm_sq(grid: Grid, phys: np.ndarray) -> float:

@@ -17,12 +17,19 @@ every sphere |xi| = rho are 4 pi times the value on that direction.  The
 26-point sphere rule of selftest.sphere_rule_26 is kept only as the oracle
 that checks this reduction.  The nodes hold (9, n_r) rows like the grid
 state, and their norms come from the torus rows' fields.state_norms.
+
+The radial path takes a 1-D array of times wherever it takes a time: the
+kernel is built on the nodes with a leading time axis, and
+RadialLinearState.norms_at passes the times through one kernel apply per
+block of at most _BLOCK = 2**12 time x node elements.  Each norm has the
+bits of its scalar evaluation.  Times must be finite and nonnegative; the
+kernel raises ValueError otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -41,6 +48,8 @@ def evolve_linear_grid(state: StateField, params: PhysParams, t: float) -> State
 
 # Fixed direction of the radial nodes; any unit vector gives the same norms.
 _AXIS = np.array([0.0, 0.0, 1.0])
+# Most time x node elements that norms_at passes through one kernel apply.
+_BLOCK = 2 ** 12
 # Gauss-Legendre rule on [-1, 1] of every log-radial panel: composite
 # 8-point panels in log rho are spectrally accurate for the smooth densities
 # and the Gaussian-in-rho time factors, so the node-doubling convergence gate
@@ -64,6 +73,14 @@ def _polarization(n_hat: np.ndarray,
     return np.array([cu * e1, cw * w_dir, cb * 1j * e2]).ravel()
 
 
+@lru_cache
+def _axis_polarization(component_weights: tuple[float, float, float]) -> np.ndarray:
+    """_polarization on the node direction, computed once per weights."""
+    pol = _polarization(_AXIS, component_weights)
+    pol.flags.writeable = False
+    return pol
+
+
 @dataclass(frozen=True)
 class RadialLinearState:
     """Continuum initial data sampled on log-radial nodes along one direction.
@@ -79,7 +96,8 @@ class RadialLinearState:
     fixed direction, shape (9, n_r) like the rows of a grid state; weights
     are the d^3 xi weights 4 pi rho^2 w_rho of the nodes.  coeffs_at
     evolves every node with the sector kernel, which is built on the nodes
-    once per state.
+    once per state with a leading time axis, so coeffs_at and norms_at take
+    a scalar time or a 1-D array of finite, nonnegative times.
     """
 
     radii: np.ndarray
@@ -91,16 +109,36 @@ class RadialLinearState:
 
     @cached_property
     def kernel(self) -> SectorKernel:
-        """The sector kernel on the nodes, built once per state."""
-        return SectorKernel(_AXIS[:, None] * self.radii, self.radii ** 2, self.params)
+        """The sector kernel on the nodes with a leading time axis, arrays of
+        shape (1, n_r), built once per state."""
+        return SectorKernel(_AXIS[:, None, None] * self.radii, self.radii[None] ** 2,
+                            self.params)
 
-    def coeffs_at(self, t: float) -> np.ndarray:
-        """Spectral coefficients at time t, shape (9, n_r)."""
-        return self.kernel.apply(self.coeffs, t)
+    def coeffs_at(self, t) -> np.ndarray:
+        """Spectral coefficients at a time t, shape (9, n_r), or at a 1-D
+        array of n_t times, shape (9, n_t, n_r)."""
+        times = np.asarray(t, dtype=float)
+        if times.ndim > 1:
+            raise ValueError(f"times must be a scalar or 1-D, got shape {times.shape}")
+        out = self.kernel.apply(self.coeffs[:, None], times.reshape(-1, 1))
+        return out if times.ndim else out[:, 0]
 
-    def norms_at(self, t: float) -> dict[str, float]:
-        """The :func:`mmplab.fields.state_norms` integrals at time t."""
-        return state_norms(self.coeffs_at(t), self.weights, self.radii ** 2)
+    def norms_at(self, t) -> dict:
+        """The :func:`mmplab.fields.state_norms` integrals at a time t, as
+        floats, or at a 1-D array of times, as arrays.
+
+        The times go through the kernel in blocks of at most _BLOCK
+        time x node elements, which bounds the memory of long time lists;
+        every norm has the bits of its own scalar evaluation.
+        """
+        times = np.asarray(t, dtype=float)
+        per_block = max(_BLOCK // self.radii.size, 1)
+        flat = np.atleast_1d(times)
+        blocks = [state_norms(self.coeffs_at(flat[i:i + per_block]), self.weights,
+                              self.radii ** 2)
+                  for i in range(0, max(flat.size, 1), per_block)]
+        norms = {key: np.concatenate([block[key] for block in blocks]) for key in blocks[0]}
+        return norms if times.ndim else {key: float(val[0]) for key, val in norms.items()}
 
     def total_mass(self) -> float:
         return state_norms(self.coeffs, self.weights, self.radii ** 2)["l2_z_sq"]
@@ -145,7 +183,7 @@ def make_radial_state(profile: SpectralProfile, params: PhysParams,
 
     dens = np.array([profile.radial_density(rho) for rho in radii])
     mag = np.sqrt(np.maximum(dens / shell, 0.0))
-    coeffs = _polarization(_AXIS, component_weights)[:, None] * mag
+    coeffs = _axis_polarization(tuple(component_weights))[:, None] * mag
     return RadialLinearState(
         radii=radii, coeffs=coeffs, weights=shell * u_weights * radii,
         params=params, profile=profile,
@@ -185,7 +223,9 @@ def radial_linear_decay(profile: SpectralProfile, times, params: PhysParams,
                         per_decade: int = 64, rho_min: float = 1e-4,
                         check_convergence: bool = False) -> dict[str, NormSeries]:
     """Every norm of :meth:`RadialLinearState.norms_at` at the requested
-    times, on nodes up to rho = 1e2.
+    times, on nodes up to rho = 1e2, from one norms_at call per quadrature.
+    The times must be finite, nonnegative and strictly increasing; an empty
+    list gives every key with an empty series.
 
     With check_convergence the quadrature is repeated at doubled radial
     resolution and a QuadratureError is raised if any norm moves by more
@@ -197,13 +237,10 @@ def radial_linear_decay(profile: SpectralProfile, times, params: PhysParams,
 
     def run(per_dec):
         state = make_radial_state(profile, params, rho_min=rho_min, per_decade=per_dec)
-        rows = [state.norms_at(t) for t in times]
-        # the keys of norms_at, which an empty time list must still carry
-        keys = (rows or [state.norms_at(0.0)])[0]
-        return {key: np.array([row[key] for row in rows]) for key in keys}
+        return state.norms_at(times)
 
     coarse = run(per_decade)
-    if check_convergence:
+    if check_convergence and times.size:
         fine = run(2 * per_decade)
         for key, vals in coarse.items():
             ref = fine[key]

@@ -105,8 +105,18 @@ class SectorKernel:
     def spectral_radius(self) -> float:
         return float(max(-self.lam_lo.min(), -self.lam_w_long.min(), -self.lam_mag.min()))
 
-    def apply(self, z: np.ndarray, t: float, kind: str = "exp") -> np.ndarray:
-        """f(tM) z for z = (u, w, b) stacked on a leading axis of 9."""
+    def apply(self, z: np.ndarray, t, kind: str = "exp") -> np.ndarray:
+        """f(tM) z for z = (u, w, b) stacked on a leading axis of 9.
+
+        t is a scalar or an array of times that broadcasts against the
+        kernel arrays (say shape (n_t, 1) on a kernel built with a leading
+        time axis of 1); the result has the broadcast shape of z and the
+        weights.  Every time must be finite and nonnegative.
+        """
+        times = np.asarray(t)
+        bad = times[~((0 <= times) & (times < np.inf))]  # NaN fails both
+        if bad.size:
+            raise ValueError(f"propagation time must be finite and nonnegative, got {bad[0]}")
         f = _WEIGHTS[kind]
         f_hi, dd = _divided_difference(kind, t * self.lam_hi, t * self.lam_lo)
         beta = t * dd
@@ -117,7 +127,7 @@ class SectorKernel:
         w_l = f(t * self.lam_w_long) - w_t
         d, q, c = self.direction, self.rot, 1j * beta
         u, w, b = z[0:3], z[3:6], z[6:9]
-        out = np.empty(z.shape, dtype=complex)
+        out = np.empty(np.broadcast_shapes(z.shape, (9,) + beta.shape), dtype=complex)
         for o, x, y, x_t, x_l in ((out[0:3], u, w, u_t, u_l), (out[3:6], w, u, w_t, w_l)):
             np.multiply(x_t, x, out=o)
             o += x_l * (d * x).sum(0) * d
@@ -138,8 +148,6 @@ class GridPropagator:
 
     def apply(self, z: np.ndarray, t: float, kind: str = "exp") -> np.ndarray:
         """Apply exp(tM), phi1(tM) or phi2(tM) to a (9, ...) coefficient array."""
-        if t < 0:
-            raise ValueError(f"propagation time must be nonnegative, got {t}")
         return self.kernel.apply(z, t, kind)
 
     def evolve(self, state: StateField, t: float) -> StateField:

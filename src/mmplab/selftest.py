@@ -5,8 +5,9 @@ load-bearing identities: transform round trips against a direct DFT sum,
 projector algebra, Parseval and its half-spectrum multiplicity, symbol
 Hermiticity, the eigendecomposition semigroup against a scaling-and-squaring
 matrix exponential, generator determinism, exact power-law fitting,
-energy monotonicity of a short nonlinear run and the one-direction radial
-reduction against the 26-point sphere rule.  Runs in well under a minute.
+energy monotonicity of a short nonlinear run, the one-direction radial
+reduction against the 26-point sphere rule and the blocked radial norms
+against per-time evaluation.  Runs in well under a minute.
 """
 
 from __future__ import annotations
@@ -203,6 +204,16 @@ def check_radial_reduction() -> tuple[bool, str]:
     return worst < 1e-12, f"one direction vs 26-point rule {worst:.2e}"
 
 
+def check_radial_time_blocks() -> tuple[bool, str]:
+    state = make_radial_state(SpectralProfile.power_law(0.0), PhysParams(), per_decade=32)
+    times = np.concatenate([[0.0], np.geomspace(1e-1, 1e4, 40)])
+    block = state.norms_at(times)
+    rows = [state.norms_at(t) for t in times]
+    same = all(np.array_equal(vals, [row[key] for row in rows]) for key, vals in block.items())
+    return same, (f"{times.size} times in blocks bitwise equal to scalar calls" if same
+                  else "blocked norms differ from scalar calls")
+
+
 def check_grid_propagator() -> tuple[bool, str]:
     grid = Grid(8)
     params = PhysParams()
@@ -233,6 +244,7 @@ CHECKS = [
     ("energy monotone micro-run", check_energy_monotone),
     ("grid propagator vs symbol", check_grid_propagator),
     ("radial one-direction reduction", check_radial_reduction),
+    ("radial time blocks", check_radial_time_blocks),
 ]
 
 

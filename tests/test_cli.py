@@ -114,6 +114,14 @@ class TestCliBasics:
         assert lines[0] == "t,l2_z_sq,l2_u_sq,l2_w_sq,l2_b_sq,h1_z_sq,h1_w_sq,h2_z_sq"
         assert len(lines) == 7
 
+    def test_linear_decay_negative_time_exits_with_error(self, capsys):
+        rc = main(["linear-decay", "--r-star", "0", "--t-lo", "-1", "--t-hi", "1e2",
+                   "--n-times", "3"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and "finite and nonnegative" in err
+
 
 class TestConfig:
     def test_hash_stability_and_key_order(self):

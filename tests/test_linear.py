@@ -155,6 +155,42 @@ class TestRadialState:
         assert state.norms_at(1e2) == first
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("r_star, rho_min", [(-1.0, 1e-6), (0.0, 1e-4), (1.0, 1e-4)])
+    @pytest.mark.parametrize("phys", [
+        PhysParams(), PhysParams(mu=0.7, gamma=1.0, chi=0.0, nu=1.0)], ids=["canonical", "chi0"])
+    def test_time_blocks_match_scalar_calls(self, r_star, rho_min, phys):
+        import mmplab.linear as linear
+        state = make_radial_state(SpectralProfile.power_law(r_star), phys, rho_min=rho_min)
+        times = np.concatenate([[0.0], np.geomspace(1e-2, 1e4, 22)])
+        # the last block is partial
+        assert times.size % (linear._BLOCK // state.radii.size) != 0
+        block = state.norms_at(times)
+        rows = [state.norms_at(t) for t in times]
+        assert all(type(v) is float for v in rows[0].values())
+        assert block.keys() == rows[0].keys()
+        for key, vals in block.items():
+            assert vals.shape == times.shape
+            assert np.array_equal(vals, [row[key] for row in rows]), key
+
+    @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_time_rejected(self, params, t):
+        state = make_radial_state(SpectralProfile.power_law(0.0), params, per_decade=16)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            state.norms_at(t)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            state.norms_at(np.array([0.0, 1.0, t]))
+
+    def test_two_dimensional_times_rejected(self, params):
+        state = make_radial_state(SpectralProfile.power_law(0.0), params, per_decade=16)
+        for call in (state.coeffs_at, state.norms_at):
+            with pytest.raises(ValueError, match="scalar or 1-D"):
+                call(np.ones((2, 3)))
+
+    def test_ball_mass_rejects_negative_time(self, params):
+        state = make_radial_state(SpectralProfile.power_law(0.0), params)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            state.ball_mass_at(-1.0, 0.5)
+
 
 class TestRadialDecay:
     def test_heat_block_closed_form(self, params):
@@ -205,6 +241,34 @@ class TestRadialDecay:
         with pytest.raises(ValueError):
             radial_linear_decay(SpectralProfile.power_law(0.0),
                                 [1.0, 1.0, 2.0], params)
+
+    def test_negative_time_rejected(self, params):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            radial_linear_decay(SpectralProfile.power_law(0.0), [-5.0, 0.0, 1.0], params)
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_empty_times_keep_every_key(self, params, check):
+        series = radial_linear_decay(SpectralProfile.power_law(0.0), np.array([]), params,
+                                     per_decade=16, check_convergence=check)
+        assert list(series) == ["l2_z_sq", "l2_u_sq", "l2_w_sq", "l2_b_sq",
+                                "h1_z_sq", "h1_w_sq", "h2_z_sq"]
+        assert all(s.values.shape == (0,) for s in series.values())
+
+    def test_one_kernel_apply_per_quadrature(self, params, monkeypatch):
+        # a per-time loop would make 25 applies per quadrature
+        import mmplab.linear as linear
+        applies, builds = [], []
+        real_apply, real_make = linear.SectorKernel.apply, linear.make_radial_state
+        monkeypatch.setattr(linear.SectorKernel, "apply",
+                            lambda *a, **kw: applies.append(1) or real_apply(*a, **kw))
+        monkeypatch.setattr(linear, "make_radial_state",
+                            lambda *a, **kw: builds.append(1) or real_make(*a, **kw))
+        times = np.geomspace(1e2, 1e4, 25)
+        # 64 and 128 nodes: each quadrature's 25 times fit in one block
+        radial_linear_decay(SpectralProfile.power_law(0.0), times, params,
+                            per_decade=16, rho_min=1e-2, check_convergence=True)
+        assert len(applies) == 2
+        assert len(builds) == 2
 
 
 class TestGridVersusRadial:

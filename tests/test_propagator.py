@@ -94,6 +94,22 @@ def test_radial_state_at_long_time():
     assert worst <= 1e-12
 
 
+def test_time_array_matches_scalar_applies(rng):
+    # nodes on a leading time axis; |t lam-| falls on both sides of the
+    # 0.2 switch to the Taylor series of the divided differences
+    radii = np.geomspace(1e-3, 10.0, 40)
+    kernel = SectorKernel(_AXIS[:, None, None] * radii, radii[None] ** 2, PhysParams())
+    times = np.array([0.0, 1e-3, 0.05, 1.0, 30.0])
+    lo = np.abs(times[:, None] * kernel.lam_lo)
+    assert np.any((lo > 0) & (lo < 0.2)) and np.any(lo > 0.2)
+    v = rng.normal(size=(9, 1, radii.size)) + 1j * rng.normal(size=(9, 1, radii.size))
+    for kind in KINDS:
+        block = kernel.apply(v, times[:, None], kind=kind)
+        assert block.shape == (9, times.size, radii.size)
+        stacked = np.concatenate([kernel.apply(v, t, kind=kind) for t in times], axis=1)
+        assert np.array_equal(block, stacked), kind
+
+
 viscosity = st.floats(0.01, 3.0)
 coupling_strength = st.one_of(st.just(0.0), st.floats(1e-4, 0.02), st.floats(0.02, 2.0))
 
