@@ -69,6 +69,11 @@ def cmd_linear_decay(args) -> int:
     params = PhysParams(mu=args.mu, gamma=args.gamma, chi=args.chi, nu=args.nu)
     profile = SpectralProfile.power_law(args.r_star, cutoff_radius=args.cutoff_radius,
                                         cutoff=args.cutoff)
+    if not 0 < args.t_lo <= args.t_hi < np.inf:
+        raise ValueError(f"times must be finite and nonnegative, and geometric spacing "
+                         f"needs 0 < t_lo <= t_hi; got t_lo={args.t_lo}, t_hi={args.t_hi}")
+    if args.n_times < 1:
+        raise ValueError(f"n_times must be at least 1, got {args.n_times}")
     times = np.geomspace(args.t_lo, args.t_hi, args.n_times)
     series = radial_linear_decay(profile, times, params,
                                  per_decade=args.per_decade,

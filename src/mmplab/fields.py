@@ -124,21 +124,29 @@ def transform_roundtrip(state: StateField) -> StateField:
     return state.with_coeffs(_grid.forward(_grid.inverse(state.z)))
 
 
-def leray_project(grid: Grid, vhat: np.ndarray) -> np.ndarray:
+def leray_project(grid: Grid, vhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Remove the gradient part: vhat - xi (xi . vhat) / |xi|^2.
 
     The zero mode passes through unchanged (the projector formula is
-    singular there and the mean flow carries no gradient part).
+    singular there and the mean flow carries no gradient part).  The
+    result goes to out when it is given, which may be vhat itself, and to
+    a new array otherwise.  Runs in slabs of modes (grid.slab_map).
     """
     if vhat.shape != (3,) + grid.spectral_shape:
         raise ContractViolation(f"expected 3-component spectral array, got {vhat.shape}")
-    xi = grid.xi_odd
-    s2 = (xi ** 2).sum(axis=0)
-    safe = np.where(s2 > 0, s2, 1.0)
-    dot = (xi * vhat).sum(axis=0)
-    out = vhat - xi * (dot / safe)[None]
-    # the mean mode and pure-Nyquist modes carry no representable gradient
-    out[:, s2 == 0] = vhat[:, s2 == 0]
+    if out is None:
+        out = np.empty(vhat.shape, dtype=np.result_type(vhat, float))
+
+    def project(sl):
+        xi, v, o = grid.xi_odd[:, sl], vhat[:, sl], out[:, sl]
+        # the mean mode and pure-Nyquist modes carry no representable gradient
+        fixed = grid.leray_fixed[sl]
+        kept = v[:, fixed]
+        dot = (xi * v).sum(axis=0)
+        np.subtract(v, xi * (dot / grid.leray_divisor[sl])[None], out=o)
+        o[:, fixed] = kept
+
+    _grid.slab_map(project, grid.spectral_shape)
     return out
 
 
@@ -154,7 +162,12 @@ def divergence(grid: Grid, vhat: np.ndarray) -> np.ndarray:
 
 def curl(grid: Grid, vhat: np.ndarray) -> np.ndarray:
     """i xi x vhat for a 3-component spectral array."""
-    xi = grid.xi_odd
+    return curl_at(grid.xi_odd, vhat)
+
+
+def curl_at(xi: np.ndarray, vhat: np.ndarray) -> np.ndarray:
+    """i xi x vhat at the wavevectors xi, shape (3, ...) like vhat: the curl
+    on any slab of modes."""
     return 1j * np.stack([
         xi[1] * vhat[2] - xi[2] * vhat[1],
         xi[2] * vhat[0] - xi[0] * vhat[2],

@@ -21,16 +21,26 @@ are expanded on write and sliced on read (:func:`full_spectrum`).
 
 from __future__ import annotations
 
+import contextvars
+import math
 import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft as _fft
 
+# Element-wise stages run in SLABS fixed planes of their first axis once an
+# array has SLAB_MIN_SIZE points per component; smaller ones (every grid up
+# to n = 32) run whole, where the pool's overhead outweighs the work.
+SLABS = 8
+SLAB_MIN_SIZE = 40_000
+
 
 def worker_count() -> int:
-    """Worker threads for FFT batches, capped by the MMP_THREADS variable.
+    """Worker threads for FFT batches and slab stages, capped by the
+    MMP_THREADS variable.
 
     Results are bitwise identical for any worker count; the cap only
     bounds resource usage.
@@ -42,6 +52,34 @@ def worker_count() -> int:
         except ValueError:
             pass
     return os.cpu_count() or 1
+
+
+@lru_cache(maxsize=1)
+def _slab_pool(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(workers, thread_name_prefix="mmplab-slab")
+
+
+def slab_map(fn, shape: tuple[int, ...]) -> list:
+    """[fn(sl) for each slab sl of the first axis of an array of this
+    shape], in slab order.
+
+    fn must work point by point, write only into its own slab and not call
+    slab_map itself, so the results do not depend on the split and no slab
+    waits on the pool.  With one worker, or below
+    SLAB_MIN_SIZE points, fn runs once in this thread on sl = ..., the
+    whole array; otherwise sl runs through SLABS slices of the first axis
+    on a pool of worker_count() threads, each slab in a copy of this
+    thread's context, so np.errstate carries over.
+    """
+    workers = worker_count()
+    if workers == 1 or math.prod(shape) < SLAB_MIN_SIZE:
+        return [fn(...)]
+    bounds = [shape[0] * i // SLABS for i in range(SLABS + 1)]
+    pool = _slab_pool(workers)
+    futures = [pool.submit(contextvars.copy_context().run, fn, slice(lo, hi))
+               for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 @dataclass(frozen=True)
@@ -113,6 +151,19 @@ class Grid:
     @cached_property
     def xi_mag(self) -> np.ndarray:
         return np.sqrt(self.xi_sq)
+
+    @cached_property
+    def leray_divisor(self) -> np.ndarray:
+        """|xi_odd|^2 with its zeros replaced by 1: the Leray projection's
+        divisor, shape (n, n, n//2 + 1)."""
+        s2 = (self.xi_odd ** 2).sum(axis=0)
+        return np.where(s2 > 0, s2, 1.0)
+
+    @cached_property
+    def leray_fixed(self) -> np.ndarray:
+        """Modes with xi_odd = 0 (the mean and the pure-Nyquist modes), which
+        the Leray projection passes through unchanged."""
+        return (self.xi_odd ** 2).sum(axis=0) == 0
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:

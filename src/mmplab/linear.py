@@ -36,7 +36,7 @@ from scipy import integrate
 
 from .decay_character import QuadratureError, SpectralProfile
 from .fields import PhysParams, StateField, state_norms
-from .propagator import SectorKernel, get_propagator
+from .propagator import SectorKernel, check_times, get_propagator
 from .symbol import transverse_frame
 from .analysis import NormSeries
 
@@ -148,8 +148,10 @@ class RadialLinearState:
 
         Inside the node range the ball is integrated on a fresh quadrature,
         built from the same construction recipe, whose panels end exactly at
-        the cut radius; a radius past the last node takes every node.
+        the cut radius; a radius past the last node takes every node.  The
+        time is checked first, whatever the radius.
         """
+        check_times(t)
         if not radius > self.radii[0]:
             return 0.0
         if radius < self.radii[-1]:

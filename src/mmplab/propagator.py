@@ -28,6 +28,7 @@ from math import factorial
 
 import numpy as np
 
+from . import grid as _grid
 from .fields import Grid, PhysParams, StateField
 
 
@@ -79,6 +80,16 @@ def _divided_difference(kind: str, hi: np.ndarray, lo: np.ndarray):
     return f_hi, dd
 
 
+def check_times(t) -> np.ndarray:
+    """t as an array; raises ValueError unless every time is finite and
+    nonnegative."""
+    times = np.asarray(t)
+    bad = times[~((0 <= times) & (times < np.inf))]  # NaN fails both
+    if bad.size:
+        raise ValueError(f"propagation time must be finite and nonnegative, got {bad[0]}")
+    return times
+
+
 class SectorKernel:
     """f(tM) applied to z = (u, w, b) in closed form at every mode.
 
@@ -111,29 +122,43 @@ class SectorKernel:
         t is a scalar or an array of times that broadcasts against the
         kernel arrays (say shape (n_t, 1) on a kernel built with a leading
         time axis of 1); the result has the broadcast shape of z and the
-        weights.  Every time must be finite and nonnegative.
+        weights.  Every time must be finite and nonnegative.  At a scalar
+        time, with z shaped like the kernel, the modes run in slabs of the
+        kernel's first axis (grid.slab_map).
         """
-        times = np.asarray(t)
-        bad = times[~((0 <= times) & (times < np.inf))]  # NaN fails both
-        if bad.size:
-            raise ValueError(f"propagation time must be finite and nonnegative, got {bad[0]}")
+        if check_times(t).ndim or z.shape[1:] != self.a.shape:
+            return self._apply_slab(z, t, kind, ...)  # a time axis or a broadcast z stays whole
+        out = np.empty(z.shape, dtype=complex)
+
+        def fill(sl):
+            self._apply_slab(z[:, sl], t, kind, sl, out[:, sl])
+
+        _grid.slab_map(fill, self.a.shape)
+        return out
+
+    def _apply_slab(self, z, t, kind, sl, out=None) -> np.ndarray:
+        """apply on the kernel's modes [sl], a slice of the first axis (or
+        ..., every mode), for z already cut to those modes; writes into out,
+        or into a new array of the broadcast shape."""
+        a, b, lam_hi = self.a[sl], self.b[sl], self.lam_hi[sl]
         f = _WEIGHTS[kind]
-        f_hi, dd = _divided_difference(kind, t * self.lam_hi, t * self.lam_lo)
+        f_hi, dd = _divided_difference(kind, t * lam_hi, t * self.lam_lo[sl])
         beta = t * dd
-        alpha = f_hi - beta * self.lam_hi
-        u_t = alpha - beta * self.a
-        w_t = alpha - beta * self.b
-        u_l = f(-t * self.a) - u_t
-        w_l = f(t * self.lam_w_long) - w_t
-        d, q, c = self.direction, self.rot, 1j * beta
-        u, w, b = z[0:3], z[3:6], z[6:9]
-        out = np.empty(np.broadcast_shapes(z.shape, (9,) + beta.shape), dtype=complex)
+        alpha = f_hi - beta * lam_hi
+        u_t = alpha - beta * a
+        w_t = alpha - beta * b
+        u_l = f(-t * a) - u_t
+        w_l = f(t * self.lam_w_long[sl]) - w_t
+        d, q, c = self.direction[:, sl], self.rot[:, sl], 1j * beta
+        u, w = z[0:3], z[3:6]
+        if out is None:
+            out = np.empty(np.broadcast_shapes(z.shape, (9,) + beta.shape), dtype=complex)
         for o, x, y, x_t, x_l in ((out[0:3], u, w, u_t, u_l), (out[3:6], w, u, w_t, w_l)):
             np.multiply(x_t, x, out=o)
             o += x_l * (d * x).sum(0) * d
             for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
                 o[i] += c * (y[j] * q[k] - y[k] * q[j])
-        np.multiply(f(t * self.lam_mag), b, out=out[6:9])
+        np.multiply(f(t * self.lam_mag[sl]), z[6:9], out=out[6:9])
         return out
 
 

@@ -28,15 +28,20 @@ default scheme is the two-stage exponential integrator
     z_{n+1} = a + h phi2(h M) (N(a) - N(z_n)),
 
 second order in h; an integrating-factor RK4 is available for convergence
-studies.  The state is one (9, n, n, n//2 + 1) array throughout, the
-stages are whole-array sums, and N carries the three increments in the
-same row layout.  Every step opens with one evaluation of N(z_n), which
-is its first stage and also reports the Elsasser speed max(|u| + |b|) of
-z_n: a non-finite speed ends the run, and the CFL number of the state the
-step advances is checked against CFL_LIMIT.  The time step only ever
-shrinks, and a halving doubles the remaining steps, so recorded output
-times stay exact.  An output row takes its norms from
-fields.state_norms, over the state and over its paired linear difference.
+studies.  The state is one (9, n, n, n//2 + 1) array throughout, and N
+carries the three increments in the same row layout.  Above n = 32 the
+sector-kernel applies and the element-wise parts of N (the products with
+the speed, and the contraction, curl, mask and projection after the
+forward transform) run in slabs of planes on the MMP_THREADS workers
+(grid.slab_map); each slab works mode by mode or point by point, so every
+result has the same bits at any thread count.  Every step opens with one
+evaluation of N(z_n), which is its first stage and also reports the
+Elsasser speed max(|u| + |b|) of z_n: a non-finite speed ends the run,
+and the CFL number of the state the step advances is checked against
+CFL_LIMIT.  The time step only ever shrinks, and a halving doubles the
+remaining steps, so recorded output times stay exact.  An output row
+takes its norms from fields.state_norms, over the state and over its
+paired linear difference.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import numpy as np
 from . import grid as _grid
 from .analysis import fourier_split_integral, fourier_split_radius
 from .fields import (SOLENOIDAL_TOL, ContractViolation, Grid, PhysParams,
-                     StateField, curl, leray_project, spectrum_norm_sq,
+                     StateField, curl_at, leray_project, spectrum_norm_sq,
                      state_norms)
 from .grid import forward
 from .propagator import GridPropagator, get_propagator
@@ -157,27 +162,39 @@ def nonlinear_rhs(state: StateField, check_solenoidal: bool = True
     # resolved on the grid module at call time, so wrappers installed there see it
     phys = _grid.inverse(z)
     u, w, b = phys[0:3], phys[3:6], phys[6:9]
-
     prod = np.empty((18,) + phys.shape[1:])
-    for k, (i, j) in enumerate(_SYM_PAIRS):
-        np.multiply(u[i], u[j], out=prod[k])
-        prod[k] -= b[i] * b[j]
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        np.multiply(u[i], b[j], out=prod[6 + k])
-        prod[6 + k] -= u[j] * b[i]
-    np.multiply(u[:, None], w[None, :], out=prod[9:].reshape((3, 3) + u.shape[1:]))
-    spec = forward(prod)
 
-    xi = grid.xi_odd
+    def products(sl):
+        """The 18 products and the Elsasser speed on a slab of grid points."""
+        us, ws, bs, p = u[:, sl], w[:, sl], b[:, sl], prod[:, sl]
+        for k, (i, j) in enumerate(_SYM_PAIRS):
+            np.multiply(us[i], us[j], out=p[k])
+            p[k] -= bs[i] * bs[j]
+        for k in range(3):
+            i, j = (k + 1) % 3, (k + 2) % 3
+            np.multiply(us[i], bs[j], out=p[6 + k])
+            p[6 + k] -= us[j] * bs[i]
+        for i in range(3):
+            np.multiply(us[i], ws, out=p[9 + 3 * i:12 + 3 * i])
+        return (np.sqrt((us ** 2).sum(axis=0)) + np.sqrt((bs ** 2).sum(axis=0))).max()
+
+    # np.max, unlike max(), keeps a NaN slab speed
+    speed = float(np.max(_grid.slab_map(products, phys.shape[1:])))
+    spec = forward(prod)
     N = np.empty(z.shape, dtype=complex)
-    _contract(xi, [[spec[k] for k in row] for row in _SYM_INDEX], N[0:3])
-    _contract(xi, [[spec[9 + 3 * j + i] for j in range(3)] for i in range(3)], N[3:6])
-    N[0:6] *= -1j
-    N[6:9] = curl(grid, spec[6:9])
-    N *= mask
-    N[0:3] = leray_project(grid, N[0:3])
-    return N, float((np.sqrt((u ** 2).sum(axis=0)) + np.sqrt((b ** 2).sum(axis=0))).max())
+
+    def increments(sl):
+        """N before the projection on a slab of modes."""
+        xi, s, out = grid.xi_odd[:, sl], spec[:, sl], N[:, sl]
+        _contract(xi, [[s[k] for k in row] for row in _SYM_INDEX], out[0:3])
+        _contract(xi, [[s[9 + 3 * j + i] for j in range(3)] for i in range(3)], out[3:6])
+        out[0:6] *= -1j
+        out[6:9] = curl_at(xi, s[6:9])
+        out *= mask[sl]
+
+    _grid.slab_map(increments, grid.spectral_shape)
+    leray_project(grid, N[0:3], out=N[0:3])
+    return N, speed
 
 
 def _advect(field_phys: np.ndarray, grad_phys: np.ndarray) -> np.ndarray:
@@ -253,8 +270,8 @@ def _step_arrays(prop: GridPropagator, z: np.ndarray, N: np.ndarray, grid: Grid,
         dN = rhs(a)
         dN -= N
         # the result is a new array: allocated last, it sits above the step's
-        # freed transients, so malloc keeps them mapped for the next step
-        # rather than trimming them and faulting them back in
+        # freed whole-array transients, so malloc keeps them mapped for the
+        # next step rather than trimming them and faulting them back in
         return a + dt * prop.apply(dN, dt, kind="phi2")
 
     if scheme == "if-rk4":

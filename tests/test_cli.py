@@ -123,6 +123,17 @@ class TestCliBasics:
         assert err.startswith("error: ") and "finite and nonnegative" in err
 
 
+    @pytest.mark.parametrize("flags", [["--t-lo", "-1"], ["--t-lo", "0"], ["--n-times", "0"]])
+    def test_linear_decay_bad_range_prints_one_error_line(self, flags):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmplab.cli", "linear-decay", "--r-star", "0", *flags],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 class TestConfig:
     def test_hash_stability_and_key_order(self):
         a = RunConfig.from_text(CONFIG_TEXT)

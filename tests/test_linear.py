@@ -191,6 +191,15 @@ class TestRadialState:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             state.ball_mass_at(-1.0, 0.5)
 
+    @pytest.mark.parametrize("t", [-1.0, np.nan])
+    def test_ball_mass_checks_time_below_first_node(self, params, t):
+        # a radius at or below the first node holds no mass at any valid time
+        state = make_radial_state(SpectralProfile.power_law(0.0), params)
+        for radius in (1e-9, state.radii[0]):
+            assert state.ball_mass_at(1.0, radius) == 0.0
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                state.ball_mass_at(t, radius)
+
 
 class TestRadialDecay:
     def test_heat_block_closed_form(self, params):
