@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .grid import worker_count
 
 
 def _print_json(obj) -> None:
@@ -224,6 +225,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        worker_count()  # a malformed MMP_THREADS fails here, before any work
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

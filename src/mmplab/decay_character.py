@@ -18,6 +18,7 @@ Both offer ball_mass, default_window, sample_radii and boundary_residual.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
@@ -25,7 +26,6 @@ import numpy as np
 from scipy import integrate
 
 from .fields import Grid, StateField, l2_norm_sq, leray_project
-from .grid import hermitian_symmetrize
 
 
 class QuadratureError(RuntimeError):
@@ -282,8 +282,9 @@ def generate_data_with_character(grid: Grid, r: float, seed: int,
     """Random state whose spectral magnitudes follow |xi|^r exp(-|xi|^2/2s^2).
 
     Phases come from a counter-based generator, so equal seeds give
-    bit-identical fields.  The noise is drawn and symmetrized on the full
-    spectrum and sliced to the stored half.  The u and b components are
+    bit-identical fields.  The noise is drawn on the full spectrum and
+    symmetrized on the stored half only, each mode k paired with the draw
+    at -k (:func:`_pair_with_minus_k`).  The u and b components are
     Leray-projected after shaping (an angular factor that leaves r*
     unchanged), all means vanish, spectral support is restricted to the
     dealiased mode set, and the total L2 norm is scaled to `amplitude`.
@@ -300,17 +301,22 @@ def generate_data_with_character(grid: Grid, r: float, seed: int,
 
     rng = np.random.Generator(np.random.Philox(seed))
     shape = (3, grid.n, grid.n, grid.n)
-    half = grid.n // 2 + 1
+    draws = np.empty((2,) + shape)
 
     def shaped_noise():
         # Conjugate-symmetric random phases with exactly the target
         # magnitude law (symmetrizing white noise and keeping only its
         # phase preserves the law without shot noise on shell masses).
-        noise = hermitian_symmetrize(rng.normal(size=shape) + 1j * rng.normal(size=shape))
-        noise = noise[..., :half]
+        # a = re + i im becomes (a(k) + conj(a(-k))) / 2, part by part.
+        re, im = (rng.standard_normal(out=draw) for draw in draws)
+        noise = np.empty((3,) + grid.spectral_shape, dtype=complex)
+        _pair_with_minus_k(np.add, re, noise.real)
+        _pair_with_minus_k(np.subtract, im, noise.imag)
+        noise *= 0.5
         amp = np.abs(noise)
         phase = np.divide(noise, amp, out=np.ones_like(noise), where=amp > 0)
-        return phase * mag[None]
+        phase *= mag
+        return phase
 
     def project_rescaled(vhat):
         # Projection preserves solenoidality direction; rescaling each mode
@@ -331,3 +337,15 @@ def generate_data_with_character(grid: Grid, r: float, seed: int,
     scale = amplitude / norm if norm > 0 and amplitude != 0 else 0.0
     z *= scale
     return StateField(grid, z)
+
+
+def _pair_with_minus_k(op, full: np.ndarray, out: np.ndarray) -> None:
+    """out = op(a(k), a(-k)) for k on the stored half of out, from an
+    array a on the full FFT index grid (last three axes).  Per axis, index
+    0 pairs with itself and i > 0 with n - i, so eight slice views of a
+    cover every pair."""
+    n, half = full.shape[-1], out.shape[-1]
+    axis = ((slice(0, 1), slice(0, 1)), (slice(1, n), slice(n - 1, 0, -1)))
+    kz = ((slice(0, 1), slice(0, 1)), (slice(1, half), slice(n - 1, n - half, -1)))
+    for (x, mx), (y, my), (z, mz) in itertools.product(axis, axis, kz):
+        op(full[..., x, y, z], full[..., mx, my, mz], out=out[..., x, y, z])

@@ -128,25 +128,28 @@ def leray_project(grid: Grid, vhat: np.ndarray, out: np.ndarray | None = None) -
     """Remove the gradient part: vhat - xi (xi . vhat) / |xi|^2.
 
     The zero mode passes through unchanged (the projector formula is
-    singular there and the mean flow carries no gradient part).  The
-    result goes to out when it is given, which may be vhat itself, and to
-    a new array otherwise.  Runs in slabs of modes (grid.slab_map).
+    singular there and the mean flow carries no gradient part).  vhat is
+    a half spectrum or a retained block (Grid.truncate).  The result goes
+    to out when it is given, which may be vhat itself, and to a new array
+    otherwise.  Runs in slabs of modes (grid.slab_map).
     """
-    if vhat.shape != (3,) + grid.spectral_shape:
+    if vhat.shape[:1] != (3,) or vhat.shape[1:] not in (grid.spectral_shape,
+                                                        grid.retained_shape):
         raise ContractViolation(f"expected 3-component spectral array, got {vhat.shape}")
+    modes = grid if vhat.shape[1:] == grid.spectral_shape else grid.retained
     if out is None:
         out = np.empty(vhat.shape, dtype=np.result_type(vhat, float))
 
     def project(sl):
-        xi, v, o = grid.xi_odd[:, sl], vhat[:, sl], out[:, sl]
+        xi, v, o = modes.xi_odd[:, sl], vhat[:, sl], out[:, sl]
         # the mean mode and pure-Nyquist modes carry no representable gradient
-        fixed = grid.leray_fixed[sl]
+        fixed = modes.leray_fixed[sl]
         kept = v[:, fixed]
         dot = (xi * v).sum(axis=0)
-        np.subtract(v, xi * (dot / grid.leray_divisor[sl])[None], out=o)
+        np.subtract(v, xi * (dot / modes.leray_divisor[sl])[None], out=o)
         o[:, fixed] = kept
 
-    _grid.slab_map(project, grid.spectral_shape)
+    _grid.slab_map(project, vhat.shape[1:])
     return out
 
 

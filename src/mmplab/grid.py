@@ -15,13 +15,24 @@ construction.  Sums over all modes count each stored mode with its
 Parseval multiplicity: the kz = 0 and kz = n/2 planes hold their own
 conjugate partners and count once, every other plane stands for itself
 and its missing partner and counts twice.  Full spectra appear only at
-the edges: shaped random data are drawn full and sliced, and snapshots
-are expanded on write and sliced on read (:func:`full_spectrum`).
+the edges: shaped random data pair each stored mode k with the draw at
+-k, and snapshots are expanded on write and sliced on read
+(:func:`full_spectrum`).
+
+The 2/3 rule (Orszag 1971) retains the modes with every |k_i| <= c,
+c = n // 3: about 30% of the half spectrum.  Grid.truncate gathers them
+into the retained block, shape (2c + 1, 2c + 1, c + 1), from four slice
+blocks of the half spectrum (k_x and k_y each run 0 .. c, then -c .. -1;
+k_z runs 0 .. c), and Grid.pad scatters a block back with zeros
+elsewhere.  The time stepper advances that block and pads it only for
+the inverse transform and at outputs; Grid.retained holds the per-mode
+arrays on the block.
 """
 
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -39,19 +50,26 @@ SLAB_MIN_SIZE = 40_000
 
 
 def worker_count() -> int:
-    """Worker threads for FFT batches and slab stages, capped by the
-    MMP_THREADS variable.
+    """Worker threads for FFT batches and slab stages: the MMP_THREADS
+    variable, or by default the CPUs this process may run on.
 
     Results are bitwise identical for any worker count; the cap only
-    bounds resource usage.
+    bounds resource usage.  Raises ValueError unless a set MMP_THREADS is
+    a positive integer.
     """
     env = os.environ.get("MMP_THREADS", "").strip()
-    if env:
+    if not env:
         try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            return os.cpu_count() or 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0  # rejected below with the nonpositive counts
+    if count < 1:
+        raise ValueError(f"MMP_THREADS must be a positive integer, got {env!r}")
+    return count
 
 
 @lru_cache(maxsize=1)
@@ -80,6 +98,17 @@ def slab_map(fn, shape: tuple[int, ...]) -> list:
                for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     wait(futures)
     return [future.result() for future in futures]
+
+
+@dataclass(frozen=True)
+class Modes:
+    """Per-mode arrays on the retained block (Grid.retained); the Grid
+    holds the same names on the half spectrum."""
+
+    xi_odd: np.ndarray
+    xi_sq: np.ndarray
+    leray_divisor: np.ndarray
+    leray_fixed: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -173,6 +202,53 @@ class Grid:
         return (keep1[:, None, None] & keep1[None, :, None]
                 & keep1[None, None, :self.n // 2 + 1])
 
+    @property
+    def retained_shape(self) -> tuple[int, int, int]:
+        """Shape of the retained block, (2c + 1, 2c + 1, c + 1), c = n // 3."""
+        c = self.n // 3
+        return (2 * c + 1, 2 * c + 1, c + 1)
+
+    @cached_property
+    def _blocks(self) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]:
+        """The four (block, half spectrum) slice pairs of the retained modes:
+        k_x and k_y in 0 .. c or -c .. -1, k_z in 0 .. c."""
+        c, n = self.n // 3, self.n
+        axis = ((slice(0, c + 1), slice(0, c + 1)), (slice(c + 1, 2 * c + 1), slice(n - c, n)))
+        kz = slice(0, c + 1)
+        return tuple(((bx, by, kz), (fx, fy, kz))
+                     for (bx, fx), (by, fy) in itertools.product(axis, axis))
+
+    def truncate(self, half: np.ndarray) -> np.ndarray:
+        """The retained block of half spectra (..., n, n, n//2 + 1), as a new
+        array (..., 2c + 1, 2c + 1, c + 1)."""
+        out = np.empty(half.shape[:-3] + self.retained_shape, dtype=half.dtype)
+        for block, modes in self._blocks:
+            out[(...,) + block] = half[(...,) + modes]
+        return out
+
+    def pad(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Half spectra holding a retained block and +0 elsewhere.  Into out,
+        the block's modes are written and the rest is left as it is."""
+        if out is None:
+            out = np.zeros(block.shape[:-3] + self.spectral_shape, dtype=block.dtype)
+        for part, modes in self._blocks:
+            out[(...,) + modes] = block[(...,) + part]
+        return out
+
+    @cached_property
+    def fft_input(self) -> np.ndarray:
+        """Zeros of shape (9, n, n, n//2 + 1), reused by this Grid as the
+        padded inverse-transform input of every right-hand side: pad
+        writes only the retained modes into it, so the rest stays zero.
+        One caller at a time."""
+        return np.zeros((9,) + self.spectral_shape, dtype=complex)
+
+    @cached_property
+    def retained(self) -> Modes:
+        """The per-mode arrays cut to the retained block."""
+        return Modes(*(self.truncate(a) for a in (
+            self.xi_odd, self.xi_sq, self.leray_divisor, self.leray_fixed)))
+
     @cached_property
     def multiplicity(self) -> np.ndarray:
         """Parseval weight per kz plane of the half spectrum, shape (n//2 + 1,):
@@ -199,11 +275,6 @@ def conjugate_flip(spec: np.ndarray) -> np.ndarray:
     """Return conj(a(-k)) on the full FFT index grid (last three axes)."""
     rev = spec[..., ::-1, ::-1, ::-1]
     return np.conj(np.roll(rev, 1, axis=(-3, -2, -1)))
-
-
-def hermitian_symmetrize(spec: np.ndarray) -> np.ndarray:
-    """Project a full spectrum onto its conjugate-symmetric part."""
-    return 0.5 * (spec + conjugate_flip(spec))
 
 
 def full_spectrum(half: np.ndarray) -> np.ndarray:

@@ -18,8 +18,12 @@ phi1(x) = (e^x - 1)/x and phi2(x) = (e^x - 1 - x)/x^2 (Cox & Matthews
 is the same divided difference.
 
 Both the kernel and the grid propagator take and return one array with
-z = (u, w, b) on a leading axis of 9: (9, n, n, n//2 + 1) on the grid,
-(9, n_r) on the radial nodes.
+z = (u, w, b) on a leading axis of 9: (9, n, n, n//2 + 1) or the 2/3-rule
+retained block (9, 2c + 1, 2c + 1, c + 1) on the grid (see
+:mod:`mmplab.grid`), (9, n_r) on the radial nodes.  The grid propagator
+holds one kernel per layout, the second on the truncated wavevectors, and
+applies the one that matches z; every weight is computed mode by mode, so
+both give the same bits on a retained mode.
 """
 
 from __future__ import annotations
@@ -163,17 +167,21 @@ class SectorKernel:
 
 
 class GridPropagator:
-    """Sector-kernel propagator for one (grid, params) pair."""
+    """Sector-kernel propagator for one (grid, params) pair: kernel acts on
+    half spectra, retained_kernel on retained blocks."""
 
     def __init__(self, grid: Grid, params: PhysParams):
         # dissipation weights are even and keep the full wavevector; the
         # rotational coupling and grad-div terms carry signs and use the
         # Nyquist-zeroed copy so realness survives the semigroup
         self.kernel = SectorKernel(grid.xi_odd, grid.xi_sq, params)
+        self.retained_kernel = SectorKernel(grid.retained.xi_odd, grid.retained.xi_sq, params)
 
     def apply(self, z: np.ndarray, t: float, kind: str = "exp") -> np.ndarray:
-        """Apply exp(tM), phi1(tM) or phi2(tM) to a (9, ...) coefficient array."""
-        return self.kernel.apply(z, t, kind)
+        """Apply exp(tM), phi1(tM) or phi2(tM) to a (9, ...) coefficient
+        array of half spectra or of retained blocks."""
+        retained = z.shape[-3:] == self.retained_kernel.a.shape
+        return (self.retained_kernel if retained else self.kernel).apply(z, t, kind)
 
     def evolve(self, state: StateField, t: float) -> StateField:
         """Exact semigroup e^{tM} applied to a StateField."""

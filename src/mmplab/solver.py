@@ -9,9 +9,11 @@ rule) in divergence and curl form,
     (u.grad)w             = div(u(x)w),
 
 which is 9 inverse and 18 forward real transforms per evaluation: the
-masked (9, ...) state goes out in one batch and the 6 symmetric products
-u_i u_j - b_i b_j, the 3 products u x b and the 9 products u_j w_i come
-back in another.  On the retained modes the identities are exact, because
+(9, ...) state, padded from the retained block into one reused half
+spectrum buffer per grid, goes out in one batch and the 6 symmetric
+products u_i u_j - b_i b_j, the 3 products u x b and the 9 products
+u_j w_i come back in another, of which only the retained block is kept.
+On the retained modes the identities are exact, because
 the truncated u and b are solenoidal and the 2/3 rule, always applied,
 keeps aliasing off those modes.  The velocity increment is
 Leray-projected, which realizes the pressure gradient exactly.  The
@@ -28,11 +30,18 @@ default scheme is the two-stage exponential integrator
     z_{n+1} = a + h phi2(h M) (N(a) - N(z_n)),
 
 second order in h; an integrating-factor RK4 is available for convergence
-studies.  The state is one (9, n, n, n//2 + 1) array throughout, and N
-carries the three increments in the same row layout.  Above n = 32 the
-sector-kernel applies and the element-wise parts of N (the products with
-the speed, and the contraction, curl, mask and projection after the
-forward transform) run in slabs of planes on the MMP_THREADS workers
+studies.  simulate advances the 2/3-rule retained block, one
+(9, 2c + 1, 2c + 1, c + 1) array with c = n // 3 (Grid.truncate), which
+holds the Galerkin truncation's only nonzero modes; N carries the three
+increments in the same row layout.  The datum comes in and the output
+rows and snapshots go out as half spectra, +0 outside the block
+(Grid.pad).  nonlinear_rhs, the kernel applies and _step_arrays take
+either layout; on half spectra a step carries the modes outside the
+block along linearly and agrees with the retained step bit for bit on
+the block.  Above n = 32 the sector-kernel applies and the element-wise
+parts of N (the products with the speed, and the contraction, curl and
+projection after the forward transform) run in slabs of planes on the
+MMP_THREADS workers
 (grid.slab_map); each slab works mode by mode or point by point, so every
 result has the same bits at any thread count.  Every step opens with one
 evaluation of N(z_n), which is its first stage and also reports the
@@ -138,11 +147,11 @@ def _contract(xi: np.ndarray, rows, out: np.ndarray) -> None:
         out[i] += xi[2] * row[2]
 
 
-def nonlinear_rhs(state: StateField, check_solenoidal: bool = True
-                  ) -> tuple[np.ndarray, float]:
+def nonlinear_rhs(state: StateField | np.ndarray, check_solenoidal: bool = True,
+                  grid: Grid | None = None) -> tuple[np.ndarray, float]:
     """Spectral increment N = (Nu, Nw, Nb) of the quadratic terms, plus the
-    Elsasser speed max(|u| + |b|) over the grid points of the masked state:
-    the speed of u +- b, which bounds the explicit transport by u in
+    Elsasser speed max(|u| + |b|) over the grid points of the truncated
+    state: the speed of u +- b, which bounds the explicit transport by u in
     (u.grad) and by b in (b.grad).
 
     Nu = P[(b.grad)b - (u.grad)u] = P[div(b(x)b - u(x)u)]
@@ -151,16 +160,30 @@ def nonlinear_rhs(state: StateField, check_solenoidal: bool = True
 
     The Leray projection P supplies -grad p in Nu; Nb is a curl, so it is
     solenoidal without one.
-    """
-    grid = state.grid
-    if check_solenoidal and state.divergence_error() > SOLENOIDAL_TOL:
-        raise ContractViolation(
-            f"u or b not solenoidal: relative divergence {state.divergence_error():.3e}")
 
-    mask = grid.dealias_mask
-    z = state.z * mask
+    state is a StateField, or a bare (9, ...) coefficient array of grid;
+    either way it holds half spectra or retained blocks (Grid.truncate),
+    and N comes back in the same layout.  Half spectra are truncated,
+    evaluated as a retained block and padded, so N is +0 outside the
+    block.  check_solenoidal applies to a StateField.
+    """
+    if isinstance(state, StateField):
+        grid, z = state.grid, state.z
+        if check_solenoidal and state.divergence_error() > SOLENOIDAL_TOL:
+            raise ContractViolation(
+                f"u or b not solenoidal: relative divergence {state.divergence_error():.3e}")
+    else:
+        z = state
+    if z.shape[1:] == grid.spectral_shape:
+        N, speed = _retained_rhs(grid, grid.truncate(z))
+        return grid.pad(N), speed
+    return _retained_rhs(grid, z)
+
+
+def _retained_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
+    """nonlinear_rhs on a retained block z, (9, 2c + 1, 2c + 1, c + 1)."""
     # resolved on the grid module at call time, so wrappers installed there see it
-    phys = _grid.inverse(z)
+    phys = _grid.inverse(grid.pad(z, out=grid.fft_input))
     u, w, b = phys[0:3], phys[3:6], phys[6:9]
     prod = np.empty((18,) + phys.shape[1:])
 
@@ -180,19 +203,19 @@ def nonlinear_rhs(state: StateField, check_solenoidal: bool = True
 
     # np.max, unlike max(), keeps a NaN slab speed
     speed = float(np.max(_grid.slab_map(products, phys.shape[1:])))
-    spec = forward(prod)
+    spec = grid.truncate(forward(prod))
+    xi_odd = grid.retained.xi_odd
     N = np.empty(z.shape, dtype=complex)
 
     def increments(sl):
         """N before the projection on a slab of modes."""
-        xi, s, out = grid.xi_odd[:, sl], spec[:, sl], N[:, sl]
+        xi, s, out = xi_odd[:, sl], spec[:, sl], N[:, sl]
         _contract(xi, [[s[k] for k in row] for row in _SYM_INDEX], out[0:3])
         _contract(xi, [[s[9 + 3 * j + i] for j in range(3)] for i in range(3)], out[3:6])
         out[0:6] *= -1j
         out[6:9] = curl_at(xi, s[6:9])
-        out *= mask[sl]
 
-    _grid.slab_map(increments, grid.spectral_shape)
+    _grid.slab_map(increments, z.shape[1:])
     leray_project(grid, N[0:3], out=N[0:3])
     return N, speed
 
@@ -258,11 +281,14 @@ def step(state: StateField, params: PhysParams, dt: float) -> StateField:
 
 def _step_arrays(prop: GridPropagator, z: np.ndarray, N: np.ndarray, grid: Grid,
                  dt: float, scheme: str) -> np.ndarray:
-    """One step on a raw (9, ...) coefficient array from its right-hand
-    side N = N(z), which is the first stage; returns the new array."""
+    """One step on a raw (9, ...) coefficient array, half spectra or a
+    retained block, from its right-hand side N = N(z) in the same layout,
+    which is the first stage; returns the new array in that layout.  The
+    applies and right-hand sides follow the layout, so half spectra carry
+    their modes outside the retained block along linearly."""
 
     def rhs(arr):
-        return nonlinear_rhs(StateField(grid, arr), check_solenoidal=False)[0]
+        return nonlinear_rhs(arr, grid=grid)[0]
 
     if scheme == "etd-rk2":
         a = prop.apply(z, dt, kind="exp")
@@ -318,8 +344,14 @@ def simulate(config: SolverConfig, z0: StateField,
     SOLENOIDAL_TOL); otherwise ContractViolation is raised before the first
     step.  A non-finite z0 passes this check and ends in BlowupError.
 
-    pair_linear additionally evolves the linear system from the same datum
-    (exactly, via the semigroup) and records difference norms.  The run is
+    The run advances the retained block of z0 (see the module docstring):
+    the t = 0 row and snapshot record z0 as given, later ones the padded
+    block, so modes of z0 outside the block (data from
+    generate_data_with_character have none) are dropped after t = 0.
+
+    pair_linear additionally evolves the linear system from the same
+    retained datum (exactly, via the semigroup) and records difference
+    norms.  The run is
     deterministic: equal (config, z0) produce identical trajectories for
     any worker-thread count.
     """
@@ -342,7 +374,10 @@ def simulate(config: SolverConfig, z0: StateField,
         "max_tensor_constant": 0.0,
     })
 
-    z = np.array(z0.z, dtype=complex)
+    datum = np.array(z0.z, dtype=complex)
+    # the stepper and the paired linear run advance the retained block and
+    # pad it at outputs; the datum's other modes are recorded at t = 0 only
+    z = z0_block = grid.truncate(datum)
     dt = config.dt
     steps_per_output = config.output_every
     n_outputs = int(round(config.t_end / (config.dt * config.output_every)))
@@ -363,7 +398,7 @@ def simulate(config: SolverConfig, z0: StateField,
         if save_snapshots:
             traj.snapshots.append(st)
 
-    record(0.0, z, z if pair_linear else None)
+    record(0.0, datum, datum if pair_linear else None)
     # the stepper skips nonlinear_rhs's check, so the datum is checked here,
     # on the divergence that record measured
     if traj.diagnostics["max_divergence"] > SOLENOIDAL_TOL:
@@ -376,7 +411,7 @@ def simulate(config: SolverConfig, z0: StateField,
         remaining = steps_per_output
         while remaining:
             # the step's first stage, with the speed of the state it advances
-            N, speed = nonlinear_rhs(StateField(grid, z), check_solenoidal=False)
+            N, speed = nonlinear_rhs(z, grid=grid)
             if not np.isfinite(speed):
                 raise BlowupError(t_target - (remaining - 1) * dt, trajectory=traj)
             # CFL check before every step.  dt only ever halves, and the
@@ -390,7 +425,8 @@ def simulate(config: SolverConfig, z0: StateField,
             remaining -= 1
         if not np.isfinite(z).all():
             raise BlowupError(t_target, trajectory=traj)
-        record(t_target, z, prop.apply(z0.z, t_target, kind="exp") if pair_linear else None)
+        record(t_target, grid.pad(z),
+               grid.pad(prop.apply(z0_block, t_target, kind="exp")) if pair_linear else None)
 
     traj.diagnostics["dt_final"] = dt
     return traj

@@ -34,6 +34,14 @@ def reality_error(spec):
     return float(np.abs(forward(inverse(spec)) - spec).max() / scale) if scale > 0 else 0.0
 
 
+def hermitian_symmetrize(spec):
+    """Project a full FFT-ordered spectrum onto its conjugate-symmetric part:
+    the full-spectrum construction the data generator's half-spectrum
+    pairing is checked against."""
+    from mmplab.grid import conjugate_flip
+    return 0.5 * (spec + conjugate_flip(spec))
+
+
 def full_xi_mag(grid):
     """|xi| on the full FFT-ordered grid, shape (n, n, n), from k_int alone."""
     k = grid.fundamental * grid.k_int.astype(float)

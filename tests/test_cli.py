@@ -134,6 +134,18 @@ class TestCliBasics:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+    @pytest.mark.parametrize("value", ["two", "2.5", "0", "-3"])
+    def test_bad_thread_count_prints_one_error_line(self, value):
+        # symbol-check runs no transform, so the check comes before any work
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmplab.cli", "symbol-check", "--samples", "10"],
+            capture_output=True, text=True, env=dict(os.environ, MMP_THREADS=value))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert lines == [f"error: MMP_THREADS must be a positive integer, got {value!r}"]
+
+
 class TestConfig:
     def test_hash_stability_and_key_order(self):
         a = RunConfig.from_text(CONFIG_TEXT)

@@ -8,12 +8,41 @@ from mmplab.decay_character import (ShellProfile, SpectralProfile,
                                     estimate_decay_character,
                                     generate_data_with_character,
                                     min_rule_check)
-from mmplab.fields import Grid, l2_norm_sq, leray_project
-from mmplab.grid import full_spectrum, hermitian_symmetrize
+from mmplab.fields import Grid, StateField, l2_norm_sq, leray_project
+from mmplab.grid import full_spectrum
 
-from conftest import full_xi_mag, random_state, reality_error
+from conftest import full_xi_mag, hermitian_symmetrize, random_state, reality_error
 
 FOUR_PI = 4.0 * np.pi
+
+
+def full_spectrum_datum(grid, r, seed, amplitude):
+    """Oracle for generate_data_with_character: the same draws, symmetrized
+    on the full (3, n, n, n) spectrum and sliced to the stored half."""
+    sigma = grid.n * np.pi / (4.0 * grid.length)
+    mag = np.zeros_like(grid.xi_sq)
+    nonzero = grid.xi_sq > 0
+    mag[nonzero] = grid.xi_mag[nonzero] ** r * np.exp(-grid.xi_sq[nonzero] / (2.0 * sigma ** 2))
+    mag *= grid.dealias_mask
+    rng = np.random.Generator(np.random.Philox(seed))
+    shape = (3, grid.n, grid.n, grid.n)
+
+    def shaped_noise():
+        noise = hermitian_symmetrize(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        noise = noise[..., :grid.n // 2 + 1]
+        amp = np.abs(noise)
+        return np.divide(noise, amp, out=np.ones_like(noise), where=amp > 0) * mag[None]
+
+    def project_rescaled(vhat):
+        proj = leray_project(grid, vhat)
+        amp = np.sqrt((np.abs(proj) ** 2).sum(axis=0))
+        scale = np.divide(np.sqrt(3.0) * mag, amp, out=np.zeros_like(mag), where=amp > 0)
+        return proj * scale[None]
+
+    z = np.concatenate([project_rescaled(shaped_noise()), shaped_noise(),
+                        project_rescaled(shaped_noise())])
+    z *= amplitude / np.sqrt(l2_norm_sq(StateField(grid, z)))
+    return z
 
 
 class TestDecayIndicator:
@@ -156,6 +185,13 @@ class TestGenerator:
         for comp in state.components():
             assert np.abs(comp[:, 0, 0, 0]).max() == 0.0  # zero mean
             assert np.abs(comp * ~grid.dealias_mask).max() == 0.0
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 48, 64])
+    @pytest.mark.parametrize("r, seed", [(-1.0, 1), (0.0, 2), (1.5, 3)])
+    def test_half_spectrum_pairing_matches_full_construction(self, n, r, seed):
+        grid = Grid(n, 2 * np.pi)
+        got = generate_data_with_character(grid, r, seed=seed, amplitude=0.7)
+        assert got.z.tobytes() == full_spectrum_datum(grid, r, seed, 0.7).tobytes()
 
     def test_range_validation(self):
         grid = Grid(16)

@@ -8,10 +8,9 @@ from mmplab.fields import (ContractViolation, Grid, StateField, curl,
                            divergence, gradient, l2_norm_sq, leray_project,
                            physical_norm_sq, spectrum_norm_sq, state_norms,
                            transform_roundtrip)
-from mmplab.grid import (conjugate_flip, forward, full_spectrum,
-                         hermitian_symmetrize, inverse)
+from mmplab.grid import conjugate_flip, forward, full_spectrum, inverse
 
-from conftest import random_state, reality_error
+from conftest import hermitian_symmetrize, random_state, reality_error
 
 
 def dft_oracle(phys):

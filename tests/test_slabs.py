@@ -6,6 +6,7 @@ grid.SLABS planes on the MMP_THREADS workers; these tests run at n = 64,
 where the slab path is taken, and check that n = 32 never takes it.
 """
 
+import os
 import sys
 
 import numpy as np
@@ -65,6 +66,29 @@ class TestSlabMap:
         with np.errstate(divide="raise"):
             with pytest.raises(FloatingPointError):
                 grid_module.slab_map(lambda sl: ones[sl] / zeros[sl], (64, 64, 33))
+
+
+class TestWorkerCount:
+    def test_default_is_the_affinity_mask(self, monkeypatch):
+        monkeypatch.delenv("MMP_THREADS", raising=False)
+        assert grid_module.worker_count() == len(os.sched_getaffinity(0))
+        monkeypatch.setenv("MMP_THREADS", " ")
+        assert grid_module.worker_count() == len(os.sched_getaffinity(0))
+
+    def test_default_without_affinity_call(self, monkeypatch):
+        monkeypatch.delenv("MMP_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert grid_module.worker_count() == (os.cpu_count() or 1)
+
+    def test_positive_integer_is_taken(self, monkeypatch):
+        monkeypatch.setenv("MMP_THREADS", " 3 ")
+        assert grid_module.worker_count() == 3
+
+    @pytest.mark.parametrize("value", ["two", "2.5", "0", "-3"])
+    def test_rejects_malformed_or_nonpositive(self, monkeypatch, value):
+        monkeypatch.setenv("MMP_THREADS", value)
+        with pytest.raises(ValueError, match="MMP_THREADS must be a positive integer"):
+            grid_module.worker_count()
 
 
 @pytest.mark.parametrize("kind", ["exp", "phi1", "phi2"])
