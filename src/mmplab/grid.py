@@ -27,6 +27,13 @@ k_z runs 0 .. c), and Grid.pad scatters a block back with zeros
 elsewhere.  The time stepper advances that block and pads it only for
 the inverse transform and at outputs; Grid.retained holds the per-mode
 arrays on the block.
+
+forward and inverse write into a caller's array when given out=, through
+the same pocketfft calls that scipy.fft.rfftn and irfftn make, so the bits
+do not depend on it.  Grid.buffers holds the four transform arrays that
+every right-hand side of the stepper reuses (its padded input spectra, the
+fields, the 18 products and their spectra): one caller at a time per Grid,
+kept from the first use until Grid.release_buffers.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft as _fft
+from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
 # Element-wise stages run in SLABS fixed planes of their first axis once an
 # array has SLAB_MIN_SIZE points per component; smaller ones (every grid up
@@ -109,6 +116,16 @@ class Modes:
     xi_sq: np.ndarray
     leray_divisor: np.ndarray
     leray_fixed: np.ndarray
+
+
+@dataclass(frozen=True)
+class Buffers:
+    """Grid.buffers: the work arrays of one right-hand side."""
+
+    padded: np.ndarray    # (9, n, n, n//2 + 1) inverse input, +0 outside the retained block
+    fields: np.ndarray    # (9, n, n, n) its real fields
+    products: np.ndarray  # (18, n, n, n) the quadratic products
+    spectra: np.ndarray   # (18, n, n, n//2 + 1) their half spectra
 
 
 @dataclass(frozen=True)
@@ -236,12 +253,18 @@ class Grid:
         return out
 
     @cached_property
-    def fft_input(self) -> np.ndarray:
-        """Zeros of shape (9, n, n, n//2 + 1), reused by this Grid as the
-        padded inverse-transform input of every right-hand side: pad
-        writes only the retained modes into it, so the rest stays zero.
-        One caller at a time."""
-        return np.zeros((9,) + self.spectral_shape, dtype=complex)
+    def buffers(self) -> Buffers:
+        """The transform arrays of the right-hand side on this Grid, made on
+        first use and kept until release_buffers.  One caller at a time."""
+        half, phys = self.spectral_shape, (self.n,) * 3
+        return Buffers(padded=np.zeros((9,) + half, dtype=complex),
+                       fields=np.empty((9,) + phys),
+                       products=np.empty((18,) + phys),
+                       spectra=np.empty((18,) + half, dtype=complex))
+
+    def release_buffers(self) -> None:
+        """Drop the buffers, if held; the next use makes new ones."""
+        self.__dict__.pop("buffers", None)
 
     @cached_property
     def retained(self) -> Modes:
@@ -258,17 +281,21 @@ class Grid:
         return out
 
 
-def forward(phys: np.ndarray) -> np.ndarray:
-    """Real physical -> half spectrum over the last three axes (carries 1/n^3)."""
-    return _fft.rfftn(phys, axes=(-3, -2, -1), norm="forward",
-                      workers=worker_count())
+# pocketfft's normalization codes: 2 divides by n^3, 0 leaves the sum as it is
+_BY_N3, _UNSCALED = 2, 0
 
 
-def inverse(spec: np.ndarray) -> np.ndarray:
-    """Half spectrum -> real physical field over the last three axes."""
+def forward(phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Real physical -> half spectrum over the last three axes (carries
+    1/n^3), written into out (complex, not overlapping phys) when given."""
+    return _pocketfft.r2c(phys, (-3, -2, -1), True, _BY_N3, out, worker_count())
+
+
+def inverse(spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectrum -> real physical field over the last three axes,
+    written into out (real, not overlapping spec) when given."""
     n = spec.shape[-2]
-    return _fft.irfftn(spec, s=(n, n, n), axes=(-3, -2, -1), norm="forward",
-                       workers=worker_count())
+    return _pocketfft.c2r(spec, (-3, -2, -1), n, False, _UNSCALED, out, worker_count())
 
 
 def conjugate_flip(spec: np.ndarray) -> np.ndarray:

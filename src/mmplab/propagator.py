@@ -23,11 +23,19 @@ retained block (9, 2c + 1, 2c + 1, c + 1) on the grid (see
 :mod:`mmplab.grid`), (9, n_r) on the radial nodes.  The grid propagator
 holds one kernel per layout, the second on the truncated wavevectors, and
 applies the one that matches z; every weight is computed mode by mode, so
-both give the same bits on a retained mode.
+both give the same bits on a retained mode.  The half-spectrum kernel is
+built on its first apply; the time stepper applies only the retained one.
+
+An apply at a scalar time with cache=True keeps its weight table (the
+five per-mode weights of the sector and the magnetic factor) on the kernel
+under (t, kind) and reuses it at the next such call: the stepper's applies
+at a fixed step size evaluate their weights once.  drop_weights forgets
+them.  Array times and uncached calls evaluate the weights every time.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -115,12 +123,13 @@ class SectorKernel:
         self.lam_w_long = -(self.b + q2)
         self.lam_mag = -params.nu * xi_sq
         self.lam_lo, self.lam_hi = sector_eigenvalues(self.a, self.b, params.chi ** 2 * q2)
+        self.tables: dict[tuple[float, str], tuple[np.ndarray, ...]] = {}
 
     @property
     def spectral_radius(self) -> float:
         return float(max(-self.lam_lo.min(), -self.lam_w_long.min(), -self.lam_mag.min()))
 
-    def apply(self, z: np.ndarray, t, kind: str = "exp") -> np.ndarray:
+    def apply(self, z: np.ndarray, t, kind: str = "exp", cache: bool = False) -> np.ndarray:
         """f(tM) z for z = (u, w, b) stacked on a leading axis of 9.
 
         t is a scalar or an array of times that broadcasts against the
@@ -128,22 +137,31 @@ class SectorKernel:
         time axis of 1); the result has the broadcast shape of z and the
         weights.  Every time must be finite and nonnegative.  At a scalar
         time, with z shaped like the kernel, the modes run in slabs of the
-        kernel's first axis (grid.slab_map).
+        kernel's first axis (grid.slab_map), and cache=True takes the
+        weights from self.tables, filled here on a miss before the slabs
+        start, so no slab writes to it.
         """
         if check_times(t).ndim or z.shape[1:] != self.a.shape:
-            return self._apply_slab(z, t, kind, ...)  # a time axis or a broadcast z stays whole
+            return self._combine(z, self.weights(t, kind), ...)  # stays whole
+        table = None
+        if cache:
+            key = (float(t), kind)
+            if key not in self.tables:
+                self.tables[key] = self.weights(t, kind)
+            table = self.tables[key]
         out = np.empty(z.shape, dtype=complex)
 
         def fill(sl):
-            self._apply_slab(z[:, sl], t, kind, sl, out[:, sl])
+            weights = self.weights(t, kind, sl) if table is None else [w[sl] for w in table]
+            self._combine(z[:, sl], weights, sl, out[:, sl])
 
         _grid.slab_map(fill, self.a.shape)
         return out
 
-    def _apply_slab(self, z, t, kind, sl, out=None) -> np.ndarray:
-        """apply on the kernel's modes [sl], a slice of the first axis (or
-        ..., every mode), for z already cut to those modes; writes into out,
-        or into a new array of the broadcast shape."""
+    def weights(self, t, kind: str, sl=...) -> tuple[np.ndarray, ...]:
+        """The weight table of f(tM) on the kernel's modes [sl] (a slice of
+        the first axis, or ..., every mode): the transverse and longitudinal
+        weights of u and of w, i beta and the magnetic factor."""
         a, b, lam_hi = self.a[sl], self.b[sl], self.lam_hi[sl]
         f = _WEIGHTS[kind]
         f_hi, dd = _divided_difference(kind, t * lam_hi, t * self.lam_lo[sl])
@@ -151,18 +169,24 @@ class SectorKernel:
         alpha = f_hi - beta * lam_hi
         u_t = alpha - beta * a
         w_t = alpha - beta * b
-        u_l = f(-t * a) - u_t
-        w_l = f(t * self.lam_w_long[sl]) - w_t
-        d, q, c = self.direction[:, sl], self.rot[:, sl], 1j * beta
+        return (u_t, w_t, f(-t * a) - u_t, f(t * self.lam_w_long[sl]) - w_t, 1j * beta,
+                f(t * self.lam_mag[sl]))
+
+    def _combine(self, z, weights, sl, out=None) -> np.ndarray:
+        """f(tM) z on the kernel's modes [sl] from their weight table, for z
+        already cut to those modes; writes into out, or into a new array of
+        the broadcast shape."""
+        u_t, w_t, u_l, w_l, c, mag = weights
+        d, q = self.direction[:, sl], self.rot[:, sl]
         u, w = z[0:3], z[3:6]
         if out is None:
-            out = np.empty(np.broadcast_shapes(z.shape, (9,) + beta.shape), dtype=complex)
+            out = np.empty(np.broadcast_shapes(z.shape, (9,) + c.shape), dtype=complex)
         for o, x, y, x_t, x_l in ((out[0:3], u, w, u_t, u_l), (out[3:6], w, u, w_t, w_l)):
             np.multiply(x_t, x, out=o)
             o += x_l * (d * x).sum(0) * d
             for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
                 o[i] += c * (y[j] * q[k] - y[k] * q[j])
-        np.multiply(f(t * self.lam_mag[sl]), z[6:9], out=out[6:9])
+        np.multiply(mag, z[6:9], out=out[6:9])
         return out
 
 
@@ -171,17 +195,38 @@ class GridPropagator:
     half spectra, retained_kernel on retained blocks."""
 
     def __init__(self, grid: Grid, params: PhysParams):
+        self.grid, self.params = grid, params
+        self.retained_kernel = SectorKernel(grid.retained.xi_odd, grid.retained.xi_sq, params)
+
+    @cached_property
+    def kernel(self) -> SectorKernel:
         # dissipation weights are even and keep the full wavevector; the
         # rotational coupling and grad-div terms carry signs and use the
         # Nyquist-zeroed copy so realness survives the semigroup
-        self.kernel = SectorKernel(grid.xi_odd, grid.xi_sq, params)
-        self.retained_kernel = SectorKernel(grid.retained.xi_odd, grid.retained.xi_sq, params)
+        return SectorKernel(self.grid.xi_odd, self.grid.xi_sq, self.params)
 
-    def apply(self, z: np.ndarray, t: float, kind: str = "exp") -> np.ndarray:
+    @property
+    def spectral_radius(self) -> float:
+        """Largest decay rate over every mode of the half spectrum; the
+        half-spectrum kernel is built for it and dropped unless already
+        held."""
+        kernel = self.__dict__.get("kernel") or SectorKernel(
+            self.grid.xi_odd, self.grid.xi_sq, self.params)
+        return kernel.spectral_radius
+
+    def apply(self, z: np.ndarray, t: float, kind: str = "exp",
+              cache: bool = False) -> np.ndarray:
         """Apply exp(tM), phi1(tM) or phi2(tM) to a (9, ...) coefficient
-        array of half spectra or of retained blocks."""
+        array of half spectra or of retained blocks (see SectorKernel.apply
+        for cache)."""
         retained = z.shape[-3:] == self.retained_kernel.a.shape
-        return (self.retained_kernel if retained else self.kernel).apply(z, t, kind)
+        return (self.retained_kernel if retained else self.kernel).apply(z, t, kind, cache)
+
+    def drop_weights(self) -> None:
+        """Forget the weight tables cached by both kernels."""
+        self.retained_kernel.tables.clear()
+        if "kernel" in self.__dict__:
+            self.kernel.tables.clear()
 
     def evolve(self, state: StateField, t: float) -> StateField:
         """Exact semigroup e^{tM} applied to a StateField."""

@@ -2,6 +2,7 @@
 
 Each check is a pure function returning (ok, detail).  The suite covers the
 load-bearing identities: transform round trips against a direct DFT sum,
+the out-buffer transforms bit for bit against scipy.fft,
 projector algebra, Parseval and its half-spectrum multiplicity, symbol
 Hermiticity, the eigendecomposition semigroup against a scaling-and-squaring
 matrix exponential, generator determinism, exact power-law fitting,
@@ -16,13 +17,14 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.fft as _fft
 
 from .analysis import fit_decay_exponent
 from .decay_character import SpectralProfile, generate_data_with_character
 from .fields import (Grid, PhysParams, StateField, l2_norm_sq, leray_project,
                      physical_norm_sq, spectrum_norm_sq, state_norms,
                      transform_roundtrip)
-from .grid import forward, full_spectrum
+from .grid import forward, full_spectrum, inverse
 from .linear import RadialLinearState, _polarization, make_radial_state
 from .propagator import SectorKernel, get_propagator
 from .solver import (SCHEMES, SolverConfig, _step_arrays, energy_balance_check,
@@ -83,6 +85,20 @@ def check_dft_oracle() -> tuple[bool, str]:
     phys = rng.normal(size=(8, 8, 8))
     err = np.abs(forward(phys) - _dft_oracle(phys)[..., :5]).max()
     return err < 1e-13, f"rfftn vs direct DFT half spectrum {err:.2e}"
+
+
+def check_out_transforms() -> tuple[bool, str]:
+    """forward and inverse into given arrays against scipy.fft, bit for bit:
+    they call pocketfft directly, so a scipy that changes it shows here."""
+    phys = np.random.Generator(np.random.Philox(10)).normal(size=(4, 12, 12, 12))
+    spec = forward(phys, out=np.empty((4, 12, 12, 7), dtype=complex))
+    back = inverse(spec, out=np.empty(phys.shape))
+    same_forward = spec.tobytes() == _fft.rfftn(
+        phys, axes=(-3, -2, -1), norm="forward").tobytes()
+    same_inverse = back.tobytes() == _fft.irfftn(
+        spec, s=(12, 12, 12), axes=(-3, -2, -1), norm="forward").tobytes()
+    return (same_forward and same_inverse,
+            f"bitwise equal to scipy.fft: forward {same_forward}, inverse {same_inverse}")
 
 
 def check_leray() -> tuple[bool, str]:
@@ -253,6 +269,7 @@ def check_grid_propagator() -> tuple[bool, str]:
 CHECKS = [
     ("transform roundtrip", check_roundtrip),
     ("direct DFT oracle", check_dft_oracle),
+    ("out-buffer transforms vs scipy.fft", check_out_transforms),
     ("Leray projection", check_leray),
     ("Parseval identity", check_parseval),
     ("half-spectrum Parseval multiplicity", check_half_parseval),

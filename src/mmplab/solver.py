@@ -9,10 +9,12 @@ rule) in divergence and curl form,
     (u.grad)w             = div(u(x)w),
 
 which is 9 inverse and 18 forward real transforms per evaluation: the
-(9, ...) state, padded from the retained block into one reused half
-spectrum buffer per grid, goes out in one batch and the 6 symmetric
-products u_i u_j - b_i b_j, the 3 products u x b and the 9 products
-u_j w_i come back in another, of which only the retained block is kept.
+(9, ...) state, padded from the retained block, goes out in one batch and
+the 6 symmetric products u_i u_j - b_i b_j, the 3 products u x b and the 9
+products u_j w_i come back in another, of which only the retained block is
+kept.  The padded spectra, the fields, the products and their spectra are
+written into Grid.buffers, reused by every evaluation on that Grid (one
+caller at a time); N itself is a new array each time.
 On the retained modes the identities are exact, because
 the truncated u and b are solenoidal and the 2/3 rule, always applied,
 keeps aliasing off those modes.  The velocity increment is
@@ -30,7 +32,13 @@ default scheme is the two-stage exponential integrator
     z_{n+1} = a + h phi2(h M) (N(a) - N(z_n)),
 
 second order in h; an integrating-factor RK4 is available for convergence
-studies.  simulate advances the 2/3-rule retained block, one
+studies.  The stepper's applies cache their weight tables per (time,
+kind) on the propagator's kernel (SectorKernel.apply), so a run evaluates
+them once per step size: three for ETD-RK2 (exp, phi1, phi2 at h), two
+for IF-RK4 (exp at h and h/2); a halving of dt drops them.  simulate
+holds the Grid's buffers only while it steps: it releases them before
+every output row, where the norms need memory of their own, and on every
+exit.  simulate advances the 2/3-rule retained block, one
 (9, 2c + 1, 2c + 1, c + 1) array with c = n // 3 (Grid.truncate), which
 holds the Galerkin truncation's only nonzero modes; N carries the three
 increments in the same row layout.  The datum comes in and the output
@@ -182,10 +190,11 @@ def nonlinear_rhs(state: StateField | np.ndarray, check_solenoidal: bool = True,
 
 def _retained_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
     """nonlinear_rhs on a retained block z, (9, 2c + 1, 2c + 1, c + 1)."""
+    buffers = grid.buffers
     # resolved on the grid module at call time, so wrappers installed there see it
-    phys = _grid.inverse(grid.pad(z, out=grid.fft_input))
+    phys = _grid.inverse(grid.pad(z, out=buffers.padded), out=buffers.fields)
     u, w, b = phys[0:3], phys[3:6], phys[6:9]
-    prod = np.empty((18,) + phys.shape[1:])
+    prod = buffers.products
 
     def products(sl):
         """The 18 products and the Elsasser speed on a slab of grid points."""
@@ -203,7 +212,7 @@ def _retained_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
 
     # np.max, unlike max(), keeps a NaN slab speed
     speed = float(np.max(_grid.slab_map(products, phys.shape[1:])))
-    spec = grid.truncate(forward(prod))
+    spec = grid.truncate(forward(prod, out=buffers.spectra))
     xi_odd = grid.retained.xi_odd
     N = np.empty(z.shape, dtype=complex)
 
@@ -290,27 +299,27 @@ def _step_arrays(prop: GridPropagator, z: np.ndarray, N: np.ndarray, grid: Grid,
     def rhs(arr):
         return nonlinear_rhs(arr, grid=grid)[0]
 
+    def apply(arr, t, kind):
+        return prop.apply(arr, t, kind=kind, cache=True)
+
     if scheme == "etd-rk2":
-        a = prop.apply(z, dt, kind="exp")
-        a += dt * prop.apply(N, dt, kind="phi1")
+        a = apply(z, dt, "exp")
+        a += dt * apply(N, dt, "phi1")
         dN = rhs(a)
         dN -= N
-        # the result is a new array: allocated last, it sits above the step's
-        # freed whole-array transients, so malloc keeps them mapped for the
-        # next step rather than trimming them and faulting them back in
-        return a + dt * prop.apply(dN, dt, kind="phi2")
+        return a + dt * apply(dN, dt, "phi2")
 
     if scheme == "if-rk4":
-        stage = prop.apply(z, dt / 2, kind="exp")
-        k2 = rhs(prop.apply(z + (dt / 2) * N, dt / 2, kind="exp"))
+        stage = apply(z, dt / 2, "exp")
+        k2 = rhs(apply(z + (dt / 2) * N, dt / 2, "exp"))
         stage += (dt / 2) * k2
         k3 = rhs(stage)
-        Ez = prop.apply(z, dt, kind="exp")
-        k3 = prop.apply(k3, dt / 2, kind="exp")
+        Ez = apply(z, dt, "exp")
+        k3 = apply(k3, dt / 2, "exp")
         k4 = rhs(Ez + dt * k3)
-        k2 = prop.apply(k2, dt / 2, kind="exp")
+        k2 = apply(k2, dt / 2, "exp")
         k2 += k3
-        return Ez + (dt / 6.0) * (prop.apply(N, dt, kind="exp") + 2.0 * k2 + k4)
+        return Ez + (dt / 6.0) * (apply(N, dt, "exp") + 2.0 * k2 + k4)
 
     raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -368,7 +377,7 @@ def simulate(config: SolverConfig, z0: StateField,
         "scheme": config.scheme,
         "bound_valid": params.bound_valid,
         "dt_initial": config.dt,
-        "dt_lambda_max": config.dt * prop.kernel.spectral_radius,
+        "dt_lambda_max": config.dt * prop.spectral_radius,
         "cfl_halvings": 0,
         "max_divergence": 0.0,
         "max_tensor_constant": 0.0,
@@ -384,6 +393,7 @@ def simulate(config: SolverConfig, z0: StateField,
     output_dt = config.dt * config.output_every
 
     def record(t, coeffs, linear_coeffs):
+        grid.release_buffers()
         st = StateField(grid, coeffs)
         lin = StateField(grid, linear_coeffs) if linear_coeffs is not None else None
         row = _norm_row(st, t, config.ball_A, lin)
@@ -406,27 +416,31 @@ def simulate(config: SolverConfig, z0: StateField,
             f"z0: u or b not solenoidal: relative divergence "
             f"{traj.diagnostics['max_divergence']:.3e}")
 
-    for k in range(1, n_outputs + 1):
-        t_target = k * output_dt
-        remaining = steps_per_output
-        while remaining:
-            # the step's first stage, with the speed of the state it advances
-            N, speed = nonlinear_rhs(z, grid=grid)
-            if not np.isfinite(speed):
-                raise BlowupError(t_target - (remaining - 1) * dt, trajectory=traj)
-            # CFL check before every step.  dt only ever halves, and the
-            # remaining steps double with it, so output times stay exact.
-            while dt * speed * grid.n / grid.length > CFL_LIMIT:
-                dt *= 0.5
-                remaining *= 2
-                steps_per_output *= 2
-                traj.diagnostics["cfl_halvings"] += 1
-            z = _step_arrays(prop, z, N, grid, dt, config.scheme)
-            remaining -= 1
-        if not np.isfinite(z).all():
-            raise BlowupError(t_target, trajectory=traj)
-        record(t_target, grid.pad(z),
-               grid.pad(prop.apply(z0_block, t_target, kind="exp")) if pair_linear else None)
+    try:
+        for k in range(1, n_outputs + 1):
+            t_target = k * output_dt
+            remaining = steps_per_output
+            while remaining:
+                # the step's first stage, with the speed of the state it advances
+                N, speed = nonlinear_rhs(z, grid=grid)
+                if not np.isfinite(speed):
+                    raise BlowupError(t_target - (remaining - 1) * dt, trajectory=traj)
+                # CFL check before every step.  dt only ever halves, and the
+                # remaining steps double with it, so output times stay exact.
+                while dt * speed * grid.n / grid.length > CFL_LIMIT:
+                    dt *= 0.5
+                    remaining *= 2
+                    steps_per_output *= 2
+                    traj.diagnostics["cfl_halvings"] += 1
+                    prop.drop_weights()
+                z = _step_arrays(prop, z, N, grid, dt, config.scheme)
+                remaining -= 1
+            if not np.isfinite(z).all():
+                raise BlowupError(t_target, trajectory=traj)
+            record(t_target, grid.pad(z),
+                   grid.pad(prop.apply(z0_block, t_target, kind="exp")) if pair_linear else None)
+    finally:
+        grid.release_buffers()
 
     traj.diagnostics["dt_final"] = dt
     return traj
