@@ -32,8 +32,9 @@ forward and inverse write into a caller's array when given out=, through
 the same pocketfft calls that scipy.fft.rfftn and irfftn make, so the bits
 do not depend on it.  Grid.buffers holds the four transform arrays that
 every right-hand side of the stepper reuses (its padded input spectra, the
-fields, the 18 products and their spectra): one caller at a time per Grid,
-kept from the first use until Grid.release_buffers.
+fields, and one group of nine products and their spectra, which the
+right-hand side forms twice): one caller at a time per Grid, kept from the
+first use until Grid.release_buffers.
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ class Buffers:
 
     padded: np.ndarray    # (9, n, n, n//2 + 1) inverse input, +0 outside the retained block
     fields: np.ndarray    # (9, n, n, n) its real fields
-    products: np.ndarray  # (18, n, n, n) the quadratic products
-    spectra: np.ndarray   # (18, n, n, n//2 + 1) their half spectra
+    products: np.ndarray  # (9, n, n, n) one group of the quadratic products
+    spectra: np.ndarray   # (9, n, n, n//2 + 1) their half spectra
 
 
 @dataclass(frozen=True)
@@ -235,10 +236,11 @@ class Grid:
         return tuple(((bx, by, kz), (fx, fy, kz))
                      for (bx, fx), (by, fy) in itertools.product(axis, axis))
 
-    def truncate(self, half: np.ndarray) -> np.ndarray:
+    def truncate(self, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The retained block of half spectra (..., n, n, n//2 + 1), as a new
-        array (..., 2c + 1, 2c + 1, c + 1)."""
-        out = np.empty(half.shape[:-3] + self.retained_shape, dtype=half.dtype)
+        array (..., 2c + 1, 2c + 1, c + 1) or written into out."""
+        if out is None:
+            out = np.empty(half.shape[:-3] + self.retained_shape, dtype=half.dtype)
         for block, modes in self._blocks:
             out[(...,) + block] = half[(...,) + modes]
         return out
@@ -259,8 +261,8 @@ class Grid:
         half, phys = self.spectral_shape, (self.n,) * 3
         return Buffers(padded=np.zeros((9,) + half, dtype=complex),
                        fields=np.empty((9,) + phys),
-                       products=np.empty((18,) + phys),
-                       spectra=np.empty((18,) + half, dtype=complex))
+                       products=np.empty((9,) + phys),
+                       spectra=np.empty((9,) + half, dtype=complex))
 
     def release_buffers(self) -> None:
         """Drop the buffers, if held; the next use makes new ones."""

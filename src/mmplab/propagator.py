@@ -24,7 +24,9 @@ retained block (9, 2c + 1, 2c + 1, c + 1) on the grid (see
 holds one kernel per layout, the second on the truncated wavevectors, and
 applies the one that matches z; every weight is computed mode by mode, so
 both give the same bits on a retained mode.  The half-spectrum kernel is
-built on its first apply; the time stepper applies only the retained one.
+built on its first apply; the time stepper applies only the retained one,
+and the spectral radius over the half spectrum is read from the decay
+rates alone.
 
 An apply at a scalar time with cache=True keeps its weight table (the
 five per-mode weights of the sector and the magnetic factor) on the kernel
@@ -59,10 +61,23 @@ _WEIGHTS = {"exp": np.exp, "phi1": phi1, "phi2": phi2}
 _ORDER = {"exp": 0, "phi1": 1, "phi2": 2}
 
 
+def _rates(q2, xi_sq, params: PhysParams):
+    """Per mode, from the squared coupling q2 and |xi|^2: the transverse
+    block's diagonal a and b, and the decay rates of the longitudinal w and
+    of b."""
+    a = (params.mu + params.chi) * xi_sq
+    b = params.gamma * xi_sq + 2.0 * params.chi
+    return a, b, -(b + q2), -params.nu * xi_sq
+
+
+def _lower_eigenvalue(a, b, c2):
+    return -0.5 * (a + b) - np.sqrt((0.5 * (a - b)) ** 2 + c2)
+
+
 def sector_eigenvalues(a, b, c2):
     """Eigenvalues lam- <= lam+ <= 0 of [[-a, c], [c, -b]] with c^2 = c2;
     lam+ comes from the determinant, accurate where |lam+| << |lam-|."""
-    lam_lo = -0.5 * (a + b) - np.sqrt((0.5 * (a - b)) ** 2 + c2)
+    lam_lo = _lower_eigenvalue(a, b, c2)
     lam_hi = np.divide(a * b - c2, lam_lo, out=np.zeros_like(lam_lo), where=lam_lo < 0)
     return lam_lo, lam_hi
 
@@ -118,16 +133,9 @@ class SectorKernel:
         # subnormal q2, where the pair's weights equal the transverse ones
         self.direction = np.divide(coupling, np.sqrt(q2), out=np.zeros_like(coupling),
                                    where=q2 > 0)
-        self.a = (params.mu + params.chi) * xi_sq
-        self.b = params.gamma * xi_sq + 2.0 * params.chi
-        self.lam_w_long = -(self.b + q2)
-        self.lam_mag = -params.nu * xi_sq
+        self.a, self.b, self.lam_w_long, self.lam_mag = _rates(q2, xi_sq, params)
         self.lam_lo, self.lam_hi = sector_eigenvalues(self.a, self.b, params.chi ** 2 * q2)
         self.tables: dict[tuple[float, str], tuple[np.ndarray, ...]] = {}
-
-    @property
-    def spectral_radius(self) -> float:
-        return float(max(-self.lam_lo.min(), -self.lam_w_long.min(), -self.lam_mag.min()))
 
     def apply(self, z: np.ndarray, t, kind: str = "exp", cache: bool = False) -> np.ndarray:
         """f(tM) z for z = (u, w, b) stacked on a leading axis of 9.
@@ -207,12 +215,12 @@ class GridPropagator:
 
     @property
     def spectral_radius(self) -> float:
-        """Largest decay rate over every mode of the half spectrum; the
-        half-spectrum kernel is built for it and dropped unless already
-        held."""
-        kernel = self.__dict__.get("kernel") or SectorKernel(
-            self.grid.xi_odd, self.grid.xi_sq, self.params)
-        return kernel.spectral_radius
+        """Largest decay rate over every mode of the half spectrum, from the
+        rates the half-spectrum kernel would hold, without building it."""
+        q2 = (self.grid.xi_odd ** 2).sum(axis=0)
+        a, b, lam_w_long, lam_mag = _rates(q2, self.grid.xi_sq, self.params)
+        lam_lo = _lower_eigenvalue(a, b, self.params.chi ** 2 * q2)
+        return float(max(-lam_lo.min(), -lam_w_long.min(), -lam_mag.min()))
 
     def apply(self, z: np.ndarray, t: float, kind: str = "exp",
               cache: bool = False) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 Each check is a pure function returning (ok, detail).  The suite covers the
 load-bearing identities: transform round trips against a direct DFT sum,
-the out-buffer transforms bit for bit against scipy.fft,
-projector algebra, Parseval and its half-spectrum multiplicity, symbol
-Hermiticity, the eigendecomposition semigroup against a scaling-and-squaring
-matrix exponential, generator determinism, exact power-law fitting,
+the out-buffer transforms bit for bit against scipy.fft, the right-hand
+side's two 9-row forward batches against one batch of 18, projector
+algebra, Parseval and its half-spectrum multiplicity, symbol Hermiticity,
+the eigendecomposition semigroup against a scaling-and-squaring matrix
+exponential, generator determinism, exact power-law fitting,
 energy monotonicity of a short nonlinear run, a step on the retained
 2/3-rule block against the same step on half spectra, the one-direction
 radial reduction against the 26-point sphere rule and the blocked radial
@@ -99,6 +100,22 @@ def check_out_transforms() -> tuple[bool, str]:
         spec, s=(12, 12, 12), axes=(-3, -2, -1), norm="forward").tobytes()
     return (same_forward and same_inverse,
             f"bitwise equal to scipy.fft: forward {same_forward}, inverse {same_inverse}")
+
+
+def check_grouped_forward() -> tuple[bool, str]:
+    """The right-hand side transforms its 18 products in two batches of
+    nine; pocketfft must give each row, on the retained block, the bits it
+    gives in one batch of 18."""
+    grid = Grid(16)
+    phys = np.random.Generator(np.random.Philox(11)).normal(size=(18, 16, 16, 16))
+    want = grid.truncate(forward(phys))
+    got = np.empty_like(want)
+    half = np.empty((9,) + grid.spectral_shape, dtype=complex)
+    for rows in (slice(0, 9), slice(9, 18)):
+        grid.truncate(forward(phys[rows], out=half), out=got[rows])
+    same = got.tobytes() == want.tobytes()
+    return same, ("two batches of 9 bitwise equal to one of 18" if same
+                  else "batches of 9 differ from one batch of 18")
 
 
 def check_leray() -> tuple[bool, str]:
@@ -270,6 +287,7 @@ CHECKS = [
     ("transform roundtrip", check_roundtrip),
     ("direct DFT oracle", check_dft_oracle),
     ("out-buffer transforms vs scipy.fft", check_out_transforms),
+    ("two forward batches of 9 vs one of 18", check_grouped_forward),
     ("Leray projection", check_leray),
     ("Parseval identity", check_parseval),
     ("half-spectrum Parseval multiplicity", check_half_parseval),

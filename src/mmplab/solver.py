@@ -10,11 +10,13 @@ rule) in divergence and curl form,
 
 which is 9 inverse and 18 forward real transforms per evaluation: the
 (9, ...) state, padded from the retained block, goes out in one batch and
-the 6 symmetric products u_i u_j - b_i b_j, the 3 products u x b and the 9
-products u_j w_i come back in another, of which only the retained block is
-kept.  The padded spectra, the fields, the products and their spectra are
-written into Grid.buffers, reused by every evaluation on that Grid (one
-caller at a time); N itself is a new array each time.
+the products come back in two batches of nine, first the 6 symmetric
+products u_i u_j - b_i b_j and the 3 products u x b, then the 9 products
+u_j w_i; of each only the retained block is kept.  The padded spectra, the
+fields and one group of products and its spectra are written into
+Grid.buffers, reused by every evaluation on that Grid (one caller at a
+time), so the products take half the memory of one batch of 18 with the
+same bits; N itself is a new array each time.
 On the retained modes the identities are exact, because
 the truncated u and b are solenoidal and the 2/3 rule, always applied,
 keeps aliasing off those modes.  The velocity increment is
@@ -195,24 +197,41 @@ def _retained_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
     phys = _grid.inverse(grid.pad(z, out=buffers.padded), out=buffers.fields)
     u, w, b = phys[0:3], phys[3:6], phys[6:9]
     prod = buffers.products
+    spec = np.empty((18,) + z.shape[1:], dtype=complex)
 
-    def products(sl):
-        """The 18 products and the Elsasser speed on a slab of grid points."""
-        us, ws, bs, p = u[:, sl], w[:, sl], b[:, sl], prod[:, sl]
+    def stress_and_induction(sl):
+        """Products 0:9 (the 6 symmetric ones and u x b) and the Elsasser
+        speed on a slab of grid points."""
+        us, bs, p = u[:, sl], b[:, sl], prod[:, sl]
+        tmp = np.empty(p.shape[1:])
+        # |u| and |b| in rows 0 and 1 before the products take them, summed
+        # in the order of (us ** 2).sum(axis=0), so the speed keeps its bits
+        for row, v in ((p[0], us), (p[1], bs)):
+            np.square(v[0], out=row)
+            row += np.square(v[1], out=tmp)
+            row += np.square(v[2], out=tmp)
+            np.sqrt(row, out=row)
+        speed = np.add(p[0], p[1], out=p[0]).max()
         for k, (i, j) in enumerate(_SYM_PAIRS):
             np.multiply(us[i], us[j], out=p[k])
-            p[k] -= bs[i] * bs[j]
+            p[k] -= np.multiply(bs[i], bs[j], out=tmp)
         for k in range(3):
             i, j = (k + 1) % 3, (k + 2) % 3
             np.multiply(us[i], bs[j], out=p[6 + k])
-            p[6 + k] -= us[j] * bs[i]
+            p[6 + k] -= np.multiply(us[j], bs[i], out=tmp)
+        return speed
+
+    def transport(sl):
+        """Products 9:18, u_j w_i, on a slab of grid points."""
+        us, ws, p = u[:, sl], w[:, sl], prod[:, sl]
         for i in range(3):
-            np.multiply(us[i], ws, out=p[9 + 3 * i:12 + 3 * i])
-        return (np.sqrt((us ** 2).sum(axis=0)) + np.sqrt((bs ** 2).sum(axis=0))).max()
+            np.multiply(us[i], ws, out=p[3 * i:3 * i + 3])
 
     # np.max, unlike max(), keeps a NaN slab speed
-    speed = float(np.max(_grid.slab_map(products, phys.shape[1:])))
-    spec = grid.truncate(forward(prod, out=buffers.spectra))
+    speed = float(np.max(_grid.slab_map(stress_and_induction, phys.shape[1:])))
+    grid.truncate(forward(prod, out=buffers.spectra), out=spec[0:9])
+    _grid.slab_map(transport, phys.shape[1:])
+    grid.truncate(forward(prod, out=buffers.spectra), out=spec[9:18])
     xi_odd = grid.retained.xi_odd
     N = np.empty(z.shape, dtype=complex)
 
@@ -383,7 +402,7 @@ def simulate(config: SolverConfig, z0: StateField,
         "max_tensor_constant": 0.0,
     })
 
-    datum = np.array(z0.z, dtype=complex)
+    datum = np.asarray(z0.z, dtype=complex)
     # the stepper and the paired linear run advance the retained block and
     # pad it at outputs; the datum's other modes are recorded at t = 0 only
     z = z0_block = grid.truncate(datum)

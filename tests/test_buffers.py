@@ -3,9 +3,13 @@
 The right-hand side writes its transforms into Grid.buffers, and the
 stepper's applies take their weights from tables cached per (t, kind) on
 the kernel.  Neither may change a bit: these tests pin the out= transforms
-to scipy.fft, a cached apply to a fresh kernel's, and a run to the same run
-on a fresh Grid, and check that no run leaves buffers behind.
+to scipy.fft, the two 9-row product batches to one batch of 18, a cached
+apply to a fresh kernel's, and a run to the same run on a fresh Grid, and
+check that no run leaves buffers behind and that the buffers stay at one
+group of nine products.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +50,50 @@ def test_out_transforms_equal_scipy_bitwise(n, monkeypatch):
     assert out.tobytes() == back.tobytes()
     assert inverse(spec).tobytes() == back.tobytes()
     assert spec.tobytes() == want.tobytes()  # the input is left as it was
+
+
+@pytest.mark.parametrize("n", [16, 32, 48, 64])
+def test_two_batches_of_nine_equal_one_batch_of_18(n, monkeypatch):
+    grid = Grid(n, 2 * np.pi)
+    phys = np.random.Generator(np.random.Philox(n)).normal(size=(18, n, n, n))
+    half = np.empty((9,) + grid.spectral_shape, dtype=complex)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MMP_THREADS", threads)
+        want = grid.truncate(forward(phys))
+        got = np.empty_like(want)
+        for rows in (slice(0, 9), slice(9, 18)):
+            grid.truncate(forward(phys[rows], out=half), out=got[rows])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_buffers_hold_one_group_of_nine_products():
+    grid = Grid(16, 2 * np.pi)
+    buffers = grid.buffers
+    assert buffers.padded.shape == (9,) + grid.spectral_shape
+    assert buffers.fields.shape == buffers.products.shape == (9, 16, 16, 16)
+    assert buffers.spectra.shape == (9,) + grid.spectral_shape
+
+
+# tracemalloc peak of one n = 64 right-hand side that makes its buffers:
+# 93.6 MiB measured with 9-row products (76.7 MiB of buffers, the 18-row
+# retained spectra and N), 130 MiB with 18-row ones
+RHS_PEAK_MIB_64 = 105.0
+
+
+def test_rhs_peak_memory_at_n64(monkeypatch):
+    monkeypatch.setenv("MMP_THREADS", "1")  # whole arrays: the largest temporaries
+    grid = Grid(64, 2 * np.pi)
+    z = grid.truncate(random_state(grid, np.random.Generator(np.random.Philox(64))).z)
+    nonlinear_rhs(z, grid=grid)  # the per-mode arrays and transform plans stay warm
+    grid.release_buffers()  # as simulate does before every output row
+    tracemalloc.start()
+    try:
+        nonlinear_rhs(z, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+        grid.release_buffers()
+    assert peak < RHS_PEAK_MIB_64, f"right-hand side peaked at {peak:.1f} MiB"
 
 
 @pytest.mark.parametrize("n, threads", [(16, "1"), (64, "2")])

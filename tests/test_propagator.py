@@ -5,13 +5,15 @@ expm([[A, I, 0], [0, 0, I], [0, 0, 0]]).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from mmplab.decay_character import SpectralProfile
+from mmplab.decay_character import SpectralProfile, generate_data_with_character
 from mmplab.fields import Grid, PhysParams
 from mmplab.linear import _AXIS, make_radial_state
 from mmplab.propagator import SectorKernel, get_propagator
+from mmplab.solver import SolverConfig, simulate
 from mmplab.symbol import assemble_entries
 
 KINDS = ("exp", "phi1", "phi2")
@@ -130,3 +132,35 @@ def test_kernel_matches_expm_oracle(mu, gamma, nu, chi, xi, nyquist, t, seed):
     for kind in KINDS:
         out = kernel.apply(v[:, None], t, kind=kind)[:, 0]
         assert np.abs(out - oracle(A, kind) @ v).max() <= 1e-12 * np.abs(v).max(), kind
+
+
+# the transverse, the longitudinal w and the magnetic rate each set the radius
+RADIUS_PARAMS = (PhysParams(mu=3.0, gamma=0.5, chi=0.1, nu=1.0), PhysParams(),
+                 PhysParams(mu=1.0, gamma=1.0, chi=0.5, nu=5.0))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_dt_lambda_max_without_the_half_spectrum_kernel(n, monkeypatch):
+    built = []
+    real_init = SectorKernel.__init__
+
+    def record(self, coupling, xi_sq, params):
+        built.append(xi_sq.shape)
+        real_init(self, coupling, xi_sq, params)
+
+    grid = Grid(n, 2 * np.pi)
+    z0 = generate_data_with_character(grid, 0.0, seed=n, amplitude=0.1)
+    monkeypatch.setattr(SectorKernel, "__init__", record)
+    dt_lambda = []
+    for params in RADIUS_PARAMS:
+        # one step at n = 16: the stepper and the paired run build no
+        # half-spectrum kernel either
+        cfg = SolverConfig(grid=grid, params=params, dt=0.01, t_end=0.01 if n == 16 else 0.0)
+        dt_lambda.append(simulate(cfg, z0, pair_linear=True).diagnostics["dt_lambda_max"])
+    assert built and grid.spectral_shape not in built
+    monkeypatch.undo()
+    for params, got in zip(RADIUS_PARAMS, dt_lambda):
+        kernel = SectorKernel(grid.xi_odd, grid.xi_sq, params)
+        rates = (-kernel.lam_lo.min(), -kernel.lam_w_long.min(), -kernel.lam_mag.min())
+        assert got == 0.01 * float(max(rates))
+        assert get_propagator(grid, params).spectral_radius == float(max(rates))

@@ -119,12 +119,14 @@ def test_nonlinear_rhs_independent_of_thread_count(grid64, state64, pool_uses,
             outputs[threads] = nonlinear_rhs(state64)
     finally:
         sys.setswitchinterval(interval)
-    # products, increments and projection at 2 and at 4 workers
-    assert pool_uses == [2, 2, 2, 4, 4, 4]
+    # the two groups of products, increments and projection at 2 and at 4 workers
+    assert pool_uses == [2, 2, 2, 2, 4, 4, 4, 4]
     N, speed = outputs["1"]
     for threads in ("2", "4"):
         assert outputs[threads][0].tobytes() == N.tobytes()
         assert outputs[threads][1] == speed
+    u, _, b = np.split(grid_module.inverse(grid64.pad(grid64.truncate(state64.z))), 3)
+    assert speed == (np.sqrt((u ** 2).sum(axis=0)) + np.sqrt((b ** 2).sum(axis=0))).max()
     adv = advective_products(state64)
     oracle = (leray_project(grid64, adv["b", "b"] - adv["u", "u"]), -adv["u", "w"],
               adv["b", "u"] - adv["u", "b"])
