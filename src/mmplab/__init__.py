@@ -12,11 +12,12 @@ grid            periodic box, wavevectors, transforms, dealias mask
 fields          9-component spectral state, Leray projection, norms
 symbol          9x9 Fourier symbol matrix, eigenvalue bounds, semigroup
 propagator      closed-form sector kernel for exp/phi1/phi2 of the symbol,
-                exact grid propagator and phi weights
+                and the exact propagator on the grid's retained block
 decay_character decay indicator, decay character estimation, data generator
-linear          exact linear evolution on the grid and on a continuum
-                radial quadrature (whole-space decay rates)
-solver          nonlinear pseudo-spectral integrator (ETD-RK2 / IF-RK4)
+linear          exact linear evolution on a continuum radial quadrature
+                (whole-space decay rates)
+solver          nonlinear pseudo-spectral integrator (ETD-RK2 / IF-RK4) on
+                the 2/3-rule retained block
 analysis        decay-exponent fitting, Fourier-splitting ball integrals,
                 predicted-rate tables and reports
 harness         run orchestration, manifests, CSV persistence

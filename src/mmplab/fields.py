@@ -30,6 +30,15 @@ class ContractViolation(ValueError):
     """An input violated a documented precondition."""
 
 
+def check_retained(grid: Grid, z: np.ndarray) -> np.ndarray:
+    """z, if it has the shape (9, 2c + 1, 2c + 1, c + 1) of grid's retained
+    block (Grid.truncate); raises ContractViolation otherwise."""
+    shape = (9,) + grid.retained_shape
+    if z.shape != shape:
+        raise ContractViolation(f"expected a retained block of shape {shape}, got {z.shape}")
+    return z
+
+
 @dataclass(frozen=True)
 class PhysParams:
     """Viscosity parameters of the coupled system.

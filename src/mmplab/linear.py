@@ -1,13 +1,14 @@
-"""Exact evolution of the linear system.
+"""Exact evolution of the linear system on a continuum radial quadrature.
 
-Two paths are provided on purpose.  The grid path advances every lattice
-mode by the exact semigroup and is used for comparisons against nonlinear
-torus runs.  It cannot reproduce whole-space algebraic decay at late times:
-once the shrinking dominant band falls below the fundamental wavenumber the
-lattice forces exponential decay.  The continuum radial path therefore
-evaluates the semigroup on log-radial Gauss-Legendre nodes of Fourier
-space, which sustains the algebraic rates and is the quantitative reference
-for all rate measurements.  Both paths evaluate the semigroup with the
+The torus has its own linear path: simulate's pair_linear advances the
+retained block of the datum by the exact semigroup (GridPropagator) for
+comparisons against nonlinear runs.  That path cannot reproduce
+whole-space algebraic decay at late times: once the shrinking dominant
+band falls below the fundamental wavenumber the lattice forces
+exponential decay.  The continuum radial path here therefore evaluates
+the semigroup on log-radial Gauss-Legendre nodes of Fourier space, which
+sustains the algebraic rates and is the quantitative reference for all
+rate measurements.  Both paths evaluate the semigroup with the
 closed-form sector kernel of propagator.py.
 
 The radial nodes lie on one fixed direction.  The polarization scheme and
@@ -32,18 +33,12 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .decay_character import QuadratureError, SpectralProfile
-from .fields import PhysParams, StateField, state_norms
-from .propagator import SectorKernel, check_times, get_propagator
+from .fields import PhysParams, state_norms
+from .propagator import SectorKernel, check_times
 from .symbol import transverse_frame
 from .analysis import NormSeries
-
-
-def evolve_linear_grid(state: StateField, params: PhysParams, t: float) -> StateField:
-    """Advance every mode by e^{t M(xi)}; exact in time, t >= 0."""
-    return get_propagator(state.grid, params).evolve(state, t)
 
 
 # Fixed direction of the radial nodes; any unit vector gives the same norms.
@@ -193,34 +188,6 @@ def make_radial_state(profile: SpectralProfile, params: PhysParams,
                       "component_weights": component_weights})
 
 
-def realize_profile_on_grid(grid, profile: SpectralProfile) -> StateField:
-    """Deterministic grid field with the equal-weight polarization of
-    :func:`_polarization` at every mode, for grid-versus-continuum
-    comparisons.
-
-    The transverse frame is even in the direction, so real shaped
-    magnitudes give a conjugate-symmetric (real) field, which is built
-    directly on the stored half spectrum.  Support is restricted to the
-    dealiased mode set.
-    """
-    z = np.zeros((9,) + grid.spectral_shape, dtype=complex)
-    mags = grid.xi_mag
-    # One lattice cell covers d^3 xi = (2 pi / L)^3, and the package norm is
-    # volume * sum |c_k|^2, so continuum intensity psi maps to coefficients
-    # |c_k|^2 = psi(xi_k) (2 pi / L)^3 / volume.
-    cell = grid.fundamental ** 3 / grid.volume
-    dens = {}
-    for i1, i2, i3 in np.argwhere(grid.dealias_mask & (mags > 0)):
-        rho = mags[i1, i2, i3]
-        if rho not in dens:
-            dens[rho] = profile.radial_density(rho) / (4.0 * np.pi * rho ** 2)
-        if dens[rho] <= 0:
-            continue
-        z[:, i1, i2, i3] = np.sqrt(dens[rho] * cell) * _polarization(
-            grid.xi[:, i1, i2, i3] / rho, (1/3, 1/3, 1/3))
-    return StateField(grid, z)
-
-
 def radial_linear_decay(profile: SpectralProfile, times, params: PhysParams,
                         per_decade: int = 64, rho_min: float = 1e-4,
                         check_convergence: bool = False) -> dict[str, NormSeries]:
@@ -256,46 +223,3 @@ def radial_linear_decay(profile: SpectralProfile, times, params: PhysParams,
     return {key: NormSeries(name=key, times=times, values=vals)
             for key, vals in coarse.items()}
 
-
-def heat_bound_check(profile: SpectralProfile, t_samples) -> dict:
-    """Measure admissible constants in the heat semigroup estimates.
-
-    For a scalar datum f with isotropic |fhat|^2 intensity taken from the
-    profile, evaluates the two L2-computable bounds
-
-        ||grad^m e^{tDelta} f||_2 <= K ||f||_2 t^{-m/2}
-        ||e^{tDelta} f||_2        <= K sup|fhat|  t^{-3/4}
-
-    and reports the smallest K per case over the sampled times.
-    """
-    t_samples = np.asarray(t_samples, dtype=float)
-    if np.any(t_samples <= 0):
-        raise ValueError("t samples must be positive")
-    upper = profile.support_radius
-
-    def norm_sq(t, m):
-        val, _ = integrate.quad(
-            lambda rho: rho ** (2 * m) * np.exp(-2.0 * t * rho ** 2)
-            * profile.radial_density(rho),
-            0.0, upper, epsabs=0.0, epsrel=1e-10, limit=200)
-        return val
-
-    f_norm = np.sqrt(norm_sq(0.0, 0))
-    rho_grid = np.geomspace(1e-8, max(upper if np.isfinite(upper) else 1e2, 1.0), 4096)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        intensity = np.array([profile.radial_density(r) for r in rho_grid]) / (4.0 * np.pi * rho_grid ** 2)
-    fhat_sup = float(np.sqrt(np.nanmax(intensity)))
-
-    report: dict = {"t_samples": t_samples.tolist(), "cases": {}}
-    for m in (0, 1):
-        ratios = np.array([np.sqrt(norm_sq(t, m)) * t ** (m / 2.0) / f_norm
-                           for t in t_samples])
-        report["cases"][f"l2_m{m}"] = {
-            "ratios": ratios.tolist(),
-            "K": float(ratios.max()),
-            "contraction": bool(ratios.max() <= 1.0 + 1e-12) if m == 0 else None,
-        }
-    ratios = np.array([np.sqrt(norm_sq(t, 0)) * t ** 0.75 / fhat_sup
-                       for t in t_samples])
-    report["cases"]["l1proxy_m0"] = {"ratios": ratios.tolist(), "K": float(ratios.max())}
-    return report

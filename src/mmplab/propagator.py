@@ -17,16 +17,14 @@ phi1(x) = (e^x - 1)/x and phi2(x) = (e^x - 1 - x)/x^2 (Cox & Matthews
 2002).  phi1 goes through expm1 (no cancellation); phi2(x) = phi1[0, x]
 is the same divided difference.
 
-Both the kernel and the grid propagator take and return one array with
-z = (u, w, b) on a leading axis of 9: (9, n, n, n//2 + 1) or the 2/3-rule
-retained block (9, 2c + 1, 2c + 1, c + 1) on the grid (see
-:mod:`mmplab.grid`), (9, n_r) on the radial nodes.  The grid propagator
-holds one kernel per layout, the second on the truncated wavevectors, and
-applies the one that matches z; every weight is computed mode by mode, so
-both give the same bits on a retained mode.  The half-spectrum kernel is
-built on its first apply; the time stepper applies only the retained one,
-and the spectral radius over the half spectrum is read from the decay
-rates alone.
+Both take and return one array with z = (u, w, b) on a leading axis of 9.
+A kernel takes the layout of the wavevectors it is built on: (9, n_r) on
+the radial nodes, half spectra (9, n, n, n//2 + 1) on the grid's.  The
+grid propagator holds one kernel, on the 2/3-rule retained block
+(9, 2c + 1, 2c + 1, c + 1) (see :mod:`mmplab.grid`), the one layout the
+time stepper advances, and raises ContractViolation on any other shape.
+The spectral radius over the half spectrum is read from the decay rates
+alone, without a kernel.
 
 An apply at a scalar time with cache=True keeps its weight table (the
 five per-mode weights of the sector and the magnetic factor) on the kernel
@@ -37,13 +35,12 @@ them.  Array times and uncached calls evaluate the weights every time.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import factorial
 
 import numpy as np
 
 from . import grid as _grid
-from .fields import Grid, PhysParams, StateField
+from .fields import Grid, PhysParams, check_retained
 
 
 def phi1(x: np.ndarray) -> np.ndarray:
@@ -199,24 +196,17 @@ class SectorKernel:
 
 
 class GridPropagator:
-    """Sector-kernel propagator for one (grid, params) pair: kernel acts on
-    half spectra, retained_kernel on retained blocks."""
+    """Sector-kernel propagator for one (grid, params) pair, on the grid's
+    retained block."""
 
     def __init__(self, grid: Grid, params: PhysParams):
         self.grid, self.params = grid, params
         self.retained_kernel = SectorKernel(grid.retained.xi_odd, grid.retained.xi_sq, params)
 
-    @cached_property
-    def kernel(self) -> SectorKernel:
-        # dissipation weights are even and keep the full wavevector; the
-        # rotational coupling and grad-div terms carry signs and use the
-        # Nyquist-zeroed copy so realness survives the semigroup
-        return SectorKernel(self.grid.xi_odd, self.grid.xi_sq, self.params)
-
     @property
     def spectral_radius(self) -> float:
         """Largest decay rate over every mode of the half spectrum, from the
-        rates the half-spectrum kernel would hold, without building it."""
+        rates a half-spectrum kernel would hold, without building one."""
         q2 = (self.grid.xi_odd ** 2).sum(axis=0)
         a, b, lam_w_long, lam_mag = _rates(q2, self.grid.xi_sq, self.params)
         lam_lo = _lower_eigenvalue(a, b, self.params.chi ** 2 * q2)
@@ -224,21 +214,14 @@ class GridPropagator:
 
     def apply(self, z: np.ndarray, t: float, kind: str = "exp",
               cache: bool = False) -> np.ndarray:
-        """Apply exp(tM), phi1(tM) or phi2(tM) to a (9, ...) coefficient
-        array of half spectra or of retained blocks (see SectorKernel.apply
-        for cache)."""
-        retained = z.shape[-3:] == self.retained_kernel.a.shape
-        return (self.retained_kernel if retained else self.kernel).apply(z, t, kind, cache)
+        """Apply exp(tM), phi1(tM) or phi2(tM) to a retained block
+        (9, 2c + 1, 2c + 1, c + 1) (see SectorKernel.apply for cache);
+        raises ContractViolation on any other shape, before any work."""
+        return self.retained_kernel.apply(check_retained(self.grid, z), t, kind, cache)
 
     def drop_weights(self) -> None:
-        """Forget the weight tables cached by both kernels."""
+        """Forget the cached weight tables."""
         self.retained_kernel.tables.clear()
-        if "kernel" in self.__dict__:
-            self.kernel.tables.clear()
-
-    def evolve(self, state: StateField, t: float) -> StateField:
-        """Exact semigroup e^{tM} applied to a StateField."""
-        return state.with_coeffs(self.apply(state.z, t, kind="exp"))
 
 
 def get_propagator(grid: Grid, params: PhysParams) -> GridPropagator:

@@ -45,13 +45,12 @@ exit.  simulate advances the 2/3-rule retained block, one
 holds the Galerkin truncation's only nonzero modes; N carries the three
 increments in the same row layout.  The datum comes in and the output
 rows and snapshots go out as half spectra, +0 outside the block
-(Grid.pad).  nonlinear_rhs, the kernel applies and _step_arrays take
-either layout; on half spectra a step carries the modes outside the
-block along linearly and agrees with the retained step bit for bit on
-the block.  Above n = 32 the sector-kernel applies and the element-wise
-parts of N (the products with the speed, and the contraction, curl and
-projection after the forward transform) run in slabs of planes on the
-MMP_THREADS workers
+(Grid.pad).  The kernel applies and _step_arrays take only the block,
+and so does nonlinear_rhs on a bare array; a StateField is the edge,
+truncated on the way in and padded on the way out.  Above n = 32 the
+sector-kernel applies and the element-wise parts of N (the products with
+the speed, and the contraction, curl and projection after the forward
+transform) run in slabs of planes on the MMP_THREADS workers
 (grid.slab_map); each slab works mode by mode or point by point, so every
 result has the same bits at any thread count.  Every step opens with one
 evaluation of N(z_n), which is its first stage and also reports the
@@ -73,8 +72,8 @@ import numpy as np
 from . import grid as _grid
 from .analysis import fourier_split_integral, fourier_split_radius
 from .fields import (SOLENOIDAL_TOL, ContractViolation, Grid, PhysParams,
-                     StateField, curl_at, leray_project, spectrum_norm_sq,
-                     state_norms)
+                     StateField, check_retained, curl_at, leray_project,
+                     spectrum_norm_sq, state_norms)
 from .grid import forward
 from .propagator import GridPropagator, get_propagator
 
@@ -171,23 +170,20 @@ def nonlinear_rhs(state: StateField | np.ndarray, check_solenoidal: bool = True,
     The Leray projection P supplies -grad p in Nu; Nb is a curl, so it is
     solenoidal without one.
 
-    state is a StateField, or a bare (9, ...) coefficient array of grid;
-    either way it holds half spectra or retained blocks (Grid.truncate),
-    and N comes back in the same layout.  Half spectra are truncated,
-    evaluated as a retained block and padded, so N is +0 outside the
-    block.  check_solenoidal applies to a StateField.
+    state is a StateField, whose half spectra are truncated, evaluated as
+    a retained block and padded, so N is half spectra, +0 outside the
+    block; or the retained block (9, 2c + 1, 2c + 1, c + 1) of grid
+    (Grid.truncate), and N is one too.  Any other bare array raises
+    ContractViolation before any work.  check_solenoidal applies to a
+    StateField.
     """
-    if isinstance(state, StateField):
-        grid, z = state.grid, state.z
-        if check_solenoidal and state.divergence_error() > SOLENOIDAL_TOL:
-            raise ContractViolation(
-                f"u or b not solenoidal: relative divergence {state.divergence_error():.3e}")
-    else:
-        z = state
-    if z.shape[1:] == grid.spectral_shape:
-        N, speed = _retained_rhs(grid, grid.truncate(z))
-        return grid.pad(N), speed
-    return _retained_rhs(grid, z)
+    if not isinstance(state, StateField):
+        return _retained_rhs(grid, check_retained(grid, state))
+    if check_solenoidal and state.divergence_error() > SOLENOIDAL_TOL:
+        raise ContractViolation(
+            f"u or b not solenoidal: relative divergence {state.divergence_error():.3e}")
+    N, speed = _retained_rhs(state.grid, state.grid.truncate(state.z))
+    return state.grid.pad(N), speed
 
 
 def _retained_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
@@ -300,20 +296,12 @@ def tensor_bound_report(state: StateField) -> dict:
             "bound_holds": bool(worst <= 1.0 + 1e-10)}
 
 
-def step(state: StateField, params: PhysParams, dt: float) -> StateField:
-    """Advance one ETD-RK2 step; linear part exact, nonlinearity explicit."""
-    prop = get_propagator(state.grid, params)
-    N, _ = nonlinear_rhs(state, check_solenoidal=False)
-    return state.with_coeffs(_step_arrays(prop, state.z, N, state.grid, dt, "etd-rk2"))
-
-
 def _step_arrays(prop: GridPropagator, z: np.ndarray, N: np.ndarray, grid: Grid,
                  dt: float, scheme: str) -> np.ndarray:
-    """One step on a raw (9, ...) coefficient array, half spectra or a
-    retained block, from its right-hand side N = N(z) in the same layout,
-    which is the first stage; returns the new array in that layout.  The
-    applies and right-hand sides follow the layout, so half spectra carry
-    their modes outside the retained block along linearly."""
+    """One step on a retained block z, (9, 2c + 1, 2c + 1, c + 1), from its
+    right-hand side N = N(z), which is the first stage; returns the new
+    block.  The applies and right-hand sides raise ContractViolation on
+    any other layout."""
 
     def rhs(arr):
         return nonlinear_rhs(arr, grid=grid)[0]

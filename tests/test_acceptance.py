@@ -233,10 +233,9 @@ def test_acceptance_5_nonlinear_properties(standard_box_run):
     prop = get_propagator(grid16, CANONICAL)
 
     def advance(dt, t_end=0.8):
-        z = np.array(z16.z)
+        z = grid16.truncate(z16.z)
         for _ in range(int(round(t_end / dt))):
-            z = _step_arrays(prop, z, nonlinear_rhs(z16.with_coeffs(z))[0],
-                             grid16, dt, "etd-rk2")
+            z = _step_arrays(prop, z, nonlinear_rhs(z, grid=grid16)[0], grid16, dt, "etd-rk2")
         return z
 
     z1, z2, z3 = advance(0.1), advance(0.05), advance(0.025)

@@ -3,15 +3,17 @@
 simulate steps the (9, 2c + 1, 2c + 1, c + 1) block of the modes with
 every |k_i| <= c = n // 3 and pads it to half spectra only for the inverse
 transform and at outputs.  These tests pin that layout to the half-spectrum
-one: the same bits on every retained mode, zeros elsewhere.
+one, written out here with a sector kernel on the grid's wavevectors: the
+same bits on every retained mode, zeros elsewhere.  The propagator and the
+right-hand side take no other layout.
 """
 
 import numpy as np
 import pytest
 
 from mmplab.decay_character import generate_data_with_character
-from mmplab.fields import Grid, PhysParams, StateField
-from mmplab.propagator import get_propagator
+from mmplab.fields import ContractViolation, Grid, PhysParams, StateField
+from mmplab.propagator import SectorKernel, get_propagator
 from mmplab.solver import _step_arrays, nonlinear_rhs
 
 PARAMS = PhysParams(mu=1.0, gamma=1.0, chi=0.5, nu=1.0)
@@ -20,6 +22,43 @@ PARAMS = PhysParams(mu=1.0, gamma=1.0, chi=0.5, nu=1.0)
 def complex_noise(shape, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def half_spectrum_kernel(grid):
+    # dissipation weights are even and keep the full wavevector; the
+    # rotational coupling and grad-div terms carry signs and use the
+    # Nyquist-zeroed copy so realness survives the semigroup
+    return SectorKernel(grid.xi_odd, grid.xi_sq, PARAMS)
+
+
+def half_spectrum_step(grid, z, N, dt, scheme):
+    """_step_arrays on half spectra z with N = N(z): the same stages, with
+    the all-mode kernel and nonlinear_rhs on a StateField, which truncates,
+    evaluates and pads; the modes outside the block move linearly."""
+    kernel = half_spectrum_kernel(grid)
+
+    def rhs(arr):
+        return nonlinear_rhs(StateField(grid, arr), check_solenoidal=False)[0]
+
+    def apply(arr, t, kind):
+        return kernel.apply(arr, t, kind=kind)
+
+    if scheme == "etd-rk2":
+        a = apply(z, dt, "exp")
+        a += dt * apply(N, dt, "phi1")
+        dN = rhs(a)
+        dN -= N
+        return a + dt * apply(dN, dt, "phi2")
+    stage = apply(z, dt / 2, "exp")
+    k2 = rhs(apply(z + (dt / 2) * N, dt / 2, "exp"))
+    stage += (dt / 2) * k2
+    k3 = rhs(stage)
+    Ez = apply(z, dt, "exp")
+    k3 = apply(k3, dt / 2, "exp")
+    k4 = rhs(Ez + dt * k3)
+    k2 = apply(k2, dt / 2, "exp")
+    k2 += k3
+    return Ez + (dt / 6.0) * (apply(N, dt, "exp") + 2.0 * k2 + k4)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
@@ -59,7 +98,7 @@ def test_retained_apply_equals_truncated_full_apply(n, kind, t, taylor):
     small = np.abs(t * prop.retained_kernel.lam_lo) < 0.2  # the Taylor switch
     assert small.all() if taylor == "all" else small.any() and not small.all()
     z = complex_noise((9,) + grid.spectral_shape, n)
-    full = prop.apply(z, t, kind=kind)
+    full = half_spectrum_kernel(grid).apply(z, t, kind=kind)
     block = prop.apply(grid.truncate(z), t, kind=kind)
     assert block.shape == (9,) + grid.retained_shape
     assert block.tobytes() == grid.truncate(full).tobytes()
@@ -76,9 +115,36 @@ def test_retained_step_equals_full_layout_step(monkeypatch, threads, n, dt, sche
     N_full = nonlinear_rhs(StateField(grid, z), check_solenoidal=False)[0]
     N = nonlinear_rhs(grid.truncate(z), grid=grid)[0]
     assert N.tobytes() == grid.truncate(N_full).tobytes()
-    full = _step_arrays(prop, z, N_full, grid, dt, scheme)
+    full = half_spectrum_step(grid, z, N_full, dt, scheme)
     block = _step_arrays(prop, grid.truncate(z), N, grid, dt, scheme)
     assert block.shape == (9,) + grid.retained_shape
     assert block.tobytes() == grid.truncate(full).tobytes()
     assert np.abs(block).max() > 0
     assert not full[:, ~grid.dealias_mask].any()
+
+
+def test_state_field_rhs_is_the_padded_block_rhs():
+    grid = Grid(16, 2 * np.pi)
+    state = generate_data_with_character(grid, 0.0, seed=3, amplitude=0.5)
+    N, speed = nonlinear_rhs(state)
+    N_block, speed_block = nonlinear_rhs(grid.truncate(state.z), grid=grid)
+    assert N.shape == (9,) + grid.spectral_shape
+    assert N.tobytes() == grid.pad(N_block).tobytes()
+    assert speed == speed_block and np.abs(N).max() > 0
+
+
+def test_half_spectra_as_a_bare_array_fail_before_any_work():
+    grid = Grid(16, 2 * np.pi)
+    z = generate_data_with_character(grid, 0.0, seed=3, amplitude=0.5).z
+    with pytest.raises(ContractViolation, match=r"retained block of shape \(9, 11, 11, 6\)"):
+        nonlinear_rhs(z, grid=grid)
+    assert "buffers" not in vars(grid)  # no transform ran
+
+
+@pytest.mark.parametrize("shape", [(9, 16, 16, 9), (9, 11, 11, 5), (3, 11, 11, 6)])
+def test_propagator_takes_only_the_retained_block(shape):
+    grid = Grid(16, 2 * np.pi)
+    prop = get_propagator(grid, PARAMS)
+    with pytest.raises(ContractViolation, match=r"retained block of shape \(9, 11, 11, 6\)"):
+        prop.apply(complex_noise(shape, 1), 0.05, kind="phi1", cache=True)
+    assert prop.retained_kernel.tables == {}  # no weights were computed

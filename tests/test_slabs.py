@@ -18,7 +18,7 @@ from mmplab.fields import Grid, PhysParams, leray_project
 from mmplab.grid import forward
 from mmplab.harness import RunConfig, execute_run
 from mmplab.linear import make_radial_state
-from mmplab.propagator import SectorKernel, get_propagator
+from mmplab.propagator import SectorKernel
 from mmplab.solver import SolverConfig, advective_products, nonlinear_rhs, simulate
 
 from conftest import random_state
@@ -97,7 +97,7 @@ def test_kernel_apply_equals_serial_plane_kernels(grid64, state64, pool_uses,
                                                   monkeypatch, kind, t, taylor):
     # kernels built on 8-plane slices are below the slab size and run serially
     monkeypatch.setenv("MMP_THREADS", "2")
-    kernel = get_propagator(grid64, PARAMS).kernel
+    kernel = SectorKernel(grid64.xi_odd, grid64.xi_sq, PARAMS)
     small = np.abs(t * kernel.lam_lo) < 0.2  # the Taylor switch of the divided differences
     assert small.all() if taylor == "all" else small.any() and not small.all()
     whole = kernel.apply(state64.z, t, kind=kind)
@@ -185,9 +185,9 @@ def test_small_grids_and_radial_kernels_never_use_the_pool(monkeypatch):
     grid = Grid(32, 2 * np.pi)
     state = random_state(grid, np.random.Generator(np.random.Philox(32)))
     nonlinear_rhs(state)
-    prop = get_propagator(grid, PARAMS)
+    kernel = SectorKernel(grid.xi_odd, grid.xi_sq, PARAMS)
     for kind in ("exp", "phi1", "phi2"):
-        prop.apply(state.z, 0.05, kind=kind)
+        kernel.apply(state.z, 0.05, kind=kind)
     simulate(SolverConfig(grid=grid, params=PARAMS, dt=0.05, t_end=0.05), state)
     radial = make_radial_state(SpectralProfile.power_law(0.0), PARAMS)
     radial.norms_at(1.0)
