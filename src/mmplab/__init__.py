@@ -13,7 +13,7 @@ fields          9-component spectral state, Leray projection, norms
 symbol          9x9 Fourier symbol matrix, eigenvalue bounds, semigroup
 propagator      closed-form sector kernel for exp/phi1/phi2 of the symbol,
                 and the exact propagator on the grid's retained block
-decay_character decay indicator, decay character estimation, data generator
+decay_character decay character estimation, data generator
 linear          exact linear evolution on a continuum radial quadrature
                 (whole-space decay rates)
 solver          nonlinear pseudo-spectral integrator (ETD-RK2 / IF-RK4) on

@@ -43,7 +43,7 @@ class NormSeries:
 def fit_decay_exponent(series: NormSeries | tuple,
                        window: tuple[float, float]) -> tuple[float, float]:
     """OLS slope of log(values) against log(1+t) inside the window, which
-    must hold at least 10 samples.
+    must hold at least 10 samples, all finite and positive.
 
     Returns (exponent, residual) where residual is the largest absolute
     log deviation from the fitted line.
@@ -59,8 +59,8 @@ def fit_decay_exponent(series: NormSeries | tuple,
             f"need at least 10 samples in window [{lo:g}, {hi:g}], "
             f"got {int(mask.sum())}")
     vals = values[mask]
-    if np.any(vals <= 0):
-        raise ValueError("series values must be positive inside the fit window")
+    if not np.all(np.isfinite(vals) & (vals > 0)):
+        raise ValueError("series values must be finite and positive inside the fit window")
     x = np.log1p(times[mask])
     y = np.log(vals)
     slope, intercept = np.polyfit(x, y, 1)
@@ -115,19 +115,6 @@ def predicted_exponents(r_star: float) -> dict[str, float]:
     }
 
 
-@dataclass(frozen=True)
-class RatePrediction:
-    r_star: float
-
-    @property
-    def predicted(self) -> dict[str, float]:
-        return predicted_exponents(self.r_star)
-
-    @property
-    def z_lower_bound_valid(self) -> bool:
-        return -1.5 < self.r_star <= 1.0
-
-
 _SERIES_TO_PREDICTION = {
     "l2_z_sq": "z",
     "l2_w_sq": "w",
@@ -149,8 +136,7 @@ def theorem_report(series_map: dict[str, NormSeries], r_star: float,
     exponent gaps between paired series (w vs z, diff_w vs diff_z), which
     cancel most truncation bias.
     """
-    prediction = RatePrediction(r_star)
-    predicted = prediction.predicted
+    predicted = predicted_exponents(r_star)
     mode = "quantitative" if quantitative else "windowed/indicative"
     tol = DEFAULT_TOL_RADIAL if quantitative else DEFAULT_TOL_TORUS_DIFF
 
@@ -199,7 +185,7 @@ def theorem_report(series_map: dict[str, NormSeries], r_star: float,
         "r_star": r_star,
         "window": [float(window[0]), float(window[1])],
         "mode": mode,
-        "z_lower_bound_range": prediction.z_lower_bound_valid,
+        "z_lower_bound_range": -1.5 < r_star <= 1.0,
         "rows": rows,
         "gap_rows": gap_rows,
         "overall_pass": bool(all(checked)) if checked else None,

@@ -139,7 +139,7 @@ def cmd_report(args) -> int:
 
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest
-    return 0 if run_selftest(verbose=True) else 1
+    return 0 if run_selftest() else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

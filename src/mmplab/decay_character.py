@@ -1,4 +1,4 @@
-"""Decay indicator, decay character estimation, and shaped initial data.
+"""Decay character estimation and shaped initial data.
 
 The decay character r* of an L2 datum v0 is the unique exponent for which
 the scaled ball integral rho^{-2r-3} int_{|xi|<rho} |v0hat|^2 dxi has a
@@ -25,7 +25,7 @@ from typing import Callable, ClassVar
 import numpy as np
 from scipy import integrate
 
-from .fields import Grid, StateField, l2_norm_sq, leray_project
+from .fields import Grid, StateField, leray_project, spectrum_norm_sq
 
 
 class QuadratureError(RuntimeError):
@@ -192,14 +192,6 @@ class DecayCharacterEstimate:
     kind: str
 
 
-def decay_indicator(profile: SpectralProfile | ShellProfile, r: float,
-                    rho: float) -> float:
-    """rho^{-2r-3} E(rho), the finite-radius decay indicator."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    return rho ** (-2.0 * r - 3.0) * profile.ball_mass(rho)
-
-
 def estimate_decay_character(profile: SpectralProfile | ShellProfile,
                              rho_window: tuple[float, float] | None = None
                              ) -> DecayCharacterEstimate:
@@ -333,7 +325,7 @@ def generate_data_with_character(grid: Grid, r: float, seed: int,
     z[3:6] = shaped_noise()
     z[6:9] = project_rescaled(shaped_noise())
 
-    norm = np.sqrt(l2_norm_sq(StateField(grid, z)))
+    norm = np.sqrt(spectrum_norm_sq(grid, z[0:3], z[3:6], z[6:9]))
     scale = amplitude / norm if norm > 0 and amplitude != 0 else 0.0
     z *= scale
     return StateField(grid, z)

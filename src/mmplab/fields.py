@@ -1,4 +1,4 @@
-"""Nine-component spectral state and the operators acting on it.
+"""Nine-component spectral state, its Leray projection and its norms.
 
 The state z = (u, w, b) couples an incompressible velocity u, a
 micro-rotational field w and a solenoidal magnetic field b.  Fields live in
@@ -11,17 +11,17 @@ grid's Parseval multiplicity) and radial nodes alike.  The Leray projection
 implemented here is what removes the pressure gradient from the velocity
 equation: taking divergence of the momentum equation determines the
 pressure, and subtracting its gradient is exactly the projection
-vhat - xi (xi . vhat) / |xi|^2 mode by mode.
+vhat - xi (xi . vhat) / |xi|^2 per mode, of half spectra or retained blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid as _grid
-from .grid import Grid
+from .grid import Grid, Modes
 
 SOLENOIDAL_TOL = 1e-8
 
@@ -96,20 +96,12 @@ class StateField:
     def zero(cls, grid: Grid) -> "StateField":
         return cls(grid, np.zeros((9,) + grid.spectral_shape, dtype=complex))
 
-    @classmethod
-    def from_physical(cls, grid: Grid, phys) -> "StateField":
-        """State from the nine physical components (u, w, b) in one array."""
-        return cls(grid, _grid.forward(np.asarray(phys, float)))
-
     uhat = property(lambda self: _read_only(self.z[0:3]))
     what = property(lambda self: _read_only(self.z[3:6]))
     bhat = property(lambda self: _read_only(self.z[6:9]))
 
     def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.uhat, self.what, self.bhat
-
-    def with_coeffs(self, z: np.ndarray) -> "StateField":
-        return replace(self, z=z)
 
     def divergence_error(self) -> float:
         """Max relative |xi . vhat| over u and b (solenoidality residual)."""
@@ -128,26 +120,22 @@ def _div_residual(grid: Grid, vhat: np.ndarray) -> float:
     return float(np.abs(div).max() / scale) if scale > 0 else 0.0
 
 
-def transform_roundtrip(state: StateField) -> StateField:
-    """Inverse-then-forward transform of every component (contract check)."""
-    return state.with_coeffs(_grid.forward(_grid.inverse(state.z)))
-
-
-def leray_project(grid: Grid, vhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def leray_project(modes: Grid | Modes, vhat: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Remove the gradient part: vhat - xi (xi . vhat) / |xi|^2.
 
     The zero mode passes through unchanged (the projector formula is
-    singular there and the mean flow carries no gradient part).  vhat is
-    a half spectrum or a retained block (Grid.truncate).  The result goes
-    to out when it is given, which may be vhat itself, and to a new array
-    otherwise.  Runs in slabs of modes (grid.slab_map).
+    singular there and the mean flow carries no gradient part).  modes is
+    a Grid for half spectra vhat, or Grid.retained for a retained block;
+    another shape raises ContractViolation.  The result goes to out when
+    it is given, which may be vhat itself, and to a new array otherwise.
+    Runs in slabs of modes (grid.slab_map).
     """
-    if vhat.shape[:1] != (3,) or vhat.shape[1:] not in (grid.spectral_shape,
-                                                        grid.retained_shape):
-        raise ContractViolation(f"expected 3-component spectral array, got {vhat.shape}")
-    modes = grid if vhat.shape[1:] == grid.spectral_shape else grid.retained
+    shape = (3,) + modes.xi_sq.shape
+    if vhat.shape != shape:
+        raise ContractViolation(f"expected shape {shape}, got {vhat.shape}")
     if out is None:
-        out = np.empty(vhat.shape, dtype=np.result_type(vhat, float))
+        out = np.empty(shape, dtype=np.result_type(vhat, float))
 
     def project(sl):
         xi, v, o = modes.xi_odd[:, sl], vhat[:, sl], out[:, sl]
@@ -158,23 +146,8 @@ def leray_project(grid: Grid, vhat: np.ndarray, out: np.ndarray | None = None) -
         np.subtract(v, xi * (dot / modes.leray_divisor[sl])[None], out=o)
         o[:, fixed] = kept
 
-    _grid.slab_map(project, vhat.shape[1:])
+    _grid.slab_map(project, shape[1:])
     return out
-
-
-def gradient(grid: Grid, fhat: np.ndarray) -> np.ndarray:
-    """Spectral gradient i xi fhat; adds a leading derivative axis."""
-    return 1j * grid.xi_odd[(slice(None),) + (None,) * (fhat.ndim - 3)] * fhat[None]
-
-
-def divergence(grid: Grid, vhat: np.ndarray) -> np.ndarray:
-    """i xi . vhat for a 3-component spectral array."""
-    return 1j * (grid.xi_odd * vhat).sum(axis=0)
-
-
-def curl(grid: Grid, vhat: np.ndarray) -> np.ndarray:
-    """i xi x vhat for a 3-component spectral array."""
-    return curl_at(grid.xi_odd, vhat)
 
 
 def curl_at(xi: np.ndarray, vhat: np.ndarray) -> np.ndarray:
@@ -203,16 +176,6 @@ def spectrum_norm_sq(grid: Grid, *spectral_arrays: np.ndarray,
             mag = mag * weight
         total += float(mag.sum())
     return grid.volume * total
-
-
-def l2_norm_sq(state_or_array, grid: Grid | None = None) -> float:
-    """||f||_{L2}^2 of a StateField or of a bare spectral array."""
-    if isinstance(state_or_array, StateField):
-        g = state_or_array.grid
-        return spectrum_norm_sq(g, *state_or_array.components())
-    if grid is None:
-        raise ValueError("grid required for bare arrays")
-    return spectrum_norm_sq(grid, state_or_array)
 
 
 def state_norms(z: np.ndarray, weight, xi_sq) -> dict:

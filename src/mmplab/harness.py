@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import theorem_report
+from .analysis import NormSeries, theorem_report
 from .decay_character import generate_data_with_character
 from .fields import Grid, PhysParams, StateField
 from .snapshots import write_snapshot
@@ -184,11 +184,18 @@ def write_series_csv(path, traj: Trajectory, columns=CSV_COLUMNS) -> None:
 
 
 def read_series_csv(path) -> dict[str, np.ndarray]:
+    """Columns of a :func:`csv_text` CSV by header name, empty cells NaN.
+    An empty file, or a row of another length than the header, is a ValueError."""
     lines = Path(path).read_text().strip().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty CSV, no header")
     names = lines[0].split(",")
     cols: dict[str, list] = {name: [] for name in names}
-    for line in lines[1:]:
-        for name, cell in zip(names, line.split(",")):
+    for number, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise ValueError(f"{path}: line {number} has {len(cells)} cells, not {len(names)}")
+        for name, cell in zip(names, cells):
             cols[name].append(float(cell) if cell else np.nan)
     return {name: np.array(vals) for name, vals in cols.items()}
 
@@ -283,7 +290,6 @@ def report_from_run(run_dir, r_star: float | None = None,
     if window is None:
         window = config.fit_window(float(t[-1]))
 
-    from .analysis import NormSeries
     series_map = {}
     for name in ("l2_z_sq", "l2_w_sq", "h1_z_sq", "h1_w_sq", "h2_z_sq",
                  "l2_diff_z_sq", "l2_diff_w_sq"):

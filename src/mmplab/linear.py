@@ -135,9 +135,6 @@ class RadialLinearState:
         norms = {key: np.concatenate([block[key] for block in blocks]) for key in blocks[0]}
         return norms if times.ndim else {key: float(val[0]) for key, val in norms.items()}
 
-    def total_mass(self) -> float:
-        return state_norms(self.coeffs, self.weights, self.radii ** 2)["l2_z_sq"]
-
     def ball_mass_at(self, t: float, radius: float) -> float:
         """Integral of |zhat(t)|^2 over |xi| <= radius.
 

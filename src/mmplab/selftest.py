@@ -22,9 +22,8 @@ import scipy.fft as _fft
 
 from .analysis import fit_decay_exponent
 from .decay_character import SpectralProfile, generate_data_with_character
-from .fields import (Grid, PhysParams, StateField, l2_norm_sq, leray_project,
-                     physical_norm_sq, spectrum_norm_sq, state_norms,
-                     transform_roundtrip)
+from .fields import (Grid, PhysParams, leray_project, physical_norm_sq,
+                     spectrum_norm_sq, state_norms)
 from .grid import forward, full_spectrum, inverse
 from .linear import RadialLinearState, _polarization, make_radial_state
 from .propagator import SectorKernel, get_propagator
@@ -73,10 +72,9 @@ def sphere_rule_norms(state: RadialLinearState, t: float) -> dict[str, np.ndarra
 
 
 def check_roundtrip() -> tuple[bool, str]:
-    grid = Grid(16, 2 * np.pi)
     rng = np.random.Generator(np.random.Philox(7))
-    state = StateField.from_physical(grid, rng.normal(size=(9, 16, 16, 16)))
-    err = np.abs(transform_roundtrip(state).z - state.z).max()
+    z = forward(rng.normal(size=(9, 16, 16, 16)))
+    err = np.abs(forward(inverse(z)) - z).max()
     return err < 1e-12, f"roundtrip error {err:.2e}"
 
 
@@ -136,7 +134,7 @@ def check_parseval() -> tuple[bool, str]:
         phys = rng.normal(size=(n, n, n))
         spec = forward(phys)
         a = physical_norm_sq(grid, phys)
-        b = l2_norm_sq(spec, grid)
+        b = spectrum_norm_sq(grid, spec)
         worst = max(worst, abs(a - b) / a)
     return worst < 1e-10, f"Parseval mismatch {worst:.2e}"
 
@@ -286,7 +284,8 @@ CHECKS = [
 ]
 
 
-def run_selftest(verbose: bool = True) -> bool:
+def run_selftest() -> bool:
+    """Run every check, printing one PASS or FAIL line each; True if all pass."""
     all_ok = True
     for name, fn in CHECKS:
         try:
@@ -294,6 +293,5 @@ def run_selftest(verbose: bool = True) -> bool:
         except Exception as exc:  # pragma: no cover - defensive
             ok, detail = False, f"raised {exc!r}"
         all_ok = all_ok and ok
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return all_ok

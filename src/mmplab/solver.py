@@ -45,21 +45,20 @@ exit.  simulate advances the 2/3-rule retained block, one
 holds the Galerkin truncation's only nonzero modes; N carries the three
 increments in the same row layout.  The datum comes in and the output
 rows and snapshots go out as half spectra, +0 outside the block
-(Grid.pad).  The kernel applies and _step_arrays take only the block,
-and so does nonlinear_rhs on a bare array; a StateField is the edge,
-truncated on the way in and padded on the way out.  Above n = 32 the
-sector-kernel applies and the element-wise parts of N (the products with
-the speed, and the contraction, curl and projection after the forward
-transform) run in slabs of planes on the MMP_THREADS workers
-(grid.slab_map); each slab works mode by mode or point by point, so every
-result has the same bits at any thread count.  Every step opens with one
-evaluation of N(z_n), which is its first stage and also reports the
-Elsasser speed max(|u| + |b|) of z_n: a non-finite speed ends the run,
-and the CFL number of the state the step advances is checked against
-CFL_LIMIT.  The time step only ever shrinks, and a halving doubles the
-remaining steps, so recorded output times stay exact.  An output row
-takes its norms from fields.state_norms, over the state and over its
-paired linear difference.
+(Grid.pad).  The kernel applies, nonlinear_rhs, its projection and
+_step_arrays take only the block; the norms take padded half
+spectra.  Above n = 32 the sector-kernel applies and the element-wise
+parts of N (the products with the speed, and the contraction, curl and
+projection after the forward transform) run in slabs of planes on the
+MMP_THREADS workers (grid.slab_map); each slab works mode by mode or
+point by point, so every result has the same bits at any thread
+count.  Every step opens with one evaluation of N(z_n), which is its
+first stage and also reports the Elsasser speed max(|u| + |b|) of z_n: a
+non-finite speed ends the run, and the CFL number of the state the step
+advances is checked against CFL_LIMIT.  The time step only ever shrinks,
+and a halving doubles the remaining steps, so recorded output times stay
+exact.  An output row takes its norms from fields.state_norms, over the
+state and over its paired linear difference.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid as _grid
-from .analysis import fourier_split_integral, fourier_split_radius
+from .analysis import NormSeries, fourier_split_integral, fourier_split_radius
 from .fields import (SOLENOIDAL_TOL, ContractViolation, Grid, PhysParams,
                      StateField, check_retained, curl_at, leray_project,
                      spectrum_norm_sq, state_norms)
@@ -134,8 +133,7 @@ class Trajectory:
         return np.array([row[name] if row[name] is not None else np.nan
                          for row in self.norm_rows])
 
-    def series(self, name: str):
-        from .analysis import NormSeries
+    def series(self, name: str) -> NormSeries:
         return NormSeries(name=name, times=np.array(self.times),
                           values=self.column(name))
 
@@ -156,8 +154,7 @@ def _contract(xi: np.ndarray, rows, out: np.ndarray) -> None:
         out[i] += xi[2] * row[2]
 
 
-def nonlinear_rhs(state: StateField | np.ndarray, check_solenoidal: bool = True,
-                  grid: Grid | None = None) -> tuple[np.ndarray, float]:
+def nonlinear_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
     """Spectral increment N = (Nu, Nw, Nb) of the quadratic terms, plus the
     Elsasser speed max(|u| + |b|) over the grid points of the truncated
     state: the speed of u +- b, which bounds the explicit transport by u in
@@ -170,24 +167,11 @@ def nonlinear_rhs(state: StateField | np.ndarray, check_solenoidal: bool = True,
     The Leray projection P supplies -grad p in Nu; Nb is a curl, so it is
     solenoidal without one.
 
-    state is a StateField, whose half spectra are truncated, evaluated as
-    a retained block and padded, so N is half spectra, +0 outside the
-    block; or the retained block (9, 2c + 1, 2c + 1, c + 1) of grid
-    (Grid.truncate), and N is one too.  Any other bare array raises
-    ContractViolation before any work.  check_solenoidal applies to a
-    StateField.
+    z is the retained block (9, 2c + 1, 2c + 1, c + 1) of grid
+    (Grid.truncate), and N is one too; any other shape raises
+    ContractViolation before any work; simulate checks the datum's divergence.
     """
-    if not isinstance(state, StateField):
-        return _retained_rhs(grid, check_retained(grid, state))
-    if check_solenoidal and state.divergence_error() > SOLENOIDAL_TOL:
-        raise ContractViolation(
-            f"u or b not solenoidal: relative divergence {state.divergence_error():.3e}")
-    N, speed = _retained_rhs(state.grid, state.grid.truncate(state.z))
-    return state.grid.pad(N), speed
-
-
-def _retained_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
-    """nonlinear_rhs on a retained block z, (9, 2c + 1, 2c + 1, c + 1)."""
+    check_retained(grid, z)
     buffers = grid.buffers
     # resolved on the grid module at call time, so wrappers installed there see it
     phys = _grid.inverse(grid.pad(z, out=buffers.padded), out=buffers.fields)
@@ -240,7 +224,7 @@ def _retained_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
         out[6:9] = curl_at(xi, s[6:9])
 
     _grid.slab_map(increments, z.shape[1:])
-    leray_project(grid, N[0:3], out=N[0:3])
+    leray_project(grid.retained, N[0:3], out=N[0:3])
     return N, speed
 
 
@@ -296,15 +280,15 @@ def tensor_bound_report(state: StateField) -> dict:
             "bound_holds": bool(worst <= 1.0 + 1e-10)}
 
 
-def _step_arrays(prop: GridPropagator, z: np.ndarray, N: np.ndarray, grid: Grid,
+def _step_arrays(prop: GridPropagator, z: np.ndarray, N: np.ndarray,
                  dt: float, scheme: str) -> np.ndarray:
-    """One step on a retained block z, (9, 2c + 1, 2c + 1, c + 1), from its
-    right-hand side N = N(z), which is the first stage; returns the new
-    block.  The applies and right-hand sides raise ContractViolation on
-    any other layout."""
+    """One step on a retained block z, (9, 2c + 1, 2c + 1, c + 1), of
+    prop.grid from its right-hand side N = N(z), which is the first stage;
+    returns the new block.  The applies and right-hand sides raise
+    ContractViolation on any other layout."""
 
     def rhs(arr):
-        return nonlinear_rhs(arr, grid=grid)[0]
+        return nonlinear_rhs(prop.grid, arr)[0]
 
     def apply(arr, t, kind):
         return prop.apply(arr, t, kind=kind, cache=True)
@@ -416,8 +400,8 @@ def simulate(config: SolverConfig, z0: StateField,
             traj.snapshots.append(st)
 
     record(0.0, datum, datum if pair_linear else None)
-    # the stepper skips nonlinear_rhs's check, so the datum is checked here,
-    # on the divergence that record measured
+    # nonlinear_rhs checks no divergence, so the datum is checked here, on
+    # the divergence that record measured
     if traj.diagnostics["max_divergence"] > SOLENOIDAL_TOL:
         raise ContractViolation(
             f"z0: u or b not solenoidal: relative divergence "
@@ -429,7 +413,7 @@ def simulate(config: SolverConfig, z0: StateField,
             remaining = steps_per_output
             while remaining:
                 # the step's first stage, with the speed of the state it advances
-                N, speed = nonlinear_rhs(z, grid=grid)
+                N, speed = nonlinear_rhs(grid, z)
                 if not np.isfinite(speed):
                     raise BlowupError(t_target - (remaining - 1) * dt, trajectory=traj)
                 # CFL check before every step.  dt only ever halves, and the
@@ -440,7 +424,7 @@ def simulate(config: SolverConfig, z0: StateField,
                     steps_per_output *= 2
                     traj.diagnostics["cfl_halvings"] += 1
                     prop.drop_weights()
-                z = _step_arrays(prop, z, N, grid, dt, config.scheme)
+                z = _step_arrays(prop, z, N, dt, config.scheme)
                 remaining -= 1
             if not np.isfinite(z).all():
                 raise BlowupError(t_target, trajectory=traj)

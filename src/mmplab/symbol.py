@@ -91,10 +91,6 @@ class EigenBundle:
     eigenvalues: np.ndarray
     unitary: np.ndarray
 
-    def reconstruction_error(self, M: np.ndarray) -> float:
-        rec = (self.unitary * self.eigenvalues) @ self.unitary.conj().T
-        return float(np.abs(rec - M).max() / max(np.abs(M).max(), 1e-300))
-
 
 @dataclass(frozen=True)
 class SymbolMatrix:

@@ -61,3 +61,11 @@ def random_state(grid, rng, solenoidal=True):
         u = leray_project(grid, u)
         b = leray_project(grid, b)
     return StateField(grid, np.concatenate([u, w, b]))
+
+
+def padded_rhs(grid, z):
+    """nonlinear_rhs on the retained block of half spectra z, padded back:
+    N as half spectra, +0 outside the block, and the Elsasser speed."""
+    from mmplab.solver import nonlinear_rhs
+    N, speed = nonlinear_rhs(grid, grid.truncate(z))
+    return grid.pad(N), speed

@@ -214,11 +214,11 @@ def test_acceptance_5_nonlinear_properties(standard_box_run):
     tensor_const = traj.diagnostics["max_tensor_constant"]
 
     # dealiased nonlinearity versus the direct convolution sum at n = 8
-    from test_solver import convolution_oracle
-    from mmplab.solver import nonlinear_rhs
+    from conftest import padded_rhs
+    from test_solver import advance_block, convolution_oracle
     grid8 = Grid(8, 2 * np.pi)
     state8 = generate_data_with_character(grid8, 0.0, seed=2, amplitude=1.0)
-    N, _ = nonlinear_rhs(state8)
+    N, _ = padded_rhs(grid8, state8.z)
     Nu, Nw, Nb = N[0:3], N[3:6], N[6:9]
     oNu, oNw, oNb = convolution_oracle(state8)
     scale = max(np.abs(oNu).max(), np.abs(oNw).max(), np.abs(oNb).max())
@@ -226,19 +226,9 @@ def test_acceptance_5_nonlinear_properties(standard_box_run):
                    np.abs(Nb - oNb).max()) / scale
 
     # Richardson order on a moderate-amplitude smooth run
-    from mmplab.propagator import get_propagator
-    from mmplab.solver import _step_arrays
-    grid16 = Grid(16, 2 * np.pi)
-    z16 = generate_data_with_character(grid16, 0.0, seed=4, amplitude=0.5)
-    prop = get_propagator(grid16, CANONICAL)
-
-    def advance(dt, t_end=0.8):
-        z = grid16.truncate(z16.z)
-        for _ in range(int(round(t_end / dt))):
-            z = _step_arrays(prop, z, nonlinear_rhs(z, grid=grid16)[0], grid16, dt, "etd-rk2")
-        return z
-
-    z1, z2, z3 = advance(0.1), advance(0.05), advance(0.025)
+    z16 = generate_data_with_character(Grid(16, 2 * np.pi), 0.0, seed=4, amplitude=0.5)
+    z1, z2, z3 = (advance_block(z16, CANONICAL, "etd-rk2", dt, 0.8)
+                  for dt in (0.1, 0.05, 0.025))
     d1 = np.abs(z1 - z2).max()
     d2 = np.abs(z2 - z3).max()
     order = float(np.log2(d1 / d2))

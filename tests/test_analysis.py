@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from mmplab.analysis import (NormSeries, RatePrediction, fit_decay_exponent,
+from mmplab.analysis import (NormSeries, fit_decay_exponent,
                              fourier_split_integral, fourier_split_radius,
                              predicted_exponents, theorem_report)
 from mmplab.decay_character import SpectralProfile
-from mmplab.fields import Grid, PhysParams, l2_norm_sq
+from mmplab.fields import Grid, PhysParams, spectrum_norm_sq
 from mmplab.linear import make_radial_state
 
 from mmplab.grid import full_spectrum
@@ -41,10 +41,12 @@ class TestFit:
         with pytest.raises(ValueError, match="at least"):
             fit_decay_exponent((t, np.exp(-t)), (0.0, 10.0))
 
-    def test_nonpositive_values(self):
+    @pytest.mark.parametrize("bad", [0.0, -0.2, np.inf, np.nan])
+    def test_values_must_be_finite_and_positive(self, bad):
         t = np.linspace(0.0, 10.0, 20)
-        vals = 1.0 - t / 5.0
-        with pytest.raises(ValueError, match="positive"):
+        vals = (1.0 + t) ** -1.0
+        vals[7] = bad
+        with pytest.raises(ValueError, match="finite and positive"):
             fit_decay_exponent((t, vals), (0.0, 10.0))
 
     def test_norm_series_fitted_copy(self):
@@ -72,14 +74,14 @@ class TestFourierSplit:
         # g(0) = sqrt(A); choose A beyond the largest resolved mode
         A = (grid8.xi_mag.max() + 1.0) ** 2
         assert fourier_split_integral(state, 0.0, A) == pytest.approx(
-            l2_norm_sq(state), rel=1e-12)
+            spectrum_norm_sq(grid8, *state.components()), rel=1e-12)
 
     def test_upper_bound_and_monotone_in_A(self, grid16, rng):
         state = random_state(grid16, rng)
         t = 2.0
         values = [fourier_split_integral(state, t, A) for A in (4.0, 16.0, 64.0, 400.0)]
         assert np.all(np.diff(values) >= 0)
-        assert values[-1] <= l2_norm_sq(state) * (1 + 1e-12)
+        assert values[-1] <= spectrum_norm_sq(grid16, *state.components()) * (1 + 1e-12)
 
     def test_half_spectrum_matches_full_spectrum(self, grid16, rng):
         # multiplicity-weighted half sums equal the sums over the expanded state
@@ -146,8 +148,8 @@ class TestPredictions:
         assert pred_neg["grad_diff"] == -0.25
 
     def test_lower_bound_range_flag(self):
-        assert RatePrediction(0.5).z_lower_bound_valid
-        assert not RatePrediction(1.5).z_lower_bound_valid
+        assert theorem_report({}, 0.5, (1.0, 100.0))["z_lower_bound_range"]
+        assert not theorem_report({}, 1.5, (1.0, 100.0))["z_lower_bound_range"]
 
 
 class TestTheoremReport:
@@ -181,6 +183,16 @@ class TestTheoremReport:
         # exponent gap is the binding check and tolerates truncation bias
         assert report["gap_rows"][0]["pass"]
         assert report["overall_pass"]
+
+    def test_non_finite_sample_gives_an_error_row(self):
+        t = np.geomspace(1.0, 100.0, 20)
+        vals = (1.0 + t) ** -1.5
+        vals[5] = np.inf
+        report = theorem_report({"l2_z_sq": NormSeries("l2_z_sq", t, vals)},
+                                r_star=0.0, window=(1.0, 100.0))
+        (row,) = report["rows"]
+        assert row["prediction"] == "z" and "finite and positive" in row["error"]
+        assert "measured_exponent" not in row and report["overall_pass"] is None
 
     def test_unknown_series_ignored(self):
         t = np.geomspace(1.0, 100.0, 20)

@@ -84,11 +84,11 @@ def test_rhs_peak_memory_at_n64(monkeypatch):
     monkeypatch.setenv("MMP_THREADS", "1")  # whole arrays: the largest temporaries
     grid = Grid(64, 2 * np.pi)
     z = grid.truncate(random_state(grid, np.random.Generator(np.random.Philox(64))).z)
-    nonlinear_rhs(z, grid=grid)  # the per-mode arrays and transform plans stay warm
+    nonlinear_rhs(grid, z)  # the per-mode arrays and transform plans stay warm
     grid.release_buffers()  # as simulate does before every output row
     tracemalloc.start()
     try:
-        nonlinear_rhs(z, grid=grid)
+        nonlinear_rhs(grid, z)
         peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
@@ -153,12 +153,12 @@ def test_returned_increment_is_not_overwritten():
     grid = Grid(16, 2 * np.pi)
     rng = np.random.Generator(np.random.Philox(16))
     first, second = (grid.truncate(random_state(grid, rng).z) for _ in range(2))
-    N, speed = nonlinear_rhs(first, grid=grid)
+    N, speed = nonlinear_rhs(grid, first)
     kept = N.copy()
-    N2, _ = nonlinear_rhs(second, grid=grid)
+    N2, _ = nonlinear_rhs(grid, second)
     assert N.tobytes() == kept.tobytes()
     assert not np.shares_memory(N, N2)
-    assert nonlinear_rhs(first, grid=grid)[0].tobytes() == kept.tobytes()
+    assert nonlinear_rhs(grid, first)[0].tobytes() == kept.tobytes()
 
 
 def test_runs_on_alternating_grids_are_identical():
@@ -184,7 +184,7 @@ def test_failed_runs_leave_no_buffers():
     assert "buffers" not in vars(grid)
 
     bad = random_state(grid, np.random.Generator(np.random.Philox(8)), solenoidal=False)
-    nonlinear_rhs(bad, check_solenoidal=False)  # the grid now holds its buffers
+    nonlinear_rhs(grid, grid.truncate(bad.z))  # the grid now holds its buffers
     assert "buffers" in vars(grid)
     with pytest.raises(ContractViolation):
         simulate(cfg, bad)

@@ -57,9 +57,12 @@ class TestCliBasics:
             main(["symbol-check", "--bogus", "1"])
         assert exc.value.code == 2
 
-    def test_fit_rate(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bad", [None, np.inf])
+    def test_fit_rate(self, tmp_path, capsys, bad):
         t = np.geomspace(1.0, 1e3, 40)
         vals = (1 + t) ** -1.5
+        if bad is not None:
+            vals[20] = bad
         lines = ["t,l2_z_sq"] + [f"{format_float(a)},{format_float(b)}"
                                  for a, b in zip(t, vals)]
         csv = tmp_path / "series.csv"
@@ -67,8 +70,27 @@ class TestCliBasics:
         rc = main(["fit-rate", "--csv", str(csv), "--column", "l2_z_sq",
                    "--window", "1", "1000"])
         out = json.loads(capsys.readouterr().out)
-        assert rc == 0
-        assert out["exponent"] == pytest.approx(-1.5, abs=1e-9)
+        if bad is None:
+            assert rc == 0
+            assert out["exponent"] == pytest.approx(-1.5, abs=1e-9)
+        else:
+            assert rc == 1
+            assert out == {"error": "series values must be finite and positive "
+                                    "inside the fit window"}
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty CSV, no header"),
+        ("t,a\n1.0,2.0\n2.0\n", "line 3 has 1 cells, not 2"),
+        ("t,a\n1.0,2.0,3.0\n", "line 2 has 3 cells, not 2"),
+    ], ids=["empty", "short-row", "long-row"])
+    def test_fit_rate_malformed_csv_prints_one_error_line(self, tmp_path, capsys,
+                                                          text, message):
+        csv = tmp_path / "series.csv"
+        csv.write_text(text)
+        rc = main(["fit-rate", "--csv", str(csv), "--column", "a", "--window", "0", "1"])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err.splitlines() == [f"error: {csv}: {message}"]
 
     def test_fit_rate_unknown_column(self, tmp_path):
         csv = tmp_path / "series.csv"

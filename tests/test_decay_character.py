@@ -1,14 +1,13 @@
-"""Decay indicator / decay character estimation and shaped data."""
+"""Ball masses, decay character estimation and shaped data."""
 
 import numpy as np
 import pytest
 
 from mmplab.decay_character import (ShellProfile, SpectralProfile,
-                                    combine_profiles, decay_indicator,
-                                    estimate_decay_character,
+                                    combine_profiles, estimate_decay_character,
                                     generate_data_with_character,
                                     min_rule_check)
-from mmplab.fields import Grid, StateField, l2_norm_sq, leray_project
+from mmplab.fields import Grid, leray_project, spectrum_norm_sq
 from mmplab.grid import full_spectrum
 
 from conftest import full_xi_mag, hermitian_symmetrize, random_state, reality_error
@@ -41,44 +40,21 @@ def full_spectrum_datum(grid, r, seed, amplitude):
 
     z = np.concatenate([project_rescaled(shaped_noise()), shaped_noise(),
                         project_rescaled(shaped_noise())])
-    z *= amplitude / np.sqrt(l2_norm_sq(StateField(grid, z)))
+    z *= amplitude / np.sqrt(spectrum_norm_sq(grid, z[0:3], z[3:6], z[6:9]))
     return z
 
 
-class TestDecayIndicator:
-    def test_flat_profile_constant_indicator(self):
-        # E(rho) = (4 pi / 3) rho^3 exactly, so P_0 = 4 pi / 3 at any rho
+class TestBallMass:
+    def test_flat_profile(self):
+        # |v0hat|^2 = 1: E(rho) = (4 pi / 3) rho^3 exactly
         prof = SpectralProfile.power_law(0.0)
         for rho in (0.01, 0.1, 0.9):
-            assert decay_indicator(prof, 0.0, rho) == pytest.approx(
-                FOUR_PI / 3.0, rel=1e-9)
+            assert prof.ball_mass(rho) == pytest.approx(FOUR_PI / 3.0 * rho ** 3, rel=1e-9)
 
     def test_quadratic_profile(self):
         # |v0hat|^2 = rho^2: E(rho) = (4 pi / 5) rho^5
         prof = SpectralProfile.power_law(1.0)
-        assert decay_indicator(prof, 1.0, 0.3) == pytest.approx(
-            FOUR_PI / 5.0, rel=1e-9)
-
-    def test_below_character_vanishes(self):
-        prof = SpectralProfile.power_law(1.0)
-        assert decay_indicator(prof, 0.0, 0.1) == pytest.approx(
-            FOUR_PI / 5.0 * 0.01, rel=1e-9)
-
-    def test_trichotomy_over_two_decades(self):
-        # indicator at exponent s: diverges for s > r, vanishes for s < r
-        prof = SpectralProfile.power_law(0.5)
-        lo, hi = 1e-3, 1e-1
-        above_lo = decay_indicator(prof, 1.0, lo)
-        above_hi = decay_indicator(prof, 1.0, hi)
-        assert above_lo > 80 * above_hi  # rho^{-1} growth over 2 decades
-        below_lo = decay_indicator(prof, 0.0, lo)
-        below_hi = decay_indicator(prof, 0.0, hi)
-        assert below_lo < below_hi / 80
-
-    def test_rho_validation(self):
-        prof = SpectralProfile.power_law(0.0)
-        with pytest.raises(ValueError):
-            decay_indicator(prof, 0.0, 0.0)
+        assert prof.ball_mass(0.3) == pytest.approx(FOUR_PI / 5.0 * 0.3 ** 5, rel=1e-9)
 
 
 class TestEstimator:
@@ -170,12 +146,13 @@ class TestGenerator:
     def test_zero_amplitude(self):
         grid = Grid(16)
         state = generate_data_with_character(grid, 0.0, seed=1, amplitude=0.0)
-        assert l2_norm_sq(state) == 0.0
+        assert spectrum_norm_sq(grid, *state.components()) == 0.0
 
     def test_amplitude_normalization(self):
         grid = Grid(16)
         state = generate_data_with_character(grid, 0.0, seed=1, amplitude=0.37)
-        assert np.sqrt(l2_norm_sq(state)) == pytest.approx(0.37, rel=1e-12)
+        assert np.sqrt(spectrum_norm_sq(grid, *state.components())) == pytest.approx(
+            0.37, rel=1e-12)
 
     def test_structure(self):
         grid = Grid(16)

@@ -7,7 +7,7 @@ import scipy.integrate as si
 
 from mmplab.analysis import fit_decay_exponent, theorem_report
 from mmplab.decay_character import SpectralProfile
-from mmplab.fields import Grid, PhysParams, StateField, l2_norm_sq
+from mmplab.fields import Grid, PhysParams, StateField, spectrum_norm_sq, state_norms
 from mmplab.linear import _polarization, make_radial_state, radial_linear_decay
 from mmplab.propagator import get_propagator
 from mmplab.selftest import sphere_rule_26, sphere_rule_norms
@@ -87,7 +87,7 @@ class TestGridEvolution:
 
     def test_norm_nonincreasing(self, grid16, params, rng):
         state = random_state(grid16, rng)
-        norms = [l2_norm_sq(state.with_coeffs(grid16.pad(evolve(state, params, t))))
+        norms = [spectrum_norm_sq(grid16, grid16.pad(evolve(state, params, t)))
                  for t in (0.0, 0.1, 0.5, 2.0)]
         assert np.all(np.diff(norms) <= 0)
 
@@ -125,19 +125,24 @@ class TestSphereRule:
         assert np.abs(moment - np.eye(3) / 3.0).max() < 1e-14
 
 
+def total_mass(state):
+    """The L2 mass of a radial datum, from its node coefficients."""
+    return state_norms(state.coeffs, state.weights, state.radii ** 2)["l2_z_sq"]
+
+
 class TestRadialState:
     def test_mass_consistency(self, params):
         prof = SpectralProfile.power_law(0.0)
         state = make_radial_state(prof, params)
         exact, _ = si.quad(prof.radial_density, 0, 1, epsrel=1e-12, epsabs=0)
-        assert abs(state.total_mass() - exact) / exact < 1e-6
+        assert abs(total_mass(state) - exact) / exact < 1e-6
 
     def test_infrared_tail_needs_smaller_rho_min(self, params):
         # r = -1 leaves rho_min of relative mass below the cutoff radius
         prof = SpectralProfile.power_law(-1.0)
         state = make_radial_state(prof, params, rho_min=1e-7)
         exact, _ = si.quad(prof.radial_density, 0, 1, epsrel=1e-12, epsabs=0)
-        assert abs(state.total_mass() - exact) / exact < 1e-6
+        assert abs(total_mass(state) - exact) / exact < 1e-6
 
     def test_direction_contributions_identical(self, params):
         # rotational equivariance: every direction contributes equally
@@ -165,7 +170,7 @@ class TestRadialState:
         prof = SpectralProfile.power_law(0.0)
         state = make_radial_state(prof, params)
         row = state.norms_at(0.0)
-        assert row["l2_z_sq"] == pytest.approx(state.total_mass(), rel=1e-12)
+        assert row["l2_z_sq"] == pytest.approx(total_mass(state), rel=1e-12)
 
 
     def test_kernel_built_once_per_state(self, params, monkeypatch):
@@ -320,7 +325,7 @@ class TestGridVersusRadial:
         assert state.divergence_error() < 1e-13
         radial = make_radial_state(prof, params, rho_min=1e-4, rho_max=3.0)
         for t in (0.0, 1.0, 5.0, 10.0):
-            g = l2_norm_sq(state.with_coeffs(grid.pad(evolve(state, params, t))))
+            g = spectrum_norm_sq(grid, grid.pad(evolve(state, params, t)))
             r = radial.norms_at(t)["l2_z_sq"]
             assert abs(g - r) / r < 0.03
 

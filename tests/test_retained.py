@@ -4,17 +4,19 @@ simulate steps the (9, 2c + 1, 2c + 1, c + 1) block of the modes with
 every |k_i| <= c = n // 3 and pads it to half spectra only for the inverse
 transform and at outputs.  These tests pin that layout to the half-spectrum
 one, written out here with a sector kernel on the grid's wavevectors: the
-same bits on every retained mode, zeros elsewhere.  The propagator and the
-right-hand side take no other layout.
+same bits on every retained mode, zeros elsewhere.  The propagator, the
+right-hand side and the projection on blocks take no other layout.
 """
 
 import numpy as np
 import pytest
 
 from mmplab.decay_character import generate_data_with_character
-from mmplab.fields import ContractViolation, Grid, PhysParams, StateField
+from mmplab.fields import ContractViolation, Grid, PhysParams, leray_project
 from mmplab.propagator import SectorKernel, get_propagator
 from mmplab.solver import _step_arrays, nonlinear_rhs
+
+from conftest import padded_rhs
 
 PARAMS = PhysParams(mu=1.0, gamma=1.0, chi=0.5, nu=1.0)
 
@@ -33,12 +35,12 @@ def half_spectrum_kernel(grid):
 
 def half_spectrum_step(grid, z, N, dt, scheme):
     """_step_arrays on half spectra z with N = N(z): the same stages, with
-    the all-mode kernel and nonlinear_rhs on a StateField, which truncates,
-    evaluates and pads; the modes outside the block move linearly."""
+    the all-mode kernel and nonlinear_rhs on the truncated half spectra,
+    padded; the modes outside the block move linearly."""
     kernel = half_spectrum_kernel(grid)
 
     def rhs(arr):
-        return nonlinear_rhs(StateField(grid, arr), check_solenoidal=False)[0]
+        return padded_rhs(grid, arr)[0]
 
     def apply(arr, t, kind):
         return kernel.apply(arr, t, kind=kind)
@@ -112,33 +114,34 @@ def test_retained_step_equals_full_layout_step(monkeypatch, threads, n, dt, sche
     grid = Grid(n, 2 * np.pi)
     z = generate_data_with_character(grid, 0.0, seed=n, amplitude=0.5).z
     prop = get_propagator(grid, PARAMS)
-    N_full = nonlinear_rhs(StateField(grid, z), check_solenoidal=False)[0]
-    N = nonlinear_rhs(grid.truncate(z), grid=grid)[0]
-    assert N.tobytes() == grid.truncate(N_full).tobytes()
-    full = half_spectrum_step(grid, z, N_full, dt, scheme)
-    block = _step_arrays(prop, grid.truncate(z), N, grid, dt, scheme)
+    N = nonlinear_rhs(grid, grid.truncate(z))[0]
+    full = half_spectrum_step(grid, z, grid.pad(N), dt, scheme)
+    block = _step_arrays(prop, grid.truncate(z), N, dt, scheme)
     assert block.shape == (9,) + grid.retained_shape
     assert block.tobytes() == grid.truncate(full).tobytes()
     assert np.abs(block).max() > 0
     assert not full[:, ~grid.dealias_mask].any()
 
 
-def test_state_field_rhs_is_the_padded_block_rhs():
-    grid = Grid(16, 2 * np.pi)
-    state = generate_data_with_character(grid, 0.0, seed=3, amplitude=0.5)
-    N, speed = nonlinear_rhs(state)
-    N_block, speed_block = nonlinear_rhs(grid.truncate(state.z), grid=grid)
-    assert N.shape == (9,) + grid.spectral_shape
-    assert N.tobytes() == grid.pad(N_block).tobytes()
-    assert speed == speed_block and np.abs(N).max() > 0
-
-
 def test_half_spectra_as_a_bare_array_fail_before_any_work():
     grid = Grid(16, 2 * np.pi)
     z = generate_data_with_character(grid, 0.0, seed=3, amplitude=0.5).z
     with pytest.raises(ContractViolation, match=r"retained block of shape \(9, 11, 11, 6\)"):
-        nonlinear_rhs(z, grid=grid)
+        nonlinear_rhs(grid, z)
     assert "buffers" not in vars(grid)  # no transform ran
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_projection_takes_the_layout_its_caller_names(n):
+    grid = Grid(n, 2 * np.pi)
+    half = complex_noise((3,) + grid.spectral_shape, n)
+    block = grid.truncate(half)
+    got = leray_project(grid.retained, block)
+    assert got.tobytes() == grid.truncate(leray_project(grid, half)).tobytes()
+    assert np.abs(got).max() > 0
+    for modes, arr in ((grid, block), (grid.retained, half)):
+        with pytest.raises(ContractViolation, match="expected shape"):
+            leray_project(modes, arr)
 
 
 @pytest.mark.parametrize("shape", [(9, 16, 16, 9), (9, 11, 11, 5), (3, 11, 11, 6)])

@@ -21,7 +21,7 @@ from mmplab.linear import make_radial_state
 from mmplab.propagator import SectorKernel
 from mmplab.solver import SolverConfig, advective_products, nonlinear_rhs, simulate
 
-from conftest import random_state
+from conftest import padded_rhs, random_state
 
 PARAMS = PhysParams(mu=1.0, gamma=1.0, chi=0.5, nu=1.0)
 
@@ -116,7 +116,7 @@ def test_nonlinear_rhs_independent_of_thread_count(grid64, state64, pool_uses,
     try:
         for threads in ("1", "2", "4"):
             monkeypatch.setenv("MMP_THREADS", threads)
-            outputs[threads] = nonlinear_rhs(state64)
+            outputs[threads] = padded_rhs(grid64, state64.z)
     finally:
         sys.setswitchinterval(interval)
     # the two groups of products, increments and projection at 2 and at 4 workers
@@ -184,7 +184,7 @@ def test_small_grids_and_radial_kernels_never_use_the_pool(monkeypatch):
     monkeypatch.setattr(grid_module, "_slab_pool", refuse)
     grid = Grid(32, 2 * np.pi)
     state = random_state(grid, np.random.Generator(np.random.Philox(32)))
-    nonlinear_rhs(state)
+    nonlinear_rhs(grid, grid.truncate(state.z))
     kernel = SectorKernel(grid.xi_odd, grid.xi_sq, PARAMS)
     for kind in ("exp", "phi1", "phi2"):
         kernel.apply(state.z, 0.05, kind=kind)
