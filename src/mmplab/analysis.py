@@ -40,18 +40,16 @@ class NormSeries:
         object.__setattr__(self, "values", v)
 
 
-def fit_decay_exponent(series: NormSeries | tuple,
+def fit_decay_exponent(series: NormSeries,
                        window: tuple[float, float]) -> tuple[float, float]:
     """OLS slope of log(values) against log(1+t) inside the window, which
-    must hold at least 10 samples, all finite and positive.
+    must hold at least 10 samples, all finite and positive.  The series'
+    times are strictly increasing (NormSeries checks them).
 
     Returns (exponent, residual) where residual is the largest absolute
     log deviation from the fitted line.
     """
-    if isinstance(series, NormSeries):
-        times, values = series.times, series.values
-    else:
-        times, values = (np.asarray(x, dtype=float) for x in series)
+    times, values = series.times, series.values
     lo, hi = window
     mask = (times >= lo) & (times <= hi)
     if mask.sum() < 10:

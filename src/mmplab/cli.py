@@ -107,7 +107,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_fit_rate(args) -> int:
-    from .analysis import fit_decay_exponent
+    from .analysis import NormSeries, fit_decay_exponent
     from .harness import read_series_csv
     cols = read_series_csv(args.csv)
     if args.column not in cols:
@@ -117,8 +117,8 @@ def cmd_fit_rate(args) -> int:
     vals = cols[args.column]
     keep = ~np.isnan(vals)
     try:
-        exponent, residual = fit_decay_exponent((t[keep], vals[keep]),
-                                                tuple(args.window))
+        series = NormSeries(args.column, t[keep], vals[keep])
+        exponent, residual = fit_decay_exponent(series, tuple(args.window))
     except ValueError as exc:
         _print_json({"error": str(exc)})
         return 1

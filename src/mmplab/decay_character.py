@@ -19,12 +19,14 @@ Both offer ball_mass, default_window, sample_radii and boundary_residual.
 from __future__ import annotations
 
 import itertools
+from concurrent.futures import wait
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
 from scipy import integrate
 
+from . import grid as _grid
 from .fields import Grid, StateField, leray_project, spectrum_norm_sq
 
 
@@ -280,55 +282,75 @@ def generate_data_with_character(grid: Grid, r: float, seed: int,
     Leray-projected after shaping (an angular factor that leaves r*
     unchanged), all means vanish, spectral support is restricted to the
     dealiased mode set, and the total L2 norm is scaled to `amplitude`.
+
+    The u, w and b groups are drawn in that order into one buffer.  Each
+    group's draws run on a slab-pool worker (grid.run_beside) while this
+    thread computes the magnitudes or shapes the group before, and start
+    once the pairing has read the group before from the buffer, so the
+    generator's stream is read in the same order at any worker count.  An
+    error in a draw is raised here, and no draw outlives the call.
     """
     if not -1.5 < r < 6.0:
         raise ValueError(f"decay character target {r} outside resolvable (-3/2, 6)")
     if sigma is None:
         sigma = grid.n * np.pi / (4.0 * grid.length)
 
-    mag = np.zeros_like(grid.xi_sq)
-    nonzero = grid.xi_sq > 0
-    mag[nonzero] = grid.xi_mag[nonzero] ** r * np.exp(-grid.xi_sq[nonzero] / (2.0 * sigma ** 2))
-    mag *= grid.dealias_mask
-
     rng = np.random.Generator(np.random.Philox(seed))
-    shape = (3, grid.n, grid.n, grid.n)
-    draws = np.empty((2,) + shape)
+    draws = np.empty((2, 3, grid.n, grid.n, grid.n))
+    pending = _grid.run_beside(_draw_normals, rng, draws)
+    try:
+        mag = np.zeros_like(grid.xi_sq)
+        nonzero = grid.xi_sq > 0
+        mag[nonzero] = (grid.xi_mag[nonzero] ** r
+                        * np.exp(-grid.xi_sq[nonzero] / (2.0 * sigma ** 2)))
+        mag *= grid.dealias_mask
 
-    def shaped_noise():
-        # Conjugate-symmetric random phases with exactly the target
-        # magnitude law (symmetrizing white noise and keeping only its
-        # phase preserves the law without shot noise on shell masses).
-        # a = re + i im becomes (a(k) + conj(a(-k))) / 2, part by part.
-        re, im = (rng.standard_normal(out=draw) for draw in draws)
-        noise = np.empty((3,) + grid.spectral_shape, dtype=complex)
-        _pair_with_minus_k(np.add, re, noise.real)
-        _pair_with_minus_k(np.subtract, im, noise.imag)
-        noise *= 0.5
-        amp = np.abs(noise)
-        phase = np.divide(noise, amp, out=np.ones_like(noise), where=amp > 0)
-        phase *= mag
-        return phase
+        def shaped_noise(next_draw: bool):
+            # Conjugate-symmetric random phases with exactly the target
+            # magnitude law (symmetrizing white noise and keeping only its
+            # phase preserves the law without shot noise on shell masses).
+            # a = re + i im becomes (a(k) + conj(a(-k))) / 2, part by part.
+            nonlocal pending
+            pending.result()
+            re, im = draws
+            noise = np.empty((3,) + grid.spectral_shape, dtype=complex)
+            _pair_with_minus_k(np.add, re, noise.real)
+            _pair_with_minus_k(np.subtract, im, noise.imag)
+            if next_draw:
+                pending = _grid.run_beside(_draw_normals, rng, draws)
+            noise *= 0.5
+            amp = np.abs(noise)
+            phase = np.divide(noise, amp, out=np.ones_like(noise), where=amp > 0)
+            phase *= mag
+            return phase
 
-    def project_rescaled(vhat):
-        # Projection preserves solenoidality direction; rescaling each mode
-        # back to the target vector magnitude keeps the law exact and the
-        # mode transverse, so r* is untouched.
-        proj = leray_project(grid, vhat)
-        amp = np.sqrt((np.abs(proj) ** 2).sum(axis=0))
-        target = np.sqrt(3.0) * mag
-        scale = np.divide(target, amp, out=np.zeros_like(mag), where=amp > 0)
-        return proj * scale[None]
+        def project_rescaled(vhat):
+            # Projection preserves solenoidality direction; rescaling each
+            # mode back to the target vector magnitude keeps the law exact
+            # and the mode transverse, so r* is untouched.
+            proj = leray_project(grid, vhat)
+            amp = np.sqrt((np.abs(proj) ** 2).sum(axis=0))
+            target = np.sqrt(3.0) * mag
+            scale = np.divide(target, amp, out=np.zeros_like(mag), where=amp > 0)
+            return proj * scale[None]
 
-    z = np.empty((9,) + grid.spectral_shape, dtype=complex)
-    z[0:3] = project_rescaled(shaped_noise())
-    z[3:6] = shaped_noise()
-    z[6:9] = project_rescaled(shaped_noise())
+        z = np.empty((9,) + grid.spectral_shape, dtype=complex)
+        z[0:3] = project_rescaled(shaped_noise(next_draw=True))
+        z[3:6] = shaped_noise(next_draw=True)
+        z[6:9] = project_rescaled(shaped_noise(next_draw=False))
+    finally:
+        wait((pending,))
 
     norm = np.sqrt(spectrum_norm_sq(grid, z[0:3], z[3:6], z[6:9]))
     scale = amplitude / norm if norm > 0 and amplitude != 0 else 0.0
     z *= scale
     return StateField(grid, z)
+
+
+def _draw_normals(rng: np.random.Generator, draws: np.ndarray) -> None:
+    """Fill draws[0] and then draws[1] with standard normals from rng."""
+    for part in draws:
+        rng.standard_normal(out=part)
 
 
 def _pair_with_minus_k(op, full: np.ndarray, out: np.ndarray) -> None:

@@ -7,7 +7,9 @@ space is only visited transiently when forming products.  The whole state
 is one array of half spectra of real fields, shape (9, n, n, n//2 + 1),
 whose rows 0:3, 3:6 and 6:9 are u, w and b.  :func:`state_norms` is the
 one definition of the norms, for torus rows (weighting the kz planes by the
-grid's Parseval multiplicity) and radial nodes alike.  The Leray projection
+grid's Parseval multiplicity) and radial nodes alike; it holds two arrays
+of |z|^2 size at a time, the weighted energies and one scratch array for
+their |xi|^2 and |xi|^4 weights.  The Leray projection
 implemented here is what removes the pressure gradient from the velocity
 equation: taking divergence of the momentum equation determines the
 pressure, and subtracting its gradient is exactly the projection
@@ -115,7 +117,11 @@ def _read_only(view: np.ndarray) -> np.ndarray:
 
 
 def _div_residual(grid: Grid, vhat: np.ndarray) -> float:
-    div = (grid.xi_odd * vhat).sum(axis=0)
+    # xi . vhat accumulated in one array, in the order of .sum(axis=0)
+    xi, term = grid.xi_odd, np.empty(vhat.shape[1:], dtype=complex)
+    div = np.multiply(xi[0], vhat[0])
+    for i in (1, 2):
+        div += np.multiply(xi[i], vhat[i], out=term)
     scale = grid.xi_mag.max() * np.abs(vhat).max()
     return float(np.abs(div).max() / scale) if scale > 0 else 0.0
 
@@ -198,10 +204,19 @@ def state_norms(z: np.ndarray, weight, xi_sq) -> dict:
     # of a separate sum over that block
     z = np.moveaxis(z, 0, len(batch))
     e = np.square(z.real, order="C")
-    e += z.imag ** 2
+    # one scratch array holds z.imag ** 2, then e |xi|^2, then e |xi|^4: the
+    # arrays of e * xi_sq and e * xi_sq ** 2, so their sums keep their bits
+    scratch = np.square(z.imag, order="C")
+    e += scratch
     e *= weight
-    sums = [f.reshape(batch + (3, row)).sum(axis=-1) for f in (e, e * xi_sq, e * xi_sq ** 2)]
-    (lu, lw, lb), (hu, hw, hb), (su, sw, sb) = ((s[..., 0], s[..., 1], s[..., 2]) for s in sums)
+
+    def block_sums(f):
+        s = f.reshape(batch + (3, row)).sum(axis=-1)
+        return s[..., 0], s[..., 1], s[..., 2]
+
+    lu, lw, lb = block_sums(e)
+    hu, hw, hb = block_sums(np.multiply(e, xi_sq, out=scratch))
+    su, sw, sb = block_sums(np.multiply(e, xi_sq ** 2, out=scratch))
     norms = {"l2_z_sq": lu + lw + lb, "l2_u_sq": lu, "l2_w_sq": lw, "l2_b_sq": lb,
              "h1_z_sq": hu + hw + hb, "h1_w_sq": hw, "h2_z_sq": su + sw + sb}
     return norms if batch else {key: float(val) for key, val in norms.items()}

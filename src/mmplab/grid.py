@@ -16,8 +16,10 @@ Parseval multiplicity: the kz = 0 and kz = n/2 planes hold their own
 conjugate partners and count once, every other plane stands for itself
 and its missing partner and counts twice.  Full spectra appear only at
 the edges: shaped random data pair each stored mode k with the draw at
--k, and snapshots are expanded on write and sliced on read
-(:func:`full_spectrum`).
+-k, and snapshots are expanded on write, one component at a time into one
+reused array, and sliced on read (:func:`full_spectrum`, which fills the
+missing planes from slice views of the stored ones and makes no other
+copy).
 
 The 2/3 rule (Orszag 1971) retains the modes with every |k_i| <= c,
 c = n // 3: about 30% of the half spectrum.  Grid.truncate gathers them
@@ -35,6 +37,10 @@ every right-hand side of the stepper reuses (its padded input spectra, the
 fields, and one group of nine products and their spectra, which the
 right-hand side forms twice): one caller at a time per Grid, kept from the
 first use until Grid.release_buffers.
+
+The MMP_THREADS workers (worker_count) run the slab stages (slab_map) and,
+through run_beside, one task beside the calling thread: the data
+generator's next normal draws.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import contextvars
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -106,6 +112,22 @@ def slab_map(fn, shape: tuple[int, ...]) -> list:
                for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     wait(futures)
     return [future.result() for future in futures]
+
+
+def run_beside(fn, *args) -> Future:
+    """fn(*args) on the slab pool, beside this thread, as a Future whose
+    result() returns its value or raises its exception; with one worker fn
+    runs here, before run_beside returns.  fn must not call slab_map, and
+    a slab_map call of this thread while fn runs has one worker less."""
+    workers = worker_count()
+    if workers > 1:
+        return _slab_pool(workers).submit(contextvars.copy_context().run, fn, *args)
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 @dataclass(frozen=True)
@@ -300,17 +322,19 @@ def inverse(spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _pocketfft.c2r(spec, (-3, -2, -1), n, False, _UNSCALED, out, worker_count())
 
 
-def conjugate_flip(spec: np.ndarray) -> np.ndarray:
-    """Return conj(a(-k)) on the full FFT index grid (last three axes)."""
-    rev = spec[..., ::-1, ::-1, ::-1]
-    return np.conj(np.roll(rev, 1, axis=(-3, -2, -1)))
-
-
-def full_spectrum(half: np.ndarray) -> np.ndarray:
+def full_spectrum(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Expand half spectra (..., n, n, n//2 + 1) to full FFT-ordered arrays
-    (..., n, n, n); the missing planes are conj(a(-k)) of stored modes."""
-    n = half.shape[-2]
-    full = np.zeros(half.shape[:-1] + (n,), dtype=complex)
-    full[..., :n // 2 + 1] = half
-    full[..., n // 2 + 1:] = conjugate_flip(full)[..., n // 2 + 1:]
-    return full
+    (..., n, n, n), as a new complex array or written into out.  The
+    missing kz planes are conj(a(-k)) of stored modes, copied from four
+    slice views per axis pair (index 0 pairs with itself, i > 0 with n - i)
+    and conjugated in place; into a complex64 out each value is cast once,
+    which gives the bits of expanding first and casting after."""
+    n, h = half.shape[-2], half.shape[-1]
+    if out is None:
+        out = np.empty(half.shape[:-1] + (n,), dtype=complex)
+    out[..., :h] = half
+    axis = ((slice(0, 1), slice(0, 1)), (slice(1, n), slice(n - 1, 0, -1)))
+    for (x, mx), (y, my) in itertools.product(axis, axis):
+        out[..., x, y, h:] = half[..., mx, my, n - h:0:-1]
+    np.conjugate(out[..., h:], out=out[..., h:])
+    return out

@@ -20,7 +20,7 @@ import itertools
 import numpy as np
 import scipy.fft as _fft
 
-from .analysis import fit_decay_exponent
+from .analysis import NormSeries, fit_decay_exponent
 from .decay_character import SpectralProfile, generate_data_with_character
 from .fields import (Grid, PhysParams, leray_project, physical_norm_sq,
                      spectrum_norm_sq, state_norms)
@@ -207,7 +207,7 @@ def check_generator_determinism() -> tuple[bool, str]:
 def check_fit_exact() -> tuple[bool, str]:
     t = np.linspace(0, 100, 60)
     vals = (1 + t) ** -1.5
-    exp, res = fit_decay_exponent((t, vals), (0, 100))
+    exp, res = fit_decay_exponent(NormSeries("power", t, vals), (0, 100))
     ok = abs(exp + 1.5) < 1e-10 and res < 1e-10
     return ok, f"exponent {exp:.12f}, residual {res:.2e}"
 

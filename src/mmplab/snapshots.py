@@ -15,8 +15,11 @@ Coefficients are stored in single precision; snapshots are for restart and
 inspection, not for bit-exact archival.  States hold half spectra (see
 :mod:`mmplab.grid`); the file holds the full spectrum, so a state is
 expanded with its conjugate-symmetric partners on write and sliced back to
-the stored half on read.  Reading a snapshot returns exactly the stored
-half in complex64 precision.
+the stored half on read.  The writer expands one component at a time into
+one complex64 array (grid.full_spectrum with out=), which it writes as it
+is: the bytes of expanding in double precision and casting after, with no
+double-precision copy.  Reading a snapshot returns exactly the stored half
+in complex64 precision.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ def write_snapshot(path, state: StateField) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(_HEADER.pack(state.grid.n, state.grid.length, 3))
+        full = np.empty((state.grid.n,) * 3, dtype=np.complex64)
         for comp in state.z:
-            fh.write(full_spectrum(comp).astype(np.complex64).tobytes())
+            fh.write(full_spectrum(comp, out=full))
 
 
 def read_snapshot(path) -> StateField:

@@ -34,11 +34,40 @@ def reality_error(spec):
     return float(np.abs(forward(inverse(spec)) - spec).max() / scale) if scale > 0 else 0.0
 
 
+def conjugate_flip(spec):
+    """conj(a(-k)) on the full FFT index grid (last three axes), by reversing
+    every axis and rolling it by one."""
+    rev = spec[..., ::-1, ::-1, ::-1]
+    return np.conj(np.roll(rev, 1, axis=(-3, -2, -1)))
+
+
+def full_spectrum_oracle(half):
+    """The roll-based expansion of half spectra (..., n, n, n//2 + 1) to
+    full complex128 spectra, which grid.full_spectrum must match bit for
+    bit: zeros, then the stored planes, then conj(a(-k)) on the rest."""
+    n = half.shape[-2]
+    full = np.zeros(half.shape[:-1] + (n,), dtype=complex)
+    full[..., :n // 2 + 1] = half
+    full[..., n // 2 + 1:] = conjugate_flip(full)[..., n // 2 + 1:]
+    return full
+
+
+def full_band_half(rng, shape):
+    """Random complex half spectra of this shape on every mode, the Nyquist
+    planes included, with about a tenth of the real and of the imaginary
+    parts set to +0.0 and another tenth to -0.0."""
+    half = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for part in (half.real, half.imag):
+        pick = rng.random(shape)
+        part[pick < 0.1] = 0.0
+        part[(pick >= 0.1) & (pick < 0.2)] = -0.0
+    return half
+
+
 def hermitian_symmetrize(spec):
     """Project a full FFT-ordered spectrum onto its conjugate-symmetric part:
     the full-spectrum construction the data generator's half-spectrum
     pairing is checked against."""
-    from mmplab.grid import conjugate_flip
     return 0.5 * (spec + conjugate_flip(spec))
 
 

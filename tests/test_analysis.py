@@ -19,27 +19,27 @@ class TestFit:
     def test_exact_power_law(self):
         t = np.linspace(0.0, 200.0, 80)
         vals = (1.0 + t) ** -1.5
-        exponent, residual = fit_decay_exponent((t, vals), (0.0, 200.0))
+        exponent, residual = fit_decay_exponent(NormSeries("power", t, vals), (0.0, 200.0))
         assert abs(exponent + 1.5) < 1e-10
         assert residual < 1e-10
 
     def test_modulated_power_law(self):
         t = np.linspace(0.0, 500.0, 400)
         vals = 3.0 * (1.0 + t) ** -2.5 * (1.0 + 0.01 * np.sin(t))
-        exponent, _ = fit_decay_exponent((t, vals), (0.0, 500.0))
+        exponent, _ = fit_decay_exponent(NormSeries("modulated", t, vals), (0.0, 500.0))
         assert abs(exponent + 2.5) < 0.02
 
     def test_constant_series(self):
         t = np.linspace(0.0, 50.0, 30)
-        exponent, residual = fit_decay_exponent((t, np.full_like(t, 2.0)),
-                                                (0.0, 50.0))
+        series = NormSeries("constant", t, np.full_like(t, 2.0))
+        exponent, residual = fit_decay_exponent(series, (0.0, 50.0))
         assert abs(exponent) < 1e-12
         assert residual < 1e-12
 
     def test_insufficient_samples(self):
         t = np.linspace(0.0, 10.0, 5)
         with pytest.raises(ValueError, match="at least"):
-            fit_decay_exponent((t, np.exp(-t)), (0.0, 10.0))
+            fit_decay_exponent(NormSeries("short", t, np.exp(-t)), (0.0, 10.0))
 
     @pytest.mark.parametrize("bad", [0.0, -0.2, np.inf, np.nan])
     def test_values_must_be_finite_and_positive(self, bad):
@@ -47,7 +47,7 @@ class TestFit:
         vals = (1.0 + t) ** -1.0
         vals[7] = bad
         with pytest.raises(ValueError, match="finite and positive"):
-            fit_decay_exponent((t, vals), (0.0, 10.0))
+            fit_decay_exponent(NormSeries("bad", t, vals), (0.0, 10.0))
 
     def test_norm_series_fitted_copy(self):
         t = np.linspace(0.0, 100.0, 40)

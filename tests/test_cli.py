@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from mmplab.cli import main
-from mmplab.fields import Grid
+from mmplab.fields import Grid, StateField
 from mmplab.decay_character import generate_data_with_character
-from mmplab.grid import full_spectrum
 from mmplab.harness import (CSV_COLUMNS, RunConfig, _to_ini, execute_run,
                             format_float, read_series_csv, report_from_run)
 from mmplab.snapshots import (SnapshotFormatError, read_snapshot,
                               write_snapshot, MAGIC)
+
+from conftest import full_band_half, full_spectrum_oracle
 
 CONFIG_TEXT = """
 [grid]
@@ -77,6 +78,18 @@ class TestCliBasics:
             assert rc == 1
             assert out == {"error": "series values must be finite and positive "
                                     "inside the fit window"}
+
+    def test_fit_rate_rejects_unordered_times(self, tmp_path, capsys):
+        t = [3.0, 1.0, 2.0] + [float(k) for k in range(4, 13)]
+        lines = ["t,l2_z_sq"] + [f"{format_float(a)},{format_float((1 + a) ** -1.5)}"
+                                 for a in t]
+        csv = tmp_path / "series.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        rc = main(["fit-rate", "--csv", str(csv), "--column", "l2_z_sq",
+                   "--window", "0", "20"])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "times must be strictly increasing"}
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty CSV, no header"),
@@ -378,13 +391,26 @@ class TestSnapshots:
         path = tmp_path / "state.snap"
         write_snapshot(path, state)
         expected = MAGIC + struct.pack("<IdI", 8, grid.length, 3) + b"".join(
-            full_spectrum(comp).astype(np.complex64).tobytes()
+            full_spectrum_oracle(comp).astype(np.complex64).tobytes()
             for comp in state.components())
         assert path.read_bytes() == expected
         back = read_snapshot(path)
         for a, b in zip(back.components(), state.components()):
             assert a.shape == b.shape
             assert np.array_equal(a, b.astype(np.complex64))
+
+    @pytest.mark.parametrize("n", [8, 10, 16])
+    def test_full_band_layout_equals_roll_oracle(self, tmp_path, n):
+        # every mode set, the Nyquist planes included, with signed zeros:
+        # the bytes of the double-precision expansion cast to complex64
+        grid = Grid(n, 3.0)
+        rng = np.random.Generator(np.random.Philox(100 + n))
+        state = StateField(grid, full_band_half(rng, (9,) + grid.spectral_shape))
+        path = tmp_path / "state.snap"
+        write_snapshot(path, state)
+        expected = MAGIC + struct.pack("<IdI", n, 3.0, 3) + b"".join(
+            full_spectrum_oracle(comp).astype(np.complex64).tobytes() for comp in state.z)
+        assert path.read_bytes() == expected
 
     def test_magic_header(self, tmp_path):
         grid = Grid(8, 2 * np.pi)

@@ -1,10 +1,14 @@
 """Ball masses, decay character estimation and shaped data."""
 
+import time
+
 import numpy as np
 import pytest
 
+from mmplab import decay_character
 from mmplab.decay_character import (ShellProfile, SpectralProfile,
                                     combine_profiles, estimate_decay_character,
+                                    _draw_normals,
                                     generate_data_with_character,
                                     min_rule_check)
 from mmplab.fields import Grid, leray_project, spectrum_norm_sq
@@ -163,12 +167,59 @@ class TestGenerator:
             assert np.abs(comp[:, 0, 0, 0]).max() == 0.0  # zero mean
             assert np.abs(comp * ~grid.dealias_mask).max() == 0.0
 
+    # inline draws at one worker, draws beside the shaping at the default
+    # count and at four
+    @pytest.mark.parametrize("threads", [None, "1", "4"])
     @pytest.mark.parametrize("n", [8, 16, 32, 48, 64])
     @pytest.mark.parametrize("r, seed", [(-1.0, 1), (0.0, 2), (1.5, 3)])
-    def test_half_spectrum_pairing_matches_full_construction(self, n, r, seed):
+    def test_half_spectrum_pairing_matches_full_construction(self, n, r, seed, threads,
+                                                             monkeypatch):
+        if threads is not None:
+            monkeypatch.setenv("MMP_THREADS", threads)
         grid = Grid(n, 2 * np.pi)
         got = generate_data_with_character(grid, r, seed=seed, amplitude=0.7)
         assert got.z.tobytes() == full_spectrum_datum(grid, r, seed, 0.7).tobytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("failing", [1, 2, 3])
+    def test_draw_error_propagates_and_no_draw_is_left(self, failing, threads, monkeypatch):
+        monkeypatch.setenv("MMP_THREADS", threads)
+        calls, running = [], []
+
+        def draw(rng, draws):
+            calls.append(len(calls) + 1)
+            running.append(True)
+            try:
+                if calls[-1] == failing:
+                    raise RuntimeError("draw failed")
+                _draw_normals(rng, draws)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(decay_character, "_draw_normals", draw)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            generate_data_with_character(Grid(16), 0.0, seed=1)
+        assert calls == list(range(1, failing + 1)) and running == []
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_shaping_error_waits_for_the_draw_in_flight(self, threads, monkeypatch):
+        monkeypatch.setenv("MMP_THREADS", threads)
+        finished = []
+
+        def slow_draw(rng, draws):
+            time.sleep(0.05)
+            _draw_normals(rng, draws)
+            finished.append(True)
+
+        def failing_projection(grid, vhat):
+            raise ArithmeticError("projection failed")
+
+        monkeypatch.setattr(decay_character, "_draw_normals", slow_draw)
+        monkeypatch.setattr(decay_character, "leray_project", failing_projection)
+        with pytest.raises(ArithmeticError, match="projection failed"):
+            generate_data_with_character(Grid(16), 0.0, seed=1)
+        # the u group's projection fails while the w group's draws run
+        assert finished == [True, True]
 
     def test_range_validation(self):
         grid = Grid(16)

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from mmplab.fields import (ContractViolation, Grid, StateField, curl_at,
                            leray_project, physical_norm_sq, spectrum_norm_sq,
                            state_norms)
-from mmplab.grid import conjugate_flip, forward, full_spectrum, inverse
+from mmplab.grid import forward, full_spectrum, inverse
 
-from conftest import hermitian_symmetrize, random_state, reality_error
+from conftest import (conjugate_flip, full_band_half, full_spectrum_oracle,
+                      hermitian_symmetrize, random_state, reality_error)
 
 
 def dft_oracle(phys):
@@ -279,3 +280,22 @@ class TestHermitianSymmetrize:
         spec = rng.normal(size=(2, 8, 8, 8)) + 1j * rng.normal(size=(2, 8, 8, 8))
         sym = hermitian_symmetrize(spec)
         assert np.array_equal(full_spectrum(sym[..., :5]), sym)
+
+
+class TestFullSpectrum:
+    @pytest.mark.parametrize("n", [8, 10, 16])
+    def test_equals_roll_oracle_bitwise(self, n):
+        # full-band data: nonzero Nyquist planes, and signed zeros whose
+        # signs the conjugation flips
+        half = full_band_half(np.random.Generator(np.random.Philox(n)), (2, n, n, n // 2 + 1))
+        want = full_spectrum_oracle(half)
+        assert full_spectrum(half).tobytes() == want.tobytes()
+        out = np.full(want.shape, np.nan, dtype=complex)
+        assert full_spectrum(half, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        # into complex64: casting, then conjugating, as conjugating, then casting
+        out64 = np.empty(want.shape[1:], dtype=np.complex64)
+        for comp, full in zip(half, want):
+            full_spectrum(comp, out=out64)
+            assert out64.tobytes() == full.astype(np.complex64).tobytes()
+
