@@ -32,11 +32,8 @@ arrays on the block.
 
 forward and inverse write into a caller's array when given out=, through
 the same pocketfft calls that scipy.fft.rfftn and irfftn make, so the bits
-do not depend on it.  Grid.buffers holds the four transform arrays that
-every right-hand side of the stepper reuses (its padded input spectra, the
-fields, and one group of nine products and their spectra, which the
-right-hand side forms twice): one caller at a time per Grid, kept from the
-first use until Grid.release_buffers.
+do not depend on it.  A Grid is a value: it caches only arrays derived
+from n and length, so any number of threads may share one.
 
 The MMP_THREADS workers (worker_count) run the slab stages (slab_map) and,
 through run_beside, one task beside the calling thread: the data
@@ -142,16 +139,6 @@ class Modes:
 
 
 @dataclass(frozen=True)
-class Buffers:
-    """Grid.buffers: the work arrays of one right-hand side."""
-
-    padded: np.ndarray    # (9, n, n, n//2 + 1) inverse input, +0 outside the retained block
-    fields: np.ndarray    # (9, n, n, n) its real fields
-    products: np.ndarray  # (9, n, n, n) one group of the quadratic products
-    spectra: np.ndarray   # (9, n, n, n//2 + 1) their half spectra
-
-
-@dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid with n modes per axis on a box of side length."""
 
@@ -161,8 +148,8 @@ class Grid:
     def __post_init__(self):
         if self.n % 2 != 0 or self.n < 8:
             raise ValueError(f"grid size must be even and >= 8, got n={self.n}")
-        if not self.length > 0:
-            raise ValueError(f"box side must be positive, got {self.length}")
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"box side must be positive and finite, got {self.length}")
 
     @property
     def volume(self) -> float:
@@ -275,20 +262,6 @@ class Grid:
         for part, modes in self._blocks:
             out[(...,) + modes] = block[(...,) + part]
         return out
-
-    @cached_property
-    def buffers(self) -> Buffers:
-        """The transform arrays of the right-hand side on this Grid, made on
-        first use and kept until release_buffers.  One caller at a time."""
-        half, phys = self.spectral_shape, (self.n,) * 3
-        return Buffers(padded=np.zeros((9,) + half, dtype=complex),
-                       fields=np.empty((9,) + phys),
-                       products=np.empty((9,) + phys),
-                       spectra=np.empty((9,) + half, dtype=complex))
-
-    def release_buffers(self) -> None:
-        """Drop the buffers, if held; the next use makes new ones."""
-        self.__dict__.pop("buffers", None)
 
     @cached_property
     def retained(self) -> Modes:

@@ -13,10 +13,9 @@ which is 9 inverse and 18 forward real transforms per evaluation: the
 the products come back in two batches of nine, first the 6 symmetric
 products u_i u_j - b_i b_j and the 3 products u x b, then the 9 products
 u_j w_i; of each only the retained block is kept.  The padded spectra, the
-fields and one group of products and its spectra are written into
-Grid.buffers, reused by every evaluation on that Grid (one caller at a
-time), so the products take half the memory of one batch of 18 with the
-same bits; N itself is a new array each time.
+fields and one group of products and its spectra are written into the
+caller's Buffers, so the products take half the memory of one batch of 18
+with the same bits; N itself is a new array each time.
 On the retained modes the identities are exact, because
 the truncated u and b are solenoidal and the 2/3 rule, always applied,
 keeps aliasing off those modes.  The velocity increment is
@@ -38,9 +37,12 @@ studies.  The stepper's applies cache their weight tables per (time,
 kind) on the propagator's kernel (SectorKernel.apply), so a run evaluates
 them once per step size: three for ETD-RK2 (exp, phi1, phi2 at h), two
 for IF-RK4 (exp at h and h/2); a halving of dt drops them.  simulate
-holds the Grid's buffers only while it steps: it releases them before
-every output row, where the norms need memory of their own, and on every
-exit.  simulate advances the 2/3-rule retained block, one
+owns the Buffers: it makes one at the first right-hand side after each
+output row, every evaluation until the next row reuses it, and it drops
+it before that row, where the norms need memory of their own, and
+before it raises BlowupError.  Nothing is kept on the Grid, so
+concurrent runs may share one.  simulate advances the 2/3-rule retained
+block, one
 (9, 2c + 1, 2c + 1, c + 1) array with c = n // 3 (Grid.truncate), which
 holds the Galerkin truncation's only nonzero modes; N carries the three
 increments in the same row layout.  The datum comes in and the output
@@ -63,6 +65,7 @@ state and over its paired linear difference.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -105,19 +108,25 @@ class SolverConfig:
     ball_A: float = 1.0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end!r}")
+        if not self.ball_A > 0:
+            raise ValueError(f"ball_A must be positive, got {self.ball_A!r}")
         if self.output_every < 1:
             raise ValueError("output_every must be a positive integer")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        outputs = self.t_end / (self.dt * self.output_every)
-        if abs(outputs - round(outputs)) > 1e-9 * max(outputs, 1.0):
+        output_dt = self.dt * self.output_every
+        outputs = self.t_end / output_dt
+        # measured on t_end, so a t_end > 0 that rounds to no output fails,
+        # also when output_dt overflows
+        if not (outputs < math.inf
+                and abs(round(outputs) * output_dt - self.t_end) <= 1e-9 * self.t_end):
             raise ValueError(
                 f"t_end = {self.t_end!r} is not a multiple of dt * output_every "
-                f"= {self.dt * self.output_every!r}")
+                f"= {output_dt!r}")
 
 
 @dataclass
@@ -154,7 +163,22 @@ def _contract(xi: np.ndarray, rows, out: np.ndarray) -> None:
         out[i] += xi[2] * row[2]
 
 
-def nonlinear_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
+class Buffers:
+    """The work arrays of the right-hand side on a grid: any number of
+    nonlinear_rhs calls on that grid may reuse them, one at a time."""
+
+    __slots__ = ("padded", "fields", "products", "spectra")
+
+    def __init__(self, grid: Grid):
+        half, phys = grid.spectral_shape, (grid.n,) * 3
+        # the inverse's input; zeros, since pad(out=) writes only the block
+        self.padded = np.zeros((9,) + half, dtype=complex)
+        self.fields = np.empty((9,) + phys)      # its real fields
+        self.products = np.empty((9,) + phys)    # one group of nine products
+        self.spectra = np.empty((9,) + half, dtype=complex)  # their half spectra
+
+
+def nonlinear_rhs(grid: Grid, z: np.ndarray, work: Buffers) -> tuple[np.ndarray, float]:
     """Spectral increment N = (Nu, Nw, Nb) of the quadratic terms, plus the
     Elsasser speed max(|u| + |b|) over the grid points of the truncated
     state: the speed of u +- b, which bounds the explicit transport by u in
@@ -170,13 +194,13 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
     z is the retained block (9, 2c + 1, 2c + 1, c + 1) of grid
     (Grid.truncate), and N is one too; any other shape raises
     ContractViolation before any work; simulate checks the datum's divergence.
+    The transforms go through work, Buffers of grid.
     """
     check_retained(grid, z)
-    buffers = grid.buffers
     # resolved on the grid module at call time, so wrappers installed there see it
-    phys = _grid.inverse(grid.pad(z, out=buffers.padded), out=buffers.fields)
+    phys = _grid.inverse(grid.pad(z, out=work.padded), out=work.fields)
     u, w, b = phys[0:3], phys[3:6], phys[6:9]
-    prod = buffers.products
+    prod = work.products
     spec = np.empty((18,) + z.shape[1:], dtype=complex)
 
     def stress_and_induction(sl):
@@ -209,9 +233,9 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
 
     # np.max, unlike max(), keeps a NaN slab speed
     speed = float(np.max(_grid.slab_map(stress_and_induction, phys.shape[1:])))
-    grid.truncate(forward(prod, out=buffers.spectra), out=spec[0:9])
+    grid.truncate(forward(prod, out=work.spectra), out=spec[0:9])
     _grid.slab_map(transport, phys.shape[1:])
-    grid.truncate(forward(prod, out=buffers.spectra), out=spec[9:18])
+    grid.truncate(forward(prod, out=work.spectra), out=spec[9:18])
     xi_odd = grid.retained.xi_odd
     N = np.empty(z.shape, dtype=complex)
 
@@ -281,14 +305,15 @@ def tensor_bound_report(state: StateField) -> dict:
 
 
 def _step_arrays(prop: GridPropagator, z: np.ndarray, N: np.ndarray,
-                 dt: float, scheme: str) -> np.ndarray:
+                 dt: float, scheme: str, work: Buffers) -> np.ndarray:
     """One step on a retained block z, (9, 2c + 1, 2c + 1, c + 1), of
     prop.grid from its right-hand side N = N(z), which is the first stage;
-    returns the new block.  The applies and right-hand sides raise
-    ContractViolation on any other layout."""
+    returns the new block.  The later stages' right-hand sides go through
+    work.  The applies and right-hand sides raise ContractViolation on any
+    other layout."""
 
     def rhs(arr):
-        return nonlinear_rhs(prop.grid, arr)[0]
+        return nonlinear_rhs(prop.grid, arr, work)[0]
 
     def apply(arr, t, kind):
         return prop.apply(arr, t, kind=kind, cache=True)
@@ -384,7 +409,6 @@ def simulate(config: SolverConfig, z0: StateField,
     output_dt = config.dt * config.output_every
 
     def record(t, coeffs, linear_coeffs):
-        grid.release_buffers()
         st = StateField(grid, coeffs)
         lin = StateField(grid, linear_coeffs) if linear_coeffs is not None else None
         row = _norm_row(st, t, config.ball_A, lin)
@@ -407,31 +431,31 @@ def simulate(config: SolverConfig, z0: StateField,
             f"z0: u or b not solenoidal: relative divergence "
             f"{traj.diagnostics['max_divergence']:.3e}")
 
-    try:
-        for k in range(1, n_outputs + 1):
-            t_target = k * output_dt
-            remaining = steps_per_output
-            while remaining:
-                # the step's first stage, with the speed of the state it advances
-                N, speed = nonlinear_rhs(grid, z)
-                if not np.isfinite(speed):
-                    raise BlowupError(t_target - (remaining - 1) * dt, trajectory=traj)
-                # CFL check before every step.  dt only ever halves, and the
-                # remaining steps double with it, so output times stay exact.
-                while dt * speed * grid.n / grid.length > CFL_LIMIT:
-                    dt *= 0.5
-                    remaining *= 2
-                    steps_per_output *= 2
-                    traj.diagnostics["cfl_halvings"] += 1
-                    prop.drop_weights()
-                z = _step_arrays(prop, z, N, dt, config.scheme)
-                remaining -= 1
-            if not np.isfinite(z).all():
-                raise BlowupError(t_target, trajectory=traj)
-            record(t_target, grid.pad(z),
-                   grid.pad(prop.apply(z0_block, t_target, kind="exp")) if pair_linear else None)
-    finally:
-        grid.release_buffers()
+    for k in range(1, n_outputs + 1):
+        t_target = k * output_dt
+        remaining = steps_per_output
+        work = Buffers(grid)
+        while remaining:
+            # the step's first stage, with the speed of the state it advances
+            N, speed = nonlinear_rhs(grid, z, work)
+            if not np.isfinite(speed):
+                del work  # a holder of the error keeps this frame alive
+                raise BlowupError(t_target - (remaining - 1) * dt, trajectory=traj)
+            # CFL check before every step.  dt only ever halves, and the
+            # remaining steps double with it, so output times stay exact.
+            while dt * speed * grid.n / grid.length > CFL_LIMIT:
+                dt *= 0.5
+                remaining *= 2
+                steps_per_output *= 2
+                traj.diagnostics["cfl_halvings"] += 1
+                prop.drop_weights()
+            z = _step_arrays(prop, z, N, dt, config.scheme, work)
+            remaining -= 1
+        del work  # before the row, where the norms need memory of their own
+        if not np.isfinite(z).all():
+            raise BlowupError(t_target, trajectory=traj)
+        record(t_target, grid.pad(z),
+               grid.pad(prop.apply(z0_block, t_target, kind="exp")) if pair_linear else None)
 
     traj.diagnostics["dt_final"] = dt
     return traj

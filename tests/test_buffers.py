@@ -1,15 +1,20 @@
 """Reused transform buffers and cached sector-kernel weights.
 
-The right-hand side writes its transforms into Grid.buffers, and the
-stepper's applies take their weights from tables cached per (t, kind) on
-the kernel.  Neither may change a bit: these tests pin the out= transforms
-to scipy.fft, the two 9-row product batches to one batch of 18, a cached
-apply to a fresh kernel's, and a run to the same run on a fresh Grid, and
-check that no run leaves buffers behind and that the buffers stay at one
-group of nine products.
+The right-hand side writes its transforms into the caller's Buffers, which
+simulate makes after each output row, and the stepper's applies take their
+weights from tables cached per (t, kind) on the kernel.  Neither may change
+a bit: these tests pin the out= transforms to scipy.fft, the two 9-row
+product batches to one batch of 18, a cached apply to a fresh kernel's, a
+run to the same run on a fresh Grid and concurrent runs on one Grid to
+serial ones, and check that a run leaves only derived arrays on its Grid
+and that the buffers stay at one group of nine products.
 """
 
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -20,7 +25,7 @@ from mmplab.decay_character import generate_data_with_character
 from mmplab.fields import ContractViolation, Grid, PhysParams, StateField
 from mmplab.grid import forward, inverse
 from mmplab.propagator import SectorKernel, get_propagator
-from mmplab.solver import BlowupError, SolverConfig, nonlinear_rhs, simulate
+from mmplab.solver import BlowupError, Buffers, SolverConfig, nonlinear_rhs, simulate
 
 from conftest import random_state
 
@@ -31,6 +36,12 @@ KINDS = ("exp", "phi1", "phi2")
 def trajectory_bits(traj):
     return (traj.times, repr(traj.norm_rows), repr(traj.diagnostics),
             [snap.z.tobytes() for snap in traj.snapshots])
+
+
+def holds_only_derived_arrays(grid):
+    """The Grid's instance dict has its fields and cached properties only."""
+    cached = {name for name, attr in vars(Grid).items() if isinstance(attr, cached_property)}
+    return set(vars(grid)) <= cached | {"n", "length"}
 
 
 @pytest.mark.parametrize("n", [8, 12, 32])
@@ -68,13 +79,14 @@ def test_two_batches_of_nine_equal_one_batch_of_18(n, monkeypatch):
 
 def test_buffers_hold_one_group_of_nine_products():
     grid = Grid(16, 2 * np.pi)
-    buffers = grid.buffers
+    buffers = Buffers(grid)
+    assert not buffers.padded.any()  # pad(out=) writes only the retained block
     assert buffers.padded.shape == (9,) + grid.spectral_shape
     assert buffers.fields.shape == buffers.products.shape == (9, 16, 16, 16)
     assert buffers.spectra.shape == (9,) + grid.spectral_shape
 
 
-# tracemalloc peak of one n = 64 right-hand side that makes its buffers:
+# tracemalloc peak of one n = 64 right-hand side and its buffers:
 # 93.6 MiB measured with 9-row products (76.7 MiB of buffers, the 18-row
 # retained spectra and N), 130 MiB with 18-row ones
 RHS_PEAK_MIB_64 = 105.0
@@ -84,15 +96,13 @@ def test_rhs_peak_memory_at_n64(monkeypatch):
     monkeypatch.setenv("MMP_THREADS", "1")  # whole arrays: the largest temporaries
     grid = Grid(64, 2 * np.pi)
     z = grid.truncate(random_state(grid, np.random.Generator(np.random.Philox(64))).z)
-    nonlinear_rhs(grid, z)  # the per-mode arrays and transform plans stay warm
-    grid.release_buffers()  # as simulate does before every output row
+    nonlinear_rhs(grid, z, Buffers(grid))  # the per-mode arrays and transform plans stay warm
     tracemalloc.start()
     try:
-        nonlinear_rhs(grid, z)
+        nonlinear_rhs(grid, z, Buffers(grid))
         peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-        grid.release_buffers()
     assert peak < RHS_PEAK_MIB_64, f"right-hand side peaked at {peak:.1f} MiB"
 
 
@@ -153,12 +163,13 @@ def test_returned_increment_is_not_overwritten():
     grid = Grid(16, 2 * np.pi)
     rng = np.random.Generator(np.random.Philox(16))
     first, second = (grid.truncate(random_state(grid, rng).z) for _ in range(2))
-    N, speed = nonlinear_rhs(grid, first)
+    work = Buffers(grid)
+    N, speed = nonlinear_rhs(grid, first, work)
     kept = N.copy()
-    N2, _ = nonlinear_rhs(grid, second)
+    N2, _ = nonlinear_rhs(grid, second, work)
     assert N.tobytes() == kept.tobytes()
     assert not np.shares_memory(N, N2)
-    assert nonlinear_rhs(grid, first)[0].tobytes() == kept.tobytes()
+    assert nonlinear_rhs(grid, first, work)[0].tobytes() == kept.tobytes()
 
 
 def test_runs_on_alternating_grids_are_identical():
@@ -171,24 +182,20 @@ def test_runs_on_alternating_grids_are_identical():
     first = run(grid_a)
     run(grid_b)
     assert run(grid_a) == first
-    assert "buffers" not in vars(grid_a) and "buffers" not in vars(grid_b)
+    assert holds_only_derived_arrays(grid_a) and holds_only_derived_arrays(grid_b)
 
 
-def test_failed_runs_leave_no_buffers():
+def test_run_after_failed_runs_equals_a_run_on_a_fresh_grid():
     grid = Grid(8, 2 * np.pi)
     cfg = SolverConfig(grid=grid, params=PARAMS, dt=0.1, t_end=0.5)
     z = StateField.zero(grid).z.copy()
     z[0, 1, 0, 0] = np.nan
     with pytest.raises(BlowupError):
         simulate(cfg, StateField(grid, z))
-    assert "buffers" not in vars(grid)
-
     bad = random_state(grid, np.random.Generator(np.random.Philox(8)), solenoidal=False)
-    nonlinear_rhs(grid, grid.truncate(bad.z))  # the grid now holds its buffers
-    assert "buffers" in vars(grid)
     with pytest.raises(ContractViolation):
         simulate(cfg, bad)
-    assert "buffers" not in vars(grid)
+    assert holds_only_derived_arrays(grid)
 
     # the next run on this grid gives the bits of a run on a fresh grid
     z0 = generate_data_with_character(grid, 0.0, seed=2, amplitude=0.5)
@@ -196,3 +203,63 @@ def test_failed_runs_leave_no_buffers():
     want = simulate(SolverConfig(grid=fresh, params=PARAMS, dt=0.1, t_end=0.5),
                     StateField(fresh, z0.z), save_snapshots=True)
     assert trajectory_bits(simulate(cfg, z0, save_snapshots=True)) == trajectory_bits(want)
+
+
+# tracemalloc's live memory while the BlowupError of an n = 32 run is held:
+# 1.8 MiB when the run drops its work arrays before it raises, more than
+# their 9.3 MiB when the error's traceback keeps them
+HELD_BLOWUP_MIB_32 = 4.0
+
+
+def test_held_blowup_error_keeps_no_work_arrays(monkeypatch):
+    monkeypatch.setenv("MMP_THREADS", "1")
+    grid = Grid(32, 2 * np.pi)
+    cfg = SolverConfig(grid=grid, params=PARAMS, dt=0.1, t_end=0.5)
+    z = StateField.zero(grid).z.copy()
+    z[0, 1, 0, 0] = np.nan
+    datum = StateField(grid, z)
+    with pytest.raises(BlowupError):
+        simulate(cfg, datum)  # the per-mode arrays and transform plans stay warm
+    tracemalloc.start()
+    try:
+        with pytest.raises(BlowupError) as held:
+            simulate(cfg, datum)
+        live = tracemalloc.get_traced_memory()[0] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert held.value.t == 0.1
+    assert live <= HELD_BLOWUP_MIB_32, f"a held BlowupError keeps {live:.1f} MiB"
+
+
+def test_concurrent_runs_on_one_grid_equal_serial_runs():
+    grid = Grid(32, 64 * np.pi)
+    seeds = (1, 2)
+    data = {seed: generate_data_with_character(grid, 0.0, seed=seed, amplitude=1e-2)
+            for seed in seeds}
+    cfg = SolverConfig(grid=grid, params=PARAMS, dt=1.0, t_end=4.0, output_every=2)
+
+    def rhs_bits(seed):
+        work = Buffers(grid)
+        z = grid.truncate(data[seed].z)
+        return [nonlinear_rhs(grid, z, work)[0].tobytes() for _ in range(10)]
+
+    def run_bits(seed):
+        return trajectory_bits(simulate(cfg, data[seed], save_snapshots=True))
+
+    for job in (rhs_bits, run_bits):
+        serial = {seed: job(seed) for seed in seeds}
+        start = threading.Barrier(len(seeds))
+
+        def together(seed):
+            start.wait(timeout=60)
+            return job(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two callers finely
+        try:
+            with ThreadPoolExecutor(len(seeds)) as pool:
+                concurrent = dict(zip(seeds, pool.map(together, seeds, timeout=300)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == serial, job.__name__
+    assert holds_only_derived_arrays(grid)

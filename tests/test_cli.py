@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -218,16 +219,37 @@ class TestConfig:
         assert cfg.get("output", "dir") == "out_50%"
         assert RunConfig.from_text(_to_ini(cfg)).raw == cfg.raw
 
+    # values that used to run zero steps, write NaN norms, raise past the
+    # CLI or fail only after the run directory was made
+    BAD_VALUES = [
+        ("length = 6.283185307179586", "length = inf", "box side must be positive and finite, got inf"),
+        ("dt = 0.1", "dt = inf", "dt must be positive and finite, got inf"),
+        ("dt = 0.1", "dt = nan", "dt must be positive and finite, got nan"),
+        ("dt = 0.1", "dt = 1e300", "is not a multiple of dt * output_every"),
+        ("t_end = 1.0", "t_end = inf", "t_end must be nonnegative and finite, got inf"),
+        ("save_snapshots = false", "save_snapshots = false\n[analysis]\nball_a = -1",
+         "ball_A must be positive, got -1.0"),
+    ]
+    BAD_IDS = ["length-inf", "dt-inf", "dt-nan", "dt-no-output", "t_end-inf", "ball_a-negative"]
+
+    @pytest.mark.parametrize("old, new, message", BAD_VALUES, ids=BAD_IDS)
+    def test_bad_values_are_value_errors(self, old, new, message):
+        cfg = RunConfig.from_text(CONFIG_TEXT.replace(old, new))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cfg.solver_config()
+
     @pytest.mark.parametrize("old, new, message", [
         ("output_every", "outputevery", "unknown config key time.outputevery"),
         ("save_snapshots = false", "save_snapshots = ture", "'ture' is not a boolean"),
-    ], ids=["unknown-key", "not-a-boolean"])
+        *BAD_VALUES,
+    ], ids=["unknown-key", "not-a-boolean", *BAD_IDS])
     def test_bad_config_exits_with_error(self, tmp_path, capsys, old, new, message):
         config = tmp_path / "bad.ini"
         config.write_text(CONFIG_TEXT.replace(old, new))
         rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")])
         assert rc == 1
         err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "run").exists()
 

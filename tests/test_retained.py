@@ -14,7 +14,7 @@ import pytest
 from mmplab.decay_character import generate_data_with_character
 from mmplab.fields import ContractViolation, Grid, PhysParams, leray_project
 from mmplab.propagator import SectorKernel, get_propagator
-from mmplab.solver import _step_arrays, nonlinear_rhs
+from mmplab.solver import Buffers, _step_arrays, nonlinear_rhs
 
 from conftest import padded_rhs
 
@@ -114,9 +114,10 @@ def test_retained_step_equals_full_layout_step(monkeypatch, threads, n, dt, sche
     grid = Grid(n, 2 * np.pi)
     z = generate_data_with_character(grid, 0.0, seed=n, amplitude=0.5).z
     prop = get_propagator(grid, PARAMS)
-    N = nonlinear_rhs(grid, grid.truncate(z))[0]
+    work = Buffers(grid)
+    N = nonlinear_rhs(grid, grid.truncate(z), work)[0]
     full = half_spectrum_step(grid, z, grid.pad(N), dt, scheme)
-    block = _step_arrays(prop, grid.truncate(z), N, dt, scheme)
+    block = _step_arrays(prop, grid.truncate(z), N, dt, scheme, work)
     assert block.shape == (9,) + grid.retained_shape
     assert block.tobytes() == grid.truncate(full).tobytes()
     assert np.abs(block).max() > 0
@@ -126,9 +127,10 @@ def test_retained_step_equals_full_layout_step(monkeypatch, threads, n, dt, sche
 def test_half_spectra_as_a_bare_array_fail_before_any_work():
     grid = Grid(16, 2 * np.pi)
     z = generate_data_with_character(grid, 0.0, seed=3, amplitude=0.5).z
+    work = Buffers(grid)
     with pytest.raises(ContractViolation, match=r"retained block of shape \(9, 11, 11, 6\)"):
-        nonlinear_rhs(grid, z)
-    assert "buffers" not in vars(grid)  # no transform ran
+        nonlinear_rhs(grid, z, work)
+    assert not work.padded.any()  # pad(out=) would have written z's block
 
 
 @pytest.mark.parametrize("n", [16, 64])

@@ -19,7 +19,8 @@ from mmplab.grid import forward
 from mmplab.harness import RunConfig, execute_run
 from mmplab.linear import make_radial_state
 from mmplab.propagator import SectorKernel
-from mmplab.solver import SolverConfig, advective_products, nonlinear_rhs, simulate
+from mmplab.solver import (Buffers, SolverConfig, advective_products, nonlinear_rhs,
+                           simulate)
 
 from conftest import padded_rhs, random_state
 
@@ -184,7 +185,7 @@ def test_small_grids_and_radial_kernels_never_use_the_pool(monkeypatch):
     monkeypatch.setattr(grid_module, "_slab_pool", refuse)
     grid = Grid(32, 2 * np.pi)
     state = random_state(grid, np.random.Generator(np.random.Philox(32)))
-    nonlinear_rhs(grid, grid.truncate(state.z))
+    nonlinear_rhs(grid, grid.truncate(state.z), Buffers(grid))
     kernel = SectorKernel(grid.xi_odd, grid.xi_sq, PARAMS)
     for kind in ("exp", "phi1", "phi2"):
         kernel.apply(state.z, 0.05, kind=kind)

@@ -10,7 +10,7 @@ from mmplab.fields import (ContractViolation, Grid, PhysParams, StateField,
                            leray_project, spectrum_norm_sq)
 from mmplab.grid import full_spectrum, inverse
 from mmplab.propagator import get_propagator, phi1, phi2
-from mmplab.solver import (BlowupError, SolverConfig, _norm_row, _step_arrays,
+from mmplab.solver import (BlowupError, Buffers, SolverConfig, _norm_row, _step_arrays,
                            advective_products, energy_balance_check,
                            nonlinear_rhs, simulate, tensor_bound_report)
 
@@ -32,7 +32,8 @@ def two_mode_state(grid, k1, c1, k2, c2):
 
 class TestNonlinearRHS:
     def test_zero_state(self, grid8):
-        N, speed = nonlinear_rhs(grid8, np.zeros((9,) + grid8.retained_shape, dtype=complex))
+        N, speed = nonlinear_rhs(grid8, np.zeros((9,) + grid8.retained_shape, dtype=complex),
+                                 Buffers(grid8))
         assert N.shape == (9,) + grid8.retained_shape
         assert np.abs(N).max() == 0.0
         assert speed == 0.0
@@ -178,8 +179,9 @@ def etd_step(state, params, dt):
     """One ETD-RK2 step of the retained block of state, padded."""
     grid = state.grid
     z = grid.truncate(state.z)
-    N, _ = nonlinear_rhs(grid, z)
-    return grid.pad(_step_arrays(get_propagator(grid, params), z, N, dt, "etd-rk2"))
+    work = Buffers(grid)
+    N, _ = nonlinear_rhs(grid, z, work)
+    return grid.pad(_step_arrays(get_propagator(grid, params), z, N, dt, "etd-rk2", work))
 
 
 def advance_block(z0, params, scheme, dt, t_end):
@@ -187,8 +189,9 @@ def advance_block(z0, params, scheme, dt, t_end):
     grid = z0.grid
     prop = get_propagator(grid, params)
     z = grid.truncate(z0.z)
+    work = Buffers(grid)
     for _ in range(int(round(t_end / dt))):
-        z = _step_arrays(prop, z, nonlinear_rhs(grid, z)[0], dt, scheme)
+        z = _step_arrays(prop, z, nonlinear_rhs(grid, z, work)[0], dt, scheme, work)
     return z
 
 
@@ -442,12 +445,24 @@ class TestSimulate:
         with pytest.raises(ValueError):
             SolverConfig(grid=grid8, params=params, dt=0.1, t_end=1.0,
                          scheme="euler")
+        for name, value in (("dt", np.inf), ("dt", np.nan), ("t_end", np.inf),
+                            ("t_end", np.nan), ("ball_A", 0.0), ("ball_A", np.nan)):
+            config = {"grid": grid8, "params": params, "dt": 0.1, "t_end": 1.0, name: value}
+            with pytest.raises(ValueError, match=f"{name} must be .*, got {value!r}"):
+                SolverConfig(**config)
+        with pytest.raises(ValueError, match="box side"):
+            Grid(8, np.inf)
 
     def test_t_end_must_be_whole_outputs(self, grid8, params):
         # 1.0 / (0.15 * 2) = 3.33 outputs used to be rounded to 3 silently
         with pytest.raises(ValueError, match="multiple"):
             SolverConfig(grid=grid8, params=params, dt=0.15, t_end=1.0,
                          output_every=2)
+        # a t_end that rounds to no output used to run zero steps
+        for dt, output_every in ((1e300, 1), (1e300, 10 ** 10)):
+            with pytest.raises(ValueError, match="multiple"):
+                SolverConfig(grid=grid8, params=params, dt=dt, t_end=1.0,
+                             output_every=output_every)
         # floating-point quotients within 1e-9 of a whole count are accepted
         cfg = SolverConfig(grid=grid8, params=params, dt=0.1, t_end=0.3)
         assert simulate(cfg, StateField.zero(grid8)).times[-1] == pytest.approx(0.3)
