@@ -35,9 +35,17 @@ the same pocketfft calls that scipy.fft.rfftn and irfftn make, so the bits
 do not depend on it.  A Grid is a value: it caches only arrays derived
 from n and length, so any number of threads may share one.
 
-The MMP_THREADS workers (worker_count) run the slab stages (slab_map) and,
-through run_beside, one task beside the calling thread: the data
-generator's next normal draws.
+The MMP_THREADS workers (worker_count) run the slab stages (slab_map),
+through run_beside one task beside the calling thread (the data
+generator's next normal draws), and the row groups of small FFT batches.
+A batch of arrays with at most SPLIT_MAX_N points per axis is cut along
+its first axis into one group per worker: the calling thread transforms
+the first group and the pool the others, each as a one-thread pocketfft
+call into its own rows of the output, so no call pays for waking
+pocketfft's threads.  Each array's bits do not depend on the thread
+count.  Larger arrays, single arrays and one worker take one pocketfft
+call with worker_count() threads, and so does a transform called from a
+pool thread, which never submits to the pool.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ import contextvars
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -56,8 +65,13 @@ from scipy.fft._pocketfft import pypocketfft as _pocketfft
 # Element-wise stages run in SLABS fixed planes of their first axis once an
 # array has SLAB_MIN_SIZE points per component; smaller ones (every grid up
 # to n = 32) run whole, where the pool's overhead outweighs the work.
+# FFT batches of arrays with at most SPLIT_MAX_N points per axis run as
+# one-thread pocketfft calls, one group of rows per worker (forward,
+# inverse): inside the stepper that beats pocketfft's own threads at
+# n = 32 and loses to them at n = 48 and 64.
 SLABS = 8
 SLAB_MIN_SIZE = 40_000
+SPLIT_MAX_N = 32
 
 
 def worker_count() -> int:
@@ -83,9 +97,12 @@ def worker_count() -> int:
     return count
 
 
+_POOL_THREAD = "mmplab-slab"  # the name prefix of the pool's threads
+
+
 @lru_cache(maxsize=1)
 def _slab_pool(workers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(workers, thread_name_prefix="mmplab-slab")
+    return ThreadPoolExecutor(workers, thread_name_prefix=_POOL_THREAD)
 
 
 def slab_map(fn, shape: tuple[int, ...]) -> list:
@@ -94,7 +111,8 @@ def slab_map(fn, shape: tuple[int, ...]) -> list:
 
     fn must work point by point, write only into its own slab and not call
     slab_map itself, so the results do not depend on the split and no slab
-    waits on the pool.  With one worker, or below
+    waits on the pool; forward and inverse, called in a slab, run whole
+    and do not submit to the pool.  With one worker, or below
     SLAB_MIN_SIZE points, fn runs once in this thread on sl = ..., the
     whole array; otherwise sl runs through SLABS slices of the first axis
     on a pool of worker_count() threads, each slab in a copy of this
@@ -114,8 +132,10 @@ def slab_map(fn, shape: tuple[int, ...]) -> list:
 def run_beside(fn, *args) -> Future:
     """fn(*args) on the slab pool, beside this thread, as a Future whose
     result() returns its value or raises its exception; with one worker fn
-    runs here, before run_beside returns.  fn must not call slab_map, and
-    a slab_map call of this thread while fn runs has one worker less."""
+    runs here, before run_beside returns.  fn must not call slab_map
+    (forward and inverse in fn run whole, off the pool), and a slab_map
+    call or a split FFT batch of this thread while fn runs has one worker
+    less."""
     workers = worker_count()
     if workers > 1:
         return _slab_pool(workers).submit(contextvars.copy_context().run, fn, *args)
@@ -280,19 +300,51 @@ class Grid:
 
 # pocketfft's normalization codes: 2 divides by n^3, 0 leaves the sum as it is
 _BY_N3, _UNSCALED = 2, 0
+_AXES = (-3, -2, -1)
+
+
+def _batch(call, arr: np.ndarray, out: np.ndarray | None, out_shape, out_dtype, *args):
+    """call(arr, _AXES, *args, out, threads): one call with worker_count()
+    threads, or, for a batch of at least 2 arrays of at most SPLIT_MAX_N
+    points per axis with more than one worker and not on a pool thread,
+    one one-thread call per contiguous group of rows.  The calling thread
+    transforms the first group; a group's error is raised here, after
+    every group has finished."""
+    workers = worker_count()
+    rows = arr.shape[0] if arr.ndim > 3 else 1
+    if (workers == 1 or rows < 2 or arr.shape[-2] > SPLIT_MAX_N
+            or threading.current_thread().name.startswith(_POOL_THREAD)):
+        return call(arr, _AXES, *args, out, workers)
+    if out is None:
+        out = np.empty(out_shape, dtype=out_dtype)
+    groups = min(workers, rows)
+    bounds = [rows * i // groups for i in range(groups + 1)]
+    pool = _slab_pool(workers)
+    futures = [pool.submit(call, arr[lo:hi], _AXES, *args, out[lo:hi], 1)
+               for lo, hi in zip(bounds[1:], bounds[2:])]
+    try:
+        call(arr[:bounds[1]], _AXES, *args, out[:bounds[1]], 1)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+    return out
 
 
 def forward(phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Real physical -> half spectrum over the last three axes (carries
     1/n^3), written into out (complex, not overlapping phys) when given."""
-    return _pocketfft.r2c(phys, (-3, -2, -1), True, _BY_N3, out, worker_count())
+    shape = phys.shape[:-1] + (phys.shape[-1] // 2 + 1,)
+    return _batch(_pocketfft.r2c, phys, out, shape, np.result_type(phys.dtype, np.complex64),
+                  True, _BY_N3)
 
 
 def inverse(spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Half spectrum -> real physical field over the last three axes,
     written into out (real, not overlapping spec) when given."""
     n = spec.shape[-2]
-    return _pocketfft.c2r(spec, (-3, -2, -1), n, False, _UNSCALED, out, worker_count())
+    return _batch(_pocketfft.c2r, spec, out, spec.shape[:-1] + (n,), spec.real.dtype,
+                  n, False, _UNSCALED)
 
 
 def full_spectrum(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -2,15 +2,16 @@
 
 Each check is a pure function returning (ok, detail).  The suite covers the
 load-bearing identities: transform round trips against a direct DFT sum,
-the out-buffer transforms bit for bit against scipy.fft, the right-hand
-side's two 9-row forward batches against one batch of 18, projector
-algebra, Parseval and its half-spectrum multiplicity, symbol Hermiticity,
-the eigendecomposition semigroup against a scaling-and-squaring matrix
-exponential, generator determinism, exact power-law fitting,
-energy monotonicity of a short nonlinear run, the grid propagator on the
-retained 2/3-rule block against the per-mode semigroup, the one-direction
-radial reduction against the 26-point sphere rule and the blocked radial
-norms against per-time evaluation.  Runs in well under a minute.
+the out-buffer and split-batch transforms bit for bit against scipy.fft,
+the right-hand side's two 9-row forward batches against one batch of 18,
+projector algebra, Parseval and its half-spectrum multiplicity, symbol
+Hermiticity, the eigendecomposition semigroup against a
+scaling-and-squaring matrix exponential, generator determinism, exact
+power-law fitting, energy monotonicity of a short nonlinear run, the grid
+propagator on the retained 2/3-rule block against the per-mode semigroup,
+the one-direction radial reduction against the 26-point sphere rule and
+the blocked radial norms against per-time evaluation.  Runs in well under
+a minute.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .analysis import NormSeries, fit_decay_exponent
 from .decay_character import SpectralProfile, generate_data_with_character
 from .fields import (Grid, PhysParams, leray_project, physical_norm_sq,
                      spectrum_norm_sq, state_norms)
-from .grid import forward, full_spectrum, inverse
+from .grid import forward, full_spectrum, inverse, worker_count
 from .linear import RadialLinearState, _polarization, make_radial_state
 from .propagator import SectorKernel, get_propagator
 from .solver import SolverConfig, energy_balance_check, simulate
@@ -97,6 +98,23 @@ def check_out_transforms() -> tuple[bool, str]:
         spec, s=(12, 12, 12), axes=(-3, -2, -1), norm="forward").tobytes()
     return (same_forward and same_inverse,
             f"bitwise equal to scipy.fft: forward {same_forward}, inverse {same_inverse}")
+
+
+def check_split_transforms() -> tuple[bool, str]:
+    """Batches of 9 and 18 arrays at n = 16 and 32, which forward and
+    inverse cut into one group per worker, against scipy.fft's one call,
+    bit for bit, with and without out=."""
+    rng = np.random.Generator(np.random.Philox(12))
+    same = True
+    for n, rows in itertools.product((16, 32), (9, 18)):
+        phys = rng.normal(size=(rows, n, n, n))
+        want = _fft.rfftn(phys, axes=(-3, -2, -1), norm="forward")
+        back = _fft.irfftn(want, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+        same = same and all(a.tobytes() == b.tobytes() for a, b in (
+            (forward(phys), want), (forward(phys, out=np.empty_like(want)), want),
+            (inverse(want), back), (inverse(want, out=np.empty_like(back)), back)))
+    return same, (f"9 and 18 rows at n = 16 and 32 on {worker_count()} worker(s): "
+                  + ("bitwise equal" if same else "bits differ"))
 
 
 def check_grouped_forward() -> tuple[bool, str]:
@@ -268,6 +286,7 @@ CHECKS = [
     ("transform roundtrip", check_roundtrip),
     ("direct DFT oracle", check_dft_oracle),
     ("out-buffer transforms vs scipy.fft", check_out_transforms),
+    ("split transform batches vs scipy.fft", check_split_transforms),
     ("two forward batches of 9 vs one of 18", check_grouped_forward),
     ("Leray projection", check_leray),
     ("Parseval identity", check_parseval),

@@ -1,21 +1,31 @@
-"""Slab-parallel element-wise stages: the same bits at any thread count.
+"""Slab-parallel stages and split FFT batches: the same bits at any thread
+count.
 
 Grids above n = 32 run the sector-kernel apply, the products and the
 post-transform stage of the nonlinear term, and the Leray projection in
 grid.SLABS planes on the MMP_THREADS workers; these tests run at n = 64,
-where the slab path is taken, and check that n = 32 never takes it.
+where the slab path is taken, and check that n = 32 never takes it.  FFT
+batches up to grid.SPLIT_MAX_N points per axis run in one row group per
+worker instead; these tests compare them with scipy.fft bit for bit, and
+check that a group's error is raised and that a transform inside a slab
+runs whole.
 """
 
 import os
 import sys
+import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from mmplab import grid as grid_module
+from mmplab import solver as solver_module
 from mmplab.decay_character import SpectralProfile
 from mmplab.fields import Grid, PhysParams, leray_project
-from mmplab.grid import forward
+from mmplab.grid import forward, inverse
 from mmplab.harness import RunConfig, execute_run
 from mmplab.linear import make_radial_state
 from mmplab.propagator import SectorKernel
@@ -177,23 +187,158 @@ save_snapshots = true
     assert files["1"] == files["2"]
 
 
-def test_small_grids_and_radial_kernels_never_use_the_pool(monkeypatch):
-    def refuse(workers):
-        raise AssertionError("slab pool used")
+def test_split_transform_run_bytes_independent_of_thread_count(tmp_path, monkeypatch):
+    # the torus-etd run at n = 32, where every transform batch is split
+    config = RunConfig.from_text(f"""
+[grid]
+n = 32
+length = {64 * np.pi!r}
+[init]
+kind = power
+r_star = 0.0
+seed = 10
+amplitude = 0.01
+[time]
+dt = 1.0
+t_end = 8.0
+output_every = 4
+scheme = etd-rk2
+[output]
+save_snapshots = true
+""")
+    files = {}
+    for threads in ("1", "2", "3", "4"):
+        monkeypatch.setenv("MMP_THREADS", threads)
+        out, _ = execute_run(config, tmp_path / threads, pair_linear=True)
+        files[threads] = {path.relative_to(out): path.read_bytes()
+                          for path in sorted(out.rglob("*")) if path.suffix in (".csv", ".snap")}
+    assert len(files["1"]) == 5  # series, extra series and three snapshots
+    for threads in ("2", "3", "4"):
+        assert files[threads] == files["1"]
 
+
+def test_small_grid_pool_use_is_the_transform_batches(pool_uses, monkeypatch):
     monkeypatch.setenv("MMP_THREADS", "2")
-    monkeypatch.setattr(grid_module, "_slab_pool", refuse)
     grid = Grid(32, 2 * np.pi)
     state = random_state(grid, np.random.Generator(np.random.Philox(32)))
+    pool_uses.clear()  # the datum's three forward batches
     nonlinear_rhs(grid, grid.truncate(state.z), Buffers(grid))
+    # one inverse batch of nine fields and two forward batches of nine
+    # products; the slab stages between them run whole
+    assert pool_uses == [2, 2, 2]
     kernel = SectorKernel(grid.xi_odd, grid.xi_sq, PARAMS)
     for kind in ("exp", "phi1", "phi2"):
         kernel.apply(state.z, 0.05, kind=kind)
-    simulate(SolverConfig(grid=grid, params=PARAMS, dt=0.05, t_end=0.05), state)
     radial = make_radial_state(SpectralProfile.power_law(0.0), PARAMS)
     radial.norms_at(1.0)
     radial.norms_at(np.geomspace(1.0, 1e4, 200))
     radial.ball_mass_at(10.0, 0.3)
-    # the same patch bites at n = 64
-    with pytest.raises(AssertionError, match="slab pool used"):
-        leray_project(Grid(64, 2 * np.pi), np.zeros((3, 64, 64, 33), dtype=complex))
+    assert pool_uses == [2, 2, 2]
+    # a run looks the pool up for its right-hand sides' batches only
+    pool_uses.clear()
+    rhs_calls = []
+    monkeypatch.setattr(solver_module, "nonlinear_rhs",
+                        lambda *args: rhs_calls.append(True) or nonlinear_rhs(*args))
+    simulate(SolverConfig(grid=grid, params=PARAMS, dt=0.05, t_end=0.05), state)
+    assert rhs_calls and pool_uses == [2] * (3 * len(rhs_calls))
+    # the slab stages take the pool at n = 64
+    pool_uses.clear()
+    leray_project(Grid(64, 2 * np.pi), np.zeros((3, 64, 64, 33), dtype=complex))
+    assert pool_uses == [2]
+
+
+def _scipy_pair(phys):
+    n = phys.shape[-1]
+    spec = scipy.fft.rfftn(phys, axes=(-3, -2, -1), norm="forward")
+    return spec, scipy.fft.irfftn(spec, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+
+
+class TestSplitBatches:
+    @pytest.mark.parametrize("threads", ["1", "2", "3", "4"])
+    @pytest.mark.parametrize("rows", [9, 18])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_bitwise_equal_to_scipy(self, pool_uses, monkeypatch, threads, rows, n):
+        # 3 and 4 workers cut 9 and 18 rows into groups of unequal sizes
+        monkeypatch.setenv("MMP_THREADS", threads)
+        phys = np.random.Generator(np.random.Philox(n * rows)).normal(size=(rows, n, n, n))
+        spec, back = _scipy_pair(phys)
+        assert forward(phys).tobytes() == spec.tobytes()
+        out = np.empty_like(spec)
+        assert forward(phys, out=out) is out and out.tobytes() == spec.tobytes()
+        assert inverse(spec).tobytes() == back.tobytes()
+        out = np.empty_like(back)
+        assert inverse(spec, out=out) is out and out.tobytes() == back.tobytes()
+        assert pool_uses == ([] if threads == "1" else [int(threads)] * 4)
+
+    def test_single_arrays_and_large_grids_run_whole(self, pool_uses, monkeypatch):
+        monkeypatch.setenv("MMP_THREADS", "2")
+        rng = np.random.Generator(np.random.Philox(1))
+        for shape in ((16, 16, 16), (1, 16, 16, 16), (2, 48, 48, 48)):
+            phys = rng.normal(size=shape)
+            spec, back = _scipy_pair(phys)
+            assert forward(phys).tobytes() == spec.tobytes()
+            assert inverse(spec).tobytes() == back.tobytes()
+        assert pool_uses == []
+
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    @pytest.mark.parametrize("failing", ["pool", "caller"])
+    @pytest.mark.parametrize("transform", ["forward", "inverse"])
+    def test_group_error_is_raised_after_every_group_ends(self, monkeypatch, threads,
+                                                          failing, transform):
+        monkeypatch.setenv("MMP_THREADS", threads)
+        phys = np.random.Generator(np.random.Philox(2)).normal(size=(9, 16, 16, 16))
+        arg = phys if transform == "forward" else forward(phys)
+        started, ended = [], []
+        real = grid_module._pocketfft
+
+        def group(name):
+            def call(*args):
+                started.append(True)
+                try:
+                    in_pool = threading.current_thread().name.startswith("mmplab-slab")
+                    if in_pool == (failing == "pool"):
+                        raise RuntimeError("group failed")
+                    time.sleep(0.05)  # the groups that succeed outlast the failing one
+                    return getattr(real, name)(*args)
+                finally:
+                    ended.append(True)
+            return call
+
+        monkeypatch.setattr(grid_module, "_pocketfft",
+                            SimpleNamespace(r2c=group("r2c"), c2r=group("c2r")))
+        with pytest.raises(RuntimeError, match="group failed"):
+            getattr(grid_module, transform)(arg)
+        assert len(started) == len(ended) == int(threads)
+
+    def test_transform_in_a_slab_runs_whole(self, monkeypatch):
+        # Were the slab's batch split, each worker would wait on a group
+        # queued behind the remaining slabs, and no slab would finish; the
+        # lookup below fails at once instead, and the join bounds the rest.
+        monkeypatch.setenv("MMP_THREADS", "2")
+        pool = grid_module._slab_pool
+
+        def lookup(workers):
+            assert not threading.current_thread().name.startswith("mmplab-slab"), \
+                "a pool thread looked up the pool"
+            return pool(workers)
+
+        monkeypatch.setattr(grid_module, "_slab_pool", lookup)
+        phys = np.random.Generator(np.random.Philox(3)).normal(size=(9, 16, 16, 16))
+        spec, _ = _scipy_pair(phys)
+        outcome = []
+
+        def run():
+            try:
+                outcome.append(grid_module.slab_map(lambda sl: forward(phys), (64, 64, 33)))
+            except Exception as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "a transform in a slab waited on the pool"
+        slabs, = outcome
+        if isinstance(slabs, Exception):
+            raise slabs
+        assert len(slabs) == grid_module.SLABS
+        assert all(got.tobytes() == spec.tobytes() for got in slabs)
