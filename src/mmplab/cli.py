@@ -2,13 +2,16 @@
 
 Subcommands: symbol-check, decay-char, linear-decay, simulate,
 compare-linear, fit-rate, report, selftest.  Exit code 0 on success, 1 on
-check failures (with JSON detail on stdout), 2 on usage errors.
+check failures (with JSON detail on stdout) and when the reader of stdout
+closes it early, 2 on usage errors.  ``python -m mmplab`` runs the same
+command.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -232,6 +235,11 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (say `mmplab selftest | head -4`); point
+        # it at the null device, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -42,10 +42,15 @@ A batch of arrays with at most SPLIT_MAX_N points per axis is cut along
 its first axis into one group per worker: the calling thread transforms
 the first group and the pool the others, each as a one-thread pocketfft
 call into its own rows of the output, so no call pays for waking
-pocketfft's threads.  Each array's bits do not depend on the thread
+pocketfft's threads.  forward's hooks run in those groups: before(rows)
+fills a group's rows of its input and after(rows) reads its rows of the
+output, in the group's thread, so the element-wise work around a
+transform splits with it.  Each array's bits do not depend on the thread
 count.  Larger arrays, single arrays and one worker take one pocketfft
-call with worker_count() threads, and so does a transform called from a
-pool thread, which never submits to the pool.
+call with worker_count() threads, with the hooks run once on the whole
+batch, and so does a transform called from a pool thread.  No pool
+thread submits to the pool: slab_map, run_beside and the transforms run
+whole in the pool thread that calls them.
 """
 
 from __future__ import annotations
@@ -67,8 +72,9 @@ from scipy.fft._pocketfft import pypocketfft as _pocketfft
 # to n = 32) run whole, where the pool's overhead outweighs the work.
 # FFT batches of arrays with at most SPLIT_MAX_N points per axis run as
 # one-thread pocketfft calls, one group of rows per worker (forward,
-# inverse): inside the stepper that beats pocketfft's own threads at
-# n = 32 and loses to them at n = 48 and 64.
+# inverse), with forward's hooks in the same groups: inside the stepper
+# that beats pocketfft's own threads at n = 32 and loses to them at
+# n = 48 and 64.
 SLABS = 8
 SLAB_MIN_SIZE = 40_000
 SPLIT_MAX_N = 32
@@ -105,21 +111,27 @@ def _slab_pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix=_POOL_THREAD)
 
 
+def _on_pool_thread() -> bool:
+    """Whether this thread is one of the slab pool's, where a task that
+    submitted to the pool and waited could wait on itself."""
+    return threading.current_thread().name.startswith(_POOL_THREAD)
+
+
 def slab_map(fn, shape: tuple[int, ...]) -> list:
     """[fn(sl) for each slab sl of the first axis of an array of this
     shape], in slab order.
 
-    fn must work point by point, write only into its own slab and not call
-    slab_map itself, so the results do not depend on the split and no slab
-    waits on the pool; forward and inverse, called in a slab, run whole
-    and do not submit to the pool.  With one worker, or below
-    SLAB_MIN_SIZE points, fn runs once in this thread on sl = ..., the
-    whole array; otherwise sl runs through SLABS slices of the first axis
-    on a pool of worker_count() threads, each slab in a copy of this
-    thread's context, so np.errstate carries over.
+    fn must work point by point and write only into its own slab, so the
+    results do not depend on the split.  With one worker, below
+    SLAB_MIN_SIZE points, or on a pool thread (fn calling slab_map, a
+    forward hook or a task of run_beside), fn runs once in this thread on
+    sl = ..., the whole array, and no slab waits on the pool; otherwise sl
+    runs through SLABS slices of the first axis on a pool of
+    worker_count() threads, each slab in a copy of this thread's context,
+    so np.errstate carries over.
     """
     workers = worker_count()
-    if workers == 1 or math.prod(shape) < SLAB_MIN_SIZE:
+    if workers == 1 or math.prod(shape) < SLAB_MIN_SIZE or _on_pool_thread():
         return [fn(...)]
     bounds = [shape[0] * i // SLABS for i in range(SLABS + 1)]
     pool = _slab_pool(workers)
@@ -131,13 +143,13 @@ def slab_map(fn, shape: tuple[int, ...]) -> list:
 
 def run_beside(fn, *args) -> Future:
     """fn(*args) on the slab pool, beside this thread, as a Future whose
-    result() returns its value or raises its exception; with one worker fn
-    runs here, before run_beside returns.  fn must not call slab_map
-    (forward and inverse in fn run whole, off the pool), and a slab_map
-    call or a split FFT batch of this thread while fn runs has one worker
-    less."""
+    result() returns its value or raises its exception.  With one worker,
+    or on a pool thread, fn runs here, before run_beside returns.  A
+    slab_map call, forward or inverse inside fn runs whole in fn's thread,
+    and a slab_map call or a split FFT batch of this thread while fn runs
+    has one worker less."""
     workers = worker_count()
-    if workers > 1:
+    if workers > 1 and not _on_pool_thread():
         return _slab_pool(workers).submit(contextvars.copy_context().run, fn, *args)
     future = Future()
     try:
@@ -303,27 +315,38 @@ _BY_N3, _UNSCALED = 2, 0
 _AXES = (-3, -2, -1)
 
 
-def _batch(call, arr: np.ndarray, out: np.ndarray | None, out_shape, out_dtype, *args):
-    """call(arr, _AXES, *args, out, threads): one call with worker_count()
-    threads, or, for a batch of at least 2 arrays of at most SPLIT_MAX_N
-    points per axis with more than one worker and not on a pool thread,
-    one one-thread call per contiguous group of rows.  The calling thread
-    transforms the first group; a group's error is raised here, after
-    every group has finished."""
+def _batch(call, arr: np.ndarray, out: np.ndarray | None, out_shape, out_dtype, args,
+           before=None, after=None) -> np.ndarray:
+    """For each group of rows: before(rows), then call(arr[rows], _AXES,
+    *args, out[rows], threads), then after(rows).  A batch of at least 2
+    arrays of at most SPLIT_MAX_N points per axis, with more than one
+    worker and not on a pool thread, runs one contiguous group of rows per
+    worker, each a one-thread call in a copy of this thread's context;
+    the calling thread takes the first group, and a group's error is
+    raised here, after every group has ended.  Every other batch is one
+    group, rows = slice(None), with worker_count() threads on this thread."""
     workers = worker_count()
     rows = arr.shape[0] if arr.ndim > 3 else 1
-    if (workers == 1 or rows < 2 or arr.shape[-2] > SPLIT_MAX_N
-            or threading.current_thread().name.startswith(_POOL_THREAD)):
-        return call(arr, _AXES, *args, out, workers)
     if out is None:
         out = np.empty(out_shape, dtype=out_dtype)
+
+    def group(sl: slice, threads: int) -> None:
+        if before is not None:
+            before(sl)
+        call(arr[sl], _AXES, *args, out[sl], threads)
+        if after is not None:
+            after(sl)
+
+    if workers == 1 or rows < 2 or arr.shape[-2] > SPLIT_MAX_N or _on_pool_thread():
+        group(slice(None), workers)
+        return out
     groups = min(workers, rows)
     bounds = [rows * i // groups for i in range(groups + 1)]
     pool = _slab_pool(workers)
-    futures = [pool.submit(call, arr[lo:hi], _AXES, *args, out[lo:hi], 1)
+    futures = [pool.submit(contextvars.copy_context().run, group, slice(lo, hi), 1)
                for lo, hi in zip(bounds[1:], bounds[2:])]
     try:
-        call(arr[:bounds[1]], _AXES, *args, out[:bounds[1]], 1)
+        group(slice(0, bounds[1]), 1)
     finally:
         wait(futures)
     for future in futures:
@@ -331,12 +354,20 @@ def _batch(call, arr: np.ndarray, out: np.ndarray | None, out_shape, out_dtype, 
     return out
 
 
-def forward(phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def forward(phys: np.ndarray, out: np.ndarray | None = None,
+            before=None, after=None) -> np.ndarray:
     """Real physical -> half spectrum over the last three axes (carries
-    1/n^3), written into out (complex, not overlapping phys) when given."""
+    1/n^3), written into out (complex, not overlapping phys) when given.
+
+    before(rows) and after(rows), when given, run in each row group of the
+    batch (see _batch): before fills phys[rows] ahead of that group's
+    transform and after reads out[rows] once it is done.  A split batch
+    runs them on several threads at once, so each must touch only its own
+    rows, and the rows of out are ready only for their group's after.
+    """
     shape = phys.shape[:-1] + (phys.shape[-1] // 2 + 1,)
     return _batch(_pocketfft.r2c, phys, out, shape, np.result_type(phys.dtype, np.complex64),
-                  True, _BY_N3)
+                  (True, _BY_N3), before, after)
 
 
 def inverse(spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -344,7 +375,7 @@ def inverse(spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     written into out (real, not overlapping spec) when given."""
     n = spec.shape[-2]
     return _batch(_pocketfft.c2r, spec, out, spec.shape[:-1] + (n,), spec.real.dtype,
-                  n, False, _UNSCALED)
+                  (n, False, _UNSCALED))
 
 
 def full_spectrum(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -12,10 +12,14 @@ which is 9 inverse and 18 forward real transforms per evaluation: the
 (9, ...) state, padded from the retained block, goes out in one batch and
 the products come back in two batches of nine, first the 6 symmetric
 products u_i u_j - b_i b_j and the 3 products u x b, then the 9 products
-u_j w_i; of each only the retained block is kept.  The padded spectra, the
-fields and one group of products and its spectra are written into the
-caller's Buffers, so the products take half the memory of one batch of 18
-with the same bits; N itself is a new array each time.
+u_j w_i; of each only the retained block is kept.  A batch's products are
+formed and its spectra truncated inside forward's row groups (the before
+and after hooks of grid.forward), so up to n = 32 each worker forms,
+transforms and truncates its own rows; the group holding row 0 also takes
+the speed.  The padded spectra, the fields and one group of products and
+its spectra are written into the caller's Buffers, so the products take
+half the memory of one batch of 18 with the same bits; N itself is a new
+array each time.
 On the retained modes the identities are exact, because
 the truncated u and b are solenoidal and the 2/3 rule, always applied,
 keeps aliasing off those modes.  The velocity increment is
@@ -52,12 +56,12 @@ _step_arrays take only the block; the norms take padded half
 spectra.  Above n = 32 the sector-kernel applies and the element-wise
 parts of N (the products with the speed, and the contraction, curl and
 projection after the forward transform) run in slabs of planes on the
-MMP_THREADS workers (grid.slab_map); each slab works mode by mode or
-point by point, so every result has the same bits at any thread
-count.  Every step opens with one evaluation of N(z_n), which is its
-first stage and also reports the Elsasser speed max(|u| + |b|) of z_n: a
-non-finite speed ends the run, and the CFL number of the state the step
-advances is checked against CFL_LIMIT.  The time step only ever shrinks,
+MMP_THREADS workers (grid.slab_map); each slab and each row group works
+mode by mode or point by point, so every result has the same bits at
+any thread count.  Every step opens with one evaluation of N(z_n), which
+is its first stage and also reports the Elsasser speed max(|u| + |b|) of
+z_n: a non-finite speed ends the run, and the CFL number of the state the
+step advances is checked against CFL_LIMIT.  The time step only ever shrinks,
 and a halving doubles the remaining steps, so recorded output times stay
 exact.  An output row takes its norms from fields.state_norms, over the
 state and over its paired linear difference.
@@ -202,40 +206,62 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray, work: Buffers) -> tuple[np.ndarray,
     u, w, b = phys[0:3], phys[3:6], phys[6:9]
     prod = work.products
     spec = np.empty((18,) + z.shape[1:], dtype=complex)
+    speed = None
 
-    def stress_and_induction(sl):
-        """Products 0:9 (the 6 symmetric ones and u x b) and the Elsasser
-        speed on a slab of grid points."""
-        us, bs, p = u[:, sl], b[:, sl], prod[:, sl]
-        tmp = np.empty(p.shape[1:])
-        # |u| and |b| in rows 0 and 1 before the products take them, summed
-        # in the order of (us ** 2).sum(axis=0), so the speed keeps its bits
-        for row, v in ((p[0], us), (p[1], bs)):
-            np.square(v[0], out=row)
-            row += np.square(v[1], out=tmp)
-            row += np.square(v[2], out=tmp)
-            np.sqrt(row, out=row)
-        speed = np.add(p[0], p[1], out=p[0]).max()
-        for k, (i, j) in enumerate(_SYM_PAIRS):
-            np.multiply(us[i], us[j], out=p[k])
-            p[k] -= np.multiply(bs[i], bs[j], out=tmp)
-        for k in range(3):
-            i, j = (k + 1) % 3, (k + 2) % 3
-            np.multiply(us[i], bs[j], out=p[6 + k])
-            p[6 + k] -= np.multiply(us[j], bs[i], out=tmp)
-        return speed
+    def stress_and_induction(rows):
+        """Products 0:9 in these rows (the 6 symmetric ones and u x b) and,
+        in the group holding row 0, the Elsasser speed."""
+        nonlocal speed
+        ks = range(9)[rows]
 
-    def transport(sl):
-        """Products 9:18, u_j w_i, on a slab of grid points."""
-        us, ws, p = u[:, sl], w[:, sl], prod[:, sl]
-        for i in range(3):
-            np.multiply(us[i], ws, out=p[3 * i:3 * i + 3])
+        def slab(sl):
+            us, bs, p = u[:, sl], b[:, sl], prod[:, sl]
+            tmp = np.empty(p.shape[1:])
+            for k in ks:
+                if k < 6:
+                    i, j = _SYM_PAIRS[k]
+                    np.multiply(us[i], us[j], out=p[k])
+                    p[k] -= np.multiply(bs[i], bs[j], out=tmp)
+                else:
+                    i, j = (k - 5) % 3, (k - 4) % 3
+                    np.multiply(us[i], bs[j], out=p[k])
+                    p[k] -= np.multiply(us[j], bs[i], out=tmp)
+            if 0 not in ks:
+                return None
+            # |u| and |b| in scratch of their own (from 5 workers on, row 1
+            # is another group's), summed in the order of
+            # (us ** 2).sum(axis=0), so the speed keeps its bits
+            mag = np.empty((2,) + tmp.shape)
+            for row, v in zip(mag, (us, bs)):
+                np.square(v[0], out=row)
+                row += np.square(v[1], out=tmp)
+                row += np.square(v[2], out=tmp)
+                np.sqrt(row, out=row)
+            return np.add(mag[0], mag[1], out=mag[0]).max()
 
-    # np.max, unlike max(), keeps a NaN slab speed
-    speed = float(np.max(_grid.slab_map(stress_and_induction, phys.shape[1:])))
-    grid.truncate(forward(prod, out=work.spectra), out=spec[0:9])
-    _grid.slab_map(transport, phys.shape[1:])
-    grid.truncate(forward(prod, out=work.spectra), out=spec[9:18])
+        slabs = _grid.slab_map(slab, phys.shape[1:])
+        if 0 in ks:
+            speed = float(np.max(slabs))  # np.max, unlike max(), keeps a NaN slab speed
+
+    def transport(rows):
+        """Products 9:18 in these rows: row k holds u_i w_j, k = 3 i + j."""
+        ks = range(9)[rows]
+
+        def slab(sl):
+            us, ws, p = u[:, sl], w[:, sl], prod[:, sl]
+            for k in ks:
+                np.multiply(us[k // 3], ws[k % 3], out=p[k])
+
+        _grid.slab_map(slab, phys.shape[1:])
+
+    def keep_retained(block):
+        """An after hook: the retained modes of a group's rows of spectra
+        into the same rows of block."""
+        return lambda rows: grid.truncate(work.spectra[rows], out=block[rows])
+
+    forward(prod, out=work.spectra, before=stress_and_induction,
+            after=keep_retained(spec[0:9]))
+    forward(prod, out=work.spectra, before=transport, after=keep_retained(spec[9:18]))
     xi_odd = grid.retained.xi_odd
     N = np.empty(z.shape, dtype=complex)
 

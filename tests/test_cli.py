@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import mmplab
 from mmplab.cli import main
 from mmplab.fields import Grid, StateField
 from mmplab.decay_character import generate_data_with_character
@@ -466,3 +467,22 @@ class TestSelftestCommand:
         rc = main(["selftest"])
         assert rc == 0
         assert "[PASS]" in capsys.readouterr().out
+
+    def test_closed_pipe_exits_one_quietly(self):
+        # `PYTHONPATH=src python -m mmplab selftest | head -4`: unbuffered,
+        # each line is written as its check ends, so the fifth meets a
+        # closed pipe
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mmplab.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mmplab", "selftest"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1"))
+        try:
+            lines = [proc.stdout.readline() for _ in range(4)]
+            proc.stdout.close()
+            err = proc.stderr.read()
+        finally:
+            proc.wait(timeout=120)
+        assert all(line.startswith(b"[PASS] ") for line in lines)
+        assert err == b""
+        assert proc.returncode == 1

@@ -8,9 +8,13 @@ where the slab path is taken, and check that n = 32 never takes it.  FFT
 batches up to grid.SPLIT_MAX_N points per axis run in one row group per
 worker instead; these tests compare them with scipy.fft bit for bit, and
 check that a group's error is raised and that a transform inside a slab
-runs whole.
+runs whole.  forward's hooks, which form and truncate the right-hand
+side's products inside those groups, are checked for coverage, order,
+errors and errstate, and the right-hand side for its bits at 1 to 9
+workers; slab_map and run_beside on a pool thread must run there.
 """
 
+import math
 import os
 import sys
 import threading
@@ -55,6 +59,40 @@ def pool_uses(monkeypatch):
     monkeypatch.setattr(grid_module, "_slab_pool", lambda workers: uses.append(workers)
                         or real(workers))
     return uses
+
+
+@pytest.fixture
+def no_pool_on_pool(monkeypatch):
+    """Fail at once when a pool thread looks up the pool, where a task that
+    waited on it could wait forever; _in_daemon_thread bounds the rest."""
+    pool = grid_module._slab_pool
+
+    def lookup(workers):
+        assert not grid_module._on_pool_thread(), "a pool thread looked up the pool"
+        return pool(workers)
+
+    monkeypatch.setattr(grid_module, "_slab_pool", lookup)
+
+
+def _in_daemon_thread(fn):
+    """fn() on a daemon thread joined for at most 30 s: a call that waits
+    on the pool forever fails the test instead of hanging it."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(fn())
+        except Exception as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive(), "a call on a pool thread waited on the pool"
+    result, = outcome
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 class TestSlabMap:
@@ -310,35 +348,165 @@ class TestSplitBatches:
             getattr(grid_module, transform)(arg)
         assert len(started) == len(ended) == int(threads)
 
-    def test_transform_in_a_slab_runs_whole(self, monkeypatch):
+    def test_transform_in_a_slab_runs_whole(self, monkeypatch, no_pool_on_pool):
         # Were the slab's batch split, each worker would wait on a group
-        # queued behind the remaining slabs, and no slab would finish; the
-        # lookup below fails at once instead, and the join bounds the rest.
+        # queued behind the remaining slabs, and no slab would finish.
         monkeypatch.setenv("MMP_THREADS", "2")
-        pool = grid_module._slab_pool
-
-        def lookup(workers):
-            assert not threading.current_thread().name.startswith("mmplab-slab"), \
-                "a pool thread looked up the pool"
-            return pool(workers)
-
-        monkeypatch.setattr(grid_module, "_slab_pool", lookup)
         phys = np.random.Generator(np.random.Philox(3)).normal(size=(9, 16, 16, 16))
         spec, _ = _scipy_pair(phys)
-        outcome = []
-
-        def run():
-            try:
-                outcome.append(grid_module.slab_map(lambda sl: forward(phys), (64, 64, 33)))
-            except Exception as exc:
-                outcome.append(exc)
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive(), "a transform in a slab waited on the pool"
-        slabs, = outcome
-        if isinstance(slabs, Exception):
-            raise slabs
+        slabs = _in_daemon_thread(
+            lambda: grid_module.slab_map(lambda sl: forward(phys), (64, 64, 33)))
         assert len(slabs) == grid_module.SLABS
         assert all(got.tobytes() == spec.tobytes() for got in slabs)
+
+
+class TestPoolThreadGuard:
+    def test_slab_map_in_a_slab_runs_whole(self, monkeypatch, no_pool_on_pool):
+        # Each of the 2 workers would wait on inner slabs queued behind the
+        # remaining outer ones, and no slab would finish.
+        monkeypatch.setenv("MMP_THREADS", "2")
+        shape = (64, 64, 33)
+        slabs = _in_daemon_thread(lambda: grid_module.slab_map(
+            lambda sl: grid_module.slab_map(lambda inner: np.arange(64)[inner], shape), shape))
+        assert len(slabs) == grid_module.SLABS
+        for inner in slabs:
+            assert len(inner) == 1 and np.array_equal(inner[0], np.arange(64))
+
+    def test_run_beside_in_a_slab_runs_here(self, monkeypatch, no_pool_on_pool):
+        monkeypatch.setenv("MMP_THREADS", "2")
+
+        def slab(sl):
+            future = grid_module.run_beside(lambda: threading.current_thread().name)
+            assert future.done()
+            return threading.current_thread().name, future.result()
+
+        pairs = _in_daemon_thread(lambda: grid_module.slab_map(slab, (64, 64, 33)))
+        assert len(pairs) == grid_module.SLABS
+        assert all(outer.startswith("mmplab-slab") and inner == outer
+                   for outer, inner in pairs)
+
+
+@pytest.fixture
+def group_rows(monkeypatch):
+    """The rows of every group that nonlinear_rhs's forward batches run."""
+    seen = []
+    real = solver_module.forward
+
+    def spy(phys, out=None, before=None, after=None):
+        def record(rows):
+            seen.append(range(phys.shape[0])[rows])
+            before(rows)
+        return real(phys, out=out, before=record, after=after)
+
+    monkeypatch.setattr(solver_module, "forward", spy)
+    return seen
+
+
+class TestFusedRhs:
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_bits_independent_of_thread_count(self, monkeypatch, group_rows, n):
+        grid = Grid(n, 2 * np.pi)
+        z = grid.truncate(random_state(grid, np.random.Generator(np.random.Philox(n))).z)
+        outputs = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the groups' threads finely
+        try:
+            for threads in ("1", "2", "3", "4", "9"):
+                monkeypatch.setenv("MMP_THREADS", threads)
+                group_rows.clear()
+                outputs[threads] = nonlinear_rhs(grid, z, Buffers(grid))
+                # each of the two batches covers rows 0..8 once, in one group
+                # per worker up to n = 32; at 9 workers row 0's group is row 0
+                split = n <= grid_module.SPLIT_MAX_N
+                groups = min(int(threads), 9) if split else 1
+                assert len(group_rows) == 2 * groups
+                covered = sorted(k for rows in group_rows for k in rows)
+                assert covered == sorted(2 * list(range(9)))
+                assert [rows for rows in group_rows if 0 in rows] == 2 * [range(9 // groups)]
+        finally:
+            sys.setswitchinterval(interval)
+        N, speed = outputs["1"]
+        for threads, (got, got_speed) in outputs.items():
+            assert got.tobytes() == N.tobytes(), threads
+            assert np.float64(got_speed).tobytes() == np.float64(speed).tobytes(), threads
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_one_nan_point_gives_a_nan_speed(self, monkeypatch, n):
+        # a NaN at the last point of b_y, in the last slab at n = 64
+        real = grid_module.inverse
+
+        def inverse(spec, out=None):
+            phys = real(spec, out=out)
+            phys[7, -1, -1, -1] = np.nan
+            return phys
+
+        monkeypatch.setattr(grid_module, "inverse", inverse)
+        grid = Grid(n, 2 * np.pi)
+        z = grid.truncate(random_state(grid, np.random.Generator(np.random.Philox(n))).z)
+        for threads in ("1", "2", "3", "4", "9"):
+            monkeypatch.setenv("MMP_THREADS", threads)
+            _, speed = nonlinear_rhs(grid, z, Buffers(grid))
+            assert math.isnan(speed), threads
+
+
+class TestForwardHooks:
+    @pytest.mark.parametrize("threads", ["1", "2", "3", "4"])
+    @pytest.mark.parametrize("shape", [(9, 16, 16, 16), (9, 48, 48, 48), (16, 16, 16)])
+    def test_each_row_once_between_its_hooks(self, monkeypatch, threads, shape):
+        # before fills NaN rows with the data, and after finds its rows
+        # transformed: scipy's bits, and the same as without hooks
+        monkeypatch.setenv("MMP_THREADS", threads)
+        data = np.random.Generator(np.random.Philox(4)).normal(size=shape)
+        spec, _ = _scipy_pair(data)
+        assert forward(data).tobytes() == spec.tobytes()
+        phys = np.full_like(data, np.nan)
+        out = np.full_like(spec, np.nan)
+        rows = shape[0] if len(shape) == 4 else 1
+        filled, checked = [], []
+
+        def before(sl):
+            filled.extend(range(rows)[sl])
+            phys[sl] = data[sl]
+
+        def after(sl):
+            assert out[sl].tobytes() == spec[sl].tobytes()
+            checked.extend(range(rows)[sl])
+
+        assert forward(phys, out=out, before=before, after=after) is out
+        assert sorted(filled) == sorted(checked) == list(range(rows))
+        assert out.tobytes() == spec.tobytes()
+
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    @pytest.mark.parametrize("failing", ["pool", "caller"])
+    @pytest.mark.parametrize("hook", ["before", "after"])
+    def test_hook_error_is_raised_after_every_group_ends(self, monkeypatch, threads,
+                                                         failing, hook):
+        monkeypatch.setenv("MMP_THREADS", threads)
+        phys = np.random.Generator(np.random.Philox(2)).normal(size=(9, 16, 16, 16))
+        started, ended = [], []
+
+        def fn(sl):
+            started.append(True)
+            try:
+                if grid_module._on_pool_thread() == (failing == "pool"):
+                    raise RuntimeError("hook failed")
+                time.sleep(0.05)  # the groups that succeed outlast the failing one
+            finally:
+                ended.append(True)
+
+        with pytest.raises(RuntimeError, match="hook failed"):
+            forward(phys, **{hook: fn})
+        assert len(started) == len(ended) == int(threads)
+
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    def test_pool_groups_see_the_callers_errstate(self, monkeypatch, threads):
+        monkeypatch.setenv("MMP_THREADS", threads)
+        phys = np.zeros((9, 16, 16, 16))
+
+        def before(sl):
+            if grid_module._on_pool_thread():
+                np.ones(1) / np.zeros(1)
+
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError):
+                forward(phys, before=before)
