@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import StateField, spectrum_norm_sq
+from .fields import spectrum_norm_sq
+from .grid import Grid, Modes
 
 DEFAULT_TOL_RADIAL = 0.1
 DEFAULT_TOL_TORUS_DIFF = 0.3
@@ -75,8 +76,11 @@ def fourier_split_radius(t: float, A: float) -> float:
     return float(np.sqrt(A / (1.0 + t)))
 
 
-def fourier_split_integral(state: StateField, t: float, A: float) -> float:
-    """Spectral energy inside the shrinking ball |xi| <= sqrt(A/(1+t)).
+def fourier_split_integral(grid: Grid, z: np.ndarray, t: float, A: float,
+                           modes: Grid | Modes | None = None) -> float:
+    """Spectral energy of a (9, ...) state z of grid inside the shrinking
+    ball |xi| <= sqrt(A/(1+t)); z is half spectra, or with modes
+    Grid.retained a retained block.
 
     On the lattice this is the partial sum of mode energies, normalized so
     that a ball containing every resolved mode returns the full squared
@@ -84,14 +88,15 @@ def fourier_split_integral(state: StateField, t: float, A: float) -> float:
     the function warns and returns 0.
     """
     g = fourier_split_radius(t, A)
-    grid = state.grid
     if g < grid.fundamental:
         warnings.warn(
             f"splitting ball radius {g:.3e} below fundamental mode "
             f"{grid.fundamental:.3e}; returning 0", stacklevel=2)
         return 0.0
-    inside = grid.xi_mag <= g
-    return spectrum_norm_sq(grid, *state.components(), weight=inside.astype(float))
+    modes = grid if modes is None else modes
+    inside = modes.xi_mag <= g
+    return spectrum_norm_sq(grid, z[0:3], z[3:6], z[6:9], weight=inside.astype(float),
+                            modes=modes)
 
 
 def predicted_exponents(r_star: float) -> dict[str, float]:

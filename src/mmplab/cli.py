@@ -29,6 +29,8 @@ def cmd_symbol_check(args) -> int:
     from .fields import PhysParams
     from .symbol import (BoundInvalidError, sample_wavevectors,
                          verify_eigenvalue_bound)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     params = PhysParams(mu=args.mu, gamma=args.gamma, chi=args.chi, nu=args.nu)
     try:
         xis = sample_wavevectors(args.samples, args.radius_lo, args.radius_hi,
@@ -235,6 +237,14 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RuntimeError as exc:
+        # a QuadratureError is a check failure; its module, which the
+        # commands import only when they need it, is loaded once one is raised
+        from .decay_character import QuadratureError
+        if not isinstance(exc, QuadratureError):
+            raise
+        _print_json({"error": str(exc)})
         return 1
     except BrokenPipeError:
         # the reader closed stdout (say `mmplab selftest | head -4`); point

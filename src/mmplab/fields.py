@@ -107,8 +107,7 @@ class StateField:
 
     def divergence_error(self) -> float:
         """Max relative |xi . vhat| over u and b (solenoidality residual)."""
-        return max(_div_residual(self.grid, self.uhat),
-                   _div_residual(self.grid, self.bhat))
+        return divergence_error(self.grid, self.z)
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
@@ -116,13 +115,25 @@ def _read_only(view: np.ndarray) -> np.ndarray:
     return view
 
 
-def _div_residual(grid: Grid, vhat: np.ndarray) -> float:
+def divergence_error(grid: Grid, z: np.ndarray, modes: Grid | Modes | None = None) -> float:
+    """Max relative |xi . vhat| over the u and b rows of a (9, ...) state z
+    (solenoidality residual): half spectra of grid, or with modes
+    Grid.retained a retained block.  Either way the scale is the largest
+    |xi| of the half spectrum, so a block has the bits of its padded half
+    spectra."""
+    modes = grid if modes is None else modes
+    xi_max = grid.xi_mag.max()
+    return max(_div_residual(modes.xi_odd, xi_max, z[0:3]),
+               _div_residual(modes.xi_odd, xi_max, z[6:9]))
+
+
+def _div_residual(xi: np.ndarray, xi_max: float, vhat: np.ndarray) -> float:
     # xi . vhat accumulated in one array, in the order of .sum(axis=0)
-    xi, term = grid.xi_odd, np.empty(vhat.shape[1:], dtype=complex)
+    term = np.empty(vhat.shape[1:], dtype=complex)
     div = np.multiply(xi[0], vhat[0])
     for i in (1, 2):
         div += np.multiply(xi[i], vhat[i], out=term)
-    scale = grid.xi_mag.max() * np.abs(vhat).max()
+    scale = xi_max * np.abs(vhat).max()
     return float(np.abs(div).max() / scale) if scale > 0 else 0.0
 
 
@@ -167,17 +178,20 @@ def curl_at(xi: np.ndarray, vhat: np.ndarray) -> np.ndarray:
 
 
 def spectrum_norm_sq(grid: Grid, *spectral_arrays: np.ndarray,
-                     weight: np.ndarray | None = None) -> float:
+                     weight: np.ndarray | None = None,
+                     modes: Grid | Modes | None = None) -> float:
     """L2 norm squared, volume * sum of |coefficients|^2, optionally weighted.
 
-    The sum runs over the full spectrum: each stored half-spectrum mode
-    counts with the grid's Parseval multiplicity.  Accumulation order is
+    The arrays are half spectra of grid, or with modes Grid.retained
+    retained blocks.  The sum runs over the full spectrum: each stored
+    mode counts with its Parseval multiplicity.  Accumulation order is
     fixed (numpy pairwise sum over C-ordered arrays), so results are
     bit-stable across worker counts.
     """
+    multiplicity = (grid if modes is None else modes).multiplicity
     total = 0.0
     for arr in spectral_arrays:
-        mag = (arr.real ** 2 + arr.imag ** 2) * grid.multiplicity
+        mag = (arr.real ** 2 + arr.imag ** 2) * multiplicity
         if weight is not None:
             mag = mag * weight
         total += float(mag.sum())

@@ -26,9 +26,10 @@ c = n // 3: about 30% of the half spectrum.  Grid.truncate gathers them
 into the retained block, shape (2c + 1, 2c + 1, c + 1), from four slice
 blocks of the half spectrum (k_x and k_y each run 0 .. c, then -c .. -1;
 k_z runs 0 .. c), and Grid.pad scatters a block back with zeros
-elsewhere.  The time stepper advances that block and pads it only for
-the inverse transform and at outputs; Grid.retained holds the per-mode
-arrays on the block.
+elsewhere.  The time stepper advances that block, takes its output rows
+from it and pads it only for the inverse transform and for the half
+spectra that leave a run; Grid.retained holds the per-mode arrays on the
+block.
 
 forward and inverse write into a caller's array when given out=, through
 the same pocketfft calls that scipy.fft.rfftn and irfftn make, so the bits
@@ -162,12 +163,15 @@ def run_beside(fn, *args) -> Future:
 @dataclass(frozen=True)
 class Modes:
     """Per-mode arrays on the retained block (Grid.retained); the Grid
-    holds the same names on the half spectrum."""
+    holds the same names on the half spectrum.  multiplicity is per kz
+    plane, the block's kz = 0 .. c planes of Grid.multiplicity."""
 
     xi_odd: np.ndarray
     xi_sq: np.ndarray
+    xi_mag: np.ndarray
     leray_divisor: np.ndarray
     leray_fixed: np.ndarray
+    multiplicity: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -299,7 +303,8 @@ class Grid:
     def retained(self) -> Modes:
         """The per-mode arrays cut to the retained block."""
         return Modes(*(self.truncate(a) for a in (
-            self.xi_odd, self.xi_sq, self.leray_divisor, self.leray_fixed)))
+            self.xi_odd, self.xi_sq, self.xi_mag, self.leray_divisor, self.leray_fixed)),
+            multiplicity=self.multiplicity[:self.n // 3 + 1])
 
     @cached_property
     def multiplicity(self) -> np.ndarray:

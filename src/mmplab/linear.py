@@ -162,8 +162,11 @@ def make_radial_state(profile: SpectralProfile, params: PhysParams,
 
     The spectral intensity psi(rho) = density(rho) / (4 pi rho^2) is split
     across the three components with the polarization of
-    :func:`_polarization` on the fixed node direction.
+    :func:`_polarization` on the fixed node direction.  per_decade below
+    1 raises ValueError.
     """
+    if per_decade < 1:
+        raise ValueError(f"per_decade must be at least 1, got {per_decade}")
     rho_max = min(rho_max, profile.support_radius)
     n_panels = max(int(np.ceil(per_decade * np.log10(rho_max / rho_min)))
                    // _GL_X.size, 1)
@@ -195,7 +198,9 @@ def radial_linear_decay(profile: SpectralProfile, times, params: PhysParams,
 
     With check_convergence the quadrature is repeated at doubled radial
     resolution and a QuadratureError is raised if any norm moves by more
-    than 1e-5 relatively.
+    than 1e-5 relatively, or if the doubled quadrature has no more nodes
+    than the first (a coarse per_decade rounds both to one panel), where
+    the check could not fail.
     """
     times = np.asarray(times, dtype=float)
     if times.size and np.any(np.diff(times) <= 0):
@@ -203,11 +208,15 @@ def radial_linear_decay(profile: SpectralProfile, times, params: PhysParams,
 
     def run(per_dec):
         state = make_radial_state(profile, params, rho_min=rho_min, per_decade=per_dec)
-        return state.norms_at(times)
+        return state.radii.size, state.norms_at(times)
 
-    coarse = run(per_decade)
+    nodes, coarse = run(per_decade)
     if check_convergence and times.size:
-        fine = run(2 * per_decade)
+        fine_nodes, fine = run(2 * per_decade)
+        if fine_nodes <= nodes:
+            raise QuadratureError(
+                f"node doubling from per_decade = {per_decade} keeps {nodes} nodes, "
+                f"so the convergence check cannot fail")
         for key, vals in coarse.items():
             ref = fine[key]
             scale = np.maximum(np.abs(ref), np.abs(ref).max() * 1e-300 + 1e-300)

@@ -49,13 +49,13 @@ concurrent runs may share one.  simulate advances the 2/3-rule retained
 block, one
 (9, 2c + 1, 2c + 1, c + 1) array with c = n // 3 (Grid.truncate), which
 holds the Galerkin truncation's only nonzero modes; N carries the three
-increments in the same row layout.  The datum comes in and the output
-rows and snapshots go out as half spectra, +0 outside the block
-(Grid.pad).  The kernel applies, nonlinear_rhs, its projection and
-_step_arrays take only the block; the norms take padded half
-spectra.  Above n = 32 the sector-kernel applies and the element-wise
-parts of N (the products with the speed, and the contraction, curl and
-projection after the forward transform) run in slabs of planes on the
+increments in the same row layout.  The datum comes in as half spectra,
+and the snapshots after t = 0 go out as half spectra, +0 outside the
+block (Grid.pad).  The kernel applies, nonlinear_rhs, its projection,
+_step_arrays and the output rows take only the block.  Above n = 32
+the sector-kernel applies and the element-wise parts of N (the products
+with the speed, and the contraction, curl and projection after the
+forward transform) run in slabs of planes on the
 MMP_THREADS workers (grid.slab_map); each slab and each row group works
 mode by mode or point by point, so every result has the same bits at
 any thread count.  Every step opens with one evaluation of N(z_n), which
@@ -63,8 +63,11 @@ is its first stage and also reports the Elsasser speed max(|u| + |b|) of
 z_n: a non-finite speed ends the run, and the CFL number of the state the
 step advances is checked against CFL_LIMIT.  The time step only ever shrinks,
 and a halving doubles the remaining steps, so recorded output times stay
-exact.  An output row takes its norms from fields.state_norms, over the
-state and over its paired linear difference.
+exact.  Every output row, t = 0 included, is taken from the block: its
+norms from fields.state_norms, over the block and over its paired linear
+difference, its splitting-ball integral and its divergence diagnostic,
+with the block's per-mode arrays (Grid.retained).  The t = 0 snapshot and
+the datum's divergence check read the datum as given.
 """
 
 from __future__ import annotations
@@ -78,8 +81,8 @@ import numpy as np
 from . import grid as _grid
 from .analysis import NormSeries, fourier_split_integral, fourier_split_radius
 from .fields import (SOLENOIDAL_TOL, ContractViolation, Grid, PhysParams,
-                     StateField, check_retained, curl_at, leray_project,
-                     spectrum_norm_sq, state_norms)
+                     StateField, check_retained, curl_at, divergence_error,
+                     leray_project, spectrum_norm_sq, state_norms)
 from .grid import forward
 from .propagator import GridPropagator, get_propagator
 
@@ -366,20 +369,22 @@ def _step_arrays(prop: GridPropagator, z: np.ndarray, N: np.ndarray,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _norm_row(state: StateField, t: float, ball_A: float,
-              linear_state: StateField | None) -> dict:
-    """One series row: the state norms, the splitting-ball integral and,
-    against a paired linear state, the difference norms."""
-    grid = state.grid
+def _norm_row(grid: Grid, z: np.ndarray, t: float, ball_A: float,
+              z_lin: np.ndarray | None) -> dict:
+    """One series row of a retained block z of grid (Grid.truncate): the
+    state norms, the splitting-ball integral and, against a paired linear
+    block z_lin, the difference norms."""
+    check_retained(grid, z)
+    modes = grid.retained
 
     def norms(z):
         return {key: grid.volume * val for key, val in
-                state_norms(z, grid.multiplicity, grid.xi_sq).items()}
+                state_norms(z, modes.multiplicity, modes.xi_sq).items()}
 
-    row = {"t": t, **norms(state.z)}
+    row = {"t": t, **norms(z)}
     row["ball_integral"] = (0.0 if fourier_split_radius(t, ball_A) < grid.fundamental
-                            else fourier_split_integral(state, t, ball_A))
-    diff = {} if linear_state is None else norms(state.z - linear_state.z)
+                            else fourier_split_integral(grid, z, t, ball_A, modes))
+    diff = {} if z_lin is None else norms(z - z_lin)
     row["l2_diff_z_sq"] = diff.get("l2_z_sq")
     row["l2_diff_w_sq"] = diff.get("l2_w_sq")
     row["h1_diff_z_sq"] = diff.get("h1_z_sq")
@@ -391,14 +396,16 @@ def simulate(config: SolverConfig, z0: StateField,
              save_snapshots: bool = False) -> Trajectory:
     """Advance z0 to t_end recording norms every output_every steps.
 
-    z0 must have solenoidal u and b (relative divergence at most
-    SOLENOIDAL_TOL); otherwise ContractViolation is raised before the first
-    step.  A non-finite z0 passes this check and ends in BlowupError.
+    z0 must have solenoidal u and b on every mode (relative divergence
+    at most SOLENOIDAL_TOL); otherwise ContractViolation is raised before
+    the first row.  A non-finite z0 passes this check and ends in
+    BlowupError.
 
-    The run advances the retained block of z0 (see the module docstring):
-    the t = 0 row and snapshot record z0 as given, later ones the padded
-    block, so modes of z0 outside the block (data from
-    generate_data_with_character have none) are dropped after t = 0.
+    The run advances the retained block of z0 (see the module docstring),
+    and every row, t = 0 included, is taken from it; the t = 0 snapshot is
+    z0 as given, later ones the padded block.  So modes of z0 outside the
+    block (data from generate_data_with_character have none) show only in
+    the t = 0 snapshot.
 
     pair_linear additionally evolves the linear system from the same
     retained datum (exactly, via the semigroup) and records difference
@@ -425,37 +432,35 @@ def simulate(config: SolverConfig, z0: StateField,
         "max_tensor_constant": 0.0,
     })
 
-    datum = np.asarray(z0.z, dtype=complex)
-    # the stepper and the paired linear run advance the retained block and
-    # pad it at outputs; the datum's other modes are recorded at t = 0 only
-    z = z0_block = grid.truncate(datum)
+    # nonlinear_rhs checks no divergence, so the datum is checked here, as
+    # given; it is also the t = 0 snapshot
+    datum = StateField(grid, np.asarray(z0.z, dtype=complex))
+    if (div := datum.divergence_error()) > SOLENOIDAL_TOL:
+        raise ContractViolation(f"z0: u or b not solenoidal: relative divergence {div:.3e}")
+    # the stepper and the paired linear run advance the retained block, and
+    # every row is taken from it
+    z = z0_block = grid.truncate(datum.z)
     dt = config.dt
     steps_per_output = config.output_every
     n_outputs = int(round(config.t_end / (config.dt * config.output_every)))
     output_dt = config.dt * config.output_every
 
-    def record(t, coeffs, linear_coeffs):
-        st = StateField(grid, coeffs)
-        lin = StateField(grid, linear_coeffs) if linear_coeffs is not None else None
-        row = _norm_row(st, t, config.ball_A, lin)
+    def record(t, block, linear_block, snapshot=None):
+        """The row at t of a retained block and its paired linear block;
+        the snapshot, when kept, is the block padded unless one is given."""
         traj.times.append(t)
-        traj.norm_rows.append(row)
+        traj.norm_rows.append(_norm_row(grid, block, t, config.ball_A, linear_block))
         traj.diagnostics["max_divergence"] = max(
-            traj.diagnostics["max_divergence"], st.divergence_error())
+            traj.diagnostics["max_divergence"], divergence_error(grid, block, grid.retained))
         if record_tensor:
-            rep = tensor_bound_report(st)
+            rep = tensor_bound_report(StateField(grid, grid.pad(block)))
             traj.diagnostics["max_tensor_constant"] = max(
                 traj.diagnostics["max_tensor_constant"], rep["max_constant"])
         if save_snapshots:
-            traj.snapshots.append(st)
+            traj.snapshots.append(StateField(grid, grid.pad(block)) if snapshot is None
+                                  else snapshot)
 
-    record(0.0, datum, datum if pair_linear else None)
-    # nonlinear_rhs checks no divergence, so the datum is checked here, on
-    # the divergence that record measured
-    if traj.diagnostics["max_divergence"] > SOLENOIDAL_TOL:
-        raise ContractViolation(
-            f"z0: u or b not solenoidal: relative divergence "
-            f"{traj.diagnostics['max_divergence']:.3e}")
+    record(0.0, z0_block, z0_block if pair_linear else None, snapshot=datum)
 
     for k in range(1, n_outputs + 1):
         t_target = k * output_dt
@@ -480,8 +485,8 @@ def simulate(config: SolverConfig, z0: StateField,
         del work  # before the row, where the norms need memory of their own
         if not np.isfinite(z).all():
             raise BlowupError(t_target, trajectory=traj)
-        record(t_target, grid.pad(z),
-               grid.pad(prop.apply(z0_block, t_target, kind="exp")) if pair_linear else None)
+        record(t_target, z,
+               prop.apply(z0_block, t_target, kind="exp") if pair_linear else None)
 
     traj.diagnostics["dt_final"] = dt
     return traj

@@ -143,6 +143,23 @@ class TestCliBasics:
         assert rc == 1
         assert "error" in out
 
+    def test_symbol_check_rejects_no_samples(self, capsys):
+        rc = main(["symbol-check", "--samples", "0"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err == "error: --samples must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize("per_decade, message", [
+        ("1", "keeps 8 nodes"), ("2", "not converged for l2_z_sq")])
+    def test_quadrature_error_is_a_check_failure(self, capsys, per_decade, message):
+        rc = main(["linear-decay", "--r-star", "0", "--n-times", "3",
+                   "--per-decade", per_decade, "--check-convergence"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert err == ""
+        assert message in json.loads(out)["error"]
+
     def test_linear_decay_stdout(self, capsys):
         rc = main(["linear-decay", "--r-star", "0", "--t-lo", "10",
                    "--t-hi", "100", "--n-times", "6", "--per-decade", "16"])

@@ -6,7 +6,7 @@ import pytest
 import scipy.integrate as si
 
 from mmplab.analysis import fit_decay_exponent, theorem_report
-from mmplab.decay_character import SpectralProfile
+from mmplab.decay_character import QuadratureError, SpectralProfile
 from mmplab.fields import Grid, PhysParams, StateField, spectrum_norm_sq, state_norms
 from mmplab.linear import _polarization, make_radial_state, radial_linear_decay
 from mmplab.propagator import get_propagator
@@ -280,6 +280,17 @@ class TestRadialDecay:
         times = np.geomspace(1e2, 1e3, 12)
         radial_linear_decay(SpectralProfile.power_law(0.0), times, params,
                             check_convergence=True)
+
+    def test_gate_that_cannot_fail_raises(self, params):
+        # one 8-node panel at per_decade 1 and at its doubling: no check
+        with pytest.raises(QuadratureError, match="keeps 8 nodes"):
+            radial_linear_decay(SpectralProfile.power_law(0.0), [1e2, 1e3], params,
+                                per_decade=1, check_convergence=True)
+
+    @pytest.mark.parametrize("per_decade", [0, -5])
+    def test_per_decade_below_one_rejected(self, params, per_decade):
+        with pytest.raises(ValueError, match="per_decade must be at least 1"):
+            make_radial_state(SpectralProfile.power_law(0.0), params, per_decade=per_decade)
 
     def test_time_monotonicity_validation(self, params):
         with pytest.raises(ValueError):

@@ -3,10 +3,10 @@
 An output row and its snapshot come between steps, after simulate has
 dropped the right-hand side's work arrays, so their temporaries add to a
 run's peak.  These guards pin the tracemalloc peaks at n = 64: the paired
-norm row forms the weighted arrays of every state_norms call in one
-scratch array, the snapshot writer expands each component into one
-complex64 array, and a paired one-step run with snapshots holds no work
-arrays while it records its rows.
+norm row works on the retained block and forms the weighted arrays of
+every state_norms call in one scratch array, the snapshot writer expands
+each component into one complex64 array, and a paired one-step run with
+snapshots holds no work arrays while it records its rows.
 """
 
 import tracemalloc
@@ -19,15 +19,17 @@ from mmplab.fields import Grid, PhysParams
 from mmplab.snapshots import write_snapshot
 from mmplab.solver import SolverConfig, _norm_row, simulate
 
-# 47.4 MiB with three full-size weighted arrays per state_norms call, and
-# 38.2 MiB with one scratch array (the difference z - z_lin is 19.3 MiB)
-NORM_ROW_PEAK_MIB_64 = 40.0
+# on padded half spectra: 47.4 MiB with three full-size weighted arrays
+# per state_norms call, and 38.2 MiB with one scratch array (the difference
+# z - z_lin is 19.3 MiB); 11.5 MiB on the retained block (5.6 MiB of it
+# the difference)
+NORM_ROW_PEAK_MIB_64 = 12.5
 # 12.0 MiB with a complex128 expansion, its complex64 cast and its bytes;
 # 2.1 MiB with one complex64 array (2 MiB)
 SNAPSHOT_PEAK_MIB_64 = 3.0
 # a paired one-step n = 64 run with snapshots on one thread: 140.8 MiB
 # (IF-RK4) and 118.4 MiB (ETD-RK2) with the work arrays dropped before the
-# row pads its states, 140.8 and 142.8 MiB when they went at the row's
+# row, both in the step, 140.8 and 142.8 MiB when they went at the row's
 # start, and 173.2 and 175.4 MiB when they outlive the step loop
 PAIRED_RUN_PEAK_MIB_64 = 150.0
 
@@ -48,9 +50,10 @@ def states_at_n64():
 
 
 def test_paired_norm_row_peak_at_n64():
-    state, linear = states_at_n64()
-    _norm_row(state, 1.0, 1.0, linear)  # the per-mode arrays stay warm
-    peak = traced_peak_mib(_norm_row, state, 1.0, 1.0, linear)
+    grid = Grid(64, 64 * np.pi)
+    z, z_lin = (grid.truncate(state.z) for state in states_at_n64())
+    _norm_row(grid, z, 1.0, 1.0, z_lin)  # the per-mode arrays stay warm
+    peak = traced_peak_mib(_norm_row, grid, z, 1.0, 1.0, z_lin)
     assert peak <= NORM_ROW_PEAK_MIB_64, f"paired norm row peaked at {peak:.1f} MiB"
 
 

@@ -5,18 +5,22 @@ every |k_i| <= c = n // 3 and pads it to half spectra only for the inverse
 transform and at outputs.  These tests pin that layout to the half-spectrum
 one, written out here with a sector kernel on the grid's wavevectors: the
 same bits on every retained mode, zeros elsewhere.  The propagator, the
-right-hand side and the projection on blocks take no other layout.
+right-hand side and the projection on blocks take no other layout.  The
+output rows are taken from the block too, with the values of its padded
+half spectra; only the t = 0 snapshot and the datum's divergence check
+read the datum as given.
 """
 
 import numpy as np
 import pytest
 
 from mmplab.decay_character import generate_data_with_character
-from mmplab.fields import ContractViolation, Grid, PhysParams, leray_project
+from mmplab.fields import (ContractViolation, Grid, PhysParams, StateField, divergence_error,
+                           leray_project, spectrum_norm_sq)
 from mmplab.propagator import SectorKernel, get_propagator
-from mmplab.solver import Buffers, _step_arrays, nonlinear_rhs
+from mmplab.solver import Buffers, SolverConfig, _norm_row, _step_arrays, nonlinear_rhs, simulate
 
-from conftest import padded_rhs
+from conftest import padded_rhs, random_state
 
 PARAMS = PhysParams(mu=1.0, gamma=1.0, chi=0.5, nu=1.0)
 
@@ -84,9 +88,10 @@ def test_retained_block_is_the_dealias_mask(n):
 
 def test_retained_modes_are_the_truncated_arrays():
     grid = Grid(16, 2 * np.pi)
-    for name in ("xi_odd", "xi_sq", "leray_divisor", "leray_fixed"):
+    for name in ("xi_odd", "xi_sq", "xi_mag", "leray_divisor", "leray_fixed"):
         assert np.array_equal(getattr(grid.retained, name),
                               grid.truncate(getattr(grid, name)))
+    assert np.array_equal(grid.retained.multiplicity, [1.0] + [2.0] * (16 // 3))
     # no Nyquist mode is retained, so only the mean mode is fixed
     assert grid.retained.leray_fixed.sum() == 1
 
@@ -153,3 +158,73 @@ def test_propagator_takes_only_the_retained_block(shape):
     with pytest.raises(ContractViolation, match=r"retained block of shape \(9, 11, 11, 6\)"):
         prop.apply(complex_noise(shape, 1), 0.05, kind="phi1", cache=True)
     assert prop.retained_kernel.tables == {}  # no weights were computed
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_block_rows_match_the_padded_half_spectra(n):
+    # a paired state with energy on the kz = 0 plane, and a splitting ball
+    # of radius c fundamentals, which cuts through the block
+    grid = Grid(n, 2 * np.pi)
+    c, t = n // 3, 0.5
+    z = grid.truncate(generate_data_with_character(grid, 0.0, seed=n, amplitude=0.5).z)
+    z_lin = get_propagator(grid, PARAMS).apply(z, t, kind="exp")
+    A = (1 + t) * (c * grid.fundamental) ** 2
+    inside = grid.retained.xi_mag <= c * grid.fundamental
+    assert np.abs(z[..., 0]).max() > 0 and inside.any() and not inside.all()
+    row = _norm_row(grid, z, t, A, z_lin)
+
+    half, diff = grid.pad(z), grid.pad(z - z_lin)
+    u, w, b = half[0:3], half[3:6], half[6:9]
+    du, dw, db = diff[0:3], diff[3:6], diff[6:9]
+    xi_sq = grid.xi_sq
+    want = {
+        "l2_z_sq": spectrum_norm_sq(grid, u, w, b),
+        "l2_u_sq": spectrum_norm_sq(grid, u),
+        "l2_w_sq": spectrum_norm_sq(grid, w),
+        "l2_b_sq": spectrum_norm_sq(grid, b),
+        "h1_z_sq": spectrum_norm_sq(grid, u, w, b, weight=xi_sq),
+        "h1_w_sq": spectrum_norm_sq(grid, w, weight=xi_sq),
+        "h2_z_sq": spectrum_norm_sq(grid, u, w, b, weight=xi_sq ** 2),
+        "ball_integral": spectrum_norm_sq(
+            grid, u, w, b, weight=(grid.xi_mag <= np.sqrt(A / (1 + t))).astype(float)),
+        "l2_diff_z_sq": spectrum_norm_sq(grid, du, dw, db),
+        "l2_diff_w_sq": spectrum_norm_sq(grid, dw),
+        "h1_diff_z_sq": spectrum_norm_sq(grid, du, dw, db, weight=xi_sq),
+    }
+    assert row.keys() == want.keys() | {"t"} and row["t"] == t
+    for key, val in want.items():
+        assert 0 < val and abs(row[key] - val) <= 1e-14 * val, key
+    for block in (z, complex_noise(z.shape, n)):
+        assert (divergence_error(grid, block, grid.retained)
+                == StateField(grid, grid.pad(block)).divergence_error())
+
+
+def test_rows_and_max_divergence_come_from_the_block():
+    # a datum with modes outside the block: its t = 0 row is its block's,
+    # its t = 0 snapshot keeps every mode, and max_divergence is the
+    # largest divergence of the padded blocks
+    grid = Grid(16, 2 * np.pi)
+    z0 = random_state(grid, np.random.default_rng(5))
+    assert z0.z[:, ~grid.dealias_mask].any()
+    cfg = SolverConfig(grid=grid, params=PARAMS, dt=0.01, t_end=0.02, ball_A=30.0)
+    traj = simulate(cfg, z0, pair_linear=True, save_snapshots=True)
+    block = grid.truncate(z0.z)
+    assert traj.norm_rows[0] == _norm_row(grid, block, 0.0, cfg.ball_A, block)
+    assert traj.norm_rows[0]["l2_z_sq"] < spectrum_norm_sq(grid, z0.z[0:3], z0.z[3:6], z0.z[6:9])
+    assert traj.snapshots[0].z.tobytes() == z0.z.tobytes()
+    assert not traj.snapshots[1].z[:, ~grid.dealias_mask].any()
+    divergences = [StateField(grid, grid.pad(grid.truncate(snap.z))).divergence_error()
+                   for snap in traj.snapshots]
+    assert traj.diagnostics["max_divergence"] == max(divergences) > 0
+
+
+def test_divergence_outside_the_block_rejects_the_datum():
+    grid = Grid(8, 2 * np.pi)
+    c = grid.n // 3
+    z = np.zeros((9,) + grid.spectral_shape, dtype=complex)
+    z[1, 1, 0, 0] = z[1, -1, 0, 0] = 1.0  # u_y ~ cos x: solenoidal, retained
+    z[0, c + 1, 0, 0] = z[0, -c - 1, 0, 0] = 1.0  # u_x ~ cos (c + 1) x: outside
+    assert divergence_error(grid, grid.truncate(z), grid.retained) == 0.0
+    cfg = SolverConfig(grid=grid, params=PARAMS, dt=0.1, t_end=0.1)
+    with pytest.raises(ContractViolation, match="z0: u or b not solenoidal"):
+        simulate(cfg, StateField(grid, z))
