@@ -58,8 +58,12 @@ class SpectralProfile:
         """|v0hat|^2 = amplitude * rho^{2r} up to the cutoff.
 
         The shell density includes the 4 pi rho^2 surface factor, so
-        dE/drho = 4 pi amplitude rho^{2r+2} inside the support.
+        dE/drho = 4 pi amplitude rho^{2r+2} inside the support.  Raises
+        ValueError unless 0 < cutoff_radius < inf.
         """
+        if not 0 < cutoff_radius < np.inf:
+            raise ValueError(f"--cutoff-radius must be positive and finite, "
+                             f"got {cutoff_radius!r}")
         if cutoff not in ("hard", "gauss"):
             raise ValueError(f"unknown cutoff kind {cutoff!r}")
         four_pi = 4.0 * np.pi

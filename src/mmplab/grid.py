@@ -33,8 +33,18 @@ block.
 
 forward and inverse write into a caller's array when given out=, through
 the same pocketfft calls that scipy.fft.rfftn and irfftn make, so the bits
-do not depend on it.  A Grid is a value: it caches only arrays derived
-from n and length, so any number of threads may share one.
+do not depend on it.  The right-hand side passes block_only: then each
+of pocketfft's three one-axis passes is its own call, in pocketfft's
+order, and only the lines that matter to the block are transformed, each
+with the bits of the 3-axis call (Orszag 1971; Bowman & Roberts 2011).
+The inverse transforms along x and y only the kz <= c planes, the others
+being zeros, in place in its input, and sets those planes back to +0
+outside the block, so the right-hand side's padded spectra (solver's
+Buffers.padded) hold zeros outside the block between calls and
+pad(out=) only rewrites the block; the forward transforms along y only
+the retained x rows of those planes, so only the block of its output is
+defined.  A Grid is a value: it caches only arrays derived from n and
+length, so any number of threads may share one.
 
 The MMP_THREADS workers (worker_count) run the slab stages (slab_map),
 through run_beside one task beside the calling thread (the data
@@ -46,12 +56,13 @@ call into its own rows of the output, so no call pays for waking
 pocketfft's threads.  forward's hooks run in those groups: before(rows)
 fills a group's rows of its input and after(rows) reads its rows of the
 output, in the group's thread, so the element-wise work around a
-transform splits with it.  Each array's bits do not depend on the thread
-count.  Larger arrays, single arrays and one worker take one pocketfft
-call with worker_count() threads, with the hooks run once on the whole
-batch, and so does a transform called from a pool thread.  No pool
-thread submits to the pool: slab_map, run_beside and the transforms run
-whole in the pool thread that calls them.
+transform splits with it, as do the passes of block_only.  Each array's
+bits do not depend on the thread count.  Larger arrays, single arrays
+and one worker take one pocketfft call per pass with worker_count()
+threads, with the hooks run once on the whole batch, and so does a
+transform called from a pool thread.  No pool thread submits to the
+pool: slab_map, run_beside and the transforms run whole in the pool
+thread that calls them.
 """
 
 from __future__ import annotations
@@ -320,16 +331,16 @@ _BY_N3, _UNSCALED = 2, 0
 _AXES = (-3, -2, -1)
 
 
-def _batch(call, arr: np.ndarray, out: np.ndarray | None, out_shape, out_dtype, args,
+def _batch(transform, arr: np.ndarray, out: np.ndarray | None, out_shape, out_dtype,
            before=None, after=None) -> np.ndarray:
-    """For each group of rows: before(rows), then call(arr[rows], _AXES,
-    *args, out[rows], threads), then after(rows).  A batch of at least 2
-    arrays of at most SPLIT_MAX_N points per axis, with more than one
-    worker and not on a pool thread, runs one contiguous group of rows per
-    worker, each a one-thread call in a copy of this thread's context;
-    the calling thread takes the first group, and a group's error is
-    raised here, after every group has ended.  Every other batch is one
-    group, rows = slice(None), with worker_count() threads on this thread."""
+    """For each group of rows: before(rows), then transform(arr[rows],
+    out[rows], threads), then after(rows).  A batch of at least 2 arrays
+    of at most SPLIT_MAX_N points per axis, with more than one worker and
+    not on a pool thread, runs one contiguous group of rows per worker,
+    each with one thread in a copy of this thread's context; the calling
+    thread takes the first group, and a group's error is raised here,
+    after every group has ended.  Every other batch is one group,
+    rows = slice(None), with worker_count() threads on this thread."""
     workers = worker_count()
     rows = arr.shape[0] if arr.ndim > 3 else 1
     if out is None:
@@ -338,7 +349,7 @@ def _batch(call, arr: np.ndarray, out: np.ndarray | None, out_shape, out_dtype, 
     def group(sl: slice, threads: int) -> None:
         if before is not None:
             before(sl)
-        call(arr[sl], _AXES, *args, out[sl], threads)
+        transform(arr[sl], out[sl], threads)
         if after is not None:
             after(sl)
 
@@ -359,8 +370,49 @@ def _batch(call, arr: np.ndarray, out: np.ndarray | None, out_shape, out_dtype, 
     return out
 
 
+def _r2c(phys: np.ndarray, out: np.ndarray, threads: int) -> None:
+    _pocketfft.r2c(phys, _AXES, True, _BY_N3, out, threads)
+
+
+def _r2c_block(phys: np.ndarray, out: np.ndarray, threads: int) -> None:
+    """The retained block of _r2c's output, with its bits, and undefined
+    values elsewhere: pocketfft's passes in its order (z with the 1/n^3
+    factor, then x, then y), the x pass on the kz <= c planes and the y
+    pass on their retained x rows only."""
+    n = phys.shape[-1]
+    c = n // 3
+    _pocketfft.r2c(phys, (-1,), True, _UNSCALED, out, threads)
+    planes = out[..., :c + 1]
+    # pocketfft scales each real output of the z pass by T(1/ldbl_t(n^3))
+    scaled = planes.view(out.real.dtype)
+    scaled *= out.real.dtype.type(np.longdouble(1) / np.longdouble(n) ** 3)
+    _pocketfft.c2c(planes, (-3,), True, _UNSCALED, planes, threads)
+    for rows in (planes[..., :c + 1, :, :], planes[..., n - c:, :, :]):
+        _pocketfft.c2c(rows, (-2,), True, _UNSCALED, rows, threads)
+
+
+def _c2r(spec: np.ndarray, out: np.ndarray, threads: int) -> None:
+    _pocketfft.c2r(spec, _AXES, spec.shape[-2], False, _UNSCALED, out, threads)
+
+
+def _c2r_block(spec: np.ndarray, out: np.ndarray, threads: int) -> None:
+    """_c2r of half spectra that are +0 outside the retained block, with
+    its bits: pocketfft's passes in its order (x, then y, then z), the x
+    and y passes in place on the kz <= c planes only, the other planes
+    being zeros in and out.  spec's block is clobbered, and the rest of
+    its kz <= c planes is set back to +0."""
+    n = spec.shape[-2]
+    c = n // 3
+    planes = spec[..., :c + 1]
+    _pocketfft.c2c(planes, (-3,), False, _UNSCALED, planes, threads)
+    _pocketfft.c2c(planes, (-2,), False, _UNSCALED, planes, threads)
+    _pocketfft.c2r(spec, (-1,), n, False, _UNSCALED, out, threads)
+    planes[..., c + 1:n - c, :, :] = 0
+    planes[..., :, c + 1:n - c, :] = 0
+
+
 def forward(phys: np.ndarray, out: np.ndarray | None = None,
-            before=None, after=None) -> np.ndarray:
+            before=None, after=None, *, block_only: bool = False) -> np.ndarray:
     """Real physical -> half spectrum over the last three axes (carries
     1/n^3), written into out (complex, not overlapping phys) when given.
 
@@ -369,18 +421,29 @@ def forward(phys: np.ndarray, out: np.ndarray | None = None,
     transform and after reads out[rows] once it is done.  A split batch
     runs them on several threads at once, so each must touch only its own
     rows, and the rows of out are ready only for their group's after.
+
+    With block_only, only the retained block of out is defined, with the
+    bits it has without; the lines that feed only the other modes are
+    skipped.
     """
     shape = phys.shape[:-1] + (phys.shape[-1] // 2 + 1,)
-    return _batch(_pocketfft.r2c, phys, out, shape, np.result_type(phys.dtype, np.complex64),
-                  (True, _BY_N3), before, after)
+    return _batch(_r2c_block if block_only else _r2c, phys, out, shape,
+                  np.result_type(phys.dtype, np.complex64), before, after)
 
 
-def inverse(spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def inverse(spec: np.ndarray, out: np.ndarray | None = None, *,
+            block_only: bool = False) -> np.ndarray:
     """Half spectrum -> real physical field over the last three axes,
-    written into out (real, not overlapping spec) when given."""
+    written into out (real, not overlapping spec) when given.
+
+    With block_only, spec must be +0 outside the retained block and is
+    used as work space: the output keeps its bits, the kz planes above c
+    are not transformed, and on return spec is +0 outside the block and
+    undefined on it.
+    """
     n = spec.shape[-2]
-    return _batch(_pocketfft.c2r, spec, out, spec.shape[:-1] + (n,), spec.real.dtype,
-                  (n, False, _UNSCALED))
+    return _batch(_c2r_block if block_only else _c2r, spec, out,
+                  spec.shape[:-1] + (n,), spec.real.dtype)
 
 
 def full_spectrum(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -2,16 +2,16 @@
 
 Each check is a pure function returning (ok, detail).  The suite covers the
 load-bearing identities: transform round trips against a direct DFT sum,
-the out-buffer and split-batch transforms bit for bit against scipy.fft,
-the right-hand side's two 9-row forward batches against one batch of 18,
-projector algebra, Parseval and its half-spectrum multiplicity, symbol
-Hermiticity, the eigendecomposition semigroup against a
-scaling-and-squaring matrix exponential, generator determinism, exact
+the out-buffer, split-batch and pruned block transforms bit for bit against
+scipy.fft, the right-hand side's two 9-row forward batches against one
+batch of 18, projector algebra, Parseval and its half-spectrum
+multiplicity, symbol Hermiticity, the eigendecomposition semigroup against
+a scaling-and-squaring matrix exponential, generator determinism, exact
 power-law fitting, energy monotonicity of a short nonlinear run, the grid
 propagator on the retained 2/3-rule block against the per-mode semigroup,
-the one-direction radial reduction against the 26-point sphere rule and
-the blocked radial norms against per-time evaluation.  Runs in well under
-a minute.
+the one-direction radial reduction against the 26-point sphere rule and the
+blocked radial norms against per-time evaluation.  Runs in well under a
+minute.
 """
 
 from __future__ import annotations
@@ -115,6 +115,27 @@ def check_split_transforms() -> tuple[bool, str]:
             (inverse(want), back), (inverse(want, out=np.empty_like(back)), back)))
     return same, (f"9 and 18 rows at n = 16 and 32 on {worker_count()} worker(s): "
                   + ("bitwise equal" if same else "bits differ"))
+
+
+def check_block_transforms() -> tuple[bool, str]:
+    """The right-hand side's pruned transforms (block_only) at n = 16 and
+    48, in 9-row batches, against scipy.fft's 3-axis calls bit for bit: the
+    forward on the retained block, the inverse of a padded block on every
+    point, and its input +0 outside the block afterwards."""
+    rng = np.random.Generator(np.random.Philox(13))
+    same = True
+    for n in (16, 48):
+        grid = Grid(n)
+        phys = rng.normal(size=(9, n, n, n))
+        want = grid.truncate(_fft.rfftn(phys, axes=(-3, -2, -1), norm="forward"))
+        got = grid.truncate(forward(phys, block_only=True))
+        padded = grid.pad(want)
+        back = _fft.irfftn(padded, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+        same = (same and got.tobytes() == want.tobytes()
+                and inverse(padded, block_only=True).tobytes() == back.tobytes()
+                and not grid.pad(np.zeros_like(want), out=padded).any())
+    return same, (f"9 rows at n = 16 and 48 on {worker_count()} worker(s): "
+                  + ("bitwise equal on the block" if same else "bits differ"))
 
 
 def check_grouped_forward() -> tuple[bool, str]:
@@ -287,6 +308,7 @@ CHECKS = [
     ("direct DFT oracle", check_dft_oracle),
     ("out-buffer transforms vs scipy.fft", check_out_transforms),
     ("split transform batches vs scipy.fft", check_split_transforms),
+    ("pruned block transforms vs 3-axis calls on the block", check_block_transforms),
     ("two forward batches of 9 vs one of 18", check_grouped_forward),
     ("Leray projection", check_leray),
     ("Parseval identity", check_parseval),

@@ -12,14 +12,17 @@ which is 9 inverse and 18 forward real transforms per evaluation: the
 (9, ...) state, padded from the retained block, goes out in one batch and
 the products come back in two batches of nine, first the 6 symmetric
 products u_i u_j - b_i b_j and the 3 products u x b, then the 9 products
-u_j w_i; of each only the retained block is kept.  A batch's products are
-formed and its spectra truncated inside forward's row groups (the before
-and after hooks of grid.forward), so up to n = 32 each worker forms,
-transforms and truncates its own rows; the group holding row 0 also takes
-the speed.  The padded spectra, the fields and one group of products and
-its spectra are written into the caller's Buffers, so the products take
-half the memory of one batch of 18 with the same bits; N itself is a new
-array each time.
+u_j w_i; of each only the retained block is kept.  So every batch is
+pruned to the block (grid.forward and grid.inverse with block_only): the
+inverse skips the lines that carry only zeros, the forward those that
+feed only discarded modes, and the block keeps its bits.  A batch's
+products are formed and its spectra truncated inside forward's row
+groups (the before and after hooks of grid.forward), so up to n = 32
+each worker forms, transforms and truncates its own rows; the group
+holding row 0 also takes the speed.  The padded spectra, the fields and
+one group of products and its spectra are written into the caller's
+Buffers, so the products take half the memory of one batch of 18 with
+the same bits; N itself is a new array each time.
 On the retained modes the identities are exact, because
 the truncated u and b are solenoidal and the 2/3 rule, always applied,
 keeps aliasing off those modes.  The velocity increment is
@@ -178,7 +181,8 @@ class Buffers:
 
     def __init__(self, grid: Grid):
         half, phys = grid.spectral_shape, (grid.n,) * 3
-        # the inverse's input; zeros, since pad(out=) writes only the block
+        # the inverse's input; +0 outside the block between calls: pad(out=)
+        # writes only the block and inverse(block_only=True) zeros the rest
         self.padded = np.zeros((9,) + half, dtype=complex)
         self.fields = np.empty((9,) + phys)      # its real fields
         self.products = np.empty((9,) + phys)    # one group of nine products
@@ -205,7 +209,7 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray, work: Buffers) -> tuple[np.ndarray,
     """
     check_retained(grid, z)
     # resolved on the grid module at call time, so wrappers installed there see it
-    phys = _grid.inverse(grid.pad(z, out=work.padded), out=work.fields)
+    phys = _grid.inverse(grid.pad(z, out=work.padded), out=work.fields, block_only=True)
     u, w, b = phys[0:3], phys[3:6], phys[6:9]
     prod = work.products
     spec = np.empty((18,) + z.shape[1:], dtype=complex)
@@ -263,8 +267,9 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray, work: Buffers) -> tuple[np.ndarray,
         return lambda rows: grid.truncate(work.spectra[rows], out=block[rows])
 
     forward(prod, out=work.spectra, before=stress_and_induction,
-            after=keep_retained(spec[0:9]))
-    forward(prod, out=work.spectra, before=transport, after=keep_retained(spec[9:18]))
+            after=keep_retained(spec[0:9]), block_only=True)
+    forward(prod, out=work.spectra, before=transport, after=keep_retained(spec[9:18]),
+            block_only=True)
     xi_odd = grid.retained.xi_odd
     N = np.empty(z.shape, dtype=complex)
 

@@ -170,7 +170,11 @@ def young_bound(s, params: PhysParams):
 
 def sample_wavevectors(n_samples: int, radius_lo: float = 1e-3,
                        radius_hi: float = 1e2, seed: int = 0) -> np.ndarray:
-    """Log-uniform radii with uniform random directions, shape (N, 3)."""
+    """Log-uniform radii with uniform random directions, shape (N, 3).
+    Raises ValueError unless 0 < radius_lo < radius_hi < inf."""
+    if not 0 < radius_lo < radius_hi < np.inf:
+        raise ValueError(f"--radius-lo and --radius-hi need 0 < radius_lo < radius_hi "
+                         f"< inf, got radius_lo={radius_lo!r}, radius_hi={radius_hi!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     radii = 10.0 ** rng.uniform(np.log10(radius_lo), np.log10(radius_hi), n_samples)
     dirs = rng.normal(size=(n_samples, 3))

@@ -150,6 +150,30 @@ class TestCliBasics:
         assert out == ""
         assert err == "error: --samples must be at least 1, got 0\n"
 
+    @pytest.mark.parametrize("radii", [
+        ["--radius-lo", "0", "--samples", "10"], ["--radius-lo", "-1"],
+        ["--radius-hi", "nan"], ["--radius-lo", "10", "--radius-hi", "1"],
+        ["--radius-lo", "1", "--radius-hi", "1"], ["--radius-hi", "inf"]])
+    def test_symbol_check_rejects_bad_radii(self, capsys, radii):
+        rc = main(["symbol-check"] + radii)
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: --radius-lo and --radius-hi need "
+                              "0 < radius_lo < radius_hi < inf, got ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["linear-decay", "--r-star", "0", "--n-times", "2"], ["decay-char", "--r", "0"]])
+    @pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])
+    def test_cutoff_radius_must_be_positive_and_finite(self, capsys, command, radius):
+        rc = main(command + ["--cutoff-radius", radius])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err == ("error: --cutoff-radius must be positive and finite, "
+                       f"got {float(radius)!r}\n")
+
     @pytest.mark.parametrize("per_decade, message", [
         ("1", "keeps 8 nodes"), ("2", "not converged for l2_z_sq")])
     def test_quadrature_error_is_a_check_failure(self, capsys, per_decade, message):

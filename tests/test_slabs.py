@@ -318,14 +318,19 @@ class TestSplitBatches:
             assert inverse(spec).tobytes() == back.tobytes()
         assert pool_uses == []
 
+    @pytest.mark.parametrize("block_only", [False, True])
     @pytest.mark.parametrize("threads", ["2", "3"])
     @pytest.mark.parametrize("failing", ["pool", "caller"])
     @pytest.mark.parametrize("transform", ["forward", "inverse"])
     def test_group_error_is_raised_after_every_group_ends(self, monkeypatch, threads,
-                                                          failing, transform):
+                                                          failing, transform, block_only):
         monkeypatch.setenv("MMP_THREADS", threads)
+        grid = Grid(16, 2 * np.pi)
         phys = np.random.Generator(np.random.Philox(2)).normal(size=(9, 16, 16, 16))
-        arg = phys if transform == "forward" else forward(phys)
+        arg = phys if transform == "forward" else grid.pad(grid.truncate(forward(phys)))
+        # pocketfft calls per group: one 3-axis call, or the pruned passes
+        # (forward: z, x and y on two sets of x rows; inverse: x, y and z)
+        passes = {False: 1, True: 4 if transform == "forward" else 3}[block_only]
         started, ended = [], []
         real = grid_module._pocketfft
 
@@ -342,11 +347,13 @@ class TestSplitBatches:
                     ended.append(True)
             return call
 
-        monkeypatch.setattr(grid_module, "_pocketfft",
-                            SimpleNamespace(r2c=group("r2c"), c2r=group("c2r")))
+        monkeypatch.setattr(grid_module, "_pocketfft", SimpleNamespace(
+            r2c=group("r2c"), c2r=group("c2r"), c2c=group("c2c")))
         with pytest.raises(RuntimeError, match="group failed"):
-            getattr(grid_module, transform)(arg)
-        assert len(started) == len(ended) == int(threads)
+            getattr(grid_module, transform)(arg, block_only=block_only)
+        # a failing group stops at its first call, the others make all theirs
+        failed = 1 if failing == "caller" else int(threads) - 1
+        assert len(started) == len(ended) == failed + passes * (int(threads) - failed)
 
     def test_transform_in_a_slab_runs_whole(self, monkeypatch, no_pool_on_pool):
         # Were the slab's batch split, each worker would wait on a group
@@ -392,11 +399,11 @@ def group_rows(monkeypatch):
     seen = []
     real = solver_module.forward
 
-    def spy(phys, out=None, before=None, after=None):
+    def spy(phys, out=None, before=None, after=None, **kw):
         def record(rows):
             seen.append(range(phys.shape[0])[rows])
             before(rows)
-        return real(phys, out=out, before=record, after=after)
+        return real(phys, out=out, before=record, after=after, **kw)
 
     monkeypatch.setattr(solver_module, "forward", spy)
     return seen
@@ -435,8 +442,8 @@ class TestFusedRhs:
         # a NaN at the last point of b_y, in the last slab at n = 64
         real = grid_module.inverse
 
-        def inverse(spec, out=None):
-            phys = real(spec, out=out)
+        def inverse(spec, out=None, **kw):
+            phys = real(spec, out=out, **kw)
             phys[7, -1, -1, -1] = np.nan
             return phys
 
