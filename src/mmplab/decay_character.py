@@ -59,8 +59,10 @@ class SpectralProfile:
 
         The shell density includes the 4 pi rho^2 surface factor, so
         dE/drho = 4 pi amplitude rho^{2r+2} inside the support.  Raises
-        ValueError unless 0 < cutoff_radius < inf.
+        ValueError unless r is finite and 0 < cutoff_radius < inf.
         """
+        if not np.isfinite(r):
+            raise ValueError(f"decay character r must be finite, got {r!r}")
         if not 0 < cutoff_radius < np.inf:
             raise ValueError(f"--cutoff-radius must be positive and finite, "
                              f"got {cutoff_radius!r}")
@@ -292,10 +294,13 @@ def generate_data_with_character(grid: Grid, r: float, seed: int,
     thread computes the magnitudes or shapes the group before, and start
     once the pairing has read the group before from the buffer, so the
     generator's stream is read in the same order at any worker count.  An
-    error in a draw is raised here, and no draw outlives the call.
+    error in a draw is raised here, and no draw outlives the call.  Raises
+    ValueError unless -3/2 < r < 6 and amplitude is finite.
     """
     if not -1.5 < r < 6.0:
         raise ValueError(f"decay character target {r} outside resolvable (-3/2, 6)")
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
     if sigma is None:
         sigma = grid.n * np.pi / (4.0 * grid.length)
 

@@ -57,6 +57,9 @@ class PhysParams:
     nu: float = 1.0
 
     def __post_init__(self):
+        for name in ("mu", "gamma", "chi", "nu"):
+            if not np.isfinite(getattr(self, name)):  # NaN passes the comparisons below
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if min(self.mu, self.gamma, self.nu) <= 0:
             raise ValueError("mu, gamma, nu must be positive")
         if self.chi < 0:

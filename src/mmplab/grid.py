@@ -48,21 +48,20 @@ length, so any number of threads may share one.
 
 The MMP_THREADS workers (worker_count) run the slab stages (slab_map),
 through run_beside one task beside the calling thread (the data
-generator's next normal draws), and the row groups of small FFT batches.
-A batch of arrays with at most SPLIT_MAX_N points per axis is cut along
-its first axis into one group per worker: the calling thread transforms
-the first group and the pool the others, each as a one-thread pocketfft
-call into its own rows of the output, so no call pays for waking
-pocketfft's threads.  forward's hooks run in those groups: before(rows)
-fills a group's rows of its input and after(rows) reads its rows of the
-output, in the group's thread, so the element-wise work around a
-transform splits with it, as do the passes of block_only.  Each array's
-bits do not depend on the thread count.  Larger arrays, single arrays
-and one worker take one pocketfft call per pass with worker_count()
-threads, with the hooks run once on the whole batch, and so does a
-transform called from a pool thread.  No pool thread submits to the
-pool: slab_map, run_beside and the transforms run whole in the pool
-thread that calls them.
+generator's next normal draws), and the row groups of FFT batches.  A
+batch of arrays is cut along its first axis into one group per worker:
+the calling thread transforms the first group and the pool the others,
+each as a one-thread pocketfft call into its own rows of the output, so
+no call pays for waking pocketfft's threads.  forward's hooks run in
+those groups: before(rows) fills a group's rows of its input and
+after(rows) reads its rows of the output, in the group's thread, so the
+element-wise work around a transform splits with it, as do the passes of
+block_only.  Each array's bits do not depend on the thread count.  A
+single array, one worker, or a transform called from a pool thread takes
+one pocketfft call per pass with worker_count() threads, with the hooks
+run once on the whole batch.  No pool thread submits to the pool:
+slab_map, run_beside and the transforms run whole in the pool thread
+that calls them.
 """
 
 from __future__ import annotations
@@ -82,14 +81,8 @@ from scipy.fft._pocketfft import pypocketfft as _pocketfft
 # Element-wise stages run in SLABS fixed planes of their first axis once an
 # array has SLAB_MIN_SIZE points per component; smaller ones (every grid up
 # to n = 32) run whole, where the pool's overhead outweighs the work.
-# FFT batches of arrays with at most SPLIT_MAX_N points per axis run as
-# one-thread pocketfft calls, one group of rows per worker (forward,
-# inverse), with forward's hooks in the same groups: inside the stepper
-# that beats pocketfft's own threads at n = 32 and loses to them at
-# n = 48 and 64.
 SLABS = 8
 SLAB_MIN_SIZE = 40_000
-SPLIT_MAX_N = 32
 
 
 def worker_count() -> int:
@@ -334,13 +327,13 @@ _AXES = (-3, -2, -1)
 def _batch(transform, arr: np.ndarray, out: np.ndarray | None, out_shape, out_dtype,
            before=None, after=None) -> np.ndarray:
     """For each group of rows: before(rows), then transform(arr[rows],
-    out[rows], threads), then after(rows).  A batch of at least 2 arrays
-    of at most SPLIT_MAX_N points per axis, with more than one worker and
-    not on a pool thread, runs one contiguous group of rows per worker,
-    each with one thread in a copy of this thread's context; the calling
-    thread takes the first group, and a group's error is raised here,
-    after every group has ended.  Every other batch is one group,
-    rows = slice(None), with worker_count() threads on this thread."""
+    out[rows], threads), then after(rows).  A batch of at least 2 arrays,
+    with more than one worker and not on a pool thread, runs one
+    contiguous group of rows per worker, each with one thread in a copy
+    of this thread's context; the calling thread takes the first group,
+    and a group's error is raised here, after every group has ended.
+    Every other batch is one group, rows = slice(None), with
+    worker_count() threads on this thread."""
     workers = worker_count()
     rows = arr.shape[0] if arr.ndim > 3 else 1
     if out is None:
@@ -353,7 +346,7 @@ def _batch(transform, arr: np.ndarray, out: np.ndarray | None, out_shape, out_dt
         if after is not None:
             after(sl)
 
-    if workers == 1 or rows < 2 or arr.shape[-2] > SPLIT_MAX_N or _on_pool_thread():
+    if workers == 1 or rows < 2 or _on_pool_thread():
         group(slice(None), workers)
         return out
     groups = min(workers, rows)

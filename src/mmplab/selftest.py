@@ -101,19 +101,19 @@ def check_out_transforms() -> tuple[bool, str]:
 
 
 def check_split_transforms() -> tuple[bool, str]:
-    """Batches of 9 and 18 arrays at n = 16 and 32, which forward and
+    """Batches of 9 and 18 arrays at n = 16, 32 and 48, which forward and
     inverse cut into one group per worker, against scipy.fft's one call,
     bit for bit, with and without out=."""
     rng = np.random.Generator(np.random.Philox(12))
     same = True
-    for n, rows in itertools.product((16, 32), (9, 18)):
+    for n, rows in itertools.product((16, 32, 48), (9, 18)):
         phys = rng.normal(size=(rows, n, n, n))
         want = _fft.rfftn(phys, axes=(-3, -2, -1), norm="forward")
         back = _fft.irfftn(want, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
         same = same and all(a.tobytes() == b.tobytes() for a, b in (
             (forward(phys), want), (forward(phys, out=np.empty_like(want)), want),
             (inverse(want), back), (inverse(want, out=np.empty_like(back)), back)))
-    return same, (f"9 and 18 rows at n = 16 and 32 on {worker_count()} worker(s): "
+    return same, (f"9 and 18 rows at n = 16, 32 and 48 on {worker_count()} worker(s): "
                   + ("bitwise equal" if same else "bits differ"))
 
 

@@ -17,12 +17,12 @@ pruned to the block (grid.forward and grid.inverse with block_only): the
 inverse skips the lines that carry only zeros, the forward those that
 feed only discarded modes, and the block keeps its bits.  A batch's
 products are formed and its spectra truncated inside forward's row
-groups (the before and after hooks of grid.forward), so up to n = 32
-each worker forms, transforms and truncates its own rows; the group
-holding row 0 also takes the speed.  The padded spectra, the fields and
-one group of products and its spectra are written into the caller's
-Buffers, so the products take half the memory of one batch of 18 with
-the same bits; N itself is a new array each time.
+groups (the before and after hooks of grid.forward), so each worker
+forms, transforms and truncates its own rows; the group holding row 0
+also takes the speed.  The padded spectra, the fields and one group of
+products and its spectra are written into the caller's Buffers, so the
+products take half the memory of one batch of 18 with the same bits; N
+itself is a new array each time.
 On the retained modes the identities are exact, because
 the truncated u and b are solenoidal and the 2/3 rule, always applied,
 keeps aliasing off those modes.  The velocity increment is
@@ -56,18 +56,18 @@ increments in the same row layout.  The datum comes in as half spectra,
 and the snapshots after t = 0 go out as half spectra, +0 outside the
 block (Grid.pad).  The kernel applies, nonlinear_rhs, its projection,
 _step_arrays and the output rows take only the block.  Above n = 32
-the sector-kernel applies and the element-wise parts of N (the products
-with the speed, and the contraction, curl and projection after the
-forward transform) run in slabs of planes on the
-MMP_THREADS workers (grid.slab_map); each slab and each row group works
-mode by mode or point by point, so every result has the same bits at
-any thread count.  Every step opens with one evaluation of N(z_n), which
-is its first stage and also reports the Elsasser speed max(|u| + |b|) of
-z_n: a non-finite speed ends the run, and the CFL number of the state the
-step advances is checked against CFL_LIMIT.  The time step only ever shrinks,
-and a halving doubles the remaining steps, so recorded output times stay
-exact.  Every output row, t = 0 included, is taken from the block: its
-norms from fields.state_norms, over the block and over its paired linear
+the sector-kernel applies and the element-wise parts of N after the
+forward transform (the contraction, curl and projection) run in slabs
+of planes on the MMP_THREADS workers (grid.slab_map); each slab and
+each row group works mode by mode or point by point, so every result
+has the same bits at any thread count.  Every step opens with one
+evaluation of N(z_n), which is its first stage and also reports the
+Elsasser speed max(|u| + |b|) of z_n: a non-finite speed ends the run,
+and the CFL number of the state the step advances is checked against
+CFL_LIMIT.  The time step only ever shrinks, and a halving doubles the
+remaining steps, so recorded output times stay exact.  Every output
+row, t = 0 included, is taken from the block: its norms from
+fields.state_norms, over the block and over its paired linear
 difference, its splitting-ball integral and its divergence diagnostic,
 with the block's per-mode arrays (Grid.retained).  The t = 0 snapshot and
 the datum's divergence check read the datum as given.
@@ -220,46 +220,33 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray, work: Buffers) -> tuple[np.ndarray,
         in the group holding row 0, the Elsasser speed."""
         nonlocal speed
         ks = range(9)[rows]
-
-        def slab(sl):
-            us, bs, p = u[:, sl], b[:, sl], prod[:, sl]
-            tmp = np.empty(p.shape[1:])
-            for k in ks:
-                if k < 6:
-                    i, j = _SYM_PAIRS[k]
-                    np.multiply(us[i], us[j], out=p[k])
-                    p[k] -= np.multiply(bs[i], bs[j], out=tmp)
-                else:
-                    i, j = (k - 5) % 3, (k - 4) % 3
-                    np.multiply(us[i], bs[j], out=p[k])
-                    p[k] -= np.multiply(us[j], bs[i], out=tmp)
-            if 0 not in ks:
-                return None
+        tmp = np.empty(phys.shape[1:])
+        for k in ks:
+            if k < 6:
+                i, j = _SYM_PAIRS[k]
+                np.multiply(u[i], u[j], out=prod[k])
+                prod[k] -= np.multiply(b[i], b[j], out=tmp)
+            else:
+                i, j = (k - 5) % 3, (k - 4) % 3
+                np.multiply(u[i], b[j], out=prod[k])
+                prod[k] -= np.multiply(u[j], b[i], out=tmp)
+        if 0 in ks:
             # |u| and |b| in scratch of their own (from 5 workers on, row 1
             # is another group's), summed in the order of
-            # (us ** 2).sum(axis=0), so the speed keeps its bits
+            # (u ** 2).sum(axis=0), so the speed keeps its bits; max is
+            # exact and propagates a NaN
             mag = np.empty((2,) + tmp.shape)
-            for row, v in zip(mag, (us, bs)):
+            for row, v in zip(mag, (u, b)):
                 np.square(v[0], out=row)
                 row += np.square(v[1], out=tmp)
                 row += np.square(v[2], out=tmp)
                 np.sqrt(row, out=row)
-            return np.add(mag[0], mag[1], out=mag[0]).max()
-
-        slabs = _grid.slab_map(slab, phys.shape[1:])
-        if 0 in ks:
-            speed = float(np.max(slabs))  # np.max, unlike max(), keeps a NaN slab speed
+            speed = float(np.add(mag[0], mag[1], out=mag[0]).max())
 
     def transport(rows):
         """Products 9:18 in these rows: row k holds u_i w_j, k = 3 i + j."""
-        ks = range(9)[rows]
-
-        def slab(sl):
-            us, ws, p = u[:, sl], w[:, sl], prod[:, sl]
-            for k in ks:
-                np.multiply(us[k // 3], ws[k % 3], out=p[k])
-
-        _grid.slab_map(slab, phys.shape[1:])
+        for k in range(9)[rows]:
+            np.multiply(u[k // 3], w[k % 3], out=prod[k])
 
     def keep_retained(block):
         """An after hook: the retained modes of a group's rows of spectra

@@ -28,7 +28,7 @@ AXES = (-3, -2, -1)
 @pytest.mark.parametrize("rows", [9, 1])
 @pytest.mark.parametrize("n", [8, 10, 16, 24, 32, 48, 64])
 def test_block_bits_equal_one_3_axis_call(monkeypatch, threads, rows, n):
-    # 2 and 3 workers split the 9-row batches up to n = 32; 1 row runs whole
+    # 2 and 3 workers split the 9-row batches; 1 row runs whole
     monkeypatch.setenv("MMP_THREADS", threads)
     grid = Grid(n, 2 * np.pi)
     phys = np.random.Generator(np.random.Philox(n * rows)).normal(size=(rows, n, n, n))

@@ -212,6 +212,29 @@ class TestCliBasics:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--gamma", "nan", "gamma"), ("--chi", "inf", "chi"), ("--mu", "inf", "mu"),
+        ("--nu", "-inf", "nu"), ("--r-star", "nan", "decay character r")])
+    def test_linear_decay_non_finite_input_writes_no_csv(self, tmp_path, capsys,
+                                                         flag, value, name):
+        # these used to write a CSV of NaN rows and exit 0
+        csv = tmp_path / "decay.csv"
+        rc = main(["linear-decay", "--r-star", "0", "--n-times", "2", f"{flag}={value}",
+                   "--out", str(csv)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == f"error: {name} must be finite, got {float(value)!r}\n"
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("command, message", [
+        (["symbol-check", "--samples", "10", "--chi", "nan"], "chi must be finite, got nan"),
+        (["decay-char", "--r", "inf"], "decay character r must be finite, got inf")])
+    def test_non_finite_input_exits_with_error(self, capsys, command, message):
+        rc = main(command)
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("value", ["two", "2.5", "0", "-3"])
     def test_bad_thread_count_prints_one_error_line(self, value):
         # symbol-check runs no transform, so the check comes before any work
@@ -271,8 +294,10 @@ class TestConfig:
         ("t_end = 1.0", "t_end = inf", "t_end must be nonnegative and finite, got inf"),
         ("save_snapshots = false", "save_snapshots = false\n[analysis]\nball_a = -1",
          "ball_A must be positive, got -1.0"),
+        ("mu = 1.0", "mu = nan", "mu must be finite, got nan"),
     ]
-    BAD_IDS = ["length-inf", "dt-inf", "dt-nan", "dt-no-output", "t_end-inf", "ball_a-negative"]
+    BAD_IDS = ["length-inf", "dt-inf", "dt-nan", "dt-no-output", "t_end-inf", "ball_a-negative",
+               "mu-nan"]
 
     @pytest.mark.parametrize("old, new, message", BAD_VALUES, ids=BAD_IDS)
     def test_bad_values_are_value_errors(self, old, new, message):
@@ -283,8 +308,9 @@ class TestConfig:
     @pytest.mark.parametrize("old, new, message", [
         ("output_every", "outputevery", "unknown config key time.outputevery"),
         ("save_snapshots = false", "save_snapshots = ture", "'ture' is not a boolean"),
+        ("amplitude = 0.01", "amplitude = nan", "amplitude must be finite, got nan"),
         *BAD_VALUES,
-    ], ids=["unknown-key", "not-a-boolean", *BAD_IDS])
+    ], ids=["unknown-key", "not-a-boolean", "amplitude-nan", *BAD_IDS])
     def test_bad_config_exits_with_error(self, tmp_path, capsys, old, new, message):
         config = tmp_path / "bad.ini"
         config.write_text(CONFIG_TEXT.replace(old, new))
@@ -330,8 +356,8 @@ class TestRunDirectory:
     def test_blowup_preserves_partial_results(self, tmp_path):
         import warnings
         from mmplab.solver import BlowupError
-        # non-finite amplitude makes the very first step blow up
-        text = CONFIG_TEXT.replace("amplitude = 0.01", "amplitude = nan")
+        # an amplitude whose squares overflow makes the very first step blow up
+        text = CONFIG_TEXT.replace("amplitude = 0.01", "amplitude = 1e300")
         cfg = RunConfig.from_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -347,7 +373,7 @@ class TestRunDirectory:
         # the same files as a finished one, up to the last recorded output
         import warnings
         from mmplab.solver import BlowupError
-        text = CONFIG_TEXT.replace("amplitude = 0.01", "amplitude = nan").replace(
+        text = CONFIG_TEXT.replace("amplitude = 0.01", "amplitude = 1e300").replace(
             "save_snapshots = false", "save_snapshots = true")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -368,9 +394,9 @@ class TestRunDirectory:
     def test_blowup_exits_one_with_json(self, command, tmp_path, capsys):
         # exit 1 with the run's JSON on stdout, as for any check failure
         import warnings
-        config = tmp_path / "nan.ini"
+        config = tmp_path / "overflow.ini"
         config.write_text(CONFIG_TEXT.replace("n = 16", "n = 8").replace(
-            "amplitude = 0.01", "amplitude = nan"))
+            "amplitude = 0.01", "amplitude = 1e300"))
         out = tmp_path / "boom"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -97,6 +97,11 @@ class TestEstimator:
         with pytest.raises(ValueError):
             estimate_decay_character(prof, rho_window=(0.1, 0.01))
 
+    @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+    def test_power_law_rejects_non_finite_r(self, r):
+        with pytest.raises(ValueError, match="decay character r must be finite"):
+            SpectralProfile.power_law(r)
+
     def test_indicator_table_near_constant_at_r_star(self):
         est = estimate_decay_character(SpectralProfile.power_law(1.0))
         values = np.array([p for _, p in est.P_r_values])
@@ -227,6 +232,11 @@ class TestGenerator:
             generate_data_with_character(grid, -1.5, seed=1)
         with pytest.raises(ValueError):
             generate_data_with_character(grid, 6.0, seed=1)
+        with pytest.raises(ValueError):
+            generate_data_with_character(grid, np.nan, seed=1)
+        for amplitude in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="amplitude must be finite"):
+                generate_data_with_character(grid, 0.0, seed=1, amplitude=amplitude)
 
     @pytest.mark.parametrize("r", [-1.0, 0.0, 1.0])
     def test_estimator_self_consistency(self, r):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmplab.fields import (ContractViolation, Grid, StateField, curl_at,
+from mmplab.fields import (ContractViolation, Grid, PhysParams, StateField, curl_at,
                            leray_project, physical_norm_sq, spectrum_norm_sq,
                            state_norms)
 from mmplab.grid import forward, full_spectrum, inverse
@@ -66,6 +66,15 @@ class TestGrid:
         assert np.array_equal(grid.xi_sq, (xi ** 2).sum(axis=0)[half])
         assert np.array_equal(grid.dealias_mask, keep[half])
         assert grid.multiplicity.tolist() == [1.0] + [2.0] * (n // 2 - 1) + [1.0]
+
+
+class TestPhysParams:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["mu", "gamma", "chi", "nu"])
+    def test_rejects_non_finite(self, name, value):
+        # NaN compares False against every bound, so it needs its own check
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value!r}"):
+            PhysParams(**{name: value})
 
 
 class TestTransforms:

@@ -1,17 +1,17 @@
 """Slab-parallel stages and split FFT batches: the same bits at any thread
 count.
 
-Grids above n = 32 run the sector-kernel apply, the products and the
-post-transform stage of the nonlinear term, and the Leray projection in
-grid.SLABS planes on the MMP_THREADS workers; these tests run at n = 64,
-where the slab path is taken, and check that n = 32 never takes it.  FFT
-batches up to grid.SPLIT_MAX_N points per axis run in one row group per
-worker instead; these tests compare them with scipy.fft bit for bit, and
-check that a group's error is raised and that a transform inside a slab
-runs whole.  forward's hooks, which form and truncate the right-hand
-side's products inside those groups, are checked for coverage, order,
-errors and errstate, and the right-hand side for its bits at 1 to 9
-workers; slab_map and run_beside on a pool thread must run there.
+Grids above n = 32 run the sector-kernel apply, the post-transform stage
+of the nonlinear term and the Leray projection in grid.SLABS planes on
+the MMP_THREADS workers; these tests run at n = 64, where the slab path
+is taken, and check that n = 32 never takes it.  FFT batches of two or
+more arrays run in one row group per worker at every grid size; these
+tests compare them with scipy.fft bit for bit up to n = 64, and check
+that a group's error is raised and that a transform inside a slab runs
+whole.  forward's hooks, which form and truncate the right-hand side's
+products inside those groups, are checked for coverage, order, errors
+and errstate, and the right-hand side for its bits at 1 to 9 workers;
+slab_map and run_beside on a pool thread must run there.
 """
 
 import math
@@ -168,8 +168,9 @@ def test_nonlinear_rhs_independent_of_thread_count(grid64, state64, pool_uses,
             outputs[threads] = padded_rhs(grid64, state64.z)
     finally:
         sys.setswitchinterval(interval)
-    # the two groups of products, increments and projection at 2 and at 4 workers
-    assert pool_uses == [2, 2, 2, 2, 4, 4, 4, 4]
+    # the inverse batch, the two forward batches, increments and projection
+    # at 2 and at 4 workers
+    assert pool_uses == [2] * 5 + [4] * 5
     N, speed = outputs["1"]
     for threads in ("2", "4"):
         assert outputs[threads][0].tobytes() == N.tobytes()
@@ -215,14 +216,16 @@ scheme = {scheme}
 save_snapshots = true
 """)
     files = {}
-    for threads in ("1", "2"):
+    # 3 and 4 workers cut the 9-row batches into groups of unequal sizes
+    for threads in ("1", "2", "3", "4"):
         monkeypatch.setenv("MMP_THREADS", threads)
         out, traj = execute_run(config, tmp_path / threads, pair_linear=True)
         assert len(traj.times) == 2
         files[threads] = {path.relative_to(out): path.read_bytes()
                           for path in sorted(out.rglob("*")) if path.suffix in (".csv", ".snap")}
     assert len(files["1"]) == 4  # series, extra series and two snapshots
-    assert files["1"] == files["2"]
+    for threads in ("2", "3", "4"):
+        assert files[threads] == files["1"]
 
 
 def test_split_transform_run_bytes_independent_of_thread_count(tmp_path, monkeypatch):
@@ -294,7 +297,7 @@ def _scipy_pair(phys):
 class TestSplitBatches:
     @pytest.mark.parametrize("threads", ["1", "2", "3", "4"])
     @pytest.mark.parametrize("rows", [9, 18])
-    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("n", [8, 16, 32, 48, 64])
     def test_bitwise_equal_to_scipy(self, pool_uses, monkeypatch, threads, rows, n):
         # 3 and 4 workers cut 9 and 18 rows into groups of unequal sizes
         monkeypatch.setenv("MMP_THREADS", threads)
@@ -308,10 +311,10 @@ class TestSplitBatches:
         assert inverse(spec, out=out) is out and out.tobytes() == back.tobytes()
         assert pool_uses == ([] if threads == "1" else [int(threads)] * 4)
 
-    def test_single_arrays_and_large_grids_run_whole(self, pool_uses, monkeypatch):
+    def test_single_arrays_run_whole(self, pool_uses, monkeypatch):
         monkeypatch.setenv("MMP_THREADS", "2")
         rng = np.random.Generator(np.random.Philox(1))
-        for shape in ((16, 16, 16), (1, 16, 16, 16), (2, 48, 48, 48)):
+        for shape in ((16, 16, 16), (1, 16, 16, 16), (48, 48, 48), (1, 64, 64, 64)):
             phys = rng.normal(size=shape)
             spec, back = _scipy_pair(phys)
             assert forward(phys).tobytes() == spec.tobytes()
@@ -355,16 +358,16 @@ class TestSplitBatches:
         failed = 1 if failing == "caller" else int(threads) - 1
         assert len(started) == len(ended) == failed + passes * (int(threads) - failed)
 
-    def test_transform_in_a_slab_runs_whole(self, monkeypatch, no_pool_on_pool):
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_transform_in_a_slab_runs_whole(self, monkeypatch, no_pool_on_pool, n):
         # Were the slab's batch split, each worker would wait on a group
         # queued behind the remaining slabs, and no slab would finish.
         monkeypatch.setenv("MMP_THREADS", "2")
-        phys = np.random.Generator(np.random.Philox(3)).normal(size=(9, 16, 16, 16))
+        phys = np.random.Generator(np.random.Philox(3)).normal(size=(9, n, n, n))
         spec, _ = _scipy_pair(phys)
-        slabs = _in_daemon_thread(
-            lambda: grid_module.slab_map(lambda sl: forward(phys), (64, 64, 33)))
-        assert len(slabs) == grid_module.SLABS
-        assert all(got.tobytes() == spec.tobytes() for got in slabs)
+        same = _in_daemon_thread(lambda: grid_module.slab_map(
+            lambda sl: forward(phys).tobytes() == spec.tobytes(), (64, 64, 33)))
+        assert same == [True] * grid_module.SLABS
 
 
 class TestPoolThreadGuard:
@@ -423,9 +426,8 @@ class TestFusedRhs:
                 group_rows.clear()
                 outputs[threads] = nonlinear_rhs(grid, z, Buffers(grid))
                 # each of the two batches covers rows 0..8 once, in one group
-                # per worker up to n = 32; at 9 workers row 0's group is row 0
-                split = n <= grid_module.SPLIT_MAX_N
-                groups = min(int(threads), 9) if split else 1
+                # per worker; at 9 workers row 0's group is row 0
+                groups = min(int(threads), 9)
                 assert len(group_rows) == 2 * groups
                 covered = sorted(k for rows in group_rows for k in rows)
                 assert covered == sorted(2 * list(range(9)))
@@ -439,7 +441,7 @@ class TestFusedRhs:
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_one_nan_point_gives_a_nan_speed(self, monkeypatch, n):
-        # a NaN at the last point of b_y, in the last slab at n = 64
+        # a NaN at the last point of b_y
         real = grid_module.inverse
 
         def inverse(spec, out=None, **kw):
