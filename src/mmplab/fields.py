@@ -149,7 +149,7 @@ def leray_project(modes: Grid | Modes, vhat: np.ndarray,
     a Grid for half spectra vhat, or Grid.retained for a retained block;
     another shape raises ContractViolation.  The result goes to out when
     it is given, which may be vhat itself, and to a new array otherwise.
-    Runs in slabs of modes (grid.slab_map).
+    The first axis of modes is split across the workers (grid.slab_map).
     """
     shape = (3,) + modes.xi_sq.shape
     if vhat.shape != shape:
@@ -162,8 +162,14 @@ def leray_project(modes: Grid | Modes, vhat: np.ndarray,
         # the mean mode and pure-Nyquist modes carry no representable gradient
         fixed = modes.leray_fixed[sl]
         kept = v[:, fixed]
-        dot = (xi * v).sum(axis=0)
-        np.subtract(v, xi * (dot / modes.leray_divisor[sl])[None], out=o)
+        # xi . v summed in the order of .sum(axis=0), one component at a time
+        dot = np.multiply(xi[0], v[0])
+        scratch = np.empty_like(dot)
+        for i in (1, 2):
+            dot += np.multiply(xi[i], v[i], out=scratch)
+        dot /= modes.leray_divisor[sl]
+        for i in range(3):
+            np.subtract(v[i], np.multiply(xi[i], dot, out=scratch), out=o[i])
         o[:, fixed] = kept
 
     _grid.slab_map(project, shape[1:])

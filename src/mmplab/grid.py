@@ -46,22 +46,22 @@ the retained x rows of those planes, so only the block of its output is
 defined.  A Grid is a value: it caches only arrays derived from n and
 length, so any number of threads may share one.
 
-The MMP_THREADS workers (worker_count) run the slab stages (slab_map),
-through run_beside one task beside the calling thread (the data
-generator's next normal draws), and the row groups of FFT batches.  A
-batch of arrays is cut along its first axis into one group per worker:
-the calling thread transforms the first group and the pool the others,
-each as a one-thread pocketfft call into its own rows of the output, so
-no call pays for waking pocketfft's threads.  forward's hooks run in
-those groups: before(rows) fills a group's rows of its input and
-after(rows) reads its rows of the output, in the group's thread, so the
-element-wise work around a transform splits with it, as do the passes of
-block_only.  Each array's bits do not depend on the thread count.  A
-single array, one worker, or a transform called from a pool thread takes
-one pocketfft call per pass with worker_count() threads, with the hooks
-run once on the whole batch.  No pool thread submits to the pool:
-slab_map, run_beside and the transforms run whole in the pool thread
-that calls them.
+The MMP_THREADS workers (worker_count) split work one way (_split): the
+first axis is cut into one contiguous group of rows per worker, the
+calling thread takes the first group and the pool the others, each in a
+copy of the caller's context, and a group's error is raised once every
+group has ended; one worker, fewer than 2 rows or a pool thread runs the
+whole array here.  FFT batches split their arrays so, each group a
+one-thread pocketfft call into its own rows of the output (a whole batch
+is one call per pass with worker_count() threads), and forward's hooks
+run in the groups: before(rows) fills a group's rows of the input and
+after(rows) reads its rows of the output, so the element-wise work
+around a transform splits with it.  The slab stages (slab_map) split
+their planes so once an array has SLAB_MIN_SIZE points, and run_beside
+runs one task beside the calling thread (the data generator's next
+normal draws).  No result's bits depend on the thread count.  No pool
+thread submits to the pool: slab_map, run_beside and the transforms run
+whole in the pool thread that calls them.
 """
 
 from __future__ import annotations
@@ -78,10 +78,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
-# Element-wise stages run in SLABS fixed planes of their first axis once an
-# array has SLAB_MIN_SIZE points per component; smaller ones (every grid up
-# to n = 32) run whole, where the pool's overhead outweighs the work.
-SLABS = 8
+# Slab stages split their first axis once an array has SLAB_MIN_SIZE points
+# per component; smaller ones (every grid up to n = 32) run whole, where the
+# pool's overhead outweighs the work.
 SLAB_MIN_SIZE = 40_000
 
 
@@ -122,37 +121,46 @@ def _on_pool_thread() -> bool:
     return threading.current_thread().name.startswith(_POOL_THREAD)
 
 
-def slab_map(fn, shape: tuple[int, ...]) -> list:
-    """[fn(sl) for each slab sl of the first axis of an array of this
-    shape], in slab order.
-
-    fn must work point by point and write only into its own slab, so the
-    results do not depend on the split.  With one worker, below
-    SLAB_MIN_SIZE points, or on a pool thread (fn calling slab_map, a
-    forward hook or a task of run_beside), fn runs once in this thread on
-    sl = ..., the whole array, and no slab waits on the pool; otherwise sl
-    runs through SLABS slices of the first axis on a pool of
-    worker_count() threads, each slab in a copy of this thread's context,
-    so np.errstate carries over.
-    """
+def _split(task, rows: int) -> None:
+    """task(sl, threads) on every row of an array's first axis.  With more
+    than one worker, at least 2 rows and not on a pool thread, the rows
+    are cut into one contiguous group per worker, each task(group, 1) in a
+    copy of this thread's context: the calling thread takes the first
+    group, the pool the others, and a group's error is raised here, after
+    every group has ended.  Otherwise task(slice(None), worker_count())
+    runs once here."""
     workers = worker_count()
-    if workers == 1 or math.prod(shape) < SLAB_MIN_SIZE or _on_pool_thread():
-        return [fn(...)]
-    bounds = [shape[0] * i // SLABS for i in range(SLABS + 1)]
+    if workers == 1 or rows < 2 or _on_pool_thread():
+        task(slice(None), workers)
+        return
+    groups = min(workers, rows)
+    bounds = [rows * i // groups for i in range(groups + 1)]
     pool = _slab_pool(workers)
-    futures = [pool.submit(contextvars.copy_context().run, fn, slice(lo, hi))
-               for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    wait(futures)
-    return [future.result() for future in futures]
+    futures = [pool.submit(contextvars.copy_context().run, task, slice(lo, hi), 1)
+               for lo, hi in zip(bounds[1:], bounds[2:])]
+    try:
+        task(slice(0, bounds[1]), 1)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def slab_map(fn, shape: tuple[int, ...]) -> None:
+    """fn(sl) on every group of rows sl of the first axis of an array of
+    this shape, split by _split; below SLAB_MIN_SIZE points fn(slice(None))
+    runs once here.  fn must work point by point and write only into its
+    own rows, so the results do not depend on the split."""
+    _split(lambda sl, threads: fn(sl), shape[0] if math.prod(shape) >= SLAB_MIN_SIZE else 1)
 
 
 def run_beside(fn, *args) -> Future:
     """fn(*args) on the slab pool, beside this thread, as a Future whose
     result() returns its value or raises its exception.  With one worker,
     or on a pool thread, fn runs here, before run_beside returns.  A
-    slab_map call, forward or inverse inside fn runs whole in fn's thread,
-    and a slab_map call or a split FFT batch of this thread while fn runs
-    has one worker less."""
+    slab_map call, forward or inverse inside fn runs whole in fn's thread.
+    A split of this thread while fn runs submits one group fewer than the
+    pool has threads, so none of its groups waits for fn."""
     workers = worker_count()
     if workers > 1 and not _on_pool_thread():
         return _slab_pool(workers).submit(contextvars.copy_context().run, fn, *args)
@@ -326,16 +334,9 @@ _AXES = (-3, -2, -1)
 
 def _batch(transform, arr: np.ndarray, out: np.ndarray | None, out_shape, out_dtype,
            before=None, after=None) -> np.ndarray:
-    """For each group of rows: before(rows), then transform(arr[rows],
-    out[rows], threads), then after(rows).  A batch of at least 2 arrays,
-    with more than one worker and not on a pool thread, runs one
-    contiguous group of rows per worker, each with one thread in a copy
-    of this thread's context; the calling thread takes the first group,
-    and a group's error is raised here, after every group has ended.
-    Every other batch is one group, rows = slice(None), with
-    worker_count() threads on this thread."""
-    workers = worker_count()
-    rows = arr.shape[0] if arr.ndim > 3 else 1
+    """before(rows), transform(arr[rows], out[rows], threads) and
+    after(rows) on each group of rows of a batch, split by _split; a
+    single array is one row."""
     if out is None:
         out = np.empty(out_shape, dtype=out_dtype)
 
@@ -346,20 +347,7 @@ def _batch(transform, arr: np.ndarray, out: np.ndarray | None, out_shape, out_dt
         if after is not None:
             after(sl)
 
-    if workers == 1 or rows < 2 or _on_pool_thread():
-        group(slice(None), workers)
-        return out
-    groups = min(workers, rows)
-    bounds = [rows * i // groups for i in range(groups + 1)]
-    pool = _slab_pool(workers)
-    futures = [pool.submit(contextvars.copy_context().run, group, slice(lo, hi), 1)
-               for lo, hi in zip(bounds[1:], bounds[2:])]
-    try:
-        group(slice(0, bounds[1]), 1)
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+    _split(group, arr.shape[0] if arr.ndim > 3 else 1)
     return out
 
 

@@ -141,10 +141,10 @@ class SectorKernel:
         kernel arrays (say shape (n_t, 1) on a kernel built with a leading
         time axis of 1); the result has the broadcast shape of z and the
         weights.  Every time must be finite and nonnegative.  At a scalar
-        time, with z shaped like the kernel, the modes run in slabs of the
-        kernel's first axis (grid.slab_map), and cache=True takes the
-        weights from self.tables, filled here on a miss before the slabs
-        start, so no slab writes to it.
+        time, with z shaped like the kernel, the kernel's first axis is
+        split across the workers (grid.slab_map), and cache=True takes the
+        weights from self.tables, filled here on a miss before the groups
+        start, so no group writes to it.
         """
         if check_times(t).ndim or z.shape[1:] != self.a.shape:
             return self._combine(z, self.weights(t, kind), ...)  # stays whole

@@ -57,10 +57,10 @@ and the snapshots after t = 0 go out as half spectra, +0 outside the
 block (Grid.pad).  The kernel applies, nonlinear_rhs, its projection,
 _step_arrays and the output rows take only the block.  Above n = 32
 the sector-kernel applies and the element-wise parts of N after the
-forward transform (the contraction, curl and projection) run in slabs
-of planes on the MMP_THREADS workers (grid.slab_map); each slab and
-each row group works mode by mode or point by point, so every result
-has the same bits at any thread count.  Every step opens with one
+forward transform (the contraction, curl and projection) split their
+planes across the MMP_THREADS workers as the transform batches split
+their rows (grid.slab_map), mode by mode or point by point, so every
+result has the same bits at any thread count.  Every step opens with one
 evaluation of N(z_n), which is its first stage and also reports the
 Elsasser speed max(|u| + |b|) of z_n: a non-finite speed ends the run,
 and the CFL number of the state the step advances is checked against
@@ -95,14 +95,16 @@ CFL_LIMIT = 0.5
 
 
 class BlowupError(RuntimeError):
-    """NaN or Inf detected in the state; carries the simulation time reached.
+    """NaN or Inf detected in the state, or a CFL halving that would take
+    the step size below its floor; carries the simulation time reached.
 
     The trajectory recorded up to the failure rides along so callers can
     persist partial results.
     """
 
-    def __init__(self, t: float, trajectory: "Trajectory"):
-        super().__init__(f"non-finite state detected at t = {t:g}")
+    def __init__(self, t: float, trajectory: "Trajectory",
+                 reason: str = "non-finite state detected"):
+        super().__init__(f"{reason} at t = {t:g}")
         self.t = t
         self.trajectory = trajectory
 
@@ -261,7 +263,7 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray, work: Buffers) -> tuple[np.ndarray,
     N = np.empty(z.shape, dtype=complex)
 
     def increments(sl):
-        """N before the projection on a slab of modes."""
+        """N before the projection on a group of planes of modes."""
         xi, s, out = xi_odd[:, sl], spec[:, sl], N[:, sl]
         _contract(xi, [[s[k] for k in row] for row in _SYM_INDEX], out[0:3])
         _contract(xi, [[s[9 + 3 * j + i] for j in range(3)] for i in range(3)], out[3:6])
@@ -391,7 +393,7 @@ def simulate(config: SolverConfig, z0: StateField,
     z0 must have solenoidal u and b on every mode (relative divergence
     at most SOLENOIDAL_TOL); otherwise ContractViolation is raised before
     the first row.  A non-finite z0 passes this check and ends in
-    BlowupError.
+    BlowupError, as does one that needs a step below output_dt * 2**-52.
 
     The run advances the retained block of z0 (see the module docstring),
     and every row, t = 0 included, is taken from it; the t = 0 snapshot is
@@ -467,6 +469,10 @@ def simulate(config: SolverConfig, z0: StateField,
             # CFL check before every step.  dt only ever halves, and the
             # remaining steps double with it, so output times stay exact.
             while dt * speed * grid.n / grid.length > CFL_LIMIT:
+                if 0.5 * dt < output_dt * 2 ** -52:
+                    del work
+                    raise BlowupError(t_target - remaining * dt, traj,
+                                      f"dt = {dt:g} would halve below the step-size floor")
                 dt *= 0.5
                 remaining *= 2
                 steps_per_output *= 2

@@ -410,6 +410,27 @@ class TestRunDirectory:
         assert payload["blowup_t"] == manifest["summary"]["blowup_t"] > 0
         assert payload["error"] == manifest["summary"]["error"]
 
+    def test_step_size_floor_ends_a_huge_finite_run(self, tmp_path, capsys):
+        # a finite datum so fast that dt would halve about 500 times ends
+        # at t = 0 once a halving would cross output_dt * 2**-52
+        import warnings
+        config = tmp_path / "huge.ini"
+        config.write_text(CONFIG_TEXT.replace("amplitude = 0.01", "amplitude = 1e150"))
+        out = tmp_path / "huge"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = main(["simulate", "--config", str(config), "--out", str(out)])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert "step-size floor" in payload["error"] and "non-finite" not in payload["error"]
+        # dt = 0.1 halves 51 times to output_dt * 2**-52, 0.2 * 2**-52
+        assert payload["diagnostics"]["cfl_halvings"] == 51
+        assert payload["blowup_t"] == 0.0 and payload["outputs"] == 1
+        assert read_series_csv(out / "series.csv")["t"].tolist() == [0.0]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["summary"]["blowup_t"] == 0.0
+        assert manifest["summary"]["error"] == payload["error"]
+
     def test_save_snapshots(self, tmp_path):
         cfg = RunConfig.from_text(CONFIG_TEXT.replace(
             "save_snapshots = false", "save_snapshots = true"))

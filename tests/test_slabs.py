@@ -1,17 +1,20 @@
-"""Slab-parallel stages and split FFT batches: the same bits at any thread
-count.
+"""The pool's one splitting policy and split FFT batches: the same bits
+at any thread count.
 
-Grids above n = 32 run the sector-kernel apply, the post-transform stage
-of the nonlinear term and the Leray projection in grid.SLABS planes on
-the MMP_THREADS workers; these tests run at n = 64, where the slab path
-is taken, and check that n = 32 never takes it.  FFT batches of two or
-more arrays run in one row group per worker at every grid size; these
+Work on the MMP_THREADS pool is split one way (grid._split): one
+contiguous group of rows per worker, the first on the calling thread.
+FFT batches of two or more arrays split so at every grid size; these
 tests compare them with scipy.fft bit for bit up to n = 64, and check
-that a group's error is raised and that a transform inside a slab runs
-whole.  forward's hooks, which form and truncate the right-hand side's
-products inside those groups, are checked for coverage, order, errors
-and errstate, and the right-hand side for its bits at 1 to 9 workers;
-slab_map and run_beside on a pool thread must run there.
+that a group's error is raised and that a transform in a group on a
+pool thread runs whole.  Grids above n = 32 run the sector-kernel apply,
+the post-transform stage of the nonlinear term and the Leray projection
+split the same way (grid.slab_map, with the row bounds of a batch);
+these tests run at n = 64, where the split is taken, and check that
+n = 32 never takes it.  forward's hooks, which form and truncate the
+right-hand side's products inside those groups, are checked for
+coverage, order, errors and errstate, and the right-hand side for its
+bits at 1 to 9 workers; slab_map and run_beside on a pool thread must
+run there.
 """
 
 import math
@@ -19,6 +22,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,7 +57,7 @@ def state64(grid64):
 
 @pytest.fixture
 def pool_uses(monkeypatch):
-    """Count the pool lookups of grid.slab_map, one per slab-parallel stage."""
+    """Count the pool lookups, one per split batch or slab stage."""
     uses = []
     real = grid_module._slab_pool
     monkeypatch.setattr(grid_module, "_slab_pool", lambda workers: uses.append(workers)
@@ -95,19 +99,61 @@ def _in_daemon_thread(fn):
     return result
 
 
+def _calls(fn):
+    """fn wrapped to append (sl, whether on a pool thread) to its .seen, a
+    list filled from any thread, on each call."""
+    seen = []
+
+    def call(sl):
+        seen.append((sl, grid_module._on_pool_thread()))
+        return fn(sl)
+
+    call.seen = seen
+    return call
+
+
 class TestSlabMap:
     def test_covers_every_plane_once_in_order(self, monkeypatch):
         shape = (64, 64, 33)
         monkeypatch.setenv("MMP_THREADS", "2")
-        slabs = grid_module.slab_map(lambda sl: np.arange(64)[sl], shape)
-        assert len(slabs) == grid_module.SLABS
-        assert np.array_equal(np.concatenate(slabs), np.arange(64))
-        monkeypatch.setenv("MMP_THREADS", "1")
-        assert grid_module.slab_map(lambda sl: sl, shape) == [...]
+        planes = np.zeros(64, dtype=int)
 
-    def test_small_arrays_run_whole(self, monkeypatch):
+        @_calls
+        def fn(sl):
+            planes[sl] += 1
+
+        assert grid_module.slab_map(fn, shape) is None
+        assert sorted(fn.seen, key=lambda call: call[0].start) == [
+            (slice(0, 32), False), (slice(32, 64), True)]
+        assert (planes == 1).all()
+        monkeypatch.setenv("MMP_THREADS", "1")
+        fn = _calls(lambda sl: None)
+        grid_module.slab_map(fn, shape)
+        assert fn.seen == [(slice(None), False)]
+
+    def test_small_arrays_run_whole(self, monkeypatch, pool_uses):
         monkeypatch.setenv("MMP_THREADS", "2")
-        assert grid_module.slab_map(lambda sl: sl, (32, 32, 17)) == [...]
+        fn = _calls(lambda sl: None)
+        grid_module.slab_map(fn, (32, 32, 17))
+        assert fn.seen == [(slice(None), False)] and pool_uses == []
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3", "4"])
+    def test_groups_are_those_of_a_batch(self, monkeypatch, threads):
+        # slab_map's groups of 64 planes are forward's groups of 64 arrays,
+        # and the first runs on the calling thread
+        monkeypatch.setenv("MMP_THREADS", threads)
+        caller = threading.current_thread()
+
+        def bounds(run):
+            seen = []
+            run(lambda sl: seen.append((range(64)[sl], threading.current_thread() is caller)))
+            return sorted(seen, key=lambda group: group[0].start)
+
+        slabs = bounds(lambda fn: grid_module.slab_map(fn, (64, 64, 33)))
+        assert slabs == bounds(lambda fn: forward(np.zeros((64, 8, 8, 8)), before=fn))
+        assert len(slabs) == int(threads)
+        assert [on_caller for rows, on_caller in slabs] == [True] + [False] * (len(slabs) - 1)
+        assert [k for rows, _ in slabs for k in rows] == list(range(64))
 
     def test_workers_see_the_callers_errstate(self, monkeypatch):
         monkeypatch.setenv("MMP_THREADS", "2")
@@ -195,6 +241,42 @@ def test_leray_in_place_matches_new_array(monkeypatch, n):
     assert leray_project(grid, in_place, out=in_place) is in_place
     assert in_place.tobytes() == projected.tobytes()
     assert in_place[:, 0, 0, 0].tobytes() == vhat[:, 0, 0, 0].tobytes()
+
+
+def _leray_formula(modes, v):
+    """The projection as one array formula, (xi . v) by .sum(axis=0)."""
+    dot = (modes.xi_odd * v).sum(axis=0)
+    out = v - modes.xi_odd * (dot / modes.leray_divisor)[None]
+    out[:, modes.leray_fixed] = v[:, modes.leray_fixed]
+    return out
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("block", [False, True])
+@pytest.mark.parametrize("n", [16, 64])
+def test_leray_bits_equal_the_array_formula(monkeypatch, threads, block, n):
+    monkeypatch.setenv("MMP_THREADS", threads)
+    grid = Grid(n, 2 * np.pi)
+    vhat = forward(np.random.Generator(np.random.Philox(n)).normal(size=(3, n, n, n)))
+    modes = grid.retained if block else grid
+    if block:
+        vhat = grid.truncate(vhat)
+    assert leray_project(modes, vhat).tobytes() == _leray_formula(modes, vhat).tobytes()
+
+
+def test_leray_peak_memory(monkeypatch):
+    # the 3-component output and two 1-component scratch arrays: 10.4 MiB
+    monkeypatch.setenv("MMP_THREADS", "1")
+    grid = Grid(64, 2 * np.pi)
+    vhat = forward(np.random.Generator(np.random.Philox(5)).normal(size=(3, 64, 64, 64)))
+    leray_project(grid, vhat)  # the grid's cached per-mode arrays
+    tracemalloc.start()
+    try:
+        leray_project(grid, vhat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20
 
 
 @pytest.mark.parametrize("scheme", ["etd-rk2", "if-rk4"])
@@ -360,40 +442,52 @@ class TestSplitBatches:
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_transform_in_a_slab_runs_whole(self, monkeypatch, no_pool_on_pool, n):
-        # Were the slab's batch split, each worker would wait on a group
-        # queued behind the remaining slabs, and no slab would finish.
+        # The group on a pool thread must transform its batch whole: were
+        # it split there, a pool thread would wait on the pool.  The
+        # calling thread's group splits its batch as any caller does.
         monkeypatch.setenv("MMP_THREADS", "2")
         phys = np.random.Generator(np.random.Philox(3)).normal(size=(9, n, n, n))
         spec, _ = _scipy_pair(phys)
-        same = _in_daemon_thread(lambda: grid_module.slab_map(
-            lambda sl: forward(phys).tobytes() == spec.tobytes(), (64, 64, 33)))
-        assert same == [True] * grid_module.SLABS
+        same = []
+        fn = _calls(lambda sl: same.append(forward(phys).tobytes() == spec.tobytes()))
+        _in_daemon_thread(lambda: grid_module.slab_map(fn, (64, 64, 33)))
+        assert sorted(on_pool for _, on_pool in fn.seen) == [False, True]
+        assert same == [True, True]
 
 
 class TestPoolThreadGuard:
     def test_slab_map_in_a_slab_runs_whole(self, monkeypatch, no_pool_on_pool):
-        # Each of the 2 workers would wait on inner slabs queued behind the
-        # remaining outer ones, and no slab would finish.
+        # A slab_map call in the group on a pool thread runs whole there;
+        # the one in the calling thread's group splits as any caller does.
         monkeypatch.setenv("MMP_THREADS", "2")
         shape = (64, 64, 33)
-        slabs = _in_daemon_thread(lambda: grid_module.slab_map(
-            lambda sl: grid_module.slab_map(lambda inner: np.arange(64)[inner], shape), shape))
-        assert len(slabs) == grid_module.SLABS
-        for inner in slabs:
-            assert len(inner) == 1 and np.array_equal(inner[0], np.arange(64))
+        inner = []
+
+        def outer(sl):
+            on_pool = grid_module._on_pool_thread()
+            fn = _calls(lambda inner_sl: None)
+            grid_module.slab_map(fn, shape)
+            inner.append((on_pool, sorted(fn.seen, key=lambda call: call[0].start or 0)))
+
+        _in_daemon_thread(lambda: grid_module.slab_map(outer, shape))
+        assert sorted(inner) == [
+            (False, [(slice(0, 32), False), (slice(32, 64), True)]),
+            (True, [(slice(None), True)])]
 
     def test_run_beside_in_a_slab_runs_here(self, monkeypatch, no_pool_on_pool):
         monkeypatch.setenv("MMP_THREADS", "2")
+        pairs = []
 
         def slab(sl):
             future = grid_module.run_beside(lambda: threading.current_thread().name)
-            assert future.done()
-            return threading.current_thread().name, future.result()
+            if grid_module._on_pool_thread():
+                assert future.done()
+            pairs.append((threading.current_thread().name, future.result()))
 
-        pairs = _in_daemon_thread(lambda: grid_module.slab_map(slab, (64, 64, 33)))
-        assert len(pairs) == grid_module.SLABS
-        assert all(outer.startswith("mmplab-slab") and inner == outer
-                   for outer, inner in pairs)
+        _in_daemon_thread(lambda: grid_module.slab_map(slab, (64, 64, 33)))
+        on_pool = [(outer, inner) for outer, inner in pairs if outer.startswith("mmplab-slab")]
+        assert len(pairs) == 2 and len(on_pool) == 1
+        assert all(inner == outer for outer, inner in on_pool)
 
 
 @pytest.fixture
@@ -487,7 +581,7 @@ class TestForwardHooks:
 
     @pytest.mark.parametrize("threads", ["2", "3"])
     @pytest.mark.parametrize("failing", ["pool", "caller"])
-    @pytest.mark.parametrize("hook", ["before", "after"])
+    @pytest.mark.parametrize("hook", ["before", "after", "slab_map"])
     def test_hook_error_is_raised_after_every_group_ends(self, monkeypatch, threads,
                                                          failing, hook):
         monkeypatch.setenv("MMP_THREADS", threads)
@@ -504,7 +598,10 @@ class TestForwardHooks:
                 ended.append(True)
 
         with pytest.raises(RuntimeError, match="hook failed"):
-            forward(phys, **{hook: fn})
+            if hook == "slab_map":
+                grid_module.slab_map(fn, (64, 64, 33))
+            else:
+                forward(phys, **{hook: fn})
         assert len(started) == len(ended) == int(threads)
 
     @pytest.mark.parametrize("threads", ["2", "3"])
