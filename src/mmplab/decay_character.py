@@ -204,12 +204,18 @@ def estimate_decay_character(profile: SpectralProfile | ShellProfile,
                              rho_window: tuple[float, float] | None = None
                              ) -> DecayCharacterEstimate:
     """Least-squares slope of log E(rho) vs log rho at the profile's sample
-    radii; r* = (slope - 3)/2."""
+    radii; r* = (slope - 3)/2.  Raises ValueError for a window outside
+    0 < lo < hi and for an analytic profile's window that starts at or
+    above its support radius, where E(rho) is flat and would read as
+    r* = -3/2."""
     if rho_window is None:
         rho_window = profile.default_window()
     lo, hi = rho_window
     if not 0 < lo < hi:
         raise ValueError(f"invalid window {rho_window}")
+    if isinstance(profile, SpectralProfile) and lo >= profile.support_radius:
+        raise ValueError(f"window starts at {lo:g}, at or above the profile's "
+                         f"support radius {profile.support_radius:g}")
 
     rhos = profile.sample_radii(lo, hi)
     if rhos.size < 8:

@@ -33,35 +33,28 @@ block.
 
 forward and inverse write into a caller's array when given out=, through
 the same pocketfft calls that scipy.fft.rfftn and irfftn make, so the bits
-do not depend on it.  The right-hand side passes block_only: then each
-of pocketfft's three one-axis passes is its own call, in pocketfft's
-order, and only the lines that matter to the block are transformed, each
-with the bits of the 3-axis call (Orszag 1971; Bowman & Roberts 2011).
-The inverse transforms along x and y only the kz <= c planes, the others
-being zeros, in place in its input, and sets those planes back to +0
-outside the block, so the right-hand side's padded spectra (solver's
-Buffers.padded) hold zeros outside the block between calls and
-pad(out=) only rewrites the block; the forward transforms along y only
-the retained x rows of those planes, so only the block of its output is
-defined.  A Grid is a value: it caches only arrays derived from n and
-length, so any number of threads may share one.
+do not depend on it.  The right-hand side passes work=, one scratch row
+per row group: each group then takes its rows one at a time, end to end,
+and runs pocketfft's three one-axis passes as calls of their own, in its
+order, on only the lines that matter to the retained block, each with the
+bits of the 3-axis call (Orszag 1971; Bowman & Roberts 2011).  A Grid is
+a value: it caches only arrays derived from n and length, so any number
+of threads may share one.
 
 The MMP_THREADS workers (worker_count) split work one way (_split): the
-first axis is cut into one contiguous group of rows per worker, the
-calling thread takes the first group and the pool the others, each in a
-copy of the caller's context, and a group's error is raised once every
+first axis is cut into one contiguous group of rows per worker, numbered
+from 0, the calling thread takes group 0 and the pool the others, each in
+a copy of the caller's context, and a group's error is raised once every
 group has ended; one worker, fewer than 2 rows or a pool thread runs the
-whole array here.  FFT batches split their arrays so, each group a
-one-thread pocketfft call into its own rows of the output (a whole batch
-is one call per pass with worker_count() threads), and forward's hooks
-run in the groups: before(rows) fills a group's rows of the input and
-after(rows) reads its rows of the output, so the element-wise work
-around a transform splits with it.  The slab stages (slab_map) split
-their planes so once an array has SLAB_MIN_SIZE points, and run_beside
-runs one task beside the calling thread (the data generator's next
-normal draws).  No result's bits depend on the thread count.  No pool
-thread submits to the pool: slab_map, run_beside and the transforms run
-whole in the pool thread that calls them.
+whole array here as group 0.  FFT batches split their arrays so, each
+group a one-thread pocketfft call into its own rows of the output (a
+whole batch is one call per pass with worker_count() threads), or, with
+work=, a run of its rows on the group's scratch row.  The slab stages
+(slab_map) split their planes so once an array has SLAB_MIN_SIZE points,
+and run_beside runs one task beside the calling thread (the data
+generator's next normal draws).  No result's bits depend on the thread
+count.  No pool thread submits to the pool: slab_map, run_beside and the
+transforms run whole in the pool thread that calls them.
 """
 
 from __future__ import annotations
@@ -79,8 +72,9 @@ import numpy as np
 from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
 # Slab stages split their first axis once an array has SLAB_MIN_SIZE points
-# per component; smaller ones (every grid up to n = 32) run whole, where the
-# pool's overhead outweighs the work.
+# per component; smaller ones run whole, where the pool's overhead outweighs
+# the work.  The retained block, (2c + 1)^2 (c + 1) points, reaches it from
+# n = 64 (40,678; 35,301 at n = 62), a half spectrum from n = 44.
 SLAB_MIN_SIZE = 40_000
 
 
@@ -122,24 +116,24 @@ def _on_pool_thread() -> bool:
 
 
 def _split(task, rows: int) -> None:
-    """task(sl, threads) on every row of an array's first axis.  With more
-    than one worker, at least 2 rows and not on a pool thread, the rows
-    are cut into one contiguous group per worker, each task(group, 1) in a
-    copy of this thread's context: the calling thread takes the first
-    group, the pool the others, and a group's error is raised here, after
-    every group has ended.  Otherwise task(slice(None), worker_count())
-    runs once here."""
+    """task(sl, threads, group) on every row of an array's first axis.
+    With more than one worker, at least 2 rows and not on a pool thread,
+    the rows are cut into min(workers, rows) contiguous groups numbered
+    from 0, each task(rows, 1, group) in a copy of this thread's context:
+    the calling thread takes group 0, the pool the others, and a group's
+    error is raised here, after every group has ended.  Otherwise
+    task(slice(None), worker_count(), 0) runs once here."""
     workers = worker_count()
     if workers == 1 or rows < 2 or _on_pool_thread():
-        task(slice(None), workers)
+        task(slice(None), workers, 0)
         return
     groups = min(workers, rows)
     bounds = [rows * i // groups for i in range(groups + 1)]
     pool = _slab_pool(workers)
-    futures = [pool.submit(contextvars.copy_context().run, task, slice(lo, hi), 1)
-               for lo, hi in zip(bounds[1:], bounds[2:])]
+    futures = [pool.submit(contextvars.copy_context().run, task, slice(lo, hi), 1, group)
+               for group, (lo, hi) in enumerate(zip(bounds[1:], bounds[2:]), 1)]
     try:
-        task(slice(0, bounds[1]), 1)
+        task(slice(0, bounds[1]), 1, 0)
     finally:
         wait(futures)
     for future in futures:
@@ -151,7 +145,8 @@ def slab_map(fn, shape: tuple[int, ...]) -> None:
     this shape, split by _split; below SLAB_MIN_SIZE points fn(slice(None))
     runs once here.  fn must work point by point and write only into its
     own rows, so the results do not depend on the split."""
-    _split(lambda sl, threads: fn(sl), shape[0] if math.prod(shape) >= SLAB_MIN_SIZE else 1)
+    _split(lambda sl, threads, group: fn(sl),
+           shape[0] if math.prod(shape) >= SLAB_MIN_SIZE else 1)
 
 
 def run_beside(fn, *args) -> Future:
@@ -332,22 +327,14 @@ _BY_N3, _UNSCALED = 2, 0
 _AXES = (-3, -2, -1)
 
 
-def _batch(transform, arr: np.ndarray, out: np.ndarray | None, out_shape, out_dtype,
-           before=None, after=None) -> np.ndarray:
-    """before(rows), transform(arr[rows], out[rows], threads) and
-    after(rows) on each group of rows of a batch, split by _split; a
-    single array is one row."""
+def _batch(transform, arr: np.ndarray, out: np.ndarray | None, out_shape,
+           out_dtype) -> np.ndarray:
+    """transform(arr[rows], out[rows], threads) on each group of rows of a
+    batch, split by _split; a single array is one row."""
     if out is None:
         out = np.empty(out_shape, dtype=out_dtype)
-
-    def group(sl: slice, threads: int) -> None:
-        if before is not None:
-            before(sl)
-        transform(arr[sl], out[sl], threads)
-        if after is not None:
-            after(sl)
-
-    _split(group, arr.shape[0] if arr.ndim > 3 else 1)
+    _split(lambda sl, threads, group: transform(arr[sl], out[sl], threads),
+           arr.shape[0] if arr.ndim > 3 else 1)
     return out
 
 
@@ -355,76 +342,97 @@ def _r2c(phys: np.ndarray, out: np.ndarray, threads: int) -> None:
     _pocketfft.r2c(phys, _AXES, True, _BY_N3, out, threads)
 
 
-def _r2c_block(phys: np.ndarray, out: np.ndarray, threads: int) -> None:
-    """The retained block of _r2c's output, with its bits, and undefined
-    values elsewhere: pocketfft's passes in its order (z with the 1/n^3
-    factor, then x, then y), the x pass on the kz <= c planes and the y
-    pass on their retained x rows only."""
-    n = phys.shape[-1]
-    c = n // 3
-    _pocketfft.r2c(phys, (-1,), True, _UNSCALED, out, threads)
-    planes = out[..., :c + 1]
-    # pocketfft scales each real output of the z pass by T(1/ldbl_t(n^3))
-    scaled = planes.view(out.real.dtype)
-    scaled *= out.real.dtype.type(np.longdouble(1) / np.longdouble(n) ** 3)
-    _pocketfft.c2c(planes, (-3,), True, _UNSCALED, planes, threads)
-    for rows in (planes[..., :c + 1, :, :], planes[..., n - c:, :, :]):
-        _pocketfft.c2c(rows, (-2,), True, _UNSCALED, rows, threads)
-
-
 def _c2r(spec: np.ndarray, out: np.ndarray, threads: int) -> None:
     _pocketfft.c2r(spec, _AXES, spec.shape[-2], False, _UNSCALED, out, threads)
 
 
-def _c2r_block(spec: np.ndarray, out: np.ndarray, threads: int) -> None:
-    """_c2r of half spectra that are +0 outside the retained block, with
-    its bits: pocketfft's passes in its order (x, then y, then z), the x
-    and y passes in place on the kz <= c planes only, the other planes
-    being zeros in and out.  spec's block is clobbered, and the rest of
-    its kz <= c planes is set back to +0."""
-    n = spec.shape[-2]
-    c = n // 3
-    planes = spec[..., :c + 1]
-    _pocketfft.c2c(planes, (-3,), False, _UNSCALED, planes, threads)
-    _pocketfft.c2c(planes, (-2,), False, _UNSCALED, planes, threads)
-    _pocketfft.c2r(spec, (-1,), n, False, _UNSCALED, out, threads)
-    planes[..., c + 1:n - c, :, :] = 0
-    planes[..., :, c + 1:n - c, :] = 0
-
-
-def forward(phys: np.ndarray, out: np.ndarray | None = None,
-            before=None, after=None, *, block_only: bool = False) -> np.ndarray:
+def forward(phys: np.ndarray, out: np.ndarray | None = None, *,
+            work: np.ndarray | None = None, form=None) -> np.ndarray:
     """Real physical -> half spectrum over the last three axes (carries
     1/n^3), written into out (complex, not overlapping phys) when given.
 
-    before(rows) and after(rows), when given, run in each row group of the
-    batch (see _batch): before fills phys[rows] ahead of that group's
-    transform and after reads out[rows] once it is done.  A split batch
-    runs them on several threads at once, so each must touch only its own
-    rows, and the rows of out are ready only for their group's after.
-
-    With block_only, only the retained block of out is defined, with the
-    bits it has without; the lines that feed only the other modes are
-    skipped.
+    With work, complex (groups, n, n, n//2 + 1) with a row for each row
+    group of the split of phys's rows (min(worker_count(), rows) rows
+    suffice), the result is each row's retained block (Grid.truncate) with
+    the bits it has in the full transform.  Each group transforms its rows
+    one at a time into its row of work with pocketfft's passes in its
+    order (z with the 1/n^3 factor, then x, then y), the x pass on the
+    kz <= c planes and the y pass on their retained x rows only, and
+    copies the block out.  form(k, group), when given, runs in row k's
+    group before its transform and returns the row in place of phys[k],
+    made in the caller's scratch for that group (say a product of phys's
+    fields); until that transform it may use the group's row of work as
+    scratch.
     """
-    shape = phys.shape[:-1] + (phys.shape[-1] // 2 + 1,)
-    return _batch(_r2c_block if block_only else _r2c, phys, out, shape,
-                  np.result_type(phys.dtype, np.complex64), before, after)
+    if work is None:
+        shape = phys.shape[:-1] + (phys.shape[-1] // 2 + 1,)
+        return _batch(_r2c, phys, out, shape, np.result_type(phys.dtype, np.complex64))
+    grid = Grid(work.shape[-2])
+    n, c = grid.n, grid.n // 3
+    if out is None:
+        out = np.empty((len(phys),) + grid.retained_shape, dtype=work.dtype)
+    # pocketfft scales each real output of the z pass by T(1/ldbl_t(n^3))
+    scale = work.real.dtype.type(np.longdouble(1) / np.longdouble(n) ** 3)
+
+    def rows(sl: slice, threads: int, group: int) -> None:
+        half = work[group]
+        planes = half[..., :c + 1]
+        scaled = planes.view(work.real.dtype)
+        x_rows = (planes[:c + 1], planes[n - c:])
+        modes = [(part, half[m]) for part, m in grid._blocks]
+        for k in range(len(phys))[sl]:
+            row = phys[k] if form is None else form(k, group)
+            _pocketfft.r2c(row, (-1,), True, _UNSCALED, half, threads)
+            scaled *= scale
+            _pocketfft.c2c(planes, (-3,), True, _UNSCALED, planes, threads)
+            for x in x_rows:
+                _pocketfft.c2c(x, (-2,), True, _UNSCALED, x, threads)
+            block = out[k]
+            for part, mode in modes:
+                block[part] = mode
+
+    _split(rows, len(phys))
+    return out
 
 
 def inverse(spec: np.ndarray, out: np.ndarray | None = None, *,
-            block_only: bool = False) -> np.ndarray:
+            work: np.ndarray | None = None) -> np.ndarray:
     """Half spectrum -> real physical field over the last three axes,
     written into out (real, not overlapping spec) when given.
 
-    With block_only, spec must be +0 outside the retained block and is
-    used as work space: the output keeps its bits, the kz planes above c
-    are not transformed, and on return spec is +0 outside the block and
-    undefined on it.
+    With work, as in forward but +0 outside the retained block, spec is a
+    batch of retained blocks (Grid.truncate) and the result has the bits
+    of inverse(Grid.pad(spec)): each group pads its rows one at a time
+    into its row of work and runs pocketfft's passes in its order (x, then
+    y, then z), the x and y passes in place on the kz <= c planes only,
+    the other planes being zeros in and out, then sets the rest of those
+    planes back to +0, so work stays +0 outside the block.
     """
-    n = spec.shape[-2]
-    return _batch(_c2r_block if block_only else _c2r, spec, out,
-                  spec.shape[:-1] + (n,), spec.real.dtype)
+    if work is None:
+        n = spec.shape[-2]
+        return _batch(_c2r, spec, out, spec.shape[:-1] + (n,), spec.real.dtype)
+    grid = Grid(work.shape[-2])
+    n, c = grid.n, grid.n // 3
+    if out is None:
+        out = np.empty((len(spec), n, n, n), dtype=work.real.dtype)
+
+    def rows(sl: slice, threads: int, group: int) -> None:
+        half = work[group]
+        planes = half[..., :c + 1]
+        modes = [(part, half[m]) for part, m in grid._blocks]
+        outside = (planes[c + 1:n - c], planes[:, c + 1:n - c])
+        for k in range(len(spec))[sl]:
+            block = spec[k]
+            for part, mode in modes:
+                mode[...] = block[part]
+            _pocketfft.c2c(planes, (-3,), False, _UNSCALED, planes, threads)
+            _pocketfft.c2c(planes, (-2,), False, _UNSCALED, planes, threads)
+            _pocketfft.c2r(half, (-1,), n, False, _UNSCALED, out[k], threads)
+            for zeros in outside:
+                zeros[...] = 0
+
+    _split(rows, len(spec))
+    return out
 
 
 def full_spectrum(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -9,20 +9,17 @@ rule) in divergence and curl form,
     (u.grad)w             = div(u(x)w),
 
 which is 9 inverse and 18 forward real transforms per evaluation: the
-(9, ...) state, padded from the retained block, goes out in one batch and
-the products come back in two batches of nine, first the 6 symmetric
-products u_i u_j - b_i b_j and the 3 products u x b, then the 9 products
-u_j w_i; of each only the retained block is kept.  So every batch is
-pruned to the block (grid.forward and grid.inverse with block_only): the
-inverse skips the lines that carry only zeros, the forward those that
-feed only discarded modes, and the block keeps its bits.  A batch's
-products are formed and its spectra truncated inside forward's row
-groups (the before and after hooks of grid.forward), so each worker
-forms, transforms and truncates its own rows; the group holding row 0
-also takes the speed.  The padded spectra, the fields and one group of
-products and its spectra are written into the caller's Buffers, so the
-products take half the memory of one batch of 18 with the same bits; N
-itself is a new array each time.
+(9, ...) retained block goes out in one batch and the products come back
+in two batches of nine, first the 6 symmetric products u_i u_j - b_i b_j
+and the 3 products u x b, then the 9 products u_j w_i; of each only the
+retained block is kept.  Every batch is pruned to the block (grid.forward
+and grid.inverse with work=), with the block's bits, and each worker's
+row group runs its rows one at a time, end to end, in its own row of the
+caller's Buffers: the inverse pads a row and transforms it into its
+field, the forward forms a product (its form), transforms and truncates
+it.  So only the nine fields are whole-grid.  The group holding row 0 of
+the second batch also takes the speed, in b's fields, which that batch
+does not read; N itself is a new array each time.
 On the retained modes the identities are exact, because
 the truncated u and b are solenoidal and the 2/3 rule, always applied,
 keeps aliasing off those modes.  The velocity increment is
@@ -55,12 +52,13 @@ holds the Galerkin truncation's only nonzero modes; N carries the three
 increments in the same row layout.  The datum comes in as half spectra,
 and the snapshots after t = 0 go out as half spectra, +0 outside the
 block (Grid.pad).  The kernel applies, nonlinear_rhs, its projection,
-_step_arrays and the output rows take only the block.  Above n = 32
-the sector-kernel applies and the element-wise parts of N after the
-forward transform (the contraction, curl and projection) split their
-planes across the MMP_THREADS workers as the transform batches split
-their rows (grid.slab_map), mode by mode or point by point, so every
-result has the same bits at any thread count.  Every step opens with one
+_step_arrays and the output rows take only the block.  From n = 64, where
+the block reaches grid.SLAB_MIN_SIZE points, the sector-kernel applies
+and the element-wise parts of N after the forward transform (the
+contraction, curl and projection) split their planes across the
+MMP_THREADS workers as the transform batches split their rows
+(grid.slab_map), mode by mode or point by point, so every result has the
+same bits at any thread count.  Every step opens with one
 evaluation of N(z_n), which is its first stage and also reports the
 Elsasser speed max(|u| + |b|) of z_n: a non-finite speed ends the run,
 and the CFL number of the state the step advances is checked against
@@ -176,19 +174,23 @@ def _contract(xi: np.ndarray, rows, out: np.ndarray) -> None:
 
 
 class Buffers:
-    """The work arrays of the right-hand side on a grid: any number of
-    nonlinear_rhs calls on that grid may reuse them, one at a time."""
+    """The work arrays of the right-hand side on a grid: the nine fields,
+    and one row per worker (min(worker_count(), 9), read when they are
+    made) of padded spectra, products and product spectra.  Any number of
+    nonlinear_rhs calls on that grid may reuse them, one at a time, at as
+    many workers or fewer, with the same bits."""
 
     __slots__ = ("padded", "fields", "products", "spectra")
 
     def __init__(self, grid: Grid):
         half, phys = grid.spectral_shape, (grid.n,) * 3
-        # the inverse's input; +0 outside the block between calls: pad(out=)
-        # writes only the block and inverse(block_only=True) zeros the rest
-        self.padded = np.zeros((9,) + half, dtype=complex)
-        self.fields = np.empty((9,) + phys)      # its real fields
-        self.products = np.empty((9,) + phys)    # one group of nine products
-        self.spectra = np.empty((9,) + half, dtype=complex)  # their half spectra
+        rows = min(_grid.worker_count(), 9)
+        # the inverse's scratch; +0 outside the block between rows:
+        # inverse(work=) writes only the block and sets the rest back to +0
+        self.padded = np.zeros((rows,) + half, dtype=complex)
+        self.fields = np.empty((9,) + phys)
+        self.products = np.empty((rows,) + phys)
+        self.spectra = np.empty((rows,) + half, dtype=complex)
 
 
 def nonlinear_rhs(grid: Grid, z: np.ndarray, work: Buffers) -> tuple[np.ndarray, float]:
@@ -207,58 +209,60 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray, work: Buffers) -> tuple[np.ndarray,
     z is the retained block (9, 2c + 1, 2c + 1, c + 1) of grid
     (Grid.truncate), and N is one too; any other shape raises
     ContractViolation before any work; simulate checks the datum's divergence.
-    The transforms go through work, Buffers of grid.
+    The transforms go through work, Buffers of grid; Buffers of another
+    grid, or with fewer rows than workers, raise ContractViolation before
+    any work.
     """
     check_retained(grid, z)
+    if work.fields.shape[1:] != (grid.n,) * 3:
+        raise ContractViolation(f"Buffers of an n = {work.fields.shape[1]} grid "
+                                f"used on an n = {grid.n} grid")
+    if len(work.padded) < min(_grid.worker_count(), 9):
+        raise ContractViolation(f"Buffers with {len(work.padded)} rows used with "
+                                f"{_grid.worker_count()} workers")
     # resolved on the grid module at call time, so wrappers installed there see it
-    phys = _grid.inverse(grid.pad(z, out=work.padded), out=work.fields, block_only=True)
+    phys = _grid.inverse(z, out=work.fields, work=work.padded)
     u, w, b = phys[0:3], phys[3:6], phys[6:9]
     prod = work.products
+    # each group's row of spectra, as real scratch of one field's size,
+    # free until forward transforms into it
+    scratch = [row.reshape(-1).view(float)[:phys[0].size].reshape(phys.shape[1:])
+               for row in work.spectra]
     spec = np.empty((18,) + z.shape[1:], dtype=complex)
     speed = None
 
-    def stress_and_induction(rows):
-        """Products 0:9 in these rows (the 6 symmetric ones and u x b) and,
-        in the group holding row 0, the Elsasser speed."""
+    def stress_and_induction(k, group):
+        """Product k of 0:9: u_i u_j - b_i b_j for the 6 symmetric pairs,
+        then u x b as u_i b_j - b_i u_j."""
+        if k < 6:
+            (i, j), f, g = _SYM_PAIRS[k], u, b
+        else:
+            i, j, f, g = (k - 5) % 3, (k - 4) % 3, b, u
+        np.multiply(u[i], f[j], out=prod[group])
+        prod[group] -= np.multiply(b[i], g[j], out=scratch[group])
+        return prod[group]
+
+    def transport(k, group):
+        """Product 9 + k, u_i w_j with k = 3 i + j; with row 0, the
+        Elsasser speed."""
         nonlocal speed
-        ks = range(9)[rows]
-        tmp = np.empty(phys.shape[1:])
-        for k in ks:
-            if k < 6:
-                i, j = _SYM_PAIRS[k]
-                np.multiply(u[i], u[j], out=prod[k])
-                prod[k] -= np.multiply(b[i], b[j], out=tmp)
-            else:
-                i, j = (k - 5) % 3, (k - 4) % 3
-                np.multiply(u[i], b[j], out=prod[k])
-                prod[k] -= np.multiply(u[j], b[i], out=tmp)
-        if 0 in ks:
-            # |u| and |b| in scratch of their own (from 5 workers on, row 1
-            # is another group's), summed in the order of
-            # (u ** 2).sum(axis=0), so the speed keeps its bits; max is
-            # exact and propagates a NaN
-            mag = np.empty((2,) + tmp.shape)
-            for row, v in zip(mag, (u, b)):
-                np.square(v[0], out=row)
-                row += np.square(v[1], out=tmp)
-                row += np.square(v[2], out=tmp)
-                np.sqrt(row, out=row)
-            speed = float(np.add(mag[0], mag[1], out=mag[0]).max())
+        if k == 0:
+            # b's fields are free once the first batch is done: |b| and |u|
+            # go into them, each summed in the order of (u ** 2).sum(axis=0),
+            # so the speed keeps its bits; max is exact and propagates a NaN
+            np.square(b, out=b)
+            b[0] += b[1]
+            b[0] += b[2]
+            np.sqrt(b[0], out=b[0])
+            np.square(u[0], out=b[1])
+            b[1] += np.square(u[1], out=b[2])
+            b[1] += np.square(u[2], out=b[2])
+            np.sqrt(b[1], out=b[1])
+            speed = float(np.add(b[0], b[1], out=b[0]).max())
+        return np.multiply(u[k // 3], w[k % 3], out=prod[group])
 
-    def transport(rows):
-        """Products 9:18 in these rows: row k holds u_i w_j, k = 3 i + j."""
-        for k in range(9)[rows]:
-            np.multiply(u[k // 3], w[k % 3], out=prod[k])
-
-    def keep_retained(block):
-        """An after hook: the retained modes of a group's rows of spectra
-        into the same rows of block."""
-        return lambda rows: grid.truncate(work.spectra[rows], out=block[rows])
-
-    forward(prod, out=work.spectra, before=stress_and_induction,
-            after=keep_retained(spec[0:9]), block_only=True)
-    forward(prod, out=work.spectra, before=transport, after=keep_retained(spec[9:18]),
-            block_only=True)
+    forward(phys, out=spec[0:9], work=work.spectra, form=stress_and_induction)
+    forward(phys, out=spec[9:18], work=work.spectra, form=transport)
     xi_odd = grid.retained.xi_odd
     N = np.empty(z.shape, dtype=complex)
 

@@ -1,7 +1,21 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mmplab.fields import Grid, PhysParams
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def subprocess_env(**extra) -> dict:
+    """os.environ with the repository's src first on PYTHONPATH, plus
+    extra: a `python -m mmplab...` child imports the package from this
+    checkout, as the tests do, whether or not PYTHONPATH names it."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""), **extra)
 
 
 @pytest.fixture

@@ -315,9 +315,10 @@ def test_acceptance_7_first_order_asymptotics():
 # ---------------------------------------------------------------- criterion 8
 def test_acceptance_8_reproducibility(tmp_path):
     """Identical config + seed gives byte-identical CSV at 1 and 4 threads."""
-    import os
     import subprocess
     import sys
+
+    from conftest import subprocess_env
 
     t0 = time.perf_counter()
     config_text = """
@@ -339,7 +340,7 @@ output_every = 2
     blobs = {}
     for threads in ("1", "4"):
         out_dir = tmp_path / f"run_t{threads}"
-        env = dict(os.environ, MMP_THREADS=threads)
+        env = subprocess_env(MMP_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "mmplab.cli", "simulate",
              "--config", str(cfg_path), "--out", str(out_dir)],

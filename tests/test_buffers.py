@@ -6,8 +6,9 @@ weights from tables cached per (t, kind) on the kernel.  Neither may change
 a bit: these tests pin the out= transforms to scipy.fft, the two 9-row
 product batches to one batch of 18, a cached apply to a fresh kernel's, a
 run to the same run on a fresh Grid and concurrent runs on one Grid to
-serial ones, and check that a run leaves only derived arrays on its Grid
-and that the buffers stay at one group of nine products.
+serial ones, and check that a run leaves only derived arrays on its Grid,
+that the buffers hold one row of products per worker, and that buffers
+made for fewer workers than a call has fail before any work.
 """
 
 import sys
@@ -77,19 +78,46 @@ def test_two_batches_of_nine_equal_one_batch_of_18(n, monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
-def test_buffers_hold_one_group_of_nine_products():
+@pytest.mark.parametrize("threads, rows", [("1", 1), ("2", 2), ("4", 4), ("12", 9)])
+def test_buffers_hold_one_row_per_worker(monkeypatch, threads, rows):
+    monkeypatch.setenv("MMP_THREADS", threads)
     grid = Grid(16, 2 * np.pi)
     buffers = Buffers(grid)
-    assert not buffers.padded.any()  # pad(out=) writes only the retained block
-    assert buffers.padded.shape == (9,) + grid.spectral_shape
-    assert buffers.fields.shape == buffers.products.shape == (9, 16, 16, 16)
-    assert buffers.spectra.shape == (9,) + grid.spectral_shape
+    assert not buffers.padded.any()  # a row's pad writes only the retained block
+    assert buffers.fields.shape == (9, 16, 16, 16)
+    assert buffers.padded.shape == buffers.spectra.shape == (rows,) + grid.spectral_shape
+    assert buffers.products.shape == (rows, 16, 16, 16)
 
 
-# tracemalloc peak of one n = 64 right-hand side and its buffers:
-# 93.6 MiB measured with 9-row products (76.7 MiB of buffers, the 18-row
-# retained spectra and N), 130 MiB with 18-row ones
-RHS_PEAK_MIB_64 = 105.0
+@pytest.mark.parametrize("n", [16, 64])
+def test_buffers_reused_across_a_change_of_thread_count(monkeypatch, n):
+    # made at 3 workers: at 1 and 2 workers they give the bits of fresh
+    # ones, at 4 they raise before any work
+    grid = Grid(n, 2 * np.pi)
+    z = grid.truncate(random_state(grid, np.random.Generator(np.random.Philox(n))).z)
+    monkeypatch.setenv("MMP_THREADS", "3")
+    work = Buffers(grid)
+    want, speed = nonlinear_rhs(grid, z, work)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MMP_THREADS", threads)
+        got, got_speed = nonlinear_rhs(grid, z, work)
+        assert got.tobytes() == want.tobytes() and got_speed == speed, threads
+    monkeypatch.setenv("MMP_THREADS", "4")
+    work.fields[...] = 0.0
+    padded = work.padded.copy()
+    with pytest.raises(ContractViolation, match="3 rows used with 4 workers"):
+        nonlinear_rhs(grid, z, work)
+    assert not work.fields.any() and work.padded.tobytes() == padded.tobytes()
+    with pytest.raises(ContractViolation, match=f"n = {n + 2} grid used on an n = {n} grid"):
+        nonlinear_rhs(grid, z, Buffers(Grid(n + 2, 2 * np.pi)))
+
+
+# tracemalloc peak of one n = 64 right-hand side and its buffers on one
+# thread: 44.6 MiB with one row of padded spectra, products and spectra
+# per worker (25.4 MiB of buffers, 18.9 of them the fields), 93.6 MiB with
+# nine rows of each and whole-grid speed scratch, 130 MiB with 18-row
+# products
+RHS_PEAK_MIB_64 = 50.0
 
 
 def test_rhs_peak_memory_at_n64(monkeypatch):

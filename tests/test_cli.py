@@ -1,7 +1,6 @@
 """CLI, config, manifests, snapshots, and byte-reproducibility."""
 
 import json
-import os
 import re
 import struct
 import subprocess
@@ -10,7 +9,6 @@ import sys
 import numpy as np
 import pytest
 
-import mmplab
 from mmplab.cli import main
 from mmplab.fields import Grid, StateField
 from mmplab.decay_character import generate_data_with_character
@@ -19,7 +17,7 @@ from mmplab.harness import (CSV_COLUMNS, RunConfig, _to_ini, execute_run,
 from mmplab.snapshots import (SnapshotFormatError, read_snapshot,
                               write_snapshot, MAGIC)
 
-from conftest import full_band_half, full_spectrum_oracle
+from conftest import full_band_half, full_spectrum_oracle, subprocess_env
 
 CONFIG_TEXT = """
 [grid]
@@ -205,7 +203,7 @@ class TestCliBasics:
     def test_linear_decay_bad_range_prints_one_error_line(self, flags):
         proc = subprocess.run(
             [sys.executable, "-m", "mmplab.cli", "linear-decay", "--r-star", "0", *flags],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=subprocess_env())
         assert proc.returncode == 1
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
@@ -235,12 +233,19 @@ class TestCliBasics:
         assert rc == 1 and out == ""
         assert err == f"error: {message}\n"
 
+    def test_decay_char_window_beyond_the_support_exits_with_error(self, capsys):
+        # the default hard cutoff is at 1; this used to print r_star -1.5 and exit 0
+        rc = main(["decay-char", "--r", "0", "--window", "2", "5"])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == "error: window starts at 2, at or above the profile's support radius 1\n"
+
     @pytest.mark.parametrize("value", ["two", "2.5", "0", "-3"])
     def test_bad_thread_count_prints_one_error_line(self, value):
         # symbol-check runs no transform, so the check comes before any work
         proc = subprocess.run(
             [sys.executable, "-m", "mmplab.cli", "symbol-check", "--samples", "10"],
-            capture_output=True, text=True, env=dict(os.environ, MMP_THREADS=value))
+            capture_output=True, text=True, env=subprocess_env(MMP_THREADS=value))
         assert proc.returncode == 1
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
@@ -472,7 +477,7 @@ class TestReproducibility:
         outputs = {}
         for threads in ("1", "4"):
             out_dir = tmp_path / f"run{threads}"
-            env = dict(os.environ, MMP_THREADS=threads)
+            env = subprocess_env(MMP_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "mmplab.cli", "simulate", "--config",
                  str(cfg_path), "--out", str(out_dir)],
@@ -560,11 +565,10 @@ class TestSelftestCommand:
         # `PYTHONPATH=src python -m mmplab selftest | head -4`: unbuffered,
         # each line is written as its check ends, so the fifth meets a
         # closed pipe
-        src = os.path.dirname(os.path.dirname(os.path.abspath(mmplab.__file__)))
         proc = subprocess.Popen(
             [sys.executable, "-m", "mmplab", "selftest"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1"))
+            env=subprocess_env(PYTHONUNBUFFERED="1"))
         try:
             lines = [proc.stdout.readline() for _ in range(4)]
             proc.stdout.close()

@@ -97,6 +97,16 @@ class TestEstimator:
         with pytest.raises(ValueError):
             estimate_decay_character(prof, rho_window=(0.1, 0.01))
 
+    @pytest.mark.parametrize("cutoff, window", [("hard", (1.0, 5.0)), ("hard", (2.0, 5.0)),
+                                                ("gauss", (8.0, 20.0))])
+    def test_window_beyond_the_support_is_rejected(self, cutoff, window):
+        # E(rho) is flat there, which used to fit r* = -3/2 with no boundary flag
+        prof = SpectralProfile.power_law(0.0, cutoff=cutoff)
+        with pytest.raises(ValueError, match="at or above the profile's support radius"):
+            estimate_decay_character(prof, rho_window=window)
+        assert estimate_decay_character(prof, rho_window=(1e-3, 1e-1)).r_star \
+            == pytest.approx(0.0, abs=0.05)
+
     @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
     def test_power_law_rejects_non_finite_r(self, r):
         with pytest.raises(ValueError, match="decay character r must be finite"):

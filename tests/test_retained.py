@@ -135,7 +135,7 @@ def test_half_spectra_as_a_bare_array_fail_before_any_work():
     work = Buffers(grid)
     with pytest.raises(ContractViolation, match=r"retained block of shape \(9, 11, 11, 6\)"):
         nonlinear_rhs(grid, z, work)
-    assert not work.padded.any()  # pad(out=) would have written z's block
+    assert not work.padded.any()  # the inverse would have padded a row of z
 
 
 @pytest.mark.parametrize("n", [16, 64])

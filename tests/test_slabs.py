@@ -6,15 +6,16 @@ contiguous group of rows per worker, the first on the calling thread.
 FFT batches of two or more arrays split so at every grid size; these
 tests compare them with scipy.fft bit for bit up to n = 64, and check
 that a group's error is raised and that a transform in a group on a
-pool thread runs whole.  Grids above n = 32 run the sector-kernel apply,
-the post-transform stage of the nonlinear term and the Leray projection
-split the same way (grid.slab_map, with the row bounds of a batch);
-these tests run at n = 64, where the split is taken, and check that
-n = 32 never takes it.  forward's hooks, which form and truncate the
-right-hand side's products inside those groups, are checked for
-coverage, order, errors and errstate, and the right-hand side for its
-bits at 1 to 9 workers; slab_map and run_beside on a pool thread must
-run there.
+pool thread runs whole.  Arrays of grid.SLAB_MIN_SIZE points or more
+(the retained block from n = 64, a half spectrum from n = 44) run the
+sector-kernel apply, the post-transform stage of the nonlinear term and
+the Leray projection split the same way (grid.slab_map, with the row
+bounds of a batch); these tests run at n = 64, where the split is taken,
+pin those first sizes and check that n = 32 never takes it.  forward's
+form, which makes the right-hand side's products row by row inside those
+groups, each group on its own scratch index, is checked for coverage,
+order, errors and errstate, and the right-hand side for its bits at 1 to
+9 workers; slab_map and run_beside on a pool thread must run there.
 """
 
 import math
@@ -137,23 +138,46 @@ class TestSlabMap:
         grid_module.slab_map(fn, (32, 32, 17))
         assert fn.seen == [(slice(None), False)] and pool_uses == []
 
+    def test_first_splitting_sizes(self, monkeypatch):
+        # SLAB_MIN_SIZE points per component: the retained block reaches it
+        # from n = 64 (40,678 points; 35,301 at n = 62), a half spectrum
+        # from n = 44 (44,528; 38,808 at n = 42)
+        monkeypatch.setenv("MMP_THREADS", "2")
+
+        def first_split(shape_of):
+            for n in range(8, 130, 2):
+                fn = _calls(lambda sl: None)
+                grid_module.slab_map(fn, shape_of(Grid(n, 2 * np.pi)))
+                if len(fn.seen) > 1:
+                    return n
+
+        assert first_split(lambda grid: grid.retained_shape) == 64
+        assert first_split(lambda grid: grid.spectral_shape) == 44
+
     @pytest.mark.parametrize("threads", ["1", "2", "3", "4"])
     def test_groups_are_those_of_a_batch(self, monkeypatch, threads):
-        # slab_map's groups of 64 planes are forward's groups of 64 arrays,
-        # and the first runs on the calling thread
+        # slab_map's groups of 64 planes are forward's groups of 64 rows,
+        # whose scratch indices count them in order, and the first runs on
+        # the calling thread
         monkeypatch.setenv("MMP_THREADS", threads)
         caller = threading.current_thread()
+        slabs, rows = [], {}
+        grid_module.slab_map(lambda sl: slabs.append(
+            (range(64)[sl], threading.current_thread() is caller)), (64, 64, 33))
 
-        def bounds(run):
-            seen = []
-            run(lambda sl: seen.append((range(64)[sl], threading.current_thread() is caller)))
-            return sorted(seen, key=lambda group: group[0].start)
+        def form(k, group):
+            rows.setdefault(group, []).append((k, threading.current_thread() is caller))
+            return np.zeros((8, 8, 8))
 
-        slabs = bounds(lambda fn: grid_module.slab_map(fn, (64, 64, 33)))
-        assert slabs == bounds(lambda fn: forward(np.zeros((64, 8, 8, 8)), before=fn))
+        forward(np.zeros((64, 8, 8, 8)), work=np.empty((int(threads), 8, 8, 5), dtype=complex),
+                form=form)
+        slabs.sort(key=lambda slab: slab[0].start)
+        groups = [rows[group] for group in range(len(rows))]
+        assert [(range(group[0][0], group[-1][0] + 1), group[0][1]) for group in groups] == slabs
         assert len(slabs) == int(threads)
         assert [on_caller for rows, on_caller in slabs] == [True] + [False] * (len(slabs) - 1)
-        assert [k for rows, _ in slabs for k in rows] == list(range(64))
+        assert [k for group in groups for k, _ in group] == list(range(64))
+        assert all(len({on for _, on in group}) == 1 for group in groups)
 
     def test_workers_see_the_callers_errstate(self, monkeypatch):
         monkeypatch.setenv("MMP_THREADS", "2")
@@ -403,19 +427,25 @@ class TestSplitBatches:
             assert inverse(spec).tobytes() == back.tobytes()
         assert pool_uses == []
 
-    @pytest.mark.parametrize("block_only", [False, True])
+    @pytest.mark.parametrize("by_row", [False, True])
     @pytest.mark.parametrize("threads", ["2", "3"])
     @pytest.mark.parametrize("failing", ["pool", "caller"])
     @pytest.mark.parametrize("transform", ["forward", "inverse"])
     def test_group_error_is_raised_after_every_group_ends(self, monkeypatch, threads,
-                                                          failing, transform, block_only):
+                                                          failing, transform, by_row):
         monkeypatch.setenv("MMP_THREADS", threads)
         grid = Grid(16, 2 * np.pi)
         phys = np.random.Generator(np.random.Philox(2)).normal(size=(9, 16, 16, 16))
-        arg = phys if transform == "forward" else grid.pad(grid.truncate(forward(phys)))
-        # pocketfft calls per group: one 3-axis call, or the pruned passes
-        # (forward: z, x and y on two sets of x rows; inverse: x, y and z)
-        passes = {False: 1, True: 4 if transform == "forward" else 3}[block_only]
+        block = grid.truncate(forward(phys))
+        arg = phys if transform == "forward" else block if by_row else grid.pad(block)
+        kw = {"work": np.zeros((int(threads),) + grid.spectral_shape, dtype=complex)
+              } if by_row else {}
+        # pocketfft calls per group: one 3-axis call on its rows, or the
+        # pruned passes on each row in turn (forward: z, x and y on two
+        # sets of x rows; inverse: x, y and z)
+        sizes = np.diff([9 * i // int(threads) for i in range(int(threads) + 1)])
+        passes = 4 if transform == "forward" else 3
+        calls = [passes * size if by_row else 1 for size in sizes]
         started, ended = [], []
         real = grid_module._pocketfft
 
@@ -435,10 +465,11 @@ class TestSplitBatches:
         monkeypatch.setattr(grid_module, "_pocketfft", SimpleNamespace(
             r2c=group("r2c"), c2r=group("c2r"), c2c=group("c2c")))
         with pytest.raises(RuntimeError, match="group failed"):
-            getattr(grid_module, transform)(arg, block_only=block_only)
+            getattr(grid_module, transform)(arg, **kw)
         # a failing group stops at its first call, the others make all theirs
-        failed = 1 if failing == "caller" else int(threads) - 1
-        assert len(started) == len(ended) == failed + passes * (int(threads) - failed)
+        failed = [0] if failing == "caller" else range(1, int(threads))
+        want = sum(1 if i in failed else count for i, count in enumerate(calls))
+        assert len(started) == len(ended) == want
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_transform_in_a_slab_runs_whole(self, monkeypatch, no_pool_on_pool, n):
@@ -492,15 +523,23 @@ class TestPoolThreadGuard:
 
 @pytest.fixture
 def group_rows(monkeypatch):
-    """The rows of every group that nonlinear_rhs's forward batches run."""
+    """The rows of each group of every batch of nonlinear_rhs's forward
+    batches, as (group, rows it formed in turn, whether all on one thread)."""
     seen = []
     real = solver_module.forward
 
-    def spy(phys, out=None, before=None, after=None, **kw):
-        def record(rows):
-            seen.append(range(phys.shape[0])[rows])
-            before(rows)
-        return real(phys, out=out, before=record, after=after, **kw)
+    def spy(phys, out=None, *, work, form):
+        rows = {}
+
+        def record(k, group):
+            rows.setdefault(group, []).append((k, threading.current_thread()))
+            return form(k, group)
+
+        try:
+            return real(phys, out=out, work=work, form=record)
+        finally:
+            seen.extend((group, [k for k, _ in rows[group]],
+                         len({thread for _, thread in rows[group]}) == 1) for group in rows)
 
     monkeypatch.setattr(solver_module, "forward", spy)
     return seen
@@ -519,13 +558,16 @@ class TestFusedRhs:
                 monkeypatch.setenv("MMP_THREADS", threads)
                 group_rows.clear()
                 outputs[threads] = nonlinear_rhs(grid, z, Buffers(grid))
-                # each of the two batches covers rows 0..8 once, in one group
-                # per worker; at 9 workers row 0's group is row 0
+                # each of the two batches forms rows 0..8 once, in one group
+                # per worker, each group its own rows in turn on one thread;
+                # at 9 workers row 0's group is row 0
                 groups = min(int(threads), 9)
-                assert len(group_rows) == 2 * groups
-                covered = sorted(k for rows in group_rows for k in rows)
+                assert sorted(group for group, _, _ in group_rows) == sorted(2 * list(range(groups)))
+                covered = sorted(k for _, rows, _ in group_rows for k in rows)
                 assert covered == sorted(2 * list(range(9)))
-                assert [rows for rows in group_rows if 0 in rows] == 2 * [range(9 // groups)]
+                assert all(rows == sorted(rows) and one for _, rows, one in group_rows)
+                assert [rows for group, rows, _ in group_rows if group == 0] \
+                    == 2 * [list(range(9 // groups))]
         finally:
             sys.setswitchinterval(interval)
         N, speed = outputs["1"]
@@ -552,43 +594,49 @@ class TestFusedRhs:
             assert math.isnan(speed), threads
 
 
-class TestForwardHooks:
+class TestForwardForm:
     @pytest.mark.parametrize("threads", ["1", "2", "3", "4"])
-    @pytest.mark.parametrize("shape", [(9, 16, 16, 16), (9, 48, 48, 48), (16, 16, 16)])
-    def test_each_row_once_between_its_hooks(self, monkeypatch, threads, shape):
-        # before fills NaN rows with the data, and after finds its rows
-        # transformed: scipy's bits, and the same as without hooks
+    @pytest.mark.parametrize("shape", [(9, 16, 16, 16), (9, 48, 48, 48), (1, 16, 16, 16)])
+    def test_each_row_once_in_its_group(self, monkeypatch, threads, shape):
+        # form makes each row in its group's own scratch, once, with the
+        # rows of a group in turn on one thread: the block has scipy's bits,
+        # and the same as without form
         monkeypatch.setenv("MMP_THREADS", threads)
         data = np.random.Generator(np.random.Philox(4)).normal(size=shape)
-        spec, _ = _scipy_pair(data)
-        assert forward(data).tobytes() == spec.tobytes()
-        phys = np.full_like(data, np.nan)
-        out = np.full_like(spec, np.nan)
-        rows = shape[0] if len(shape) == 4 else 1
-        filled, checked = [], []
+        grid = Grid(shape[-1], 2 * np.pi)
+        want = grid.truncate(_scipy_pair(data)[0])
+        groups = min(int(threads), shape[0])
+        work = np.empty((groups,) + grid.spectral_shape, dtype=complex)
+        assert forward(data, work=work).tobytes() == want.tobytes()
+        scratch = np.full((groups,) + shape[1:], np.nan)
+        formed = []
 
-        def before(sl):
-            filled.extend(range(rows)[sl])
-            phys[sl] = data[sl]
+        def form(k, group):
+            formed.append((group, k, threading.current_thread()))
+            scratch[group] = data[k]
+            return scratch[group]
 
-        def after(sl):
-            assert out[sl].tobytes() == spec[sl].tobytes()
-            checked.extend(range(rows)[sl])
-
-        assert forward(phys, out=out, before=before, after=after) is out
-        assert sorted(filled) == sorted(checked) == list(range(rows))
-        assert out.tobytes() == spec.tobytes()
+        out = np.full_like(want, np.nan)
+        assert forward(np.full_like(data, np.nan), out=out, work=work, form=form) is out
+        assert out.tobytes() == want.tobytes()
+        assert sorted(k for _, k, _ in formed) == list(range(shape[0]))
+        by_group = [[(k, thread) for g, k, thread in formed if g == group]
+                    for group in range(groups)]
+        bounds = [shape[0] * i // groups for i in range(groups + 1)]
+        assert [[k for k, _ in rows] for rows in by_group] == [
+            list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        assert all(len({thread for _, thread in rows}) == 1 for rows in by_group)
 
     @pytest.mark.parametrize("threads", ["2", "3"])
     @pytest.mark.parametrize("failing", ["pool", "caller"])
-    @pytest.mark.parametrize("hook", ["before", "after", "slab_map"])
+    @pytest.mark.parametrize("hook", ["form", "slab_map"])
     def test_hook_error_is_raised_after_every_group_ends(self, monkeypatch, threads,
                                                          failing, hook):
         monkeypatch.setenv("MMP_THREADS", threads)
         phys = np.random.Generator(np.random.Philox(2)).normal(size=(9, 16, 16, 16))
         started, ended = [], []
 
-        def fn(sl):
+        def fn(*args):
             started.append(True)
             try:
                 if grid_module._on_pool_thread() == (failing == "pool"):
@@ -596,23 +644,31 @@ class TestForwardHooks:
                 time.sleep(0.05)  # the groups that succeed outlast the failing one
             finally:
                 ended.append(True)
+            return phys[args[0]] if hook == "form" else None
 
         with pytest.raises(RuntimeError, match="hook failed"):
             if hook == "slab_map":
                 grid_module.slab_map(fn, (64, 64, 33))
             else:
-                forward(phys, **{hook: fn})
-        assert len(started) == len(ended) == int(threads)
+                forward(phys, work=np.empty((int(threads), 16, 16, 9), dtype=complex), form=fn)
+        # a failing group stops at its first row, the others form all theirs
+        sizes = [1] * int(threads) if hook == "slab_map" else list(
+            np.diff([9 * i // int(threads) for i in range(int(threads) + 1)]))
+        failed = [0] if failing == "caller" else range(1, int(threads))
+        want = sum(1 if i in failed else size for i, size in enumerate(sizes))
+        assert len(started) == len(ended) == want
 
     @pytest.mark.parametrize("threads", ["2", "3"])
     def test_pool_groups_see_the_callers_errstate(self, monkeypatch, threads):
         monkeypatch.setenv("MMP_THREADS", threads)
         phys = np.zeros((9, 16, 16, 16))
 
-        def before(sl):
+        def form(k, group):
             if grid_module._on_pool_thread():
                 np.ones(1) / np.zeros(1)
+            return phys[k]
 
         with np.errstate(divide="raise"):
             with pytest.raises(FloatingPointError):
-                forward(phys, before=before)
+                forward(phys, work=np.empty((int(threads), 16, 16, 9), dtype=complex),
+                        form=form)
