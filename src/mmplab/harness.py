@@ -289,6 +289,9 @@ def report_from_run(run_dir, r_star: float | None = None,
     t = cols["t"]
     if window is None:
         window = config.fit_window(float(t[-1]))
+    if not 0 <= window[0] < window[1] < np.inf:
+        raise ValueError(f"fit window [{window[0]:g}, {window[1]:g}] must satisfy "
+                         "0 <= lo < hi < inf")
 
     series_map = {}
     for name in ("l2_z_sq", "l2_w_sq", "h1_z_sq", "h1_w_sq", "h2_z_sq",

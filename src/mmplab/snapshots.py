@@ -24,6 +24,7 @@ in complex64 precision.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -56,13 +57,17 @@ def read_snapshot(path) -> StateField:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise SnapshotFormatError(f"{path} is not a snapshot file (bad magic)")
-        n, length, _ = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise SnapshotFormatError(f"{path} truncated in its header")
+        n, length, _ = _HEADER.unpack(header)
+        # checked before anything is allocated, so a bad n cannot ask for memory
+        size = len(MAGIC) + _HEADER.size + 9 * 8 * n ** 3
+        if (held := os.fstat(fh.fileno()).st_size) != size:
+            raise SnapshotFormatError(f"{path} holds {held} bytes, an n = {n} snapshot {size}")
         grid = Grid(n=n, length=length)
-        count = n ** 3
         z = np.empty((9,) + grid.spectral_shape, dtype=complex)
         for comp in z:
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise SnapshotFormatError(f"{path} truncated")
+            raw = fh.read(8 * n ** 3)
             comp[...] = np.frombuffer(raw, dtype=np.complex64).reshape(n, n, n)[..., :n // 2 + 1]
     return StateField(grid, z)

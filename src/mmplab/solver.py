@@ -14,12 +14,13 @@ in two batches of nine, first the 6 symmetric products u_i u_j - b_i b_j
 and the 3 products u x b, then the 9 products u_j w_i; of each only the
 retained block is kept.  Every batch is pruned to the block (grid.forward
 and grid.inverse with work=), with the block's bits, and each worker's
-row group runs its rows one at a time, end to end, in its own row of the
-caller's Buffers: the inverse pads a row and transforms it into its
-field, the forward forms a product (its form), transforms and truncates
-it.  So only the nine fields are whole-grid.  The group holding row 0 of
+row group runs its rows one at a time, end to end, in its own work row:
+the inverse pads a row and transforms it into its field, the forward
+forms a product (its form), transforms and truncates it.  Each call makes
+its own work arrays, one row per worker of each and the nine whole-grid
+fields, so nothing is held between calls.  The group holding row 0 of
 the second batch also takes the speed, in b's fields, which that batch
-does not read; N itself is a new array each time.
+does not read.
 On the retained modes the identities are exact, because
 the truncated u and b are solenoidal and the 2/3 rule, always applied,
 keeps aliasing off those modes.  The velocity increment is
@@ -40,14 +41,10 @@ second order in h; an integrating-factor RK4 is available for convergence
 studies.  The stepper's applies cache their weight tables per (time,
 kind) on the propagator's kernel (SectorKernel.apply), so a run evaluates
 them once per step size: three for ETD-RK2 (exp, phi1, phi2 at h), two
-for IF-RK4 (exp at h and h/2); a halving of dt drops them.  simulate
-owns the Buffers: it makes one at the first right-hand side after each
-output row, every evaluation until the next row reuses it, and it drops
-it before that row, where the norms need memory of their own, and
-before it raises BlowupError.  Nothing is kept on the Grid, so
-concurrent runs may share one.  simulate advances the 2/3-rule retained
-block, one
-(9, 2c + 1, 2c + 1, c + 1) array with c = n // 3 (Grid.truncate), which
+for IF-RK4 (exp at h and h/2); a halving of dt drops them.  Nothing is
+kept on the Grid, so concurrent runs may share one.  simulate advances
+the 2/3-rule retained block, one (9, 2c + 1, 2c + 1, c + 1) array with
+c = n // 3 (Grid.truncate), which
 holds the Galerkin truncation's only nonzero modes; N carries the three
 increments in the same row layout.  The datum comes in as half spectra,
 and the snapshots after t = 0 go out as half spectra, +0 outside the
@@ -173,27 +170,7 @@ def _contract(xi: np.ndarray, rows, out: np.ndarray) -> None:
         out[i] += xi[2] * row[2]
 
 
-class Buffers:
-    """The work arrays of the right-hand side on a grid: the nine fields,
-    and one row per worker (min(worker_count(), 9), read when they are
-    made) of padded spectra, products and product spectra.  Any number of
-    nonlinear_rhs calls on that grid may reuse them, one at a time, at as
-    many workers or fewer, with the same bits."""
-
-    __slots__ = ("padded", "fields", "products", "spectra")
-
-    def __init__(self, grid: Grid):
-        half, phys = grid.spectral_shape, (grid.n,) * 3
-        rows = min(_grid.worker_count(), 9)
-        # the inverse's scratch; +0 outside the block between rows:
-        # inverse(work=) writes only the block and sets the rest back to +0
-        self.padded = np.zeros((rows,) + half, dtype=complex)
-        self.fields = np.empty((9,) + phys)
-        self.products = np.empty((rows,) + phys)
-        self.spectra = np.empty((rows,) + half, dtype=complex)
-
-
-def nonlinear_rhs(grid: Grid, z: np.ndarray, work: Buffers) -> tuple[np.ndarray, float]:
+def nonlinear_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
     """Spectral increment N = (Nu, Nw, Nb) of the quadratic terms, plus the
     Elsasser speed max(|u| + |b|) over the grid points of the truncated
     state: the speed of u +- b, which bounds the explicit transport by u in
@@ -209,25 +186,22 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray, work: Buffers) -> tuple[np.ndarray,
     z is the retained block (9, 2c + 1, 2c + 1, c + 1) of grid
     (Grid.truncate), and N is one too; any other shape raises
     ContractViolation before any work; simulate checks the datum's divergence.
-    The transforms go through work, Buffers of grid; Buffers of another
-    grid, or with fewer rows than workers, raise ContractViolation before
-    any work.
+    The work arrays are made here, one row for each row group of a 9-row
+    batch (min(worker_count(), 9), read once per call), and the nine fields.
     """
     check_retained(grid, z)
-    if work.fields.shape[1:] != (grid.n,) * 3:
-        raise ContractViolation(f"Buffers of an n = {work.fields.shape[1]} grid "
-                                f"used on an n = {grid.n} grid")
-    if len(work.padded) < min(_grid.worker_count(), 9):
-        raise ContractViolation(f"Buffers with {len(work.padded)} rows used with "
-                                f"{_grid.worker_count()} workers")
-    # resolved on the grid module at call time, so wrappers installed there see it
-    phys = _grid.inverse(z, out=work.fields, work=work.padded)
+    rows = (min(_grid.worker_count(), 9),)
+    # the inverse writes only each row's block into its +0 scratch;
+    # resolved on the grid module at call time, so wrappers installed
+    # there see it
+    phys = _grid.inverse(z, work=np.zeros(rows + grid.spectral_shape, dtype=complex))
     u, w, b = phys[0:3], phys[3:6], phys[6:9]
-    prod = work.products
+    prod = np.empty(rows + phys.shape[1:])
+    spectra = np.empty(rows + grid.spectral_shape, dtype=complex)
     # each group's row of spectra, as real scratch of one field's size,
     # free until forward transforms into it
     scratch = [row.reshape(-1).view(float)[:phys[0].size].reshape(phys.shape[1:])
-               for row in work.spectra]
+               for row in spectra]
     spec = np.empty((18,) + z.shape[1:], dtype=complex)
     speed = None
 
@@ -261,8 +235,8 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray, work: Buffers) -> tuple[np.ndarray,
             speed = float(np.add(b[0], b[1], out=b[0]).max())
         return np.multiply(u[k // 3], w[k % 3], out=prod[group])
 
-    forward(phys, out=spec[0:9], work=work.spectra, form=stress_and_induction)
-    forward(phys, out=spec[9:18], work=work.spectra, form=transport)
+    forward(phys, out=spec[0:9], work=spectra, form=stress_and_induction)
+    forward(phys, out=spec[9:18], work=spectra, form=transport)
     xi_odd = grid.retained.xi_odd
     N = np.empty(z.shape, dtype=complex)
 
@@ -332,15 +306,14 @@ def tensor_bound_report(state: StateField) -> dict:
 
 
 def _step_arrays(prop: GridPropagator, z: np.ndarray, N: np.ndarray,
-                 dt: float, scheme: str, work: Buffers) -> np.ndarray:
+                 dt: float, scheme: str) -> np.ndarray:
     """One step on a retained block z, (9, 2c + 1, 2c + 1, c + 1), of
     prop.grid from its right-hand side N = N(z), which is the first stage;
-    returns the new block.  The later stages' right-hand sides go through
-    work.  The applies and right-hand sides raise ContractViolation on any
-    other layout."""
+    returns the new block.  The applies and right-hand sides raise
+    ContractViolation on any other layout."""
 
     def rhs(arr):
-        return nonlinear_rhs(prop.grid, arr, work)[0]
+        return nonlinear_rhs(prop.grid, arr)[0]
 
     def apply(arr, t, kind):
         return prop.apply(arr, t, kind=kind, cache=True)
@@ -463,18 +436,15 @@ def simulate(config: SolverConfig, z0: StateField,
     for k in range(1, n_outputs + 1):
         t_target = k * output_dt
         remaining = steps_per_output
-        work = Buffers(grid)
         while remaining:
             # the step's first stage, with the speed of the state it advances
-            N, speed = nonlinear_rhs(grid, z, work)
+            N, speed = nonlinear_rhs(grid, z)
             if not np.isfinite(speed):
-                del work  # a holder of the error keeps this frame alive
                 raise BlowupError(t_target - (remaining - 1) * dt, trajectory=traj)
             # CFL check before every step.  dt only ever halves, and the
             # remaining steps double with it, so output times stay exact.
             while dt * speed * grid.n / grid.length > CFL_LIMIT:
                 if 0.5 * dt < output_dt * 2 ** -52:
-                    del work
                     raise BlowupError(t_target - remaining * dt, traj,
                                       f"dt = {dt:g} would halve below the step-size floor")
                 dt *= 0.5
@@ -482,9 +452,8 @@ def simulate(config: SolverConfig, z0: StateField,
                 steps_per_output *= 2
                 traj.diagnostics["cfl_halvings"] += 1
                 prop.drop_weights()
-            z = _step_arrays(prop, z, N, dt, config.scheme, work)
+            z = _step_arrays(prop, z, N, dt, config.scheme)
             remaining -= 1
-        del work  # before the row, where the norms need memory of their own
         if not np.isfinite(z).all():
             raise BlowupError(t_target, trajectory=traj)
         record(t_target, z,

@@ -109,6 +109,6 @@ def random_state(grid, rng, solenoidal=True):
 def padded_rhs(grid, z):
     """nonlinear_rhs on the retained block of half spectra z, padded back:
     N as half spectra, +0 outside the block, and the Elsasser speed."""
-    from mmplab.solver import Buffers, nonlinear_rhs
-    N, speed = nonlinear_rhs(grid, grid.truncate(z), Buffers(grid))
+    from mmplab.solver import nonlinear_rhs
+    N, speed = nonlinear_rhs(grid, grid.truncate(z))
     return grid.pad(N), speed

@@ -6,8 +6,8 @@ at a time, and skips the lines that carry only zeros in and the lines that
 feed only modes outside the 2/3-rule block out.  These tests compare them
 with one 3-axis pocketfft call (scipy.fft) bit for bit, in split and
 unsplit row groups; check that the inverse leaves its scratch +0 outside
-the block, that a reused Buffers gives the bits of a fresh one, and that a
-right-hand side makes one inverse and two 9-row forward batches.
+the block, and that a right-hand side makes one inverse and two 9-row
+forward batches.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from mmplab import grid as grid_module
 from mmplab import solver as solver_module
 from mmplab.fields import Grid
 from mmplab.grid import forward, inverse
-from mmplab.solver import Buffers, nonlinear_rhs
+from mmplab.solver import nonlinear_rhs
 
 from conftest import random_state
 
@@ -54,23 +54,6 @@ def test_block_bits_equal_one_3_axis_call(monkeypatch, threads, rows, n):
     assert out.tobytes() == back.tobytes()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("n", [16, 32, 48])
-def test_reused_buffers_give_the_bits_of_fresh_ones(monkeypatch, threads, n):
-    # the second state differs from the first, so a line left over from the
-    # first call would show in the second
-    monkeypatch.setenv("MMP_THREADS", threads)
-    grid = Grid(n, 2 * np.pi)
-    rng = np.random.Generator(np.random.Philox(n))
-    states = [grid.truncate(random_state(grid, rng).z) for _ in range(2)]
-    work = Buffers(grid)
-    for z in states:
-        N, speed = nonlinear_rhs(grid, z, work)
-        fresh, fresh_speed = nonlinear_rhs(grid, z, Buffers(grid))
-        assert N.tobytes() == fresh.tobytes()
-        assert np.float64(speed).tobytes() == np.float64(fresh_speed).tobytes()
-
-
 @pytest.mark.parametrize("n", [16, 64])
 def test_one_inverse_and_two_forward_batches_of_nine(monkeypatch, n):
     # perfbench's traced grid.fft counts look up these module attributes
@@ -88,6 +71,6 @@ def test_one_inverse_and_two_forward_batches_of_nine(monkeypatch, n):
     grid = Grid(n, 2 * np.pi)
     z = grid.truncate(random_state(grid, np.random.Generator(np.random.Philox(n))).z)
     calls.clear()
-    nonlinear_rhs(grid, z, Buffers(grid))
+    nonlinear_rhs(grid, z)
     assert calls == [("grid.inverse", 9, True), ("solver.forward", 9, True),
                      ("solver.forward", 9, True)]

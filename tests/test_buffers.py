@@ -1,14 +1,14 @@
-"""Reused transform buffers and cached sector-kernel weights.
+"""Transform outputs, the right-hand side's work arrays and cached
+sector-kernel weights.
 
-The right-hand side writes its transforms into the caller's Buffers, which
-simulate makes after each output row, and the stepper's applies take their
-weights from tables cached per (t, kind) on the kernel.  Neither may change
-a bit: these tests pin the out= transforms to scipy.fft, the two 9-row
-product batches to one batch of 18, a cached apply to a fresh kernel's, a
-run to the same run on a fresh Grid and concurrent runs on one Grid to
-serial ones, and check that a run leaves only derived arrays on its Grid,
-that the buffers hold one row of products per worker, and that buffers
-made for fewer workers than a call has fail before any work.
+The right-hand side makes its own work arrays on every call, and the
+stepper's applies take their weights from tables cached per (t, kind) on
+the kernel.  Neither may change a bit: these tests pin the out= transforms
+to scipy.fft, the two 9-row product batches to one batch of 18, a cached
+apply to a fresh kernel's, a run to the same run on a fresh Grid and
+concurrent runs on one Grid to serial ones, and check that a run leaves
+only derived arrays on its Grid, that a returned increment is never
+overwritten, and the memory a right-hand side and a held BlowupError keep.
 """
 
 import sys
@@ -26,7 +26,7 @@ from mmplab.decay_character import generate_data_with_character
 from mmplab.fields import ContractViolation, Grid, PhysParams, StateField
 from mmplab.grid import forward, inverse
 from mmplab.propagator import SectorKernel, get_propagator
-from mmplab.solver import BlowupError, Buffers, SolverConfig, nonlinear_rhs, simulate
+from mmplab.solver import BlowupError, SolverConfig, nonlinear_rhs, simulate
 
 from conftest import random_state
 
@@ -78,45 +78,11 @@ def test_two_batches_of_nine_equal_one_batch_of_18(n, monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("threads, rows", [("1", 1), ("2", 2), ("4", 4), ("12", 9)])
-def test_buffers_hold_one_row_per_worker(monkeypatch, threads, rows):
-    monkeypatch.setenv("MMP_THREADS", threads)
-    grid = Grid(16, 2 * np.pi)
-    buffers = Buffers(grid)
-    assert not buffers.padded.any()  # a row's pad writes only the retained block
-    assert buffers.fields.shape == (9, 16, 16, 16)
-    assert buffers.padded.shape == buffers.spectra.shape == (rows,) + grid.spectral_shape
-    assert buffers.products.shape == (rows, 16, 16, 16)
-
-
-@pytest.mark.parametrize("n", [16, 64])
-def test_buffers_reused_across_a_change_of_thread_count(monkeypatch, n):
-    # made at 3 workers: at 1 and 2 workers they give the bits of fresh
-    # ones, at 4 they raise before any work
-    grid = Grid(n, 2 * np.pi)
-    z = grid.truncate(random_state(grid, np.random.Generator(np.random.Philox(n))).z)
-    monkeypatch.setenv("MMP_THREADS", "3")
-    work = Buffers(grid)
-    want, speed = nonlinear_rhs(grid, z, work)
-    for threads in ("1", "2"):
-        monkeypatch.setenv("MMP_THREADS", threads)
-        got, got_speed = nonlinear_rhs(grid, z, work)
-        assert got.tobytes() == want.tobytes() and got_speed == speed, threads
-    monkeypatch.setenv("MMP_THREADS", "4")
-    work.fields[...] = 0.0
-    padded = work.padded.copy()
-    with pytest.raises(ContractViolation, match="3 rows used with 4 workers"):
-        nonlinear_rhs(grid, z, work)
-    assert not work.fields.any() and work.padded.tobytes() == padded.tobytes()
-    with pytest.raises(ContractViolation, match=f"n = {n + 2} grid used on an n = {n} grid"):
-        nonlinear_rhs(grid, z, Buffers(Grid(n + 2, 2 * np.pi)))
-
-
-# tracemalloc peak of one n = 64 right-hand side and its buffers on one
-# thread: 44.6 MiB with one row of padded spectra, products and spectra
-# per worker (25.4 MiB of buffers, 18.9 of them the fields), 93.6 MiB with
-# nine rows of each and whole-grid speed scratch, 130 MiB with 18-row
-# products
+# tracemalloc peak of one n = 64 right-hand side and its work arrays on
+# one thread: 42.6 MiB with one row of padded spectra, products and
+# spectra per worker, made per call (the fields are 18.9 MiB of it), 44.6
+# MiB with those rows held by the caller, 93.6 MiB with nine rows of each
+# and whole-grid speed scratch, 130 MiB with 18-row products
 RHS_PEAK_MIB_64 = 50.0
 
 
@@ -124,10 +90,10 @@ def test_rhs_peak_memory_at_n64(monkeypatch):
     monkeypatch.setenv("MMP_THREADS", "1")  # whole arrays: the largest temporaries
     grid = Grid(64, 2 * np.pi)
     z = grid.truncate(random_state(grid, np.random.Generator(np.random.Philox(64))).z)
-    nonlinear_rhs(grid, z, Buffers(grid))  # the per-mode arrays and transform plans stay warm
+    nonlinear_rhs(grid, z)  # the per-mode arrays and transform plans stay warm
     tracemalloc.start()
     try:
-        nonlinear_rhs(grid, z, Buffers(grid))
+        nonlinear_rhs(grid, z)
         peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
@@ -191,13 +157,12 @@ def test_returned_increment_is_not_overwritten():
     grid = Grid(16, 2 * np.pi)
     rng = np.random.Generator(np.random.Philox(16))
     first, second = (grid.truncate(random_state(grid, rng).z) for _ in range(2))
-    work = Buffers(grid)
-    N, speed = nonlinear_rhs(grid, first, work)
+    N, speed = nonlinear_rhs(grid, first)
     kept = N.copy()
-    N2, _ = nonlinear_rhs(grid, second, work)
+    N2, _ = nonlinear_rhs(grid, second)
     assert N.tobytes() == kept.tobytes()
     assert not np.shares_memory(N, N2)
-    assert nonlinear_rhs(grid, first, work)[0].tobytes() == kept.tobytes()
+    assert nonlinear_rhs(grid, first)[0].tobytes() == kept.tobytes()
 
 
 def test_runs_on_alternating_grids_are_identical():
@@ -234,8 +199,8 @@ def test_run_after_failed_runs_equals_a_run_on_a_fresh_grid():
 
 
 # tracemalloc's live memory while the BlowupError of an n = 32 run is held:
-# 1.8 MiB when the run drops its work arrays before it raises, more than
-# their 9.3 MiB when the error's traceback keeps them
+# 1.8 MiB, as the right-hand side's work arrays end with its call; more
+# than their 9.3 MiB if the error's traceback kept them
 HELD_BLOWUP_MIB_32 = 4.0
 
 
@@ -267,9 +232,8 @@ def test_concurrent_runs_on_one_grid_equal_serial_runs():
     cfg = SolverConfig(grid=grid, params=PARAMS, dt=1.0, t_end=4.0, output_every=2)
 
     def rhs_bits(seed):
-        work = Buffers(grid)
         z = grid.truncate(data[seed].z)
-        return [nonlinear_rhs(grid, z, work)[0].tobytes() for _ in range(10)]
+        return [nonlinear_rhs(grid, z)[0].tobytes() for _ in range(10)]
 
     def run_bits(seed):
         return trajectory_bits(simulate(cfg, data[seed], save_snapshots=True))

@@ -455,6 +455,23 @@ class TestRunDirectory:
         assert payload["config_hash"] == cfg.config_hash()
         assert payload["bound_valid"]
 
+    @pytest.mark.parametrize("window, analysis", [
+        (["--window", "5", "1"], ""), (["--window", "nan", "1"], ""),
+        (["--window", "-1", "1"], ""), (["--window", "0.2", "inf"], ""),
+        ([], "[analysis]\nfit_t_lo = 5\nfit_t_hi = 1\n"),
+        ([], "[analysis]\nfit_t_lo = nan\n")],
+        ids=["5-1", "nan-1", "-1-1", "0.2-inf", "config-5-1", "config-nan"])
+    def test_report_bad_window_prints_one_error_line(self, tmp_path, capsys, window, analysis):
+        # from --window or from the run's fit_t_lo / fit_t_hi alike
+        out, _ = execute_run(RunConfig.from_text(CONFIG_TEXT + analysis), out_dir=tmp_path / "r")
+        rc = main(["report", "--run", str(out), *window])
+        stdout, err = capsys.readouterr()
+        assert rc == 1 and stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: fit window [")
+        assert lines[0].endswith("must satisfy 0 <= lo < hi < inf")
+        assert not (out / "report.json").exists()
+
     def test_report_disables_rate_claims_when_bound_invalid(self, tmp_path):
         import warnings
         text = CONFIG_TEXT.replace("chi = 0.5", "chi = 0.001")
@@ -541,6 +558,28 @@ class TestSnapshots:
         path.write_bytes(b"not a snapshot at all")
         with pytest.raises(SnapshotFormatError):
             read_snapshot(path)
+
+    @pytest.mark.parametrize("case, message", [
+        ("short header", "truncated in its header"),
+        ("huge n", "holds 32 bytes, an n = 4096 snapshot 4947802325024"),
+        ("trailing bytes", "holds 36897 bytes, an n = 8 snapshot 36896")],
+        ids=["short header", "huge n", "trailing bytes"])
+    def test_malformed_file_is_one_error_line(self, tmp_path, capsys, case, message):
+        # checked against 16 + 16 + 9 * 8 n^3 bytes before any allocation
+        path = tmp_path / "bad.snap"
+        if case == "short header":
+            path.write_bytes(MAGIC + b"\x08\x00")
+        elif case == "huge n":  # 4.5 TiB of coefficients, had it been read
+            path.write_bytes(MAGIC + struct.pack("<IdI", 4096, 1.0, 3))
+        else:
+            write_snapshot(path, StateField.zero(Grid(8, 2 * np.pi)))
+            path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(SnapshotFormatError, match=re.escape(message)):
+            read_snapshot(path)
+        rc = main(["decay-char", "--field", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err.splitlines() == [f"error: {path} {message}"]
 
     def test_decay_char_from_snapshot(self, tmp_path, capsys):
         grid = Grid(32, 2 * np.pi)

@@ -1,4 +1,5 @@
-"""Every module-level import of the package is read somewhere.
+"""Every module-level import of the package and of its tests is read
+somewhere.
 
 No linter runs on this code, so a deletion that leaves an import behind
 would go unnoticed.  This walks each module's syntax tree with the standard
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mmplab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mmplab"
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -41,6 +43,7 @@ def test_the_check_finds_unread_imports():
     assert unused_imports(source) == [(3, "c")]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),
+                         ids=lambda path: path.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []

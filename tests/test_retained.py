@@ -14,11 +14,12 @@ read the datum as given.
 import numpy as np
 import pytest
 
+from mmplab import grid as grid_module
 from mmplab.decay_character import generate_data_with_character
 from mmplab.fields import (ContractViolation, Grid, PhysParams, StateField, divergence_error,
                            leray_project, spectrum_norm_sq)
 from mmplab.propagator import SectorKernel, get_propagator
-from mmplab.solver import Buffers, SolverConfig, _norm_row, _step_arrays, nonlinear_rhs, simulate
+from mmplab.solver import SolverConfig, _norm_row, _step_arrays, nonlinear_rhs, simulate
 
 from conftest import padded_rhs, random_state
 
@@ -119,23 +120,23 @@ def test_retained_step_equals_full_layout_step(monkeypatch, threads, n, dt, sche
     grid = Grid(n, 2 * np.pi)
     z = generate_data_with_character(grid, 0.0, seed=n, amplitude=0.5).z
     prop = get_propagator(grid, PARAMS)
-    work = Buffers(grid)
-    N = nonlinear_rhs(grid, grid.truncate(z), work)[0]
+    N = nonlinear_rhs(grid, grid.truncate(z))[0]
     full = half_spectrum_step(grid, z, grid.pad(N), dt, scheme)
-    block = _step_arrays(prop, grid.truncate(z), N, dt, scheme, work)
+    block = _step_arrays(prop, grid.truncate(z), N, dt, scheme)
     assert block.shape == (9,) + grid.retained_shape
     assert block.tobytes() == grid.truncate(full).tobytes()
     assert np.abs(block).max() > 0
     assert not full[:, ~grid.dealias_mask].any()
 
 
-def test_half_spectra_as_a_bare_array_fail_before_any_work():
+def test_half_spectra_as_a_bare_array_fail_before_any_work(monkeypatch):
     grid = Grid(16, 2 * np.pi)
     z = generate_data_with_character(grid, 0.0, seed=3, amplitude=0.5).z
-    work = Buffers(grid)
+    calls = []
+    monkeypatch.setattr(grid_module, "inverse", lambda *args, **kw: calls.append(args))
     with pytest.raises(ContractViolation, match=r"retained block of shape \(9, 11, 11, 6\)"):
-        nonlinear_rhs(grid, z, work)
-    assert not work.padded.any()  # the inverse would have padded a row of z
+        nonlinear_rhs(grid, z)
+    assert calls == []  # the right-hand side's first work is its inverse
 
 
 @pytest.mark.parametrize("n", [16, 64])

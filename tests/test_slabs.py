@@ -38,8 +38,7 @@ from mmplab.grid import forward, inverse
 from mmplab.harness import RunConfig, execute_run
 from mmplab.linear import make_radial_state
 from mmplab.propagator import SectorKernel
-from mmplab.solver import (Buffers, SolverConfig, advective_products, nonlinear_rhs,
-                           simulate)
+from mmplab.solver import SolverConfig, advective_products, nonlinear_rhs, simulate
 
 from conftest import padded_rhs, random_state
 
@@ -369,7 +368,7 @@ def test_small_grid_pool_use_is_the_transform_batches(pool_uses, monkeypatch):
     grid = Grid(32, 2 * np.pi)
     state = random_state(grid, np.random.Generator(np.random.Philox(32)))
     pool_uses.clear()  # the datum's three forward batches
-    nonlinear_rhs(grid, grid.truncate(state.z), Buffers(grid))
+    nonlinear_rhs(grid, grid.truncate(state.z))
     # one inverse batch of nine fields and two forward batches of nine
     # products; the slab stages between them run whole
     assert pool_uses == [2, 2, 2]
@@ -557,7 +556,7 @@ class TestFusedRhs:
             for threads in ("1", "2", "3", "4", "9"):
                 monkeypatch.setenv("MMP_THREADS", threads)
                 group_rows.clear()
-                outputs[threads] = nonlinear_rhs(grid, z, Buffers(grid))
+                outputs[threads] = nonlinear_rhs(grid, z)
                 # each of the two batches forms rows 0..8 once, in one group
                 # per worker, each group its own rows in turn on one thread;
                 # at 9 workers row 0's group is row 0
@@ -590,7 +589,7 @@ class TestFusedRhs:
         z = grid.truncate(random_state(grid, np.random.Generator(np.random.Philox(n))).z)
         for threads in ("1", "2", "3", "4", "9"):
             monkeypatch.setenv("MMP_THREADS", threads)
-            _, speed = nonlinear_rhs(grid, z, Buffers(grid))
+            _, speed = nonlinear_rhs(grid, z)
             assert math.isnan(speed), threads
 
 
