@@ -27,17 +27,16 @@ into the retained block, shape (2c + 1, 2c + 1, c + 1), from four slice
 blocks of the half spectrum (k_x and k_y each run 0 .. c, then -c .. -1;
 k_z runs 0 .. c), and Grid.pad scatters a block back with zeros
 elsewhere.  The time stepper advances that block, takes its output rows
-from it and pads it only for the inverse transform and for the half
-spectra that leave a run; Grid.retained holds the per-mode arrays on the
-block.
+from it and pads it only for the half spectra that leave a run;
+Grid.retained holds the per-mode arrays on the block.
 
-forward and inverse write into a caller's array when given out=, through
-the same pocketfft calls that scipy.fft.rfftn and irfftn make, so the bits
-do not depend on it.  The right-hand side passes work=, one scratch row
-per row group: each group then takes its rows one at a time, end to end,
-and runs pocketfft's three one-axis passes as calls of their own, in its
-order, on only the lines that matter to the retained block, each with the
-bits of the 3-axis call (Orszag 1971; Bowman & Roberts 2011).  A Grid is
+forward and inverse are the package's transforms, and both work on the
+retained block (Orszag 1971; Bowman & Roberts 2011): forward takes a
+batch of real fields to their retained blocks, inverse a batch of
+retained blocks to their real fields.  Each runs pocketfft's three
+one-axis passes as calls of its own, in its order, on only the lines
+that matter to the block, with the bits that scipy.fft.rfftn and irfftn
+(norm="forward") give on the block or for the padded block.  A Grid is
 a value: it caches only arrays derived from n and length, so any number
 of threads may share one.
 
@@ -46,15 +45,14 @@ first axis is cut into one contiguous group of rows per worker, numbered
 from 0, the calling thread takes group 0 and the pool the others, each in
 a copy of the caller's context, and a group's error is raised once every
 group has ended; one worker, fewer than 2 rows or a pool thread runs the
-whole array here as group 0.  FFT batches split their arrays so, each
-group a one-thread pocketfft call into its own rows of the output (a
-whole batch is one call per pass with worker_count() threads), or, with
-work=, a run of its rows on the group's scratch row.  The slab stages
-(slab_map) split their planes so once an array has SLAB_MIN_SIZE points,
-and run_beside runs one task beside the calling thread (the data
-generator's next normal draws).  No result's bits depend on the thread
-count.  No pool thread submits to the pool: slab_map, run_beside and the
-transforms run whole in the pool thread that calls them.
+whole array here as group 0.  A transform batch splits its rows so, and
+each group takes its rows one at a time on its own scratch row.  The
+slab stages (slab_map) split their planes so once an array has
+SLAB_MIN_SIZE points, and run_beside runs one task beside the calling
+thread (the data generator's next normal draws).  No result's bits
+depend on the thread count.  No pool thread submits to the pool:
+slab_map, run_beside and the transforms run whole in the pool thread
+that calls them.
 """
 
 from __future__ import annotations
@@ -322,53 +320,30 @@ class Grid:
         return out
 
 
-# pocketfft's normalization codes: 2 divides by n^3, 0 leaves the sum as it is
-_BY_N3, _UNSCALED = 2, 0
-_AXES = (-3, -2, -1)
-
-
-def _batch(transform, arr: np.ndarray, out: np.ndarray | None, out_shape,
-           out_dtype) -> np.ndarray:
-    """transform(arr[rows], out[rows], threads) on each group of rows of a
-    batch, split by _split; a single array is one row."""
-    if out is None:
-        out = np.empty(out_shape, dtype=out_dtype)
-    _split(lambda sl, threads, group: transform(arr[sl], out[sl], threads),
-           arr.shape[0] if arr.ndim > 3 else 1)
-    return out
-
-
-def _r2c(phys: np.ndarray, out: np.ndarray, threads: int) -> None:
-    _pocketfft.r2c(phys, _AXES, True, _BY_N3, out, threads)
-
-
-def _c2r(spec: np.ndarray, out: np.ndarray, threads: int) -> None:
-    _pocketfft.c2r(spec, _AXES, spec.shape[-2], False, _UNSCALED, out, threads)
+_UNSCALED = 0  # pocketfft's normalization code that leaves the sum as it is
 
 
 def forward(phys: np.ndarray, out: np.ndarray | None = None, *,
             work: np.ndarray | None = None, form=None) -> np.ndarray:
-    """Real physical -> half spectrum over the last three axes (carries
-    1/n^3), written into out (complex, not overlapping phys) when given.
+    """Retained blocks (Grid.truncate) of a batch of real fields
+    (rows, n, n, n), carrying 1/n^3, as a new complex array
+    (rows, 2c + 1, 2c + 1, c + 1) or written into out.
 
-    With work, complex (groups, n, n, n//2 + 1) with a row for each row
-    group of the split of phys's rows (min(worker_count(), rows) rows
-    suffice), the result is each row's retained block (Grid.truncate) with
-    the bits it has in the full transform.  Each group transforms its rows
-    one at a time into its row of work with pocketfft's passes in its
-    order (z with the 1/n^3 factor, then x, then y), the x pass on the
-    kz <= c planes and the y pass on their retained x rows only, and
-    copies the block out.  form(k, group), when given, runs in row k's
-    group before its transform and returns the row in place of phys[k],
-    made in the caller's scratch for that group (say a product of phys's
-    fields); until that transform it may use the group's row of work as
-    scratch.
+    Each group of rows (_split) transforms its rows one at a time into
+    its row of work, complex (groups, n, n, n//2 + 1), made here when not
+    given (min(worker_count(), rows) rows suffice), with pocketfft's
+    passes in its order (z with the 1/n^3 factor, then x, then y), the x
+    pass on the kz <= c planes and the y pass on their retained x rows
+    only, and copies the block out.  form(k, group), when given, runs in
+    row k's group before its transform and returns the row in place of
+    phys[k], made in the caller's scratch for that group (say a product
+    of phys's fields); until that transform it may use the group's row of
+    work as scratch.
     """
-    if work is None:
-        shape = phys.shape[:-1] + (phys.shape[-1] // 2 + 1,)
-        return _batch(_r2c, phys, out, shape, np.result_type(phys.dtype, np.complex64))
-    grid = Grid(work.shape[-2])
+    grid = Grid(phys.shape[-1])
     n, c = grid.n, grid.n // 3
+    if work is None:
+        work = np.empty((min(worker_count(), len(phys)),) + grid.spectral_shape, dtype=complex)
     if out is None:
         out = np.empty((len(phys),) + grid.retained_shape, dtype=work.dtype)
     # pocketfft scales each real output of the z pass by T(1/ldbl_t(n^3))
@@ -395,34 +370,31 @@ def forward(phys: np.ndarray, out: np.ndarray | None = None, *,
     return out
 
 
-def inverse(spec: np.ndarray, out: np.ndarray | None = None, *,
-            work: np.ndarray | None = None) -> np.ndarray:
-    """Half spectrum -> real physical field over the last three axes,
-    written into out (real, not overlapping spec) when given.
+def inverse(blocks: np.ndarray, grid: Grid) -> np.ndarray:
+    """Real fields (rows, n, n, n) of a batch of retained blocks of grid,
+    each with the bits of the 3-axis inverse of Grid.pad(block).
 
-    With work, as in forward but +0 outside the retained block, spec is a
-    batch of retained blocks (Grid.truncate) and the result has the bits
-    of inverse(Grid.pad(spec)): each group pads its rows one at a time
-    into its row of work and runs pocketfft's passes in its order (x, then
-    y, then z), the x and y passes in place on the kz <= c planes only,
-    the other planes being zeros in and out, then sets the rest of those
-    planes back to +0, so work stays +0 outside the block.
+    Each group of rows (_split) pads its rows one at a time into its row
+    of +0 scratch, made here, and runs pocketfft's passes in its order
+    (x, then y, then z), the x and y passes in place on the kz <= c
+    planes only, the other planes being zeros in and out, then sets the
+    rest of those planes back to +0, so the next row's pad only has to
+    write the block.  Blocks of another shape raise ValueError.
     """
-    if work is None:
-        n = spec.shape[-2]
-        return _batch(_c2r, spec, out, spec.shape[:-1] + (n,), spec.real.dtype)
-    grid = Grid(work.shape[-2])
+    if blocks.shape[1:] != grid.retained_shape:
+        raise ValueError(f"expected retained blocks of shape {grid.retained_shape} for "
+                         f"n = {grid.n}, got {blocks.shape}")
     n, c = grid.n, grid.n // 3
-    if out is None:
-        out = np.empty((len(spec), n, n, n), dtype=work.real.dtype)
+    work = np.zeros((min(worker_count(), len(blocks)),) + grid.spectral_shape, dtype=complex)
+    out = np.empty((len(blocks), n, n, n))
 
     def rows(sl: slice, threads: int, group: int) -> None:
         half = work[group]
         planes = half[..., :c + 1]
         modes = [(part, half[m]) for part, m in grid._blocks]
         outside = (planes[c + 1:n - c], planes[:, c + 1:n - c])
-        for k in range(len(spec))[sl]:
-            block = spec[k]
+        for k in range(len(blocks))[sl]:
+            block = blocks[k]
             for part, mode in modes:
                 mode[...] = block[part]
             _pocketfft.c2c(planes, (-3,), False, _UNSCALED, planes, threads)
@@ -431,7 +403,7 @@ def inverse(spec: np.ndarray, out: np.ndarray | None = None, *,
             for zeros in outside:
                 zeros[...] = 0
 
-    _split(rows, len(spec))
+    _split(rows, len(blocks))
     return out
 
 

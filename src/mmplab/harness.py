@@ -213,6 +213,15 @@ def execute_run(config: RunConfig, out_dir, pair_linear: bool = False,
     z0 = config.initial_state()
     solver_cfg = config.solver_config()
     save_snaps = config.getbool("output", "save_snapshots")
+    if save_snaps:
+        # one file per time simulate records, k dt output_every; rounding
+        # keeps the names in order, so a clash is between neighbours
+        output_dt = solver_cfg.dt * solver_cfg.output_every
+        names = [f"state_{k * output_dt:012.5f}.snap"
+                 for k in range(round(solver_cfg.t_end / output_dt) + 1)]
+        if clash := next((a for a, b in zip(names, names[1:]) if a == b), None):
+            raise ValueError(f"outputs {output_dt!r} apart give two snapshots the name "
+                             f"{clash}; save_snapshots needs outputs at least 1e-5 apart")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -247,8 +256,8 @@ def execute_run(config: RunConfig, out_dir, pair_linear: bool = False,
         snap_dir = out / "snapshots"
         snap_dir.mkdir(exist_ok=True)
         try:
-            for t, snap in zip(traj.times, traj.snapshots):
-                write_snapshot(snap_dir / f"state_{t:012.5f}.snap", snap)
+            for name, snap in zip(names, traj.snapshots):
+                write_snapshot(snap_dir / name, snap)
             manifest.artifacts["snapshots"] = "snapshots/"
         except OSError as exc:
             # norm series and manifest still land; the failure is surfaced
@@ -287,6 +296,8 @@ def report_from_run(run_dir, r_star: float | None = None,
         raise ValueError("r_star unknown: pass it explicitly for this run")
 
     t = cols["t"]
+    if not t.size:
+        raise ValueError(f"{run_dir / 'series.csv'}: header but no rows")
     if window is None:
         window = config.fit_window(float(t[-1]))
     if not 0 <= window[0] < window[1] < np.inf:

@@ -1,17 +1,16 @@
 """Fast invariant suite behind the `selftest` CLI subcommand.
 
 Each check is a pure function returning (ok, detail).  The suite covers the
-load-bearing identities: transform round trips against a direct DFT sum,
-the out-buffer, split-batch and pruned block transforms bit for bit against
-scipy.fft, the right-hand side's two 9-row forward batches against one
-batch of 18, projector algebra, Parseval and its half-spectrum
-multiplicity, symbol Hermiticity, the eigendecomposition semigroup against
-a scaling-and-squaring matrix exponential, generator determinism, exact
-power-law fitting, energy monotonicity of a short nonlinear run, the grid
-propagator on the retained 2/3-rule block against the per-mode semigroup,
-the one-direction radial reduction against the 26-point sphere rule and the
-blocked radial norms against per-time evaluation.  Runs in well under a
-minute.
+load-bearing identities: the block transforms' round trip, the forward
+against a direct DFT sum and both bit for bit against scipy.fft on the
+retained block, projector algebra, Parseval and its half-spectrum
+multiplicity on scipy.fft's half spectra, symbol Hermiticity, the
+eigendecomposition semigroup against a scaling-and-squaring matrix
+exponential, generator determinism, exact power-law fitting, energy
+monotonicity of a short nonlinear run, the grid propagator on the retained
+2/3-rule block against the per-mode semigroup, the one-direction radial
+reduction against the 26-point sphere rule and the blocked radial norms
+against per-time evaluation.  Runs in well under a minute.
 """
 
 from __future__ import annotations
@@ -72,94 +71,48 @@ def sphere_rule_norms(state: RadialLinearState, t: float) -> dict[str, np.ndarra
     return {key: np.array([row[key] for row in rows]) for key in rows[0]}
 
 
+def _rfft3(phys: np.ndarray) -> np.ndarray:
+    """scipy.fft's half spectra of real fields, with the package scaling."""
+    return _fft.rfftn(phys, axes=(-3, -2, -1), norm="forward")
+
+
 def check_roundtrip() -> tuple[bool, str]:
+    grid = Grid(16)
     rng = np.random.Generator(np.random.Philox(7))
     z = forward(rng.normal(size=(9, 16, 16, 16)))
-    err = np.abs(forward(inverse(z)) - z).max()
+    err = np.abs(forward(inverse(z, grid)) - z).max()
     return err < 1e-12, f"roundtrip error {err:.2e}"
 
 
 def check_dft_oracle() -> tuple[bool, str]:
     rng = np.random.Generator(np.random.Philox(8))
     phys = rng.normal(size=(8, 8, 8))
-    err = np.abs(forward(phys) - _dft_oracle(phys)[..., :5]).max()
-    return err < 1e-13, f"rfftn vs direct DFT half spectrum {err:.2e}"
-
-
-def check_out_transforms() -> tuple[bool, str]:
-    """forward and inverse into given arrays against scipy.fft, bit for bit:
-    they call pocketfft directly, so a scipy that changes it shows here."""
-    phys = np.random.Generator(np.random.Philox(10)).normal(size=(4, 12, 12, 12))
-    spec = forward(phys, out=np.empty((4, 12, 12, 7), dtype=complex))
-    back = inverse(spec, out=np.empty(phys.shape))
-    same_forward = spec.tobytes() == _fft.rfftn(
-        phys, axes=(-3, -2, -1), norm="forward").tobytes()
-    same_inverse = back.tobytes() == _fft.irfftn(
-        spec, s=(12, 12, 12), axes=(-3, -2, -1), norm="forward").tobytes()
-    return (same_forward and same_inverse,
-            f"bitwise equal to scipy.fft: forward {same_forward}, inverse {same_inverse}")
-
-
-def check_split_transforms() -> tuple[bool, str]:
-    """Batches of 9 and 18 arrays at n = 16, 32 and 48, which forward and
-    inverse cut into one group per worker, against scipy.fft's one call,
-    bit for bit, with and without out=."""
-    rng = np.random.Generator(np.random.Philox(12))
-    same = True
-    for n, rows in itertools.product((16, 32, 48), (9, 18)):
-        phys = rng.normal(size=(rows, n, n, n))
-        want = _fft.rfftn(phys, axes=(-3, -2, -1), norm="forward")
-        back = _fft.irfftn(want, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
-        same = same and all(a.tobytes() == b.tobytes() for a, b in (
-            (forward(phys), want), (forward(phys, out=np.empty_like(want)), want),
-            (inverse(want), back), (inverse(want, out=np.empty_like(back)), back)))
-    return same, (f"9 and 18 rows at n = 16, 32 and 48 on {worker_count()} worker(s): "
-                  + ("bitwise equal" if same else "bits differ"))
+    err = np.abs(forward(phys[None])[0] - Grid(8).truncate(_dft_oracle(phys)[..., :5])).max()
+    return err < 1e-13, f"retained block vs direct DFT {err:.2e}"
 
 
 def check_block_transforms() -> tuple[bool, str]:
-    """The right-hand side's pruned transforms (forward and inverse with
-    work, one scratch row per row group) at n = 16 and 48, in 9-row
-    batches, against scipy.fft's 3-axis calls bit for bit: the forward on
-    the retained block, the inverse of a block on every point, and its
-    scratch +0 outside the block afterwards."""
+    """forward and inverse at n = 16 and 48, in 9-row batches, against
+    scipy.fft's 3-axis calls bit for bit: the forward on the retained
+    block, the inverse of a block on every point.  They call pocketfft
+    directly, so a scipy that changes it shows here."""
     rng = np.random.Generator(np.random.Philox(13))
     same = True
     for n in (16, 48):
         grid = Grid(n)
         phys = rng.normal(size=(9, n, n, n))
-        want = grid.truncate(_fft.rfftn(phys, axes=(-3, -2, -1), norm="forward"))
-        work = np.zeros((min(worker_count(), 9),) + grid.spectral_shape, dtype=complex)
-        got = forward(phys, work=work)
+        want = grid.truncate(_rfft3(phys))
         back = _fft.irfftn(grid.pad(want), s=(n, n, n), axes=(-3, -2, -1), norm="forward")
-        work[...] = 0
-        same = (same and got.tobytes() == want.tobytes()
-                and inverse(want, work=work).tobytes() == back.tobytes()
-                and not grid.pad(np.zeros_like(want[:len(work)]), out=work).any())
+        same = (same and forward(phys).tobytes() == want.tobytes()
+                and inverse(want, grid).tobytes() == back.tobytes())
     return same, (f"9 rows at n = 16 and 48 on {worker_count()} worker(s): "
                   + ("bitwise equal on the block" if same else "bits differ"))
-
-
-def check_grouped_forward() -> tuple[bool, str]:
-    """The right-hand side transforms its 18 products in two batches of
-    nine; pocketfft must give each row, on the retained block, the bits it
-    gives in one batch of 18."""
-    grid = Grid(16)
-    phys = np.random.Generator(np.random.Philox(11)).normal(size=(18, 16, 16, 16))
-    want = grid.truncate(forward(phys))
-    got = np.empty_like(want)
-    half = np.empty((9,) + grid.spectral_shape, dtype=complex)
-    for rows in (slice(0, 9), slice(9, 18)):
-        grid.truncate(forward(phys[rows], out=half), out=got[rows])
-    same = got.tobytes() == want.tobytes()
-    return same, ("two batches of 9 bitwise equal to one of 18" if same
-                  else "batches of 9 differ from one batch of 18")
 
 
 def check_leray() -> tuple[bool, str]:
     grid = Grid(16)
     rng = np.random.Generator(np.random.Philox(9))
-    vhat = forward(rng.normal(size=(3, 16, 16, 16)))
+    vhat = _rfft3(rng.normal(size=(3, 16, 16, 16)))
     proj = leray_project(grid, vhat)
     div = np.abs((grid.xi_odd * proj).sum(axis=0)).max()
     twice = np.abs(leray_project(grid, proj) - proj).max()
@@ -173,7 +126,7 @@ def check_parseval() -> tuple[bool, str]:
         grid = Grid(n)
         rng = np.random.Generator(np.random.Philox(10 + n))
         phys = rng.normal(size=(n, n, n))
-        spec = forward(phys)
+        spec = _rfft3(phys)
         a = physical_norm_sq(grid, phys)
         b = spectrum_norm_sq(grid, spec)
         worst = max(worst, abs(a - b) / a)
@@ -190,7 +143,7 @@ def check_half_parseval() -> tuple[bool, str]:
         phys = rng.normal(size=(3, n, n, n))
         phys += rng.normal(size=(3, n, n, 1))  # kz = 0 plane
         phys += rng.normal(size=(3, n, n, 1)) * (-1.0) ** np.arange(n)  # kz = n/2
-        half = forward(phys)
+        half = _rfft3(phys)
         full = full_spectrum(half)
         for weight in (None, grid.xi_sq):
             got = spectrum_norm_sq(grid, half, weight=weight)
@@ -308,10 +261,7 @@ def check_grid_propagator() -> tuple[bool, str]:
 CHECKS = [
     ("transform roundtrip", check_roundtrip),
     ("direct DFT oracle", check_dft_oracle),
-    ("out-buffer transforms vs scipy.fft", check_out_transforms),
-    ("split transform batches vs scipy.fft", check_split_transforms),
-    ("pruned block transforms vs 3-axis calls on the block", check_block_transforms),
-    ("two forward batches of 9 vs one of 18", check_grouped_forward),
+    ("block transforms vs 3-axis calls on the block", check_block_transforms),
     ("Leray projection", check_leray),
     ("Parseval identity", check_parseval),
     ("half-spectrum Parseval multiplicity", check_half_parseval),

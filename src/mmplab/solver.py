@@ -12,13 +12,13 @@ which is 9 inverse and 18 forward real transforms per evaluation: the
 (9, ...) retained block goes out in one batch and the products come back
 in two batches of nine, first the 6 symmetric products u_i u_j - b_i b_j
 and the 3 products u x b, then the 9 products u_j w_i; of each only the
-retained block is kept.  Every batch is pruned to the block (grid.forward
-and grid.inverse with work=), with the block's bits, and each worker's
-row group runs its rows one at a time, end to end, in its own work row:
-the inverse pads a row and transforms it into its field, the forward
-forms a product (its form), transforms and truncates it.  Each call makes
-its own work arrays, one row per worker of each and the nine whole-grid
-fields, so nothing is held between calls.  The group holding row 0 of
+retained block is kept.  The transforms work on the block
+(grid.forward and grid.inverse), and each worker's row group runs its
+rows one at a time, end to end, in its own work row: the inverse pads a
+row and transforms it into its field, the forward forms a product (its
+form), transforms and truncates it.  Each call makes its own work
+arrays, one row per worker of each and the nine whole-grid fields, so
+nothing is held between calls.  The group holding row 0 of
 the second batch also takes the speed, in b's fields, which that batch
 does not read.
 On the retained modes the identities are exact, because
@@ -191,10 +191,9 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
     """
     check_retained(grid, z)
     rows = (min(_grid.worker_count(), 9),)
-    # the inverse writes only each row's block into its +0 scratch;
     # resolved on the grid module at call time, so wrappers installed
     # there see it
-    phys = _grid.inverse(z, work=np.zeros(rows + grid.spectral_shape, dtype=complex))
+    phys = _grid.inverse(z, grid)
     u, w, b = phys[0:3], phys[3:6], phys[6:9]
     prod = np.empty(rows + phys.shape[1:])
     spectra = np.empty(rows + grid.spectral_shape, dtype=complex)
@@ -259,19 +258,18 @@ def _advect(field_phys: np.ndarray, grad_phys: np.ndarray) -> np.ndarray:
 
 
 def advective_products(state: StateField) -> dict:
-    """Masked spectra of the advective products (F.grad)G, keyed (F, G), for
-    the pairs uu, uw, ub, bb and bu.  Formed from physical gradients, they
-    serve the tensor-bound diagnostic and test the divergence form."""
+    """Half spectra of the advective products (F.grad)G of the retained
+    block, on the block and +0 elsewhere, keyed (F, G), for the pairs uu,
+    uw, ub, bb and bu.  Formed from physical gradients, they serve the
+    tensor-bound diagnostic and test the divergence form."""
     grid = state.grid
-    mask = grid.dealias_mask
-    z = state.z * mask
-    phys = {F: _grid.inverse(z[_ROWS[F]]) for F in "ub"}
-    grads = _grid.inverse(1j * grid.xi_odd[None, :] * z[:, None])
-    out = {}
-    for F, G in (("u", "u"), ("u", "w"), ("u", "b"), ("b", "b"), ("b", "u")):
-        spec = forward(_advect(phys[F], grads[_ROWS[G]]))
-        out[F, G] = spec * mask
-    return out
+    z = grid.truncate(state.z)
+    phys = {F: _grid.inverse(z[_ROWS[F]], grid) for F in "ub"}
+    grads = 1j * grid.retained.xi_odd[None, :] * z[:, None]
+    grads = _grid.inverse(grads.reshape((27,) + z.shape[1:]), grid).reshape(
+        (9, 3) + phys["u"].shape[1:])
+    return {(F, G): grid.pad(forward(_advect(phys[F], grads[_ROWS[G]])))
+            for F, G in (("u", "u"), ("u", "w"), ("u", "b"), ("b", "b"), ("b", "u"))}
 
 
 def tensor_bound_report(state: StateField) -> dict:

@@ -1,18 +1,17 @@
-"""The right-hand side's pruned transforms: the same bits on the block.
+"""The block transforms: the bits of one 3-axis call on the block.
 
-nonlinear_rhs calls grid.inverse and grid.forward with work, one scratch
-row per row group: each group pads, transforms and truncates its rows one
-at a time, and skips the lines that carry only zeros in and the lines that
-feed only modes outside the 2/3-rule block out.  These tests compare them
-with one 3-axis pocketfft call (scipy.fft) bit for bit, in split and
-unsplit row groups; check that the inverse leaves its scratch +0 outside
-the block, and that a right-hand side makes one inverse and two 9-row
-forward batches.
+grid.forward and grid.inverse transform batches of rows, each group of
+rows one row at a time on its own scratch row: they pad, transform and
+truncate, and skip the lines that carry only zeros in and the lines that
+feed only modes outside the 2/3-rule block out.  These tests compare
+them with one 3-axis pocketfft call (scipy.fft) bit for bit, in split
+and unsplit row groups, where every group but a 1-row batch's inverts
+rows after its first on scratch that the row before it used; and check
+that a right-hand side makes one inverse and two 9-row forward batches.
 """
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from mmplab import grid as grid_module
 from mmplab import solver as solver_module
@@ -20,9 +19,7 @@ from mmplab.fields import Grid
 from mmplab.grid import forward, inverse
 from mmplab.solver import nonlinear_rhs
 
-from conftest import random_state
-
-AXES = (-3, -2, -1)
+from conftest import irfft3, random_state, rfft3
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
@@ -34,24 +31,28 @@ def test_block_bits_equal_one_3_axis_call(monkeypatch, threads, rows, n):
     monkeypatch.setenv("MMP_THREADS", threads)
     grid = Grid(n, 2 * np.pi)
     phys = np.random.Generator(np.random.Philox(n * rows)).normal(size=(rows, n, n, n))
-    want = grid.truncate(scipy.fft.rfftn(phys, axes=AXES, norm="forward"))
+    want = grid.truncate(rfft3(phys))
     groups = min(int(threads), rows)
     # only the block of a row of work is read back, so NaN elsewhere stays unseen
     work = np.full((groups,) + grid.spectral_shape, np.nan, dtype=complex)
     out = np.empty_like(want)
     assert forward(phys, out=out, work=work) is out
     assert out.tobytes() == want.tobytes()
-    assert forward(phys, work=work).tobytes() == want.tobytes()
+    assert forward(phys).tobytes() == want.tobytes()
 
-    back = scipy.fft.irfftn(grid.pad(want), s=(n, n, n), axes=AXES, norm="forward")
-    padded = np.zeros((groups,) + grid.spectral_shape, dtype=complex)
-    assert inverse(want, work=padded).tobytes() == back.tobytes()
-    # the scratch is +0 outside the block again, so a row's pad writes only the block
-    zeros = np.zeros((groups,) + grid.retained_shape, dtype=complex)
-    assert grid.pad(zeros, out=padded).tobytes() == bytes(padded.nbytes)
-    out = np.empty_like(back)
-    assert inverse(want, out=out, work=padded) is out
-    assert out.tobytes() == back.tobytes()
+    back = irfft3(grid.pad(want))
+    blocks = want.copy()
+    got = inverse(blocks, grid)
+    assert got.dtype == np.float64 and got.tobytes() == back.tobytes()
+    assert blocks.tobytes() == want.tobytes()  # the input is left as it was
+
+
+@pytest.mark.parametrize("shape", [(2, 13, 13, 7), (2, 11, 11, 9), (11, 11, 6)])
+def test_inverse_rejects_blocks_of_another_grid(shape):
+    # n = 16 has the block (11, 11, 6) and n = 18 (13, 13, 7); the last is one
+    # block without its batch axis
+    with pytest.raises(ValueError, match=r"retained blocks of shape \(11, 11, 6\) for n = 16"):
+        inverse(np.zeros(shape, dtype=complex), Grid(16, 2 * np.pi))
 
 
 @pytest.mark.parametrize("n", [16, 64])
@@ -72,5 +73,6 @@ def test_one_inverse_and_two_forward_batches_of_nine(monkeypatch, n):
     z = grid.truncate(random_state(grid, np.random.Generator(np.random.Philox(n))).z)
     calls.clear()
     nonlinear_rhs(grid, z)
-    assert calls == [("grid.inverse", 9, True), ("solver.forward", 9, True),
+    # the inverse makes its own scratch; the forward batches share the caller's
+    assert calls == [("grid.inverse", 9, False), ("solver.forward", 9, True),
                      ("solver.forward", 9, True)]

@@ -445,6 +445,23 @@ class TestRunDirectory:
         state = read_snapshot(files[0])
         assert state.grid.n == 16
 
+    def test_snapshot_names_that_clash_exit_with_error(self, tmp_path, capsys):
+        # four outputs 1e-6 apart would all write state_000000.00000.snap
+        text = (CONFIG_TEXT.replace("dt = 0.1", "dt = 1e-6").replace("t_end = 1.0", "t_end = 3e-6")
+                .replace("output_every = 2", "output_every = 1"))
+        config = tmp_path / "close.ini"
+        config.write_text(text.replace("save_snapshots = false", "save_snapshots = true"))
+        rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")])
+        stdout, err = capsys.readouterr()
+        assert rc == 1 and stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "state_000000.00000.snap" in err
+        assert not (tmp_path / "run").exists()
+        # without snapshots the same run records its four outputs
+        config.write_text(text)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "plain")]) == 0
+        assert len(read_series_csv(tmp_path / "plain" / "series.csv")["t"]) == 4
+
     def test_report_cli_roundtrip(self, tmp_path, capsys):
         cfg = RunConfig.from_text(CONFIG_TEXT)
         out, _ = execute_run(cfg, out_dir=tmp_path / "rep", pair_linear=True)
@@ -470,6 +487,18 @@ class TestRunDirectory:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: fit window [")
         assert lines[0].endswith("must satisfy 0 <= lo < hi < inf")
+        assert not (out / "report.json").exists()
+
+    def test_report_on_a_series_without_rows_prints_one_error_line(self, tmp_path, capsys):
+        out, _ = execute_run(RunConfig.from_text(CONFIG_TEXT), out_dir=tmp_path / "r")
+        series = out / "series.csv"
+        series.write_text(series.read_text().splitlines()[0] + "\n")
+        rc = main(["report", "--run", str(out)])
+        stdout, err = capsys.readouterr()
+        assert rc == 1 and stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert lines[0].endswith("no rows")
         assert not (out / "report.json").exists()
 
     def test_report_disables_rate_claims_when_bound_invalid(self, tmp_path):

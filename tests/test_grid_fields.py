@@ -10,7 +10,7 @@ from mmplab.fields import (ContractViolation, Grid, PhysParams, StateField, curl
 from mmplab.grid import forward, full_spectrum, inverse
 
 from conftest import (conjugate_flip, full_band_half, full_spectrum_oracle,
-                      hermitian_symmetrize, random_state, reality_error)
+                      hermitian_symmetrize, irfft3, random_state, reality_error, rfft3)
 
 
 def dft_oracle(phys):
@@ -78,37 +78,39 @@ class TestPhysParams:
 
 
 class TestTransforms:
+    """forward and inverse on retained blocks, against a direct DFT."""
+
     def test_single_mode_roundtrip(self, grid16):
         spec = np.zeros((3, 16, 16, 9), dtype=complex)
         spec[0, 1, 0, 0] = 1.0
         spec[0, -1 % 16, 0, 0] = 1.0  # conjugate partner
         state = StateField(grid16, np.concatenate([spec, np.zeros_like(spec), np.zeros_like(spec)]))
-        rt = forward(inverse(state.z))
-        assert np.abs(rt[0:3] - spec).max() < 1e-14
+        rt = forward(inverse(grid16.truncate(state.z), grid16))
+        assert np.abs(rt[0:3] - grid16.truncate(spec)).max() < 1e-14
 
     def test_zero_field(self, grid16):
         state = StateField.zero(grid16)
-        rt = forward(inverse(state.z))
+        rt = forward(inverse(grid16.truncate(state.z), grid16))
         assert np.abs(rt[0:3]).max() == 0.0
 
     def test_random_roundtrip(self, grid16, rng):
-        state = random_state(grid16, rng)
-        rt = forward(inverse(state.z))
-        for a, b in zip((rt[0:3], rt[3:6], rt[6:9]), state.components()):
-            assert np.abs(a - b).max() < 1e-12
+        z = grid16.truncate(random_state(grid16, rng).z)
+        assert np.abs(forward(inverse(z, grid16)) - z).max() < 1e-12
 
-    def test_against_direct_dft(self, rng):
+    def test_against_direct_dft(self, grid8, rng):
         phys = rng.normal(size=(8, 8, 8))
-        assert np.abs(forward(phys) - dft_oracle(phys)[..., :5]).max() < 1e-13
+        want = grid8.truncate(dft_oracle(phys)[..., :5])
+        assert np.abs(forward(phys[None])[0] - want).max() < 1e-13
 
     def test_real_field_conjugate_symmetry(self, grid8, rng):
         # the expanded half spectrum is the full, conjugate-symmetric DFT
         phys = rng.normal(size=(8, 8, 8))
-        assert np.abs(full_spectrum(forward(phys)) - dft_oracle(phys)).max() < 1e-13
+        assert np.abs(full_spectrum(rfft3(phys)) - dft_oracle(phys)).max() < 1e-13
 
     def test_inverse_is_real(self, grid8, rng):
-        phys = rng.normal(size=(2, 8, 8, 8))
-        back = inverse(forward(phys))
+        # fields whose modes all lie in the block come back from their blocks
+        phys = irfft3(grid8.pad(grid8.truncate(rfft3(rng.normal(size=(2, 8, 8, 8))))))
+        back = inverse(forward(phys), grid8)
         assert back.dtype == np.float64 and back.shape == phys.shape
         assert np.abs(back - phys).max() < 1e-14
 
@@ -136,25 +138,25 @@ def leray_oracle(grid, vhat):
 
 class TestLeray:
     def test_annihilates_gradients(self, grid16, rng):
-        ghat = forward(rng.normal(size=(16, 16, 16)))
+        ghat = rfft3(rng.normal(size=(16, 16, 16)))
         grad = 1j * grid16.xi_odd * ghat[None]
         proj = leray_project(grid16, grad)
         assert np.abs(proj).max() < 1e-13 * np.abs(grad).max()
 
     def test_divergence_free_unchanged(self, grid16, rng):
-        vhat = leray_project(grid16, forward(rng.normal(size=(3, 16, 16, 16))))
+        vhat = leray_project(grid16, rfft3(rng.normal(size=(3, 16, 16, 16))))
         again = leray_project(grid16, vhat)
         assert np.abs(again - vhat).max() < 1e-14
 
     def test_output_divergence_and_idempotence(self, grid16, rng):
-        vhat = forward(rng.normal(size=(3, 16, 16, 16)))
+        vhat = rfft3(rng.normal(size=(3, 16, 16, 16)))
         proj = leray_project(grid16, vhat)
         div = (grid16.xi_odd * proj).sum(axis=0)
         assert np.abs(div).max() < 1e-12
         assert np.abs(leray_project(grid16, proj) - proj).max() < 1e-13
 
     def test_matches_componentwise_oracle(self, grid8, rng):
-        vhat = forward(rng.normal(size=(3, 8, 8, 8)))
+        vhat = rfft3(rng.normal(size=(3, 8, 8, 8)))
         assert np.abs(leray_project(grid8, vhat) -
                       leray_oracle(grid8, vhat)).max() < 1e-14
 
@@ -185,7 +187,7 @@ class TestLeray:
         assert np.array_equal(proj[:, fixed], vhat[:, fixed])
 
     def test_pythagoras(self, grid16, rng):
-        vhat = forward(rng.normal(size=(3, 16, 16, 16)))
+        vhat = rfft3(rng.normal(size=(3, 16, 16, 16)))
         proj = leray_project(grid16, vhat)
         rest = vhat - proj
         total = spectrum_norm_sq(grid16, vhat)
@@ -211,7 +213,7 @@ class TestNorms:
         grid = Grid(n)
         phys = rng.normal(size=(n, n, n))
         a = physical_norm_sq(grid, phys)
-        b = spectrum_norm_sq(grid, forward(phys))
+        b = spectrum_norm_sq(grid, rfft3(phys))
         assert abs(a - b) / a < 1e-10
 
     def test_single_interior_mode_counts_twice(self, grid8):
@@ -229,7 +231,7 @@ class TestNorms:
         phys = rng.normal(size=(3, n, n, n))
         phys += 2.0 * rng.normal(size=(3, n, n, 1))
         phys += 2.0 * rng.normal(size=(3, n, n, 1)) * (-1.0) ** np.arange(n)
-        spec = forward(phys)
+        spec = rfft3(phys)
         a = physical_norm_sq(grid, phys)
         for plane in (0, n // 2):
             share = grid.volume * (np.abs(spec[..., plane]) ** 2).sum() / a
@@ -259,13 +261,13 @@ class TestNorms:
 
 class TestOperators:
     def test_curl_of_gradient_vanishes(self, grid16, rng):
-        ghat = forward(rng.normal(size=(16, 16, 16)))
+        ghat = rfft3(rng.normal(size=(16, 16, 16)))
         grad = 1j * grid16.xi_odd * ghat[None]
         c = curl_at(grid16.xi_odd, grad)
         assert np.abs(c).max() < 1e-13 * max(np.abs(grad).max(), 1.0)
 
     def test_divergence_of_curl_vanishes(self, grid16, rng):
-        vhat = forward(rng.normal(size=(3, 16, 16, 16)))
+        vhat = rfft3(rng.normal(size=(3, 16, 16, 16)))
         d = 1j * (grid16.xi_odd * curl_at(grid16.xi_odd, vhat)).sum(axis=0)
         assert np.abs(d).max() < 1e-12 * np.abs(vhat).max()
 
@@ -282,8 +284,8 @@ class TestHermitianSymmetrize:
         sym = hermitian_symmetrize(spec)
         assert np.abs(sym - conjugate_flip(sym)).max() < 1e-14
         half = sym[..., :5]
-        phys = inverse(half)
-        assert np.abs(forward(phys) - half).max() < 1e-13
+        phys = irfft3(half)
+        assert np.abs(rfft3(phys) - half).max() < 1e-13
 
     def test_full_spectrum_inverts_slicing(self, rng):
         spec = rng.normal(size=(2, 8, 8, 8)) + 1j * rng.normal(size=(2, 8, 8, 8))

@@ -28,7 +28,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from mmplab import grid as grid_module
 from mmplab import solver as solver_module
@@ -40,7 +39,7 @@ from mmplab.linear import make_radial_state
 from mmplab.propagator import SectorKernel
 from mmplab.solver import SolverConfig, advective_products, nonlinear_rhs, simulate
 
-from conftest import padded_rhs, random_state
+from conftest import irfft3, padded_rhs, random_state, rfft3
 
 PARAMS = PhysParams(mu=1.0, gamma=1.0, chi=0.5, nu=1.0)
 
@@ -244,7 +243,7 @@ def test_nonlinear_rhs_independent_of_thread_count(grid64, state64, pool_uses,
     for threads in ("2", "4"):
         assert outputs[threads][0].tobytes() == N.tobytes()
         assert outputs[threads][1] == speed
-    u, _, b = np.split(grid_module.inverse(grid64.pad(grid64.truncate(state64.z))), 3)
+    u, _, b = np.split(irfft3(grid64.pad(grid64.truncate(state64.z))), 3)
     assert speed == (np.sqrt((u ** 2).sum(axis=0)) + np.sqrt((b ** 2).sum(axis=0))).max()
     adv = advective_products(state64)
     oracle = (leray_project(grid64, adv["b", "b"] - adv["u", "u"]), -adv["u", "w"],
@@ -257,7 +256,7 @@ def test_nonlinear_rhs_independent_of_thread_count(grid64, state64, pool_uses,
 def test_leray_in_place_matches_new_array(monkeypatch, n):
     monkeypatch.setenv("MMP_THREADS", "2")
     grid = Grid(n, 2 * np.pi)
-    vhat = forward(np.random.Generator(np.random.Philox(n)).normal(size=(3, n, n, n)))
+    vhat = rfft3(np.random.Generator(np.random.Philox(n)).normal(size=(3, n, n, n)))
     vhat[:, 0, 0, 0] = complex(-0.0, -0.0)  # a mode the projection passes through
     projected = leray_project(grid, vhat)
     in_place = vhat.copy()
@@ -280,7 +279,7 @@ def _leray_formula(modes, v):
 def test_leray_bits_equal_the_array_formula(monkeypatch, threads, block, n):
     monkeypatch.setenv("MMP_THREADS", threads)
     grid = Grid(n, 2 * np.pi)
-    vhat = forward(np.random.Generator(np.random.Philox(n)).normal(size=(3, n, n, n)))
+    vhat = rfft3(np.random.Generator(np.random.Philox(n)).normal(size=(3, n, n, n)))
     modes = grid.retained if block else grid
     if block:
         vhat = grid.truncate(vhat)
@@ -291,7 +290,7 @@ def test_leray_peak_memory(monkeypatch):
     # the 3-component output and two 1-component scratch arrays: 10.4 MiB
     monkeypatch.setenv("MMP_THREADS", "1")
     grid = Grid(64, 2 * np.pi)
-    vhat = forward(np.random.Generator(np.random.Philox(5)).normal(size=(3, 64, 64, 64)))
+    vhat = rfft3(np.random.Generator(np.random.Philox(5)).normal(size=(3, 64, 64, 64)))
     leray_project(grid, vhat)  # the grid's cached per-mode arrays
     tracemalloc.start()
     try:
@@ -393,10 +392,10 @@ def test_small_grid_pool_use_is_the_transform_batches(pool_uses, monkeypatch):
     assert pool_uses == [2]
 
 
-def _scipy_pair(phys):
-    n = phys.shape[-1]
-    spec = scipy.fft.rfftn(phys, axes=(-3, -2, -1), norm="forward")
-    return spec, scipy.fft.irfftn(spec, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+def _scipy_pair(grid, phys):
+    """scipy.fft's retained blocks of phys and the fields of those blocks."""
+    block = grid.truncate(rfft3(phys))
+    return block, irfft3(grid.pad(block))
 
 
 class TestSplitBatches:
@@ -406,45 +405,40 @@ class TestSplitBatches:
     def test_bitwise_equal_to_scipy(self, pool_uses, monkeypatch, threads, rows, n):
         # 3 and 4 workers cut 9 and 18 rows into groups of unequal sizes
         monkeypatch.setenv("MMP_THREADS", threads)
+        grid = Grid(n, 2 * np.pi)
         phys = np.random.Generator(np.random.Philox(n * rows)).normal(size=(rows, n, n, n))
-        spec, back = _scipy_pair(phys)
-        assert forward(phys).tobytes() == spec.tobytes()
-        out = np.empty_like(spec)
-        assert forward(phys, out=out) is out and out.tobytes() == spec.tobytes()
-        assert inverse(spec).tobytes() == back.tobytes()
-        out = np.empty_like(back)
-        assert inverse(spec, out=out) is out and out.tobytes() == back.tobytes()
-        assert pool_uses == ([] if threads == "1" else [int(threads)] * 4)
+        block, back = _scipy_pair(grid, phys)
+        assert forward(phys).tobytes() == block.tobytes()
+        out = np.empty_like(block)
+        assert forward(phys, out=out) is out and out.tobytes() == block.tobytes()
+        assert inverse(block, grid).tobytes() == back.tobytes()
+        assert pool_uses == ([] if threads == "1" else [int(threads)] * 3)
 
     def test_single_arrays_run_whole(self, pool_uses, monkeypatch):
+        # a batch of one row
         monkeypatch.setenv("MMP_THREADS", "2")
         rng = np.random.Generator(np.random.Philox(1))
-        for shape in ((16, 16, 16), (1, 16, 16, 16), (48, 48, 48), (1, 64, 64, 64)):
-            phys = rng.normal(size=shape)
-            spec, back = _scipy_pair(phys)
-            assert forward(phys).tobytes() == spec.tobytes()
-            assert inverse(spec).tobytes() == back.tobytes()
+        for n in (16, 48, 64):
+            grid = Grid(n, 2 * np.pi)
+            phys = rng.normal(size=(1, n, n, n))
+            block, back = _scipy_pair(grid, phys)
+            assert forward(phys).tobytes() == block.tobytes()
+            assert inverse(block, grid).tobytes() == back.tobytes()
         assert pool_uses == []
 
-    @pytest.mark.parametrize("by_row", [False, True])
     @pytest.mark.parametrize("threads", ["2", "3"])
     @pytest.mark.parametrize("failing", ["pool", "caller"])
     @pytest.mark.parametrize("transform", ["forward", "inverse"])
     def test_group_error_is_raised_after_every_group_ends(self, monkeypatch, threads,
-                                                          failing, transform, by_row):
+                                                          failing, transform):
         monkeypatch.setenv("MMP_THREADS", threads)
         grid = Grid(16, 2 * np.pi)
         phys = np.random.Generator(np.random.Philox(2)).normal(size=(9, 16, 16, 16))
-        block = grid.truncate(forward(phys))
-        arg = phys if transform == "forward" else block if by_row else grid.pad(block)
-        kw = {"work": np.zeros((int(threads),) + grid.spectral_shape, dtype=complex)
-              } if by_row else {}
-        # pocketfft calls per group: one 3-axis call on its rows, or the
-        # pruned passes on each row in turn (forward: z, x and y on two
-        # sets of x rows; inverse: x, y and z)
+        args = (phys,) if transform == "forward" else (forward(phys), grid)
+        # pocketfft calls per group: the passes on each row in turn
+        # (forward: z, x and y on two sets of x rows; inverse: x, y and z)
         sizes = np.diff([9 * i // int(threads) for i in range(int(threads) + 1)])
-        passes = 4 if transform == "forward" else 3
-        calls = [passes * size if by_row else 1 for size in sizes]
+        calls = [(4 if transform == "forward" else 3) * size for size in sizes]
         started, ended = [], []
         real = grid_module._pocketfft
 
@@ -464,7 +458,7 @@ class TestSplitBatches:
         monkeypatch.setattr(grid_module, "_pocketfft", SimpleNamespace(
             r2c=group("r2c"), c2r=group("c2r"), c2c=group("c2c")))
         with pytest.raises(RuntimeError, match="group failed"):
-            getattr(grid_module, transform)(arg, **kw)
+            getattr(grid_module, transform)(*args)
         # a failing group stops at its first call, the others make all theirs
         failed = [0] if failing == "caller" else range(1, int(threads))
         want = sum(1 if i in failed else count for i, count in enumerate(calls))
@@ -477,9 +471,9 @@ class TestSplitBatches:
         # calling thread's group splits its batch as any caller does.
         monkeypatch.setenv("MMP_THREADS", "2")
         phys = np.random.Generator(np.random.Philox(3)).normal(size=(9, n, n, n))
-        spec, _ = _scipy_pair(phys)
+        block, _ = _scipy_pair(Grid(n, 2 * np.pi), phys)
         same = []
-        fn = _calls(lambda sl: same.append(forward(phys).tobytes() == spec.tobytes()))
+        fn = _calls(lambda sl: same.append(forward(phys).tobytes() == block.tobytes()))
         _in_daemon_thread(lambda: grid_module.slab_map(fn, (64, 64, 33)))
         assert sorted(on_pool for _, on_pool in fn.seen) == [False, True]
         assert same == [True, True]
@@ -579,8 +573,8 @@ class TestFusedRhs:
         # a NaN at the last point of b_y
         real = grid_module.inverse
 
-        def inverse(spec, out=None, **kw):
-            phys = real(spec, out=out, **kw)
+        def inverse(blocks, grid):
+            phys = real(blocks, grid)
             phys[7, -1, -1, -1] = np.nan
             return phys
 
@@ -603,7 +597,7 @@ class TestForwardForm:
         monkeypatch.setenv("MMP_THREADS", threads)
         data = np.random.Generator(np.random.Philox(4)).normal(size=shape)
         grid = Grid(shape[-1], 2 * np.pi)
-        want = grid.truncate(_scipy_pair(data)[0])
+        want = _scipy_pair(grid, data)[0]
         groups = min(int(threads), shape[0])
         work = np.empty((groups,) + grid.spectral_shape, dtype=complex)
         assert forward(data, work=work).tobytes() == want.tobytes()
