@@ -338,8 +338,10 @@ def forward(phys: np.ndarray, out: np.ndarray | None = None, *,
     row k's group before its transform and returns the row in place of
     phys[k], made in the caller's scratch for that group (say a product
     of phys's fields); until that transform it may use the group's row of
-    work as scratch.
+    work as scratch.  A phys of another shape raises ValueError.
     """
+    if phys.ndim != 4 or phys.shape[1:] != (phys.shape[-1],) * 3:
+        raise ValueError(f"expected a batch of real fields (rows, n, n, n), got {phys.shape}")
     grid = Grid(phys.shape[-1])
     n, c = grid.n, grid.n // 3
     if work is None:

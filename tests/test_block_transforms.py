@@ -55,6 +55,13 @@ def test_inverse_rejects_blocks_of_another_grid(shape):
         inverse(np.zeros(shape, dtype=complex), Grid(16, 2 * np.pi))
 
 
+@pytest.mark.parametrize("shape", [(16, 16, 16), (2, 16, 16, 9), (2, 16, 8, 16)])
+def test_forward_rejects_arrays_that_are_not_a_batch(shape):
+    # the first is one field without its batch axis
+    with pytest.raises(ValueError, match=r"batch of real fields \(rows, n, n, n\)"):
+        forward(np.zeros(shape))
+
+
 @pytest.mark.parametrize("n", [16, 64])
 def test_one_inverse_and_two_forward_batches_of_nine(monkeypatch, n):
     # perfbench's traced grid.fft counts look up these module attributes

@@ -1,9 +1,11 @@
-"""The right-hand side's work arrays and cached sector-kernel weights.
+"""Transform outputs, the right-hand side's work arrays and cached
+sector-kernel weights.
 
 The right-hand side makes its own work arrays on every call, and the
 stepper's applies take their weights from tables cached per (t, kind) on
-the kernel.  Neither may change a bit: these tests pin a cached apply
-to a fresh kernel's, a run to the same run on a fresh Grid and
+the kernel.  Neither may change a bit: these tests pin the out= forward
+and the inverse to scipy.fft, the two 9-row forward batches to one batch
+of 18, a cached apply to a fresh kernel's, a run to the same run on a fresh Grid and
 concurrent runs on one Grid to serial ones, and check that a run leaves
 only derived arrays on its Grid, that a returned increment is never
 overwritten, and the memory a right-hand side and a held BlowupError keep.
@@ -17,10 +19,12 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from mmplab import solver
 from mmplab.decay_character import generate_data_with_character
 from mmplab.fields import ContractViolation, Grid, PhysParams, StateField
+from mmplab.grid import forward, inverse
 from mmplab.propagator import SectorKernel, get_propagator
 from mmplab.solver import BlowupError, SolverConfig, nonlinear_rhs, simulate
 
@@ -39,6 +43,40 @@ def holds_only_derived_arrays(grid):
     """The Grid's instance dict has its fields and cached properties only."""
     cached = {name for name, attr in vars(Grid).items() if isinstance(attr, cached_property)}
     return set(vars(grid)) <= cached | {"n", "length"}
+
+
+@pytest.mark.parametrize("n", [8, 12, 32])
+def test_out_transforms_equal_scipy_bitwise(n, monkeypatch):
+    # 5 rows in two unequal groups, forward's work made per call
+    monkeypatch.setenv("MMP_THREADS", "2")
+    grid = Grid(n, 2 * np.pi)
+    phys = np.random.Generator(np.random.Philox(n)).normal(size=(5, n, n, n))
+    want = grid.truncate(sfft.rfftn(phys, axes=(-3, -2, -1), norm="forward", workers=2))
+    out = np.empty(want.shape, dtype=complex)
+    assert forward(phys, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    assert forward(phys).tobytes() == want.tobytes()
+
+    back = sfft.irfftn(grid.pad(want), s=(n, n, n), axes=(-3, -2, -1), norm="forward",
+                       workers=2)
+    blocks = want.copy()
+    assert inverse(blocks, grid).tobytes() == back.tobytes()
+    assert blocks.tobytes() == want.tobytes()  # the input is left as it was
+
+
+@pytest.mark.parametrize("n", [16, 32, 48, 64])
+def test_two_batches_of_nine_equal_one_batch_of_18(n, monkeypatch):
+    # nonlinear_rhs writes its two 9-row batches into halves of one array
+    grid = Grid(n, 2 * np.pi)
+    phys = np.random.Generator(np.random.Philox(n)).normal(size=(18, n, n, n))
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MMP_THREADS", threads)
+        want = forward(phys)
+        got = np.empty_like(want)
+        work = np.empty((int(threads),) + grid.spectral_shape, dtype=complex)
+        for rows in (slice(0, 9), slice(9, 18)):
+            forward(phys[rows], out=got[rows], work=work)
+        assert got.tobytes() == want.tobytes()
 
 
 # tracemalloc peak of one n = 64 right-hand side and its work arrays on
