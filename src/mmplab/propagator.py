@@ -22,9 +22,8 @@ A kernel takes the layout of the wavevectors it is built on: (9, n_r) on
 the radial nodes, half spectra (9, n, n, n//2 + 1) on the grid's.  The
 grid propagator holds one kernel, on the 2/3-rule retained block
 (9, 2c + 1, 2c + 1, c + 1) (see :mod:`mmplab.grid`), the one layout the
-time stepper advances, and raises ContractViolation on any other shape.
-The spectral radius over the half spectrum is read from the decay rates
-alone, without a kernel.
+time stepper advances, and raises ContractViolation on any other shape;
+its spectral radius is read from that kernel's rates.
 
 An apply at a scalar time with cache=True keeps its weight table (the
 five per-mode weights of the sector and the magnetic factor) on the kernel
@@ -58,23 +57,10 @@ _WEIGHTS = {"exp": np.exp, "phi1": phi1, "phi2": phi2}
 _ORDER = {"exp": 0, "phi1": 1, "phi2": 2}
 
 
-def _rates(q2, xi_sq, params: PhysParams):
-    """Per mode, from the squared coupling q2 and |xi|^2: the transverse
-    block's diagonal a and b, and the decay rates of the longitudinal w and
-    of b."""
-    a = (params.mu + params.chi) * xi_sq
-    b = params.gamma * xi_sq + 2.0 * params.chi
-    return a, b, -(b + q2), -params.nu * xi_sq
-
-
-def _lower_eigenvalue(a, b, c2):
-    return -0.5 * (a + b) - np.sqrt((0.5 * (a - b)) ** 2 + c2)
-
-
 def sector_eigenvalues(a, b, c2):
     """Eigenvalues lam- <= lam+ <= 0 of [[-a, c], [c, -b]] with c^2 = c2;
     lam+ comes from the determinant, accurate where |lam+| << |lam-|."""
-    lam_lo = _lower_eigenvalue(a, b, c2)
+    lam_lo = -0.5 * (a + b) - np.sqrt((0.5 * (a - b)) ** 2 + c2)
     lam_hi = np.divide(a * b - c2, lam_lo, out=np.zeros_like(lam_lo), where=lam_lo < 0)
     return lam_lo, lam_hi
 
@@ -130,7 +116,11 @@ class SectorKernel:
         # subnormal q2, where the pair's weights equal the transverse ones
         self.direction = np.divide(coupling, np.sqrt(q2), out=np.zeros_like(coupling),
                                    where=q2 > 0)
-        self.a, self.b, self.lam_w_long, self.lam_mag = _rates(q2, xi_sq, params)
+        # the transverse block's diagonal, and the decay rates of the
+        # longitudinal w and of b
+        self.a = (params.mu + params.chi) * xi_sq
+        self.b = params.gamma * xi_sq + 2.0 * params.chi
+        self.lam_w_long, self.lam_mag = -(self.b + q2), -params.nu * xi_sq
         self.lam_lo, self.lam_hi = sector_eigenvalues(self.a, self.b, params.chi ** 2 * q2)
         self.tables: dict[tuple[float, str], tuple[np.ndarray, ...]] = {}
 
@@ -200,17 +190,15 @@ class GridPropagator:
     retained block."""
 
     def __init__(self, grid: Grid, params: PhysParams):
-        self.grid, self.params = grid, params
+        self.grid = grid
         self.retained_kernel = SectorKernel(grid.retained.xi_odd, grid.retained.xi_sq, params)
 
     @property
     def spectral_radius(self) -> float:
-        """Largest decay rate over every mode of the half spectrum, from the
-        rates a half-spectrum kernel would hold, without building one."""
-        q2 = (self.grid.xi_odd ** 2).sum(axis=0)
-        a, b, lam_w_long, lam_mag = _rates(q2, self.grid.xi_sq, self.params)
-        lam_lo = _lower_eigenvalue(a, b, self.params.chi ** 2 * q2)
-        return float(max(-lam_lo.min(), -lam_w_long.min(), -lam_mag.min()))
+        """Largest decay rate over the retained block, the modes the run
+        advances."""
+        k = self.retained_kernel
+        return float(max(-k.lam_lo.min(), -k.lam_w_long.min(), -k.lam_mag.min()))
 
     def apply(self, z: np.ndarray, t: float, kind: str = "exp",
               cache: bool = False) -> np.ndarray:

@@ -9,8 +9,9 @@ eigendecomposition semigroup against a scaling-and-squaring matrix
 exponential, generator determinism, exact power-law fitting, energy
 monotonicity of a short nonlinear run, the grid propagator on the retained
 2/3-rule block against the per-mode semigroup, the one-direction radial
-reduction against the 26-point sphere rule and the blocked radial norms
-against per-time evaluation.  Runs in well under a minute.
+reduction against the 26-point sphere rule, the blocked radial norms
+against per-time evaluation and the derivative rates at r* = 0 on the
+radial path.  Runs in well under a minute.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ import itertools
 import numpy as np
 import scipy.fft as _fft
 
-from .analysis import NormSeries, fit_decay_exponent
+from .analysis import NormSeries, fit_decay_exponent, predicted_exponents
 from .decay_character import SpectralProfile, generate_data_with_character
 from .fields import (Grid, PhysParams, leray_project, physical_norm_sq,
                      spectrum_norm_sq, state_norms)
 from .grid import forward, full_spectrum, inverse, worker_count
-from .linear import RadialLinearState, _polarization, make_radial_state
+from .linear import (RadialLinearState, _polarization, make_radial_state,
+                     radial_linear_decay)
 from .propagator import SectorKernel, get_propagator
 from .solver import SolverConfig, energy_balance_check, simulate
 from .symbol import (assemble_symbol, rotation_symbol, sample_wavevectors,
@@ -240,6 +242,18 @@ def check_radial_time_blocks() -> tuple[bool, str]:
                   else "blocked norms differ from scalar calls")
 
 
+def check_derivative_rates() -> tuple[bool, str]:
+    """The derivative rates at r* = 0 on the radial path, [1e2, 1e4]."""
+    times = np.geomspace(1e2, 1e4, 25)
+    series = radial_linear_decay(SpectralProfile.power_law(0.0), times, PhysParams(),
+                                 check_convergence=True)
+    predicted = predicted_exponents(0.0)
+    worst = max(abs(fit_decay_exponent(series[name], (1e2, 1e4))[0] - predicted[key])
+                for name, key in (("h1_z_sq", "grad_z"), ("h1_w_sq", "grad_w"),
+                                  ("h2_z_sq", "d2_z")))
+    return worst <= 0.05, f"grad z, grad w, D2 z fits off their predictions by <= {worst:.3f}"
+
+
 def check_grid_propagator() -> tuple[bool, str]:
     """The propagator on a retained block against the per-mode semigroup,
     at modes with k_x of either sign (block index 3 holds k_x = -2)."""
@@ -274,6 +288,7 @@ CHECKS = [
     ("grid propagator vs symbol", check_grid_propagator),
     ("radial one-direction reduction", check_radial_reduction),
     ("radial time blocks", check_radial_time_blocks),
+    ("radial derivative rates", check_derivative_rates),
 ]
 
 

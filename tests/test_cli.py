@@ -470,7 +470,6 @@ class TestRunDirectory:
         assert rc in (0, 1)
         assert (out / "report.json").exists()
         assert payload["config_hash"] == cfg.config_hash()
-        assert payload["bound_valid"]
 
     @pytest.mark.parametrize("window, analysis", [
         (["--window", "5", "1"], ""), (["--window", "nan", "1"], ""),
@@ -501,18 +500,25 @@ class TestRunDirectory:
         assert lines[0].endswith("no rows")
         assert not (out / "report.json").exists()
 
-    def test_report_disables_rate_claims_when_bound_invalid(self, tmp_path):
-        import warnings
-        text = CONFIG_TEXT.replace("chi = 0.5", "chi = 0.001")
-        cfg = RunConfig.from_text(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out, _ = execute_run(cfg, out_dir=tmp_path / "nb", pair_linear=True)
-        report = report_from_run(out, window=(0.2, 1.0))
-        assert not report["bound_valid"]
-        assert report["overall_pass"] is None
-        assert all(row["pass"] is None
-                   for row in report["rows"] + report["gap_rows"])
+    @pytest.mark.parametrize("chi", ["0", "0.001"])
+    def test_report_drops_gap_claims_only_without_damping(self, tmp_path, chi):
+        # 32 chi (mu+chi+gamma) <= 1 at both: only chi = 0 takes away w's
+        # faster rate, which every gap row compares
+        text = (CONFIG_TEXT.replace("n = 16", "n = 8").replace("chi = 0.5", f"chi = {chi}")
+                .replace("t_end = 1.0", "t_end = 1.2").replace("output_every = 2",
+                                                               "output_every = 1"))
+        out, _ = execute_run(RunConfig.from_text(text), out_dir=tmp_path / "r",
+                             pair_linear=True)
+        report = report_from_run(out, window=(0.1, 1.2))
+        assert [row["gap"] for row in report["gap_rows"]] == [
+            "w_minus_z", "diff_w_minus_diff_z"]
+        if chi == "0":
+            assert all(row["pass"] is None for row in report["gap_rows"])
+            assert report["overall_pass"] is None
+            assert "no micro-rotational damping" in report["note"]
+        else:
+            assert all(isinstance(row["pass"], bool) for row in report["gap_rows"])
+            assert "note" not in report
 
 
 class TestReproducibility:

@@ -134,7 +134,8 @@ def test_kernel_matches_expm_oracle(mu, gamma, nu, chi, xi, nyquist, t, seed):
         assert np.abs(out - oracle(A, kind) @ v).max() <= 1e-12 * np.abs(v).max(), kind
 
 
-# the transverse, the longitudinal w and the magnetic rate each set the radius
+# the transverse, the longitudinal w and the magnetic rate each set the
+# radius on the retained block
 RADIUS_PARAMS = (PhysParams(mu=3.0, gamma=0.5, chi=0.1, nu=1.0), PhysParams(),
                  PhysParams(mu=1.0, gamma=1.0, chi=0.5, nu=5.0))
 
@@ -159,8 +160,10 @@ def test_dt_lambda_max_without_the_half_spectrum_kernel(n, monkeypatch):
         dt_lambda.append(simulate(cfg, z0, pair_linear=True).diagnostics["dt_lambda_max"])
     assert built and grid.spectral_shape not in built
     monkeypatch.undo()
-    for params, got in zip(RADIUS_PARAMS, dt_lambda):
-        kernel = SectorKernel(grid.xi_odd, grid.xi_sq, params)
+    # dt times the largest rate of the block kernel the run builds
+    for which, (params, got) in enumerate(zip(RADIUS_PARAMS, dt_lambda)):
+        kernel = SectorKernel(grid.retained.xi_odd, grid.retained.xi_sq, params)
         rates = (-kernel.lam_lo.min(), -kernel.lam_w_long.min(), -kernel.lam_mag.min())
+        assert np.argmax(rates) == which
         assert got == 0.01 * float(max(rates))
         assert get_propagator(grid, params).spectral_radius == float(max(rates))

@@ -1,5 +1,7 @@
 """Nonlinear solver: advection terms, exponential steps, full runs."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -454,11 +456,18 @@ class TestSimulate:
             assert all(np.isfinite(v) for row in traj.norm_rows
                        for v in row.values() if v is not None)
 
-    def test_bound_invalid_warns(self, grid8):
-        p = PhysParams(mu=0.05, gamma=0.05, chi=0.05, nu=1.0)
+    @pytest.mark.parametrize("p", [PhysParams(chi=0.0),
+                                   PhysParams(mu=0.05, gamma=0.05, chi=0.05, nu=1.0)],
+                             ids=["chi-0", "small-chi"])
+    def test_no_warning_where_the_four_way_minimum_is_not_positive(self, grid8, p):
+        # 32 chi (mu+chi+gamma) <= 1 at both; the rates rest on the Young
+        # bound, which needs no condition
         cfg = SolverConfig(grid=grid8, params=p, dt=0.1, t_end=0.2)
-        with pytest.warns(UserWarning, match="rate claims disabled"):
-            simulate(cfg, StateField.zero(grid8))
+        z0 = generate_data_with_character(grid8, 0.0, seed=3, amplitude=1e-2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = simulate(cfg, z0, pair_linear=True)
+        assert "bound_valid" not in traj.diagnostics
 
     def test_config_validation(self, grid8, params):
         with pytest.raises(ValueError):
