@@ -10,6 +10,7 @@ command.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .fields import PhysParams, param_defaults
 from .grid import worker_count
 
 
@@ -25,13 +27,22 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _add_param_flags(p: argparse.ArgumentParser) -> None:
+    """--mu, --gamma, --chi and --nu, defaulting to PhysParams'."""
+    for name, value in param_defaults().items():
+        p.add_argument(f"--{name}", type=float, default=value)
+
+
+def _params(args) -> PhysParams:
+    return PhysParams(**{name: getattr(args, name) for name in param_defaults()})
+
+
 def cmd_symbol_check(args) -> int:
-    from .fields import PhysParams
     from .symbol import (BoundInvalidError, sample_wavevectors,
                          verify_eigenvalue_bound)
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    params = PhysParams(mu=args.mu, gamma=args.gamma, chi=args.chi, nu=args.nu)
+    params = _params(args)
     try:
         xis = sample_wavevectors(args.samples, args.radius_lo, args.radius_hi,
                                  seed=args.seed)
@@ -39,8 +50,7 @@ def cmd_symbol_check(args) -> int:
     except BoundInvalidError as exc:
         _print_json({"error": str(exc), "bound_valid": False})
         return 1
-    report["params"] = {"mu": args.mu, "gamma": args.gamma,
-                        "chi": args.chi, "nu": args.nu}
+    report["params"] = dataclasses.asdict(params)
     _print_json(report)
     return 0 if report["bound_holds"] else 1
 
@@ -69,10 +79,9 @@ def cmd_decay_char(args) -> int:
 
 def cmd_linear_decay(args) -> int:
     from .decay_character import SpectralProfile
-    from .fields import PhysParams
     from .harness import LINEAR_CSV_COLUMNS, csv_text
     from .linear import radial_linear_decay
-    params = PhysParams(mu=args.mu, gamma=args.gamma, chi=args.chi, nu=args.nu)
+    params = _params(args)
     profile = SpectralProfile.power_law(args.r_star, cutoff_radius=args.cutoff_radius,
                                         cutoff=args.cutoff)
     if not 0 < args.t_lo <= args.t_hi < np.inf:
@@ -156,10 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("symbol-check",
                        help="verify eigenvalue bounds of the symbol matrix")
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--chi", type=float, default=0.5)
-    p.add_argument("--nu", type=float, default=1.0)
+    _add_param_flags(p)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--radius-lo", type=float, default=1e-3)
@@ -181,10 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("linear-decay",
                        help="continuum radial linear decay norms as CSV")
     p.add_argument("--r-star", type=float, required=True)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--chi", type=float, default=0.5)
-    p.add_argument("--nu", type=float, default=1.0)
+    _add_param_flags(p)
     p.add_argument("--cutoff-radius", type=float, default=1.0)
     p.add_argument("--cutoff", choices=["hard", "gauss"], default="hard")
     p.add_argument("--t-lo", type=float, default=1e2)

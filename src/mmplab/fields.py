@@ -18,7 +18,7 @@ vhat - xi (xi . vhat) / |xi|^2 per mode, of half spectra or retained blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -77,6 +77,12 @@ class PhysParams:
         gamma|xi|^2 + chi, nu|xi|^2} needs no condition.
         """
         return 32.0 * self.chi * (self.mu + self.chi + self.gamma) > 1.0
+
+
+def param_defaults() -> dict[str, float]:
+    """PhysParams' field defaults by name, in field order: the one source of
+    the run config's params.* defaults and the CLI's parameter flags."""
+    return asdict(PhysParams())
 
 
 @dataclass(frozen=True)

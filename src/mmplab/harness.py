@@ -2,9 +2,10 @@
 
 A run is described by a flat INI config (section.key = value) and executes
 into a run directory containing the config copy, a manifest and the norm
-series CSV.  Identical config + seed produce byte-identical CSV artifacts
-for any worker-thread count; the manifest carries timestamps and is
-excluded from that guarantee.
+series CSV; a report reads only the CSVs that the manifest lists.  A run
+makes one Grid and draws its datum on it.  Identical config + seed produce
+byte-identical CSV artifacts for any worker-thread count; the manifest
+carries timestamps and is excluded from that guarantee.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from .analysis import NormSeries, theorem_report
 from .decay_character import generate_data_with_character
-from .fields import Grid, PhysParams, StateField
+from .fields import Grid, PhysParams, StateField, param_defaults
 from .snapshots import write_snapshot
 from .solver import (BlowupError, SolverConfig, Trajectory, energy_balance_check,
                      simulate)
@@ -36,10 +37,7 @@ LINEAR_CSV_COLUMNS = CSV_COLUMNS[:8]  # t and the seven norms of norms_at
 _DEFAULTS = {
     ("grid", "n"): "32",
     ("grid", "length"): str(2.0 * np.pi),
-    ("params", "mu"): "1.0",
-    ("params", "gamma"): "1.0",
-    ("params", "chi"): "0.5",
-    ("params", "nu"): "1.0",
+    **{("params", name): str(value) for name, value in param_defaults().items()},
     ("init", "kind"): "power",
     ("init", "r_star"): "0.0",
     ("init", "seed"): "1",
@@ -104,21 +102,16 @@ class RunConfig:
         except KeyError:
             raise ValueError(f"{section}.{key} = {value!r} is not a boolean") from None
 
-    def canonical_text(self) -> str:
-        lines = [f"{sec}.{key}={val}" for (sec, key), val in sorted(self.raw.items())]
-        return "\n".join(lines) + "\n"
-
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+        """sha256 of one sec.key=value line per key, in sorted order."""
+        text = "".join(f"{sec}.{key}={val}\n" for (sec, key), val in sorted(self.raw.items()))
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def grid(self) -> Grid:
         return Grid(n=self.getint("grid", "n"), length=self.getfloat("grid", "length"))
 
     def params(self) -> PhysParams:
-        return PhysParams(mu=self.getfloat("params", "mu"),
-                          gamma=self.getfloat("params", "gamma"),
-                          chi=self.getfloat("params", "chi"),
-                          nu=self.getfloat("params", "nu"))
+        return PhysParams(**{name: self.getfloat("params", name) for name in param_defaults()})
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
@@ -130,9 +123,9 @@ class RunConfig:
             ball_A=self.getfloat("analysis", "ball_a"),
         )
 
-    def initial_state(self) -> StateField:
+    def initial_state(self, grid: Grid) -> StateField:
+        """The datum, drawn on grid: the one the run advances."""
         kind = self.get("init", "kind")
-        grid = self.grid()
         if kind == "zero":
             return StateField.zero(grid)
         if kind == "power":
@@ -185,11 +178,14 @@ def write_series_csv(path, traj: Trajectory, columns=CSV_COLUMNS) -> None:
 
 def read_series_csv(path) -> dict[str, np.ndarray]:
     """Columns of a :func:`csv_text` CSV by header name, empty cells NaN.
-    An empty file, or a row of another length than the header, is a ValueError."""
+    An empty file, a header without a t column or with a name twice, or a
+    row of another length than the header, is a ValueError."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty CSV, no header")
     names = lines[0].split(",")
+    if "t" not in names or len(set(names)) < len(names):
+        raise ValueError(f"{path}: header {lines[0]!r} needs a t column and no name twice")
     cols: dict[str, list] = {name: [] for name in names}
     for number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
@@ -210,8 +206,8 @@ def execute_run(config: RunConfig, out_dir, pair_linear: bool = False,
                            seed=config.getint("init", "seed"),
                            code_version=__version__, started=_now())
     # read every config value before writing, so a bad one leaves no run dir
-    z0 = config.initial_state()
     solver_cfg = config.solver_config()
+    z0 = config.initial_state(solver_cfg.grid)
     save_snaps = config.getbool("output", "save_snapshots")
     if save_snaps:
         # one file per time simulate records, k dt output_every; rounding
@@ -284,9 +280,10 @@ def _to_ini(config: RunConfig) -> str:
 
 def report_from_run(run_dir, r_star: float | None = None,
                     window: tuple[float, float] | None = None) -> dict:
-    """Offline theorem report from a run directory's artifacts."""
+    """Offline theorem report from a run directory's artifacts: every
+    column of the CSVs its manifest lists (series, and extra_series when
+    the run was paired) that is not all NaN."""
     run_dir = Path(run_dir)
-    cols = read_series_csv(run_dir / "series.csv")
     manifest = json.loads((run_dir / "manifest.json").read_text())
     config = RunConfig.from_file(run_dir / "config.ini")
     if r_star is None:
@@ -294,28 +291,23 @@ def report_from_run(run_dir, r_star: float | None = None,
     if r_star is None:
         raise ValueError("r_star unknown: pass it explicitly for this run")
 
-    t = cols["t"]
+    # only the CSVs this run wrote: an unpaired run into a paired run's
+    # directory leaves that run's extra_series.csv there, unlisted
+    paths = [run_dir / manifest["artifacts"][key] for key in ("series", "extra_series")
+             if key in manifest["artifacts"]]
+    tables = [read_series_csv(path) for path in paths]
+    t = tables[0]["t"]
     if not t.size:
-        raise ValueError(f"{run_dir / 'series.csv'}: header but no rows")
+        raise ValueError(f"{paths[0]}: header but no rows")
     if window is None:
         window = config.fit_window(float(t[-1]))
     if not 0 <= window[0] < window[1] < np.inf:
         raise ValueError(f"fit window [{window[0]:g}, {window[1]:g}] must satisfy "
                          "0 <= lo < hi < inf")
 
-    series_map = {}
-    for name in ("l2_z_sq", "l2_w_sq", "h1_z_sq", "h1_w_sq", "h2_z_sq",
-                 "l2_diff_z_sq", "l2_diff_w_sq"):
-        vals = cols.get(name)
-        if vals is None or np.all(np.isnan(vals)):
-            continue
-        series_map[name] = NormSeries(name=name, times=t, values=vals)
-    extra_path = run_dir / "extra_series.csv"
-    if extra_path.exists():
-        extra = read_series_csv(extra_path)
-        series_map["h1_diff_z_sq"] = NormSeries(
-            name="h1_diff_z_sq", times=extra["t"], values=extra["h1_diff_z_sq"])
-
+    series_map = {name: NormSeries(name=name, times=table["t"], values=vals)
+                  for table in tables for name, vals in table.items()
+                  if name != "t" and not np.all(np.isnan(vals))}
     report = theorem_report(series_map, float(r_star), window, quantitative=False)
     report["run_dir"] = str(run_dir)
     report["config_hash"] = manifest["config_hash"]

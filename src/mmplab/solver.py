@@ -48,8 +48,10 @@ c = n // 3 (Grid.truncate), which
 holds the Galerkin truncation's only nonzero modes; N carries the three
 increments in the same row layout.  The datum comes in as half spectra,
 and the snapshots after t = 0 go out as half spectra, +0 outside the
-block (Grid.pad).  The kernel applies, nonlinear_rhs, its projection,
-_step_arrays and the output rows take only the block.  From n = 64, where
+block (Grid.pad), the only place a run pads.  The kernel applies,
+nonlinear_rhs, its projection, _step_arrays, the output rows and the
+tensor audit (advective_products, tensor_bound_report) take only the
+block.  From n = 64, where
 the block reaches grid.SLAB_MIN_SIZE points, the sector-kernel applies
 and the element-wise parts of N after the forward transform (the
 contraction, curl and projection) split their planes across the
@@ -251,52 +253,47 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
     return N, speed
 
 
-def _advect(field_phys: np.ndarray, grad_phys: np.ndarray) -> np.ndarray:
-    """(F . grad) G from physical F (3,...) and grad G (i, j, ...)."""
-    return np.einsum("j...,ij...->i...", field_phys, grad_phys)
-
-
-def advective_products(state: StateField) -> dict:
-    """Half spectra of the advective products (F.grad)G of the retained
-    block, on the block and +0 elsewhere, keyed (F, G), for the pairs uu,
-    uw, ub, bb and bu.  Formed from physical gradients, they serve the
-    tensor-bound diagnostic and test the divergence form."""
-    grid = state.grid
-    z = grid.truncate(state.z)
+def advective_products(grid: Grid, z: np.ndarray) -> dict:
+    """Retained blocks of the advective products (F.grad)G of a retained
+    block z of grid, keyed (F, G), for the pairs uu, uw, ub, bb and bu.
+    Formed from physical gradients, they serve the tensor-bound diagnostic
+    and test the divergence form.  Any other shape of z raises
+    ContractViolation before any work."""
+    check_retained(grid, z)
     phys = {F: _grid.inverse(z[_ROWS[F]], grid) for F in "ub"}
     grads = 1j * grid.retained.xi_odd[None, :] * z[:, None]
     grads = _grid.inverse(grads.reshape((27,) + z.shape[1:]), grid).reshape(
         (9, 3) + phys["u"].shape[1:])
-    return {(F, G): grid.pad(forward(_advect(phys[F], grads[_ROWS[G]])))
+    # (F.grad)G_i = F_j d_j G_i from physical F and the gradients of G
+    return {(F, G): forward(np.einsum("j...,ij...->i...", phys[F], grads[_ROWS[G]]))
             for F, G in (("u", "u"), ("u", "w"), ("u", "b"), ("b", "b"), ("b", "u"))}
 
 
-def tensor_bound_report(state: StateField) -> dict:
-    """Measured constants in the modewise bound |NLhat(xi)| <= |xi| ||F|| ||G||.
+def tensor_bound_report(grid: Grid, z: np.ndarray) -> dict:
+    """Measured constants in the modewise bound |NLhat(xi)| <= |xi| ||F|| ||G||
+    on a retained block z of grid.
 
     With series coefficients the convolution estimate reads
     |((F.grad)G)hat(xi)| <= |xi| ||F||_2 ||G||_2 / volume; the report gives
     the largest measured ratio per advection pair (1 is the sharp constant),
-    from the advective products of :func:`advective_products`.
+    from the advective products of :func:`advective_products`, which
+    checks the shape of z.
     """
-    grid = state.grid
-    V = grid.volume
-    nonzero = grid.xi_mag > 0
-    xi_mag = np.where(nonzero, grid.xi_mag, 1.0)
-
-    norms = {name: np.sqrt(spectrum_norm_sq(grid, state.z[rows]))
+    products = advective_products(grid, z)
+    modes = grid.retained
+    nonzero = modes.xi_mag > 0
+    norms = {name: np.sqrt(spectrum_norm_sq(grid, z[rows], modes=modes))
              for name, rows in _ROWS.items()}
 
     def pair_constant(F_name, G_name, spec):
-        mag = np.sqrt((np.abs(spec) ** 2).sum(axis=0))
         denom = norms[F_name] * norms[G_name]
         if denom == 0:
             return 0.0
-        ratio = (mag * V / (xi_mag * denom))[nonzero]
-        return float(ratio.max())
+        mag = np.sqrt((np.abs(spec) ** 2).sum(axis=0))[nonzero]
+        return float((mag * grid.volume / (modes.xi_mag[nonzero] * denom)).max())
 
     constants = {f"({F}.grad){G}": pair_constant(F, G, spec)
-                 for (F, G), spec in advective_products(state).items()}
+                 for (F, G), spec in products.items()}
     worst = max(constants.values())
     return {"pair_constants": constants, "max_constant": worst,
             "bound_holds": bool(worst <= 1.0 + 1e-10)}
@@ -415,7 +412,7 @@ def simulate(config: SolverConfig, z0: StateField,
         traj.diagnostics["max_divergence"] = max(
             traj.diagnostics["max_divergence"], divergence_error(grid, block, grid.retained))
         if record_tensor:
-            rep = tensor_bound_report(StateField(grid, grid.pad(block)))
+            rep = tensor_bound_report(grid, block)
             traj.diagnostics["max_tensor_constant"] = max(
                 traj.diagnostics["max_tensor_constant"], rep["max_constant"])
         if save_snapshots:

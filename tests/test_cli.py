@@ -1,5 +1,6 @@
 """CLI, config, manifests, snapshots, and byte-reproducibility."""
 
+import dataclasses
 import json
 import re
 import struct
@@ -9,8 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from mmplab.cli import main
-from mmplab.fields import Grid, StateField
+from mmplab.cli import build_parser, main
+from mmplab.fields import Grid, PhysParams, StateField
 from mmplab.decay_character import generate_data_with_character
 from mmplab.harness import (CSV_COLUMNS, RunConfig, _to_ini, execute_run,
                             format_float, read_series_csv, report_from_run)
@@ -95,7 +96,9 @@ class TestCliBasics:
         ("", "empty CSV, no header"),
         ("t,a\n1.0,2.0\n2.0\n", "line 3 has 1 cells, not 2"),
         ("t,a\n1.0,2.0,3.0\n", "line 2 has 3 cells, not 2"),
-    ], ids=["empty", "short-row", "long-row"])
+        ("a,b\n1.0,2.0\n", "header 'a,b' needs a t column and no name twice"),
+        ("t,a,a\n1.0,2.0,3.0\n", "header 't,a,a' needs a t column and no name twice"),
+    ], ids=["empty", "short-row", "long-row", "no-t-column", "repeated-name"])
     def test_fit_rate_malformed_csv_prints_one_error_line(self, tmp_path, capsys,
                                                           text, message):
         csv = tmp_path / "series.csv"
@@ -271,6 +274,13 @@ class TestConfig:
         assert cfg.params().chi == 0.5
         assert cfg.solver_config().scheme == "etd-rk2"
 
+    def test_param_defaults_are_physparams(self):
+        assert RunConfig.from_text("").params() == PhysParams()
+        for command in (["symbol-check"], ["linear-decay", "--r-star", "0"]):
+            args = build_parser().parse_args(command)
+            flags = {name: getattr(args, name) for name in ("mu", "gamma", "chi", "nu")}
+            assert flags == dataclasses.asdict(PhysParams()), command
+
     def test_fit_window_defaults_to_last_two_decades(self):
         cfg = RunConfig.from_text(CONFIG_TEXT)
         assert cfg.fit_window(1000.0) == (10.0, 1000.0)
@@ -351,6 +361,20 @@ class TestRunDirectory:
         report = report_from_run(out)
         assert report["r_star"] == 0.0
         assert (out / "series.csv").exists()
+
+    def test_a_run_builds_its_wavevectors_on_one_grid(self, tmp_path, monkeypatch):
+        # the datum is drawn on the grid the run advances: xi and xi_odd,
+        # once each, and no second Grid
+        built = []
+        wavevectors = Grid._wavevectors
+
+        def counted(grid, k):
+            built.append(grid)
+            return wavevectors(grid, k)
+
+        monkeypatch.setattr(Grid, "_wavevectors", counted)
+        execute_run(RunConfig.from_text(CONFIG_TEXT), out_dir=tmp_path / "r", pair_linear=True)
+        assert len(built) == 2 and built[0] is built[1]
 
     def test_zero_data_compare_linear_differences_vanish(self, tmp_path):
         cfg = RunConfig.from_text(CONFIG_TEXT.replace("kind = power",
@@ -470,6 +494,18 @@ class TestRunDirectory:
         assert rc in (0, 1)
         assert (out / "report.json").exists()
         assert payload["config_hash"] == cfg.config_hash()
+
+    def test_report_reads_only_the_series_its_manifest_lists(self, tmp_path):
+        cfg = RunConfig.from_text(CONFIG_TEXT)
+        out, _ = execute_run(cfg, out_dir=tmp_path / "r", pair_linear=True)
+        norms = ["l2_z_sq", "l2_w_sq", "h1_z_sq", "h1_w_sq", "h2_z_sq"]
+        assert [row["series"] for row in report_from_run(out)["rows"]] == norms + [
+            "l2_diff_z_sq", "l2_diff_w_sq", "h1_diff_z_sq"]
+        # an unpaired run into the same directory leaves the paired run's
+        # extra_series.csv behind, unlisted
+        execute_run(cfg, out_dir=out)
+        assert (out / "extra_series.csv").exists()
+        assert [row["series"] for row in report_from_run(out)["rows"]] == norms
 
     @pytest.mark.parametrize("window, analysis", [
         (["--window", "5", "1"], ""), (["--window", "nan", "1"], ""),
