@@ -41,15 +41,24 @@ class NormSeries:
         object.__setattr__(self, "values", v)
 
 
+def check_fit_window(window: tuple[float, float]) -> None:
+    """Raise ValueError unless 0 <= lo < hi < inf for window = (lo, hi)."""
+    lo, hi = window
+    if not 0 <= lo < hi < np.inf:
+        raise ValueError(f"fit window [{lo:g}, {hi:g}] must satisfy 0 <= lo < hi < inf")
+
+
 def fit_decay_exponent(series: NormSeries,
                        window: tuple[float, float]) -> tuple[float, float]:
     """OLS slope of log(values) against log(1+t) inside the window, which
-    must hold at least 10 samples, all finite and positive.  The series'
-    times are strictly increasing (NormSeries checks them).
+    must satisfy check_fit_window and hold at least 10 samples, all finite
+    and positive.  The series' times are strictly increasing (NormSeries
+    checks them).
 
     Returns (exponent, residual) where residual is the largest absolute
     log deviation from the fitted line.
     """
+    check_fit_window(window)
     times, values = series.times, series.values
     lo, hi = window
     mask = (times >= lo) & (times <= hi)

@@ -235,10 +235,14 @@ def main(argv=None) -> int:
     try:
         worker_count()  # a malformed MMP_THREADS fails here, before any work
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # the reader closed stdout (say `mmplab selftest | head -4`); point
+        # it at the null device, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # a path that is missing, a directory where a file is read, or a
+        # file where a run directory goes
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
@@ -248,11 +252,6 @@ def main(argv=None) -> int:
         if not isinstance(exc, QuadratureError):
             raise
         _print_json({"error": str(exc)})
-        return 1
-    except BrokenPipeError:
-        # the reader closed stdout (say `mmplab selftest | head -4`); point
-        # it at the null device, so the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -162,24 +162,26 @@ def leray_project(modes: Grid | Modes, vhat: np.ndarray,
         raise ContractViolation(f"expected shape {shape}, got {vhat.shape}")
     if out is None:
         out = np.empty(shape, dtype=np.result_type(vhat, float))
-
-    def project(sl):
-        xi, v, o = modes.xi_odd[:, sl], vhat[:, sl], out[:, sl]
-        # the mean mode and pure-Nyquist modes carry no representable gradient
-        fixed = modes.leray_fixed[sl]
-        kept = v[:, fixed]
-        # xi . v summed in the order of .sum(axis=0), one component at a time
-        dot = np.multiply(xi[0], v[0])
-        scratch = np.empty_like(dot)
-        for i in (1, 2):
-            dot += np.multiply(xi[i], v[i], out=scratch)
-        dot /= modes.leray_divisor[sl]
-        for i in range(3):
-            np.subtract(v[i], np.multiply(xi[i], dot, out=scratch), out=o[i])
-        o[:, fixed] = kept
-
-    _grid.slab_map(project, shape[1:])
+    _grid.slab_map(lambda sl: project_planes(modes, vhat, out, sl), shape[1:])
     return out
+
+
+def project_planes(modes: Grid | Modes, vhat: np.ndarray, out: np.ndarray, sl) -> None:
+    """The Leray projection of leray_project on the planes sl of the first
+    axis of modes, from vhat into out (which may be vhat)."""
+    xi, v, o = modes.xi_odd[:, sl], vhat[:, sl], out[:, sl]
+    # the mean mode and pure-Nyquist modes carry no representable gradient
+    fixed = modes.leray_fixed[sl]
+    kept = v[:, fixed]
+    # xi . v summed in the order of .sum(axis=0), one component at a time
+    dot = np.multiply(xi[0], v[0])
+    scratch = np.empty_like(dot)
+    for i in (1, 2):
+        dot += np.multiply(xi[i], v[i], out=scratch)
+    dot /= modes.leray_divisor[sl]
+    for i in range(3):
+        np.subtract(v[i], np.multiply(xi[i], dot, out=scratch), out=o[i])
+    o[:, fixed] = kept
 
 
 def curl_at(xi: np.ndarray, vhat: np.ndarray) -> np.ndarray:

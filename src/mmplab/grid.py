@@ -378,9 +378,11 @@ def inverse(blocks: np.ndarray, grid: Grid) -> np.ndarray:
     Each group of rows (_split) pads its rows one at a time into its row
     of +0 scratch, made here, and runs pocketfft's passes in its order
     (x, then y, then z), the x and y passes in place on the kz <= c
-    planes only, the other planes being zeros in and out, then sets the
-    rest of those planes back to +0, so the next row's pad only has to
-    write the block.  Blocks of another shape raise ValueError.
+    planes only, the other planes being zeros in and out, and the x pass
+    on their retained y rows only, the other rows being zeros until the y
+    pass; then it sets the rest of those planes back to +0, so the next
+    row's pad only has to write the block.  Blocks of another shape raise
+    ValueError.
     """
     if blocks.shape[1:] != grid.retained_shape:
         raise ValueError(f"expected retained blocks of shape {grid.retained_shape} for "
@@ -393,12 +395,14 @@ def inverse(blocks: np.ndarray, grid: Grid) -> np.ndarray:
         half = work[group]
         planes = half[..., :c + 1]
         modes = [(part, half[m]) for part, m in grid._blocks]
+        y_rows = (planes[:, :c + 1], planes[:, n - c:])
         outside = (planes[c + 1:n - c], planes[:, c + 1:n - c])
         for k in range(len(blocks))[sl]:
             block = blocks[k]
             for part, mode in modes:
                 mode[...] = block[part]
-            _pocketfft.c2c(planes, (-3,), False, _UNSCALED, planes, threads)
+            for y in y_rows:
+                _pocketfft.c2c(y, (-3,), False, _UNSCALED, y, threads)
             _pocketfft.c2c(planes, (-2,), False, _UNSCALED, planes, threads)
             _pocketfft.c2r(half, (-1,), n, False, _UNSCALED, out[k], threads)
             for zeros in outside:

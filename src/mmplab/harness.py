@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import NormSeries, theorem_report
+from .analysis import NormSeries, check_fit_window, theorem_report
 from .decay_character import generate_data_with_character
 from .fields import Grid, PhysParams, StateField, param_defaults
 from .snapshots import write_snapshot
@@ -301,9 +301,7 @@ def report_from_run(run_dir, r_star: float | None = None,
         raise ValueError(f"{paths[0]}: header but no rows")
     if window is None:
         window = config.fit_window(float(t[-1]))
-    if not 0 <= window[0] < window[1] < np.inf:
-        raise ValueError(f"fit window [{window[0]:g}, {window[1]:g}] must satisfy "
-                         "0 <= lo < hi < inf")
+    check_fit_window(window)
 
     series_map = {name: NormSeries(name=name, times=table["t"], values=vals)
                   for table in tables for name, vals in table.items()

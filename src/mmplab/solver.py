@@ -12,7 +12,11 @@ which is 9 inverse and 18 forward real transforms per evaluation: the
 (9, ...) retained block goes out in one batch and the products come back
 in two batches of nine, first the 6 symmetric products u_i u_j - b_i b_j
 and the 3 products u x b, then the 9 products u_j w_i; of each only the
-retained block is kept.  The transforms work on the block
+retained block is kept, in one 9-row spectrum that each batch overwrites
+once the slab stage after it has read it: the first stage contracts the
+stress into Nu and takes the curl into Nb, the second contracts the
+transport into Nw, multiplies Nu and Nw by -i and projects Nu.  The
+transforms work on the block
 (grid.forward and grid.inverse), and each worker's row group runs its
 rows one at a time, end to end, in its own work row: the inverse pads a
 row and transforms it into its field, the forward forms a product (its
@@ -53,11 +57,14 @@ nonlinear_rhs, its projection, _step_arrays, the output rows and the
 tensor audit (advective_products, tensor_bound_report) take only the
 block.  From n = 64, where
 the block reaches grid.SLAB_MIN_SIZE points, the sector-kernel applies
-and the element-wise parts of N after the forward transform (the
-contraction, curl and projection) split their planes across the
-MMP_THREADS workers as the transform batches split their rows
-(grid.slab_map), mode by mode or point by point, so every result has the
-same bits at any thread count.  Every step opens with one
+and the two slab stages of N split their planes across the MMP_THREADS
+workers as the transform batches split their rows (grid.slab_map), mode
+by mode or point by point, so every result has the same bits at any
+thread count: five uses of the pool per evaluation.  _step_arrays forms
+its sums and scalings in place in arrays that are not read again and
+drops each array after its last read, so a step holds only live blocks;
+as IEEE sums and products commute, it keeps the bits of the textbook
+expressions.  Every step opens with one
 evaluation of N(z_n), which is its first stage and also reports the
 Elsasser speed max(|u| + |b|) of z_n: a non-finite speed ends the run,
 and the CFL number of the state the step advances is checked against
@@ -81,9 +88,16 @@ from . import grid as _grid
 from .analysis import NormSeries, fourier_split_integral, fourier_split_radius
 from .fields import (SOLENOIDAL_TOL, ContractViolation, Grid, PhysParams,
                      StateField, check_retained, curl_at, divergence_error,
-                     leray_project, spectrum_norm_sq, state_norms)
+                     leray_project, project_planes, spectrum_norm_sq, state_norms)
 from .grid import forward
 from .propagator import GridPropagator, get_propagator
+
+# leray_project is re-exported: nonlinear_rhs applies its arithmetic plane
+# by plane (fields.project_planes), and perfbench's spans trace the name
+# on this module
+__all__ = ["BlowupError", "CFL_LIMIT", "SCHEMES", "SolverConfig", "Trajectory",
+           "advective_products", "energy_balance_check", "leray_project",
+           "nonlinear_rhs", "simulate", "tensor_bound_report"]
 
 SCHEMES = ("etd-rk2", "if-rk4")
 # largest admissible CFL number dt max(|u| + |b|) n / L
@@ -202,7 +216,8 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
     # free until forward transforms into it
     scratch = [row.reshape(-1).view(float)[:phys[0].size].reshape(phys.shape[1:])
                for row in spectra]
-    spec = np.empty((18,) + z.shape[1:], dtype=complex)
+    # the retained products of one batch at a time
+    spec = np.empty(z.shape, dtype=complex)
     speed = None
 
     def stress_and_induction(k, group):
@@ -217,8 +232,8 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
         return prod[group]
 
     def transport(k, group):
-        """Product 9 + k, u_i w_j with k = 3 i + j; with row 0, the
-        Elsasser speed."""
+        """Product k of the second batch, u_i w_j with k = 3 i + j; with
+        row 0, the Elsasser speed."""
         nonlocal speed
         if k == 0:
             # b's fields are free once the first batch is done: |b| and |u|
@@ -235,21 +250,27 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
             speed = float(np.add(b[0], b[1], out=b[0]).max())
         return np.multiply(u[k // 3], w[k % 3], out=prod[group])
 
-    forward(phys, out=spec[0:9], work=spectra, form=stress_and_induction)
-    forward(phys, out=spec[9:18], work=spectra, form=transport)
-    xi_odd = grid.retained.xi_odd
+    modes = grid.retained
     N = np.empty(z.shape, dtype=complex)
 
-    def increments(sl):
-        """N before the projection on a group of planes of modes."""
-        xi, s, out = xi_odd[:, sl], spec[:, sl], N[:, sl]
+    def stress_and_curl(sl):
+        """xi_j T_ij into Nu and the curl into Nb, on a group of planes."""
+        xi, s, out = modes.xi_odd[:, sl], spec[:, sl], N[:, sl]
         _contract(xi, [[s[k] for k in row] for row in _SYM_INDEX], out[0:3])
-        _contract(xi, [[s[9 + 3 * j + i] for j in range(3)] for i in range(3)], out[3:6])
-        out[0:6] *= -1j
         out[6:9] = curl_at(xi, s[6:9])
 
-    _grid.slab_map(increments, z.shape[1:])
-    leray_project(grid.retained, N[0:3], out=N[0:3])
+    def transport_and_projection(sl):
+        """xi_j u_j w_i into Nw, the -i of Nu and Nw and the projection of
+        Nu, on a group of planes."""
+        xi, s, out = modes.xi_odd[:, sl], spec[:, sl], N[:, sl]
+        _contract(xi, [[s[3 * j + i] for j in range(3)] for i in range(3)], out[3:6])
+        out[0:6] *= -1j
+        project_planes(modes, N[0:3], N[0:3], sl)
+
+    forward(phys, out=spec, work=spectra, form=stress_and_induction)
+    _grid.slab_map(stress_and_curl, z.shape[1:])
+    forward(phys, out=spec, work=spectra, form=transport)
+    _grid.slab_map(transport_and_projection, z.shape[1:])
     return N, speed
 
 
@@ -312,24 +333,54 @@ def _step_arrays(prop: GridPropagator, z: np.ndarray, N: np.ndarray,
     def apply(arr, t, kind):
         return prop.apply(arr, t, kind=kind, cache=True)
 
+    # Sums and scalings go in place into an array that is not read again,
+    # and an array is dropped after its last read.  IEEE sums and products
+    # commute, so each keeps the bits of the expression in its comment.
     if scheme == "etd-rk2":
+        # a = e^{hM} z + h phi1(hM) N
         a = apply(z, dt, "exp")
-        a += dt * apply(N, dt, "phi1")
+        step = apply(N, dt, "phi1")
+        step *= dt
+        a += step
+        del step
         dN = rhs(a)
         dN -= N
-        return a + dt * apply(dN, dt, "phi2")
+        # a + h phi2(hM) (N(a) - N); the last term is its own array until
+        # it is added
+        estimate = apply(dN, dt, "phi2")
+        del dN
+        estimate *= dt
+        a += estimate
+        return a
 
     if scheme == "if-rk4":
+        # k2 = N(e^{hM/2} (z + h/2 N))
+        k2 = (dt / 2) * N
+        k2 += z
+        k2 = apply(k2, dt / 2, "exp")
+        k2 = rhs(k2)
+        # k3 = N(e^{hM/2} z + h/2 k2)
         stage = apply(z, dt / 2, "exp")
-        k2 = rhs(apply(z + (dt / 2) * N, dt / 2, "exp"))
         stage += (dt / 2) * k2
         k3 = rhs(stage)
-        Ez = apply(z, dt, "exp")
+        del stage
         k3 = apply(k3, dt / 2, "exp")
-        k4 = rhs(Ez + dt * k3)
+        Ez = apply(z, dt, "exp")
+        # k4 = N(Ez + h e^{hM/2} k3), after k2 := e^{hM/2} k2 + e^{hM/2} k3
         k2 = apply(k2, dt / 2, "exp")
         k2 += k3
-        return Ez + (dt / 6.0) * (apply(N, dt, "exp") + 2.0 * k2 + k4)
+        k3 *= dt
+        k3 += Ez
+        k4 = rhs(k3)
+        del k3
+        # Ez + h/6 (e^{hM} N + 2 k2 + k4)
+        k2 *= 2.0
+        k2 += apply(N, dt, "exp")
+        k2 += k4
+        del k4
+        k2 *= dt / 6.0
+        k2 += Ez
+        return k2
 
     raise ValueError(f"unknown scheme {scheme!r}")
 

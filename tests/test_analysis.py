@@ -41,6 +41,17 @@ class TestFit:
         with pytest.raises(ValueError, match="at least"):
             fit_decay_exponent(NormSeries("short", t, np.exp(-t)), (0.0, 10.0))
 
+    @pytest.mark.parametrize("window, shown", [
+        ((4.0, 1.0), "[4, 1]"), ((np.nan, 4.0), "[nan, 4]"), ((1.0, np.nan), "[1, nan]"),
+        ((-1.0, 4.0), "[-1, 4]"), ((2.0, 2.0), "[2, 2]"), ((0.0, np.inf), "[0, inf]")],
+        ids=["reversed", "nan-lo", "nan-hi", "negative", "empty", "infinite"])
+    def test_window_must_be_ordered_and_finite(self, window, shown):
+        # rejected as such, not as a window with too few samples
+        t = np.linspace(0.0, 10.0, 40)
+        with pytest.raises(ValueError) as exc:
+            fit_decay_exponent(NormSeries("w", t, (1.0 + t) ** -1.0), window)
+        assert str(exc.value) == f"fit window {shown} must satisfy 0 <= lo < hi < inf"
+
     @pytest.mark.parametrize("bad", [0.0, -0.2, np.inf, np.nan])
     def test_values_must_be_finite_and_positive(self, bad):
         t = np.linspace(0.0, 10.0, 20)

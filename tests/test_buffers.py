@@ -5,7 +5,9 @@ The right-hand side makes its own work arrays on every call, and the
 stepper's applies take their weights from tables cached per (t, kind) on
 the kernel.  Neither may change a bit: these tests pin the out= forward
 and the inverse to scipy.fft, the two 9-row forward batches to one batch
-of 18, a cached apply to a fresh kernel's, a run to the same run on a fresh Grid and
+of 18, the right-hand side's 9-row product spectrum to one contraction of
+all 18 products, the stepper's in-place stages to the textbook step, a
+cached apply to a fresh kernel's, a run to the same run on a fresh Grid and
 concurrent runs on one Grid to serial ones, and check that a run leaves
 only derived arrays on its Grid, that a returned increment is never
 overwritten, and the memory a right-hand side and a held BlowupError keep.
@@ -23,7 +25,8 @@ import scipy.fft as sfft
 
 from mmplab import solver
 from mmplab.decay_character import generate_data_with_character
-from mmplab.fields import ContractViolation, Grid, PhysParams, StateField
+from mmplab.fields import (ContractViolation, Grid, PhysParams, StateField, curl_at,
+                           leray_project)
 from mmplab.grid import forward, inverse
 from mmplab.propagator import SectorKernel, get_propagator
 from mmplab.solver import BlowupError, SolverConfig, nonlinear_rhs, simulate
@@ -79,12 +82,78 @@ def test_two_batches_of_nine_equal_one_batch_of_18(n, monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
+def rhs_of_18_products(grid, z):
+    """N of nonlinear_rhs as one 18-row forward batch of the products,
+    contracted, curled and projected once it is whole."""
+    u, w, b = np.split(inverse(z, grid), 3)
+    stress = [u[i] * u[j] - b[i] * b[j] for i, j in solver._SYM_PAIRS]
+    induction = [u[i] * b[j] - b[i] * u[j] for i, j in ((1, 2), (2, 0), (0, 1))]
+    spec = forward(np.stack(stress + induction + [u[i] * w[j] for i in range(3)
+                                                  for j in range(3)]))
+    xi = grid.retained.xi_odd
+    N = np.empty(z.shape, dtype=complex)
+    for i in range(3):
+        T = [spec[solver._SYM_INDEX[i][j]] for j in range(3)]
+        N[i] = xi[0] * T[0] + xi[1] * T[1] + xi[2] * T[2]
+        N[3 + i] = xi[0] * spec[9 + i] + xi[1] * spec[12 + i] + xi[2] * spec[15 + i]
+    N[0:6] *= -1j
+    N[6:9] = curl_at(xi, spec[6:9])
+    leray_project(grid.retained, N[0:3], out=N[0:3])
+    return N
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_nine_row_rhs_equals_one_contraction_of_18_rows(n, threads, monkeypatch):
+    # nonlinear_rhs contracts each 9-row batch as soon as it is written
+    monkeypatch.setenv("MMP_THREADS", threads)
+    grid = Grid(n, 2 * np.pi)
+    z = grid.truncate(random_state(grid, np.random.Generator(np.random.Philox(n))).z)
+    assert nonlinear_rhs(grid, z)[0].tobytes() == rhs_of_18_products(grid, z).tobytes()
+
+
+def textbook_step(prop, z, N, dt, scheme):
+    """The step of _step_arrays as whole-array expressions of fresh applies
+    and right-hand sides."""
+    def E(v, t, kind="exp"):
+        return prop.apply(v, t, kind=kind)
+
+    def rhs(v):
+        return nonlinear_rhs(prop.grid, v)[0]
+
+    if scheme == "etd-rk2":
+        a = E(z, dt) + dt * E(N, dt, "phi1")
+        return a + dt * E(rhs(a) - N, dt, "phi2")
+    k2 = rhs(E(z + (dt / 2) * N, dt / 2))
+    k3 = rhs(E(z, dt / 2) + (dt / 2) * k2)
+    k4 = rhs(E(z, dt) + dt * E(k3, dt / 2))
+    return E(z, dt) + (dt / 6.0) * (E(N, dt) + 2.0 * (E(k2, dt / 2) + E(k3, dt / 2)) + k4)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("scheme", solver.SCHEMES)
+def test_in_place_stages_equal_the_textbook_step(scheme, n, threads, monkeypatch):
+    monkeypatch.setenv("MMP_THREADS", threads)
+    grid = Grid(n, 2 * np.pi)
+    z = grid.truncate(random_state(grid, np.random.Generator(np.random.Philox(n))).z)
+    N = nonlinear_rhs(grid, z)[0]
+    kept = z.tobytes(), N.tobytes()
+    prop = get_propagator(grid, PARAMS)
+    got = solver._step_arrays(prop, z, N, 0.05, scheme)
+    assert (z.tobytes(), N.tobytes()) == kept  # the step's inputs are left as they were
+    assert got.tobytes() == textbook_step(prop, z, N, 0.05, scheme).tobytes()
+
+
 # tracemalloc peak of one n = 64 right-hand side and its work arrays on
-# one thread: 42.6 MiB with one row of padded spectra, products and
-# spectra per worker, made per call (the fields are 18.9 MiB of it), 44.6
-# MiB with those rows held by the caller, 93.6 MiB with nine rows of each
-# and whole-grid speed scratch, 130 MiB with 18-row products
-RHS_PEAK_MIB_64 = 50.0
+# one thread: 37.0 MiB with a 9-row product spectrum, each batch
+# contracted as soon as it is written, and 42.6 MiB with an 18-row one
+# contracted once (the bound was 50 MiB then), both with one row of padded
+# spectra, products and spectra per worker, made per call (the fields are
+# 18.9 MiB of it); 44.6 MiB with those rows held by the caller, 93.6 MiB
+# with nine rows of each and whole-grid speed scratch, 130 MiB with 18-row
+# products
+RHS_PEAK_MIB_64 = 44.4
 
 
 def test_rhs_peak_memory_at_n64(monkeypatch):

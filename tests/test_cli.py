@@ -80,6 +80,42 @@ class TestCliBasics:
             assert out == {"error": "series values must be finite and positive "
                                     "inside the fit window"}
 
+    @pytest.mark.parametrize("window, shown", [(["4", "1"], "[4, 1]"),
+                                               (["nan", "4"], "[nan, 4]")],
+                             ids=["reversed", "nan"])
+    def test_fit_rate_rejects_a_bad_window(self, tmp_path, capsys, window, shown):
+        t = np.geomspace(1.0, 1e3, 40)
+        lines = ["t,l2_z_sq"] + [f"{format_float(a)},{format_float((1 + a) ** -1.5)}"
+                                 for a in t]
+        csv = tmp_path / "series.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        rc = main(["fit-rate", "--csv", str(csv), "--column", "l2_z_sq",
+                   "--window", *window])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": f"fit window {shown} must satisfy 0 <= lo < hi < inf"}
+
+    @pytest.mark.parametrize("argv, error", [
+        (["simulate", "--config", "{dir}"], "Is a directory"),
+        (["decay-char", "--field", "{dir}"], "Is a directory"),
+        (["fit-rate", "--csv", "{dir}", "--column", "a", "--window", "0", "1"],
+         "Is a directory"),
+        (["simulate", "--config", "{config}", "--out", "{file}"], "File exists"),
+        (["compare-linear", "--config", "{config}", "--out", "{file}/run"],
+         "Not a directory")],
+        ids=["config-dir", "field-dir", "csv-dir", "out-file", "out-under-file"])
+    def test_path_errors_print_one_error_line(self, tmp_path, capsys, argv, error):
+        config = tmp_path / "run.ini"
+        config.write_text(CONFIG_TEXT)
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        paths = {"config": config, "file": tmp_path / "file", "dir": tmp_path / "dir"}
+        rc = main([arg.format(**paths) for arg in argv])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and error in lines[0]
+
     def test_fit_rate_rejects_unordered_times(self, tmp_path, capsys):
         t = [3.0, 1.0, 2.0] + [float(k) for k in range(4, 13)]
         lines = ["t,l2_z_sq"] + [f"{format_float(a)},{format_float((1 + a) ** -1.5)}"

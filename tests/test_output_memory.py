@@ -27,13 +27,15 @@ NORM_ROW_PEAK_MIB_64 = 12.5
 # 12.0 MiB with a complex128 expansion, its complex64 cast and its bytes;
 # 2.1 MiB with one complex64 array (2 MiB)
 SNAPSHOT_PEAK_MIB_64 = 3.0
-# a paired one-step n = 64 run with snapshots on one thread: 91.8 MiB
-# (IF-RK4) and 69.4 MiB (ETD-RK2) with one row of padded spectra, products
-# and spectra per worker, both in the step; with nine rows of each, 140.8
-# and 118.4 MiB with the work arrays dropped before the row, 140.8 and
-# 142.8 MiB when they went at the row's start, and 173.2 and 175.4 MiB
-# when they outlive the step loop
-PAIRED_RUN_PEAK_MIB_64 = 100.0
+# a paired one-step n = 64 run with snapshots on one thread: 73.0 MiB
+# (IF-RK4) and 61.8 MiB (ETD-RK2) with a 9-row product spectrum and stages
+# that hold only live arrays, 89.7 and 67.4 MiB with an 18-row spectrum
+# and a stage array per sum (the bound was 100 MiB then), both in the
+# step; with nine rows of padded spectra, products and spectra where one
+# per worker now suffices, 140.8 and 118.4 MiB with the work arrays
+# dropped before the row, 140.8 and 142.8 MiB when they went at the row's
+# start, and 173.2 and 175.4 MiB when they outlive the step loop
+PAIRED_RUN_PEAK_MIB_64 = 83.3
 
 
 def traced_peak_mib(fn, *args) -> float:

@@ -236,8 +236,8 @@ def test_nonlinear_rhs_independent_of_thread_count(grid64, state64, pool_uses,
             outputs[threads] = padded_rhs(grid64, state64.z)
     finally:
         sys.setswitchinterval(interval)
-    # the inverse batch, the two forward batches, increments and projection
-    # at 2 and at 4 workers
+    # the inverse batch and the two forward batches, each followed by its
+    # slab stage (the second one also projects), at 2 and at 4 workers
     assert pool_uses == [2] * 5 + [4] * 5
     N, speed = outputs["1"]
     for threads in ("2", "4"):
@@ -435,10 +435,11 @@ class TestSplitBatches:
         grid = Grid(16, 2 * np.pi)
         phys = np.random.Generator(np.random.Philox(2)).normal(size=(9, 16, 16, 16))
         args = (phys,) if transform == "forward" else (forward(phys), grid)
-        # pocketfft calls per group: the passes on each row in turn
-        # (forward: z, x and y on two sets of x rows; inverse: x, y and z)
+        # pocketfft calls per group: the passes on each row in turn, 4 per
+        # row (forward: z, x and y on two sets of x rows; inverse: x on two
+        # sets of y rows, y and z)
         sizes = np.diff([9 * i // int(threads) for i in range(int(threads) + 1)])
-        calls = [(4 if transform == "forward" else 3) * size for size in sizes]
+        calls = [4 * size for size in sizes]
         started, ended = [], []
         real = grid_module._pocketfft
 
