@@ -314,10 +314,12 @@ def generate_data_with_character(grid: Grid, r: float, seed: int,
     draws = np.empty((2, 3, grid.n, grid.n, grid.n))
     pending = _grid.run_beside(_draw_normals, rng, draws)
     try:
-        mag = np.zeros_like(grid.xi_sq)
-        nonzero = grid.xi_sq > 0
-        mag[nonzero] = (grid.xi_mag[nonzero] ** r
-                        * np.exp(-grid.xi_sq[nonzero] / (2.0 * sigma ** 2)))
+        # the half spectrum's per-mode arrays, for this datum only
+        modes = grid.half_modes()
+        mag = np.zeros_like(modes.xi_sq)
+        nonzero = modes.xi_sq > 0
+        mag[nonzero] = (modes.xi_mag[nonzero] ** r
+                        * np.exp(-modes.xi_sq[nonzero] / (2.0 * sigma ** 2)))
         mag *= grid.dealias_mask
 
         def shaped_noise(next_draw: bool):
@@ -343,7 +345,7 @@ def generate_data_with_character(grid: Grid, r: float, seed: int,
             # Projection preserves solenoidality direction; rescaling each
             # mode back to the target vector magnitude keeps the law exact
             # and the mode transverse, so r* is untouched.
-            proj = leray_project(grid, vhat)
+            proj = leray_project(modes, vhat)
             amp = np.sqrt((np.abs(proj) ** 2).sum(axis=0))
             target = np.sqrt(3.0) * mag
             scale = np.divide(target, amp, out=np.zeros_like(mag), where=amp > 0)

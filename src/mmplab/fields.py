@@ -128,12 +128,11 @@ def divergence_error(grid: Grid, z: np.ndarray, modes: Grid | Modes | None = Non
     """Max relative |xi . vhat| over the u and b rows of a (9, ...) state z
     (solenoidality residual): half spectra of grid, or with modes
     Grid.retained a retained block.  Either way the scale is the largest
-    |xi| of the half spectrum, so a block has the bits of its padded half
-    spectra."""
-    modes = grid if modes is None else modes
-    xi_max = grid.xi_mag.max()
-    return max(_div_residual(modes.xi_odd, xi_max, z[0:3]),
-               _div_residual(modes.xi_odd, xi_max, z[6:9]))
+    |xi| of the half spectrum (Grid.xi_max), so a block has the bits of
+    its padded half spectra."""
+    xi_odd = (grid if modes is None else modes).xi_odd
+    return max(_div_residual(xi_odd, grid.xi_max, z[0:3]),
+               _div_residual(xi_odd, grid.xi_max, z[6:9]))
 
 
 def _div_residual(xi: np.ndarray, xi_max: float, vhat: np.ndarray) -> float:
@@ -152,11 +151,15 @@ def leray_project(modes: Grid | Modes, vhat: np.ndarray,
 
     The zero mode passes through unchanged (the projector formula is
     singular there and the mean flow carries no gradient part).  modes is
-    a Grid for half spectra vhat, or Grid.retained for a retained block;
-    another shape raises ContractViolation.  The result goes to out when
-    it is given, which may be vhat itself, and to a new array otherwise.
-    The first axis of modes is split across the workers (grid.slab_map).
+    Grid.retained for a retained block vhat, or for half spectra
+    Grid.half_modes() or a Grid, whose half_modes() is then built for this
+    call; another shape raises ContractViolation.  The result goes to out
+    when it is given, which may be vhat itself, and to a new array
+    otherwise.  The first axis of modes is split across the workers
+    (grid.slab_map).
     """
+    if isinstance(modes, Grid):
+        modes = modes.half_modes()
     shape = (3,) + modes.xi_sq.shape
     if vhat.shape != shape:
         raise ContractViolation(f"expected shape {shape}, got {vhat.shape}")
@@ -166,7 +169,7 @@ def leray_project(modes: Grid | Modes, vhat: np.ndarray,
     return out
 
 
-def project_planes(modes: Grid | Modes, vhat: np.ndarray, out: np.ndarray, sl) -> None:
+def project_planes(modes: Modes, vhat: np.ndarray, out: np.ndarray, sl) -> None:
     """The Leray projection of leray_project on the planes sl of the first
     axis of modes, from vhat into out (which may be vhat)."""
     xi, v, o = modes.xi_odd[:, sl], vhat[:, sl], out[:, sl]

@@ -27,8 +27,16 @@ into the retained block, shape (2c + 1, 2c + 1, c + 1), from four slice
 blocks of the half spectrum (k_x and k_y each run 0 .. c, then -c .. -1;
 k_z runs 0 .. c), and Grid.pad scatters a block back with zeros
 elsewhere.  The time stepper advances that block, takes its output rows
-from it and pads it only for the half spectra that leave a run;
-Grid.retained holds the per-mode arrays on the block.
+from it and pads it only for the half spectra that leave a run.
+
+A Grid caches only what the stepper reads, none of it the size of a half
+spectrum: its 1-D axes (k_int, multiplicity), the block's slices, the
+per-mode arrays on the block (Grid.retained, built from the block's own
+1-D axes) and the divergence scale, the largest |xi| of the half
+spectrum (Grid.xi_max, a scalar).  The half spectrum's per-mode arrays
+(Grid.half_modes, and xi_odd, xi_sq, ... one at a time) are built by
+the call that reads them and dropped with it: the datum's draw builds
+them once and its divergence check builds xi_odd once.
 
 forward and inverse are the package's transforms, and both work on the
 retained block (Orszag 1971; Bowman & Roberts 2011): forward takes a
@@ -37,8 +45,8 @@ retained blocks to their real fields.  Each runs pocketfft's three
 one-axis passes as calls of its own, in its order, on only the lines
 that matter to the block, with the bits that scipy.fft.rfftn and irfftn
 (norm="forward") give on the block or for the padded block.  A Grid is
-a value: it caches only arrays derived from n and length, so any number
-of threads may share one.
+a value: what it caches is derived from n and length, so any number of
+threads may share one.
 
 The MMP_THREADS workers (worker_count) split work one way (_split): the
 first axis is cut into one contiguous group of rows per worker, numbered
@@ -62,6 +70,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import math
+import operator
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
@@ -169,9 +178,13 @@ def run_beside(fn, *args) -> Future:
 
 @dataclass(frozen=True)
 class Modes:
-    """Per-mode arrays on the retained block (Grid.retained); the Grid
-    holds the same names on the half spectrum.  multiplicity is per kz
-    plane, the block's kz = 0 .. c planes of Grid.multiplicity."""
+    """Per-mode arrays on one set of modes: the retained block
+    (Grid.retained) or the half spectrum (Grid.half_modes).  xi_odd is
+    the wavevector with its Nyquist component zeroed; leray_divisor is
+    |xi_odd|^2 with its zeros replaced by 1, and leray_fixed marks those
+    zeros (the mean and the pure-Nyquist modes), which the Leray
+    projection passes through unchanged.  multiplicity is per kz plane,
+    the set's planes of Grid.multiplicity."""
 
     xi_odd: np.ndarray
     xi_sq: np.ndarray
@@ -181,14 +194,46 @@ class Modes:
     multiplicity: np.ndarray
 
 
+def _vectors(axes) -> np.ndarray:
+    """Wavevectors (3, len(x), len(y), len(z)) on the modes of three 1-D
+    wavenumber axes (x, y, z)."""
+    x, y, z = axes
+    out = np.empty((3, len(x), len(y), len(z)))
+    out[0] = x[:, None, None]
+    out[1] = y[None, :, None]
+    out[2] = z
+    return out
+
+
+def _sum_sq(axes) -> np.ndarray:
+    """|xi|^2 on the modes of three 1-D wavenumber axes, by broadcasting,
+    added as (x^2 + y^2) + z^2: the order in which (xi ** 2).sum(axis=0)
+    adds, so it has that sum's bits."""
+    x, y, z = axes
+    return (x[:, None, None] ** 2 + y[None, :, None] ** 2) + z ** 2
+
+
+def _modes(axes, odd_axes, multiplicity) -> Modes:
+    """Modes on the axes, with odd_axes the same axes with their Nyquist
+    wavenumber zeroed."""
+    xi_sq, odd_sq = _sum_sq(axes), _sum_sq(odd_axes)
+    return Modes(_vectors(odd_axes), xi_sq, np.sqrt(xi_sq), np.where(odd_sq > 0, odd_sq, 1.0),
+                 odd_sq == 0, multiplicity)
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid with n modes per axis on a box of side length."""
+    """Uniform periodic grid with n modes per axis on a box of side length
+    (what it caches: see the module docstring)."""
 
     n: int
     length: float = 2.0 * np.pi
 
     def __post_init__(self):
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"grid size must be an integer, got n={self.n!r}") from None
         if self.n % 2 != 0 or self.n < 8:
             raise ValueError(f"grid size must be even and >= 8, got n={self.n}")
         if not 0 < self.length < math.inf:
@@ -217,19 +262,19 @@ class Grid:
         """Shape of one stored half spectrum, (n, n, n//2 + 1)."""
         return (self.n, self.n, self.n // 2 + 1)
 
-    def _wavevectors(self, k: np.ndarray) -> np.ndarray:
-        out = np.empty((3,) + self.spectral_shape)
-        out[0] = k[:, None, None]
-        out[1] = k[None, :, None]
-        out[2] = k[None, None, :self.n // 2 + 1]
-        return out
+    def _axes(self, odd: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The half spectrum's wavenumber axes, with the Nyquist entry
+        k = -n/2 zeroed when odd."""
+        k = self.fundamental * self.k_int.astype(float)
+        if odd:
+            k[self.n // 2] = 0.0
+        return k, k, k[:self.n // 2 + 1]
 
-    @cached_property
-    def xi(self) -> np.ndarray:
-        """Wavevectors, shape (3, n, n, n//2 + 1)."""
-        return self._wavevectors(self.fundamental * self.k_int.astype(float))
+    def half_modes(self) -> Modes:
+        """The per-mode arrays on the half spectrum, built on each call."""
+        return _modes(self._axes(False), self._axes(True), self.multiplicity)
 
-    @cached_property
+    @property
     def xi_odd(self) -> np.ndarray:
         """Wavevectors with the Nyquist component zeroed.
 
@@ -238,33 +283,26 @@ class Grid:
         physical fields; every first-derivative-like factor uses this copy.
         Even quantities (|xi|^2 weights) keep the full wavevector.
         """
-        k = self.fundamental * self.k_int.astype(float)
-        k[self.n // 2] = 0.0
-        return self._wavevectors(k)
+        return _vectors(self._axes(True))
 
-    @cached_property
+    @property
     def xi_sq(self) -> np.ndarray:
         """|xi|^2, shape (n, n, n//2 + 1)."""
-        return (self.xi ** 2).sum(axis=0)
+        return _sum_sq(self._axes(False))
 
-    @cached_property
+    @property
     def xi_mag(self) -> np.ndarray:
         return np.sqrt(self.xi_sq)
 
     @cached_property
-    def leray_divisor(self) -> np.ndarray:
-        """|xi_odd|^2 with its zeros replaced by 1: the Leray projection's
-        divisor, shape (n, n, n//2 + 1)."""
-        s2 = (self.xi_odd ** 2).sum(axis=0)
-        return np.where(s2 > 0, s2, 1.0)
+    def xi_max(self) -> float:
+        """The largest |xi| of the half spectrum, at |k_i| = n/2 on every
+        axis: a square, a sum and a root round monotonically, so the largest
+        wavenumbers give the largest element of xi_mag, with its bits."""
+        top = np.abs(self._axes(False)[0]).max(keepdims=True)
+        return float(np.sqrt(_sum_sq((top, top, top)))[0, 0, 0])
 
-    @cached_property
-    def leray_fixed(self) -> np.ndarray:
-        """Modes with xi_odd = 0 (the mean and the pure-Nyquist modes), which
-        the Leray projection passes through unchanged."""
-        return (self.xi_odd ** 2).sum(axis=0) == 0
-
-    @cached_property
+    @property
     def dealias_mask(self) -> np.ndarray:
         """Boolean 2/3-rule mask: keep modes with |k_i| <= floor(n/3)."""
         cut = self.n // 3
@@ -305,10 +343,13 @@ class Grid:
 
     @cached_property
     def retained(self) -> Modes:
-        """The per-mode arrays cut to the retained block."""
-        return Modes(*(self.truncate(a) for a in (
-            self.xi_odd, self.xi_sq, self.xi_mag, self.leray_divisor, self.leray_fixed)),
-            multiplicity=self.multiplicity[:self.n // 3 + 1])
+        """The per-mode arrays on the retained block, from its 1-D axes
+        (k = 0 .. c, then -c .. -1; k_z = 0 .. c): the block holds no
+        Nyquist mode, so xi_odd is xi there."""
+        c = self.n // 3
+        k = self.fundamental * np.r_[0:c + 1, -c:0].astype(float)
+        axes = (k, k, k[:c + 1])
+        return _modes(axes, axes, self.multiplicity[:c + 1])
 
     @cached_property
     def multiplicity(self) -> np.ndarray:
@@ -331,13 +372,15 @@ def forward(phys: np.ndarray, out: np.ndarray | None = None, *,
     Each group of rows (_split) transforms its rows one at a time into
     its row of work, complex (groups, n, n, n//2 + 1), made here when not
     given (min(worker_count(), rows) rows suffice), with pocketfft's
-    passes in its order (z with the 1/n^3 factor, then x, then y), the x
-    pass on the kz <= c planes and the y pass on their retained x rows
-    only, and copies the block out.  form(k, group), when given, runs in
-    row k's group before its transform and returns the row in place of
-    phys[k], made in the caller's scratch for that group (say a product
-    of phys's fields); until that transform it may use the group's row of
-    work as scratch.  A phys of another shape raises ValueError.
+    passes in its order (z, then x, then y), the 1/n^3 factor applied to
+    the whole work row after the z pass, the x pass on the kz <= c planes
+    and the y pass on their retained x rows only, and copies the block
+    out.  form(k, group), when given, runs in row k's group before its
+    transform and returns the row in place of phys[k], made in the
+    caller's scratch for that group (say a product of other fields; phys
+    then only counts the rows, and may be a broadcast view); until that
+    transform it may use the group's row of work as scratch.  A phys of
+    another shape raises ValueError.
     """
     if phys.ndim != 4 or phys.shape[1:] != (phys.shape[-1],) * 3:
         raise ValueError(f"expected a batch of real fields (rows, n, n, n), got {phys.shape}")
@@ -347,13 +390,15 @@ def forward(phys: np.ndarray, out: np.ndarray | None = None, *,
         work = np.empty((min(worker_count(), len(phys)),) + grid.spectral_shape, dtype=complex)
     if out is None:
         out = np.empty((len(phys),) + grid.retained_shape, dtype=work.dtype)
-    # pocketfft scales each real output of the z pass by T(1/ldbl_t(n^3))
+    # pocketfft scales each real output of the z pass by T(1/ldbl_t(n^3));
+    # the same multiply on the whole contiguous row leaves the planes kept
+    # with those bits
     scale = work.real.dtype.type(np.longdouble(1) / np.longdouble(n) ** 3)
 
     def rows(sl: slice, threads: int, group: int) -> None:
         half = work[group]
+        scaled = half.view(work.real.dtype)
         planes = half[..., :c + 1]
-        scaled = planes.view(work.real.dtype)
         x_rows = (planes[:c + 1], planes[n - c:])
         modes = [(part, half[m]) for part, m in grid._blocks]
         for k in range(len(phys))[sl]:
@@ -371,9 +416,12 @@ def forward(phys: np.ndarray, out: np.ndarray | None = None, *,
     return out
 
 
-def inverse(blocks: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real fields (rows, n, n, n) of a batch of retained blocks of grid,
-    each with the bits of the 3-axis inverse of Grid.pad(block).
+def inverse(blocks: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """Real fields (..., n, n, n) of a batch of retained blocks of grid
+    (..., 2c + 1, 2c + 1, c + 1), whose leading axes count the rows, each
+    with the bits of the 3-axis inverse of Grid.pad(block), as a new array
+    or written into out.  The batch may be a strided view (say u's and
+    b's rows of a state, as a (2, 3, ...) view).
 
     Each group of rows (_split) pads its rows one at a time into its row
     of +0 scratch, made here, and runs pocketfft's passes in its order
@@ -381,15 +429,17 @@ def inverse(blocks: np.ndarray, grid: Grid) -> np.ndarray:
     planes only, the other planes being zeros in and out, and the x pass
     on their retained y rows only, the other rows being zeros until the y
     pass; then it sets the rest of those planes back to +0, so the next
-    row's pad only has to write the block.  Blocks of another shape raise
-    ValueError.
+    row's pad only has to write the block.  Blocks of another shape, or
+    without a leading axis, raise ValueError.
     """
-    if blocks.shape[1:] != grid.retained_shape:
+    if blocks.ndim < 4 or blocks.shape[-3:] != grid.retained_shape:
         raise ValueError(f"expected retained blocks of shape {grid.retained_shape} for "
                          f"n = {grid.n}, got {blocks.shape}")
     n, c = grid.n, grid.n // 3
-    work = np.zeros((min(worker_count(), len(blocks)),) + grid.spectral_shape, dtype=complex)
-    out = np.empty((len(blocks), n, n, n))
+    batch = list(np.ndindex(blocks.shape[:-3]))
+    work = np.zeros((min(worker_count(), len(batch)),) + grid.spectral_shape, dtype=complex)
+    if out is None:
+        out = np.empty(blocks.shape[:-3] + (n, n, n))
 
     def rows(sl: slice, threads: int, group: int) -> None:
         half = work[group]
@@ -397,7 +447,7 @@ def inverse(blocks: np.ndarray, grid: Grid) -> np.ndarray:
         modes = [(part, half[m]) for part, m in grid._blocks]
         y_rows = (planes[:, :c + 1], planes[:, n - c:])
         outside = (planes[c + 1:n - c], planes[:, c + 1:n - c])
-        for k in range(len(blocks))[sl]:
+        for k in batch[sl]:
             block = blocks[k]
             for part, mode in modes:
                 mode[...] = block[part]
@@ -408,7 +458,7 @@ def inverse(blocks: np.ndarray, grid: Grid) -> np.ndarray:
             for zeros in outside:
                 zeros[...] = 0
 
-    _split(rows, len(blocks))
+    _split(rows, len(batch))
     return out
 
 

@@ -8,23 +8,23 @@ rule) in divergence and curl form,
     (b.grad)u - (u.grad)b = curl(u x b)
     (u.grad)w             = div(u(x)w),
 
-which is 9 inverse and 18 forward real transforms per evaluation: the
-(9, ...) retained block goes out in one batch and the products come back
-in two batches of nine, first the 6 symmetric products u_i u_j - b_i b_j
-and the 3 products u x b, then the 9 products u_j w_i; of each only the
-retained block is kept, in one 9-row spectrum that each batch overwrites
-once the slab stage after it has read it: the first stage contracts the
-stress into Nu and takes the curl into Nb, the second contracts the
-transport into Nw, multiplies Nu and Nw by -i and projects Nu.  The
-transforms work on the block
-(grid.forward and grid.inverse), and each worker's row group runs its
-rows one at a time, end to end, in its own work row: the inverse pads a
-row and transforms it into its field, the forward forms a product (its
-form), transforms and truncates it.  Each call makes its own work
-arrays, one row per worker of each and the nine whole-grid fields, so
-nothing is held between calls.  The group holding row 0 of
-the second batch also takes the speed, in b's fields, which that batch
-does not read.
+which is 6 + 3 inverse and 18 forward real transforms per evaluation, in
+six whole-grid fields: the retained blocks of u and b go out in one
+batch of six and the first nine products come back, the 6 symmetric
+products u_i u_j - b_i b_j and the 3 products u x b; then the Elsasser
+speed is taken in b's fields, w goes out into them in a batch of three,
+and the 9 products u_j w_i come back.  Of each batch of products only
+the retained block is kept, in one 9-row spectrum that the second batch
+overwrites once the slab stage after the first has read it: the first
+stage contracts the stress into Nu and takes the curl into Nb, the
+second contracts the transport into Nw, multiplies Nu and Nw by -i and
+projects Nu.  The transforms work on the block (grid.forward and
+grid.inverse), and each worker's row group runs its rows one at a time,
+end to end, in its own work row: the inverse pads a row and transforms
+it into its field, the forward forms a product (its form), transforms
+and truncates it.  Each call makes its own work arrays, one row per
+worker of each and the six whole-grid fields, so nothing is held
+between calls.
 On the retained modes the identities are exact, because
 the truncated u and b are solenoidal and the 2/3 rule, always applied,
 keeps aliasing off those modes.  The velocity increment is
@@ -46,7 +46,8 @@ studies.  The stepper's applies cache their weight tables per (time,
 kind) on the propagator's kernel (SectorKernel.apply), so a run evaluates
 them once per step size: three for ETD-RK2 (exp, phi1, phi2 at h), two
 for IF-RK4 (exp at h and h/2); a halving of dt drops them.  Nothing is
-kept on the Grid, so concurrent runs may share one.  simulate advances
+kept on the Grid but what it caches of itself (see :mod:`mmplab.grid`),
+so concurrent runs may share one.  simulate advances
 the 2/3-rule retained block, one (9, 2c + 1, 2c + 1, c + 1) array with
 c = n // 3 (Grid.truncate), which
 holds the Galerkin truncation's only nonzero modes; N carries the three
@@ -60,7 +61,8 @@ the block reaches grid.SLAB_MIN_SIZE points, the sector-kernel applies
 and the two slab stages of N split their planes across the MMP_THREADS
 workers as the transform batches split their rows (grid.slab_map), mode
 by mode or point by point, so every result has the same bits at any
-thread count: five uses of the pool per evaluation.  _step_arrays forms
+thread count: six uses of the pool per evaluation (the two inverse and
+two forward batches and the two slab stages).  _step_arrays forms
 its sums and scalings in place in arrays that are not read again and
 drops each array after its last read, so a step holds only live blocks;
 as IEEE sums and products commute, it keeps the bits of the textbook
@@ -80,6 +82,7 @@ the datum's divergence check read the datum as given.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,8 +139,15 @@ class SolverConfig:
             raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end!r}")
         if not self.ball_A > 0:
             raise ValueError(f"ball_A must be positive, got {self.ball_A!r}")
-        if self.output_every < 1:
-            raise ValueError("output_every must be a positive integer")
+        # a fraction would step the output's step count over 0, and the
+        # step loop would never end
+        try:
+            every = operator.index(self.output_every)
+        except TypeError:
+            every = 0  # rejected below with the nonpositive counts
+        if every < 1:
+            raise ValueError(f"output_every must be a positive integer, "
+                             f"got {self.output_every!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         output_dt = self.dt * self.output_every
@@ -202,23 +212,29 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
     (Grid.truncate), and N is one too; any other shape raises
     ContractViolation before any work; simulate checks the datum's divergence.
     The work arrays are made here, one row for each row group of a 9-row
-    batch (min(worker_count(), 9), read once per call), and the nine fields.
+    batch (min(worker_count(), 9), read once per call), and six fields:
+    u and b, then u and w, w taking b's fields once the first batch and
+    the speed are done with them.
     """
     check_retained(grid, z)
     rows = (min(_grid.worker_count(), 9),)
+    shape = (grid.n,) * 3
+    phys = np.empty((6,) + shape)
+    u, b = phys[0:3], phys[3:6]
     # resolved on the grid module at call time, so wrappers installed
-    # there see it
-    phys = _grid.inverse(z, grid)
-    u, w, b = phys[0:3], phys[3:6], phys[6:9]
-    prod = np.empty(rows + phys.shape[1:])
+    # there see it; u's and b's blocks go as one (2, 3, ...) view of z
+    _grid.inverse(z.reshape((3, 3) + z.shape[1:])[::2], grid,
+                  out=phys.reshape((2, 3) + shape))
+    prod = np.empty(rows + shape)
+    # each batch's nine products, which forward's form makes in prod's rows
+    products = np.broadcast_to(prod[0], (9,) + shape)
     spectra = np.empty(rows + grid.spectral_shape, dtype=complex)
     # each group's row of spectra, as real scratch of one field's size,
     # free until forward transforms into it
-    scratch = [row.reshape(-1).view(float)[:phys[0].size].reshape(phys.shape[1:])
+    scratch = [row.reshape(-1).view(float)[:prod[0].size].reshape(shape)
                for row in spectra]
     # the retained products of one batch at a time
     spec = np.empty(z.shape, dtype=complex)
-    speed = None
 
     def stress_and_induction(k, group):
         """Product k of 0:9: u_i u_j - b_i b_j for the 6 symmetric pairs,
@@ -232,22 +248,7 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
         return prod[group]
 
     def transport(k, group):
-        """Product k of the second batch, u_i w_j with k = 3 i + j; with
-        row 0, the Elsasser speed."""
-        nonlocal speed
-        if k == 0:
-            # b's fields are free once the first batch is done: |b| and |u|
-            # go into them, each summed in the order of (u ** 2).sum(axis=0),
-            # so the speed keeps its bits; max is exact and propagates a NaN
-            np.square(b, out=b)
-            b[0] += b[1]
-            b[0] += b[2]
-            np.sqrt(b[0], out=b[0])
-            np.square(u[0], out=b[1])
-            b[1] += np.square(u[1], out=b[2])
-            b[1] += np.square(u[2], out=b[2])
-            np.sqrt(b[1], out=b[1])
-            speed = float(np.add(b[0], b[1], out=b[0]).max())
+        """Product k of the second batch, u_i w_j with k = 3 i + j."""
         return np.multiply(u[k // 3], w[k % 3], out=prod[group])
 
     modes = grid.retained
@@ -267,9 +268,22 @@ def nonlinear_rhs(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, float]:
         out[0:6] *= -1j
         project_planes(modes, N[0:3], N[0:3], sl)
 
-    forward(phys, out=spec, work=spectra, form=stress_and_induction)
+    forward(products, out=spec, work=spectra, form=stress_and_induction)
     _grid.slab_map(stress_and_curl, z.shape[1:])
-    forward(phys, out=spec, work=spectra, form=transport)
+    # b's fields are free now: |b| and |u| go into them, each summed in the
+    # order of (u ** 2).sum(axis=0), so the speed keeps its bits; max is
+    # exact and propagates a NaN
+    np.square(b, out=b)
+    b[0] += b[1]
+    b[0] += b[2]
+    np.sqrt(b[0], out=b[0])
+    np.square(u[0], out=b[1])
+    b[1] += np.square(u[1], out=b[2])
+    b[1] += np.square(u[2], out=b[2])
+    np.sqrt(b[1], out=b[1])
+    speed = float(np.add(b[0], b[1], out=b[0]).max())
+    w = _grid.inverse(z[3:6], grid, out=b)
+    forward(products, out=spec, work=spectra, form=transport)
     _grid.slab_map(transport_and_projection, z.shape[1:])
     return N, speed
 

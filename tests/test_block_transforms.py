@@ -7,7 +7,8 @@ feed only modes outside the 2/3-rule block out.  These tests compare
 them with one 3-axis pocketfft call (scipy.fft) bit for bit, in split
 and unsplit row groups, where every group but a 1-row batch's inverts
 rows after its first on scratch that the row before it used; and check
-that a right-hand side makes one inverse and two 9-row forward batches.
+that a right-hand side makes two inverse batches, of u and b and then of
+w, and two 9-row forward batches.
 """
 
 import numpy as np
@@ -62,14 +63,33 @@ def test_forward_rejects_arrays_that_are_not_a_batch(shape):
         forward(np.zeros(shape))
 
 
+@pytest.mark.parametrize("threads", ["1", "2", "4"])
+@pytest.mark.parametrize("n", [8, 32])
+def test_inverse_into_out_from_a_strided_batch(monkeypatch, threads, n):
+    # nonlinear_rhs inverts u's and b's rows of a state as one (2, 3, ...)
+    # view into its six fields, then w's rows into b's fields; 4 workers
+    # cut the six rows across the view's first axis
+    monkeypatch.setenv("MMP_THREADS", threads)
+    grid = Grid(n, 2 * np.pi)
+    z = grid.truncate(random_state(grid, np.random.Generator(np.random.Philox(n))).z)
+    kept = z.tobytes()
+    out = np.full((6, n, n, n), np.nan)
+    view = out.reshape((2, 3, n, n, n))
+    assert inverse(z.reshape((3, 3) + z.shape[1:])[::2], grid, out=view) is view
+    assert out.tobytes() == irfft3(grid.pad(z[[0, 1, 2, 6, 7, 8]])).tobytes()
+    assert inverse(z[3:6], grid, out=out[3:6]).tobytes() == irfft3(grid.pad(z[3:6])).tobytes()
+    assert z.tobytes() == kept
+
+
 @pytest.mark.parametrize("n", [16, 64])
-def test_one_inverse_and_two_forward_batches_of_nine(monkeypatch, n):
+def test_two_inverse_and_two_forward_batches_of_nine(monkeypatch, n):
     # perfbench's traced grid.fft counts look up these module attributes
     calls = []
 
     def spy(name, real):
         def call(arr, *args, **kw):
-            calls.append((name, arr.shape[0], kw.get("work") is not None))
+            calls.append((name, int(np.prod(arr.shape[:-3])), kw.get("work") is not None,
+                          kw.get("out") is not None))
             return real(arr, *args, **kw)
         return call
 
@@ -80,6 +100,7 @@ def test_one_inverse_and_two_forward_batches_of_nine(monkeypatch, n):
     z = grid.truncate(random_state(grid, np.random.Generator(np.random.Philox(n))).z)
     calls.clear()
     nonlinear_rhs(grid, z)
-    # the inverse makes its own scratch; the forward batches share the caller's
-    assert calls == [("grid.inverse", 9, False), ("solver.forward", 9, True),
-                     ("solver.forward", 9, True)]
+    # u and b go out into the six fields, then w into b's; the inverses
+    # make their own scratch, the forward batches share the caller's
+    assert calls == [("grid.inverse", 6, False, True), ("solver.forward", 9, True, True),
+                     ("grid.inverse", 3, False, True), ("solver.forward", 9, True, True)]

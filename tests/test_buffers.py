@@ -13,6 +13,7 @@ only derived arrays on its Grid, that a returned increment is never
 overwritten, and the memory a right-hand side and a held BlowupError keep.
 """
 
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -28,6 +29,7 @@ from mmplab.decay_character import generate_data_with_character
 from mmplab.fields import (ContractViolation, Grid, PhysParams, StateField, curl_at,
                            leray_project)
 from mmplab.grid import forward, inverse
+from mmplab.harness import RunConfig, execute_run
 from mmplab.propagator import SectorKernel, get_propagator
 from mmplab.solver import BlowupError, SolverConfig, nonlinear_rhs, simulate
 
@@ -146,14 +148,16 @@ def test_in_place_stages_equal_the_textbook_step(scheme, n, threads, monkeypatch
 
 
 # tracemalloc peak of one n = 64 right-hand side and its work arrays on
-# one thread: 37.0 MiB with a 9-row product spectrum, each batch
-# contracted as soon as it is written, and 42.6 MiB with an 18-row one
-# contracted once (the bound was 50 MiB then), both with one row of padded
-# spectra, products and spectra per worker, made per call (the fields are
-# 18.9 MiB of it); 44.6 MiB with those rows held by the caller, 93.6 MiB
-# with nine rows of each and whole-grid speed scratch, 130 MiB with 18-row
-# products
-RHS_PEAK_MIB_64 = 44.4
+# one thread: 31.0 MiB with six whole-grid fields, w inverted into b's
+# once the first batch and the speed are done with them (12.6 MiB of it),
+# and 37.0 MiB with nine (18.9 MiB; the bound was 44.4 MiB then), both
+# with a 9-row product spectrum, each batch contracted as soon as it is
+# written; 42.6 MiB with an 18-row one contracted once (the bound was
+# 50 MiB then), all with one row of padded spectra, products and spectra
+# per worker, made per call; 44.6 MiB with those rows held by the caller,
+# 93.6 MiB with nine rows of each and whole-grid speed scratch, 130 MiB
+# with 18-row products
+RHS_PEAK_MIB_64 = 38.4
 
 
 def test_rhs_peak_memory_at_n64(monkeypatch):
@@ -233,6 +237,37 @@ def test_returned_increment_is_not_overwritten():
     assert N.tobytes() == kept.tobytes()
     assert not np.shares_memory(N, N2)
     assert nonlinear_rhs(grid, first)[0].tobytes() == kept.tobytes()
+
+
+def test_run_grid_keeps_no_half_spectrum_array(tmp_path):
+    # the datum's draw and check build the half spectrum's per-mode arrays
+    # and drop them; the run's Grid keeps only block-sized arrays
+    config = RunConfig.from_text("""
+[grid]
+n = 16
+[init]
+kind = power
+r_star = 0.0
+seed = 3
+amplitude = 0.5
+[time]
+dt = 0.05
+t_end = 0.1
+output_every = 1
+[output]
+save_snapshots = true
+""")
+    _, traj = execute_run(config, tmp_path / "run", pair_linear=True, record_tensor=True)
+    grid = traj.snapshots[0].grid  # the t = 0 snapshot holds the datum on the run's Grid
+    assert grid == config.grid() and holds_only_derived_arrays(grid)
+    arrays = [(name, value) for name, value in vars(grid).items()
+              if isinstance(value, np.ndarray)]
+    arrays += [(f"retained.{field.name}", getattr(grid.retained, field.name))
+               for field in dataclasses.fields(grid.retained)]
+    assert {name for name, _ in arrays} >= {"k_int", "multiplicity", "retained.xi_odd"}
+    for name, value in arrays:
+        assert value.shape[-3:] != grid.spectral_shape, name
+        assert value.size < np.prod(grid.spectral_shape), name
 
 
 def test_runs_on_alternating_grids_are_identical():

@@ -399,18 +399,21 @@ class TestRunDirectory:
         assert (out / "series.csv").exists()
 
     def test_a_run_builds_its_wavevectors_on_one_grid(self, tmp_path, monkeypatch):
-        # the datum is drawn on the grid the run advances: xi and xi_odd,
-        # once each, and no second Grid
+        # the datum is drawn on the grid the run advances, and no second
+        # Grid builds the half spectrum's axes: the draw builds xi and
+        # xi_odd, the datum's divergence check xi_odd and its scale xi,
+        # once each, and the rows none
         built = []
-        wavevectors = Grid._wavevectors
+        axes = Grid._axes
 
-        def counted(grid, k):
-            built.append(grid)
-            return wavevectors(grid, k)
+        def counted(grid, odd):
+            built.append((grid, odd))
+            return axes(grid, odd)
 
-        monkeypatch.setattr(Grid, "_wavevectors", counted)
+        monkeypatch.setattr(Grid, "_axes", counted)
         execute_run(RunConfig.from_text(CONFIG_TEXT), out_dir=tmp_path / "r", pair_linear=True)
-        assert len(built) == 2 and built[0] is built[1]
+        assert [odd for _, odd in built] == [False, True, True, False]
+        assert all(grid is built[0][0] for grid, _ in built)
 
     def test_zero_data_compare_linear_differences_vanish(self, tmp_path):
         cfg = RunConfig.from_text(CONFIG_TEXT.replace("kind = power",

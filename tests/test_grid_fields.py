@@ -1,5 +1,7 @@
 """Field-core tests: transforms, Leray projection, norms, operators."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,15 +33,27 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(8, 0.0)
 
+    @pytest.mark.parametrize("n", [8.0, np.float64(8.0), 8.5, "8", None])
+    def test_non_integral_size_is_rejected(self, n):
+        # 8.0 passed the parity and size checks, and its first array build
+        # failed inside numpy
+        with pytest.raises(ValueError, match=re.escape(f"grid size must be an integer, got n={n!r}")):
+            Grid(n)
+
+    def test_numpy_integer_size_is_taken(self):
+        grid = Grid(np.int64(8))
+        assert grid == Grid(8) and grid.spectral_shape == (8, 8, 5)
+        assert grid.retained.xi_odd.shape == (3, 5, 5, 3)
+
     def test_wavevector_antisymmetry(self):
         grid = Grid(8, 3.0)
-        k = grid.k_int
+        k, xi = grid.k_int, grid.xi_odd
         # every representable pair (k, -k); the Nyquist mode has no partner
         for i, ki in enumerate(k):
             if ki == -grid.n // 2:
                 continue
             j = int(np.where(k == -ki)[0][0])
-            assert grid.xi[0][i, 0, 0] == -grid.xi[0][j, 0, 0]
+            assert xi[0][i, 0, 0] == -xi[0][j, 0, 0]
 
     def test_dealias_mask(self):
         grid = Grid(8)
@@ -61,7 +75,7 @@ class TestGrid:
         keep = (np.abs(np.stack([KX, KY, KZ])) <= n // 3).all(axis=0)
         half = (Ellipsis, slice(0, n // 2 + 1))
         assert grid.spectral_shape == (n, n, n // 2 + 1)
-        assert np.array_equal(grid.xi, xi[half])
+        assert np.array_equal(grid.xi_mag, np.sqrt((xi ** 2).sum(axis=0))[half])
         assert np.array_equal(grid.xi_odd, odd[half])
         assert np.array_equal(grid.xi_sq, (xi ** 2).sum(axis=0)[half])
         assert np.array_equal(grid.dealias_mask, keep[half])

@@ -34,7 +34,8 @@ def realize_profile_on_grid(grid, profile):
     dealiased mode set, the retained block.
     """
     z = np.zeros((9,) + grid.spectral_shape, dtype=complex)
-    mags = grid.xi_mag
+    # the dealiased modes hold no Nyquist component, so xi_odd is xi there
+    mags, xi = grid.xi_mag, grid.xi_odd
     # One lattice cell covers d^3 xi = (2 pi / L)^3, and the package norm is
     # volume * sum |c_k|^2, so continuum intensity psi maps to coefficients
     # |c_k|^2 = psi(xi_k) (2 pi / L)^3 / volume.
@@ -47,7 +48,7 @@ def realize_profile_on_grid(grid, profile):
         if dens[rho] <= 0:
             continue
         z[:, i1, i2, i3] = np.sqrt(dens[rho] * cell) * _polarization(
-            grid.xi[:, i1, i2, i3] / rho, (1/3, 1/3, 1/3))
+            xi[:, i1, i2, i3] / rho, (1/3, 1/3, 1/3))
     return StateField(grid, z)
 
 

@@ -84,12 +84,48 @@ def test_retained_block_is_the_dealias_mask(n):
     assert np.array_equal(k, np.r_[0:c + 1, -c:0])
 
 
-def test_retained_modes_are_the_truncated_arrays():
-    grid = Grid(16, 2 * np.pi)
-    for name in ("xi_odd", "xi_sq", "xi_mag", "leray_divisor", "leray_fixed"):
-        assert np.array_equal(getattr(grid.retained, name),
-                              grid.truncate(getattr(grid, name)))
-    assert np.array_equal(grid.retained.multiplicity, [1.0] + [2.0] * (16 // 3))
+def half_spectrum_arrays(grid):
+    """The half spectrum's per-mode arrays as whole-array expressions of
+    its wavevectors, the Nyquist component zeroed in xi_odd, each sum of
+    squares by .sum(axis=0)."""
+    k = grid.fundamental * grid.k_int.astype(float)
+    odd = k.copy()
+    odd[grid.n // 2] = 0.0
+
+    def vectors(axis):
+        out = np.empty((3,) + grid.spectral_shape)
+        out[0] = axis[:, None, None]
+        out[1] = axis[None, :, None]
+        out[2] = axis[None, None, :grid.n // 2 + 1]
+        return out
+
+    xi, xi_odd = vectors(k), vectors(odd)
+    xi_sq, odd_sq = (xi ** 2).sum(axis=0), (xi_odd ** 2).sum(axis=0)
+    return {"xi_odd": xi_odd, "xi_sq": xi_sq, "xi_mag": np.sqrt(xi_sq),
+            "leray_divisor": np.where(odd_sq > 0, odd_sq, 1.0), "leray_fixed": odd_sq == 0}
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("length", [1.0, 2 * np.pi, 64 * np.pi])
+@pytest.mark.parametrize("n", [8, 30, 32, 48, 64])
+def test_retained_modes_are_the_truncated_arrays(n, length):
+    # the block's arrays come from its 1-D axes, the half spectrum's are
+    # built per call, and the divergence scale is a cached scalar: all
+    # with the bits of the whole-array expressions, truncated
+    grid = Grid(n, length)
+    half = half_spectrum_arrays(grid)
+    modes = grid.half_modes()
+    for name, want in half.items():
+        assert same_bits(getattr(modes, name), want), name
+        assert same_bits(getattr(grid.retained, name), grid.truncate(want)), name
+        if name in ("xi_odd", "xi_sq", "xi_mag"):
+            assert same_bits(getattr(grid, name), want), name
+    assert np.float64(grid.xi_max).tobytes() == half["xi_mag"].max().tobytes()
+    assert same_bits(modes.multiplicity, grid.multiplicity)
+    assert np.array_equal(grid.retained.multiplicity, [1.0] + [2.0] * (n // 3))
     # no Nyquist mode is retained, so only the mean mode is fixed
     assert grid.retained.leray_fixed.sum() == 1
 

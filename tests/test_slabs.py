@@ -236,9 +236,10 @@ def test_nonlinear_rhs_independent_of_thread_count(grid64, state64, pool_uses,
             outputs[threads] = padded_rhs(grid64, state64.z)
     finally:
         sys.setswitchinterval(interval)
-    # the inverse batch and the two forward batches, each followed by its
-    # slab stage (the second one also projects), at 2 and at 4 workers
-    assert pool_uses == [2] * 5 + [4] * 5
+    # the inverse batch of u and b, the first forward batch and its slab
+    # stage, the inverse batch of w, the second forward batch and its slab
+    # stage (which also projects): six uses at 2 and at 4 workers
+    assert pool_uses == [2] * 6 + [4] * 6
     N, speed = outputs["1"]
     for threads in ("2", "4"):
         assert outputs[threads][0].tobytes() == N.tobytes()
@@ -280,7 +281,7 @@ def test_leray_bits_equal_the_array_formula(monkeypatch, threads, block, n):
     monkeypatch.setenv("MMP_THREADS", threads)
     grid = Grid(n, 2 * np.pi)
     vhat = rfft3(np.random.Generator(np.random.Philox(n)).normal(size=(3, n, n, n)))
-    modes = grid.retained if block else grid
+    modes = grid.retained if block else grid.half_modes()
     if block:
         vhat = grid.truncate(vhat)
     assert leray_project(modes, vhat).tobytes() == _leray_formula(modes, vhat).tobytes()
@@ -291,10 +292,11 @@ def test_leray_peak_memory(monkeypatch):
     monkeypatch.setenv("MMP_THREADS", "1")
     grid = Grid(64, 2 * np.pi)
     vhat = rfft3(np.random.Generator(np.random.Philox(5)).normal(size=(3, 64, 64, 64)))
-    leray_project(grid, vhat)  # the grid's cached per-mode arrays
+    modes = grid.half_modes()  # held by the caller, as the data generator holds them
+    leray_project(modes, vhat)
     tracemalloc.start()
     try:
-        leray_project(grid, vhat)
+        leray_project(modes, vhat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -368,9 +370,9 @@ def test_small_grid_pool_use_is_the_transform_batches(pool_uses, monkeypatch):
     state = random_state(grid, np.random.Generator(np.random.Philox(32)))
     pool_uses.clear()  # the datum's three forward batches
     nonlinear_rhs(grid, grid.truncate(state.z))
-    # one inverse batch of nine fields and two forward batches of nine
-    # products; the slab stages between them run whole
-    assert pool_uses == [2, 2, 2]
+    # the inverse batches of u and b and of w and two forward batches of
+    # nine products; the slab stages between them run whole
+    assert pool_uses == [2, 2, 2, 2]
     kernel = SectorKernel(grid.xi_odd, grid.xi_sq, PARAMS)
     for kind in ("exp", "phi1", "phi2"):
         kernel.apply(state.z, 0.05, kind=kind)
@@ -378,14 +380,14 @@ def test_small_grid_pool_use_is_the_transform_batches(pool_uses, monkeypatch):
     radial.norms_at(1.0)
     radial.norms_at(np.geomspace(1.0, 1e4, 200))
     radial.ball_mass_at(10.0, 0.3)
-    assert pool_uses == [2, 2, 2]
+    assert pool_uses == [2, 2, 2, 2]
     # a run looks the pool up for its right-hand sides' batches only
     pool_uses.clear()
     rhs_calls = []
     monkeypatch.setattr(solver_module, "nonlinear_rhs",
                         lambda *args: rhs_calls.append(True) or nonlinear_rhs(*args))
     simulate(SolverConfig(grid=grid, params=PARAMS, dt=0.05, t_end=0.05), state)
-    assert rhs_calls and pool_uses == [2] * (3 * len(rhs_calls))
+    assert rhs_calls and pool_uses == [2] * (4 * len(rhs_calls))
     # the slab stages take the pool at n = 64
     pool_uses.clear()
     leray_project(Grid(64, 2 * np.pi), np.zeros((3, 64, 64, 33), dtype=complex))
@@ -571,12 +573,13 @@ class TestFusedRhs:
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_one_nan_point_gives_a_nan_speed(self, monkeypatch, n):
-        # a NaN at the last point of b_y
+        # a NaN at the last point of b_y, in the batch of u's and b's fields
         real = grid_module.inverse
 
-        def inverse(blocks, grid):
-            phys = real(blocks, grid)
-            phys[7, -1, -1, -1] = np.nan
+        def inverse(blocks, grid, out=None):
+            phys = real(blocks, grid, out=out)
+            if phys.shape[:-3] == (2, 3):
+                phys[1, 1, -1, -1, -1] = np.nan
             return phys
 
         monkeypatch.setattr(grid_module, "inverse", inverse)

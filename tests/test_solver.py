@@ -1,5 +1,6 @@
 """Nonlinear solver: advection terms, exponential steps, full runs."""
 
+import re
 import warnings
 
 import numpy as np
@@ -352,7 +353,8 @@ class TestSimulate:
         traj = simulate(cfg, z0)
         assert traj.diagnostics["cfl_halvings"] == 0
         assert len(calls) == 2 * 6
-        assert len(inverses) == 2 * 6
+        # each evaluation inverts u and b, then w
+        assert len(inverses) == 2 * 2 * 6
 
     def test_magnetic_zero_stays_zero(self, params):
         grid = Grid(16, 2 * np.pi)
@@ -486,6 +488,19 @@ class TestSimulate:
                 SolverConfig(**config)
         with pytest.raises(ValueError, match="box side"):
             Grid(8, np.inf)
+
+    @pytest.mark.parametrize("every", [1.5, 1.0, np.float64(2.0), 0, -1, "2", None])
+    def test_output_every_must_be_a_positive_integer(self, grid8, params, every):
+        # 1.5 was accepted, and the step loop's count went 1.5, 0.5, -0.5 past 0
+        with pytest.raises(ValueError,
+                           match=re.escape(
+                               f"output_every must be a positive integer, got {every!r}")):
+            SolverConfig(grid=grid8, params=params, dt=0.1, t_end=0.3, output_every=every)
+
+    def test_numpy_integer_output_every_is_taken(self, grid8, params):
+        cfg = SolverConfig(grid=grid8, params=params, dt=0.1, t_end=0.4,
+                           output_every=np.int64(2))
+        assert simulate(cfg, StateField.zero(grid8)).times == pytest.approx([0.0, 0.2, 0.4])
 
     def test_t_end_must_be_whole_outputs(self, grid8, params):
         # 1.0 / (0.15 * 2) = 3.33 outputs used to be rounded to 3 silently
