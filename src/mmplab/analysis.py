@@ -86,10 +86,10 @@ def fourier_split_radius(t: float, A: float) -> float:
 
 
 def fourier_split_integral(grid: Grid, z: np.ndarray, t: float, A: float,
-                           modes: Grid | Modes | None = None) -> float:
+                           modes: Modes | None = None) -> float:
     """Spectral energy of a (9, ...) state z of grid inside the shrinking
-    ball |xi| <= sqrt(A/(1+t)); z is half spectra, or with modes
-    Grid.retained a retained block.
+    ball |xi| <= sqrt(A/(1+t)), on modes, by default grid.half_modes(): z
+    is half spectra, or with modes Grid.retained a retained block.
 
     On the lattice this is the partial sum of mode energies, normalized so
     that a ball containing every resolved mode returns the full squared
@@ -102,7 +102,7 @@ def fourier_split_integral(grid: Grid, z: np.ndarray, t: float, A: float,
             f"splitting ball radius {g:.3e} below fundamental mode "
             f"{grid.fundamental:.3e}; returning 0", stacklevel=2)
         return 0.0
-    modes = grid if modes is None else modes
+    modes = grid.half_modes() if modes is None else modes
     inside = modes.xi_mag <= g
     return spectrum_norm_sq(grid, z[0:3], z[3:6], z[6:9], weight=inside.astype(float),
                             modes=modes)

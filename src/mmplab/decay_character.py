@@ -142,7 +142,7 @@ class ShellProfile:
         multiplicity, so the masses are those of the full spectrum.
         """
         dk = grid.fundamental
-        shell_index = np.ceil(grid.xi_mag / dk - 1e-9).astype(int)
+        shell_index = np.ceil(grid.half_modes().xi_mag / dk - 1e-9).astype(int)
         n_shells = int(shell_index.max()) + 1
         masses = np.zeros(n_shells)
         for arr in spectral_arrays:
@@ -301,7 +301,8 @@ def generate_data_with_character(grid: Grid, r: float, seed: int,
     once the pairing has read the group before from the buffer, so the
     generator's stream is read in the same order at any worker count.  An
     error in a draw is raised here, and no draw outlives the call.  Raises
-    ValueError unless -3/2 < r < 6 and amplitude is finite.
+    ValueError unless -3/2 < r < 6, amplitude is finite and sigma > 0
+    (sigma = inf: no envelope).
     """
     if not -1.5 < r < 6.0:
         raise ValueError(f"decay character target {r} outside resolvable (-3/2, 6)")
@@ -309,18 +310,22 @@ def generate_data_with_character(grid: Grid, r: float, seed: int,
         raise ValueError(f"amplitude must be finite, got {amplitude!r}")
     if sigma is None:
         sigma = grid.n * np.pi / (4.0 * grid.length)
+    if not sigma > 0:  # NaN fails too
+        raise ValueError(f"sigma must be positive, got {sigma!r}")
 
     rng = np.random.Generator(np.random.Philox(seed))
     draws = np.empty((2, 3, grid.n, grid.n, grid.n))
     pending = _grid.run_beside(_draw_normals, rng, draws)
     try:
-        # the half spectrum's per-mode arrays, for this datum only
+        # the magnitudes on the retained block, +0 elsewhere (the 2/3 rule)
+        block = grid.retained
+        mag = np.zeros_like(block.xi_sq)
+        nonzero = block.xi_sq > 0
+        mag[nonzero] = (block.xi_mag[nonzero] ** r
+                        * np.exp(-block.xi_sq[nonzero] / (2.0 * sigma ** 2)))
+        mag = grid.pad(mag)
+        # the half spectrum's Leray arrays, for this datum only
         modes = grid.half_modes()
-        mag = np.zeros_like(modes.xi_sq)
-        nonzero = modes.xi_sq > 0
-        mag[nonzero] = (modes.xi_mag[nonzero] ** r
-                        * np.exp(-modes.xi_sq[nonzero] / (2.0 * sigma ** 2)))
-        mag *= grid.dealias_mask
 
         def shaped_noise(next_draw: bool):
             # Conjugate-symmetric random phases with exactly the target
@@ -358,7 +363,7 @@ def generate_data_with_character(grid: Grid, r: float, seed: int,
     finally:
         wait((pending,))
 
-    norm = np.sqrt(spectrum_norm_sq(grid, z[0:3], z[3:6], z[6:9]))
+    norm = np.sqrt(spectrum_norm_sq(grid, z[0:3], z[3:6], z[6:9], modes=modes))
     scale = amplitude / norm if norm > 0 and amplitude != 0 else 0.0
     z *= scale
     return StateField(grid, z)

@@ -3,9 +3,12 @@
 The state z = (u, w, b) couples an incompressible velocity u, a
 micro-rotational field w and a solenoidal magnetic field b.  Fields live in
 spectral space (see :mod:`mmplab.grid` for the normalization); physical
-space is only visited transiently when forming products.  The whole state
-is one array of half spectra of real fields, shape (9, n, n, n//2 + 1),
-whose rows 0:3, 3:6 and 6:9 are u, w and b.  :func:`state_norms` is the
+space is only visited transiently when forming products.  A state is one
+(9, ...) array whose rows 0:3, 3:6 and 6:9 are u, w and b: half spectra
+of real fields, shape (9, n, n, n//2 + 1), for a datum or a snapshot
+(StateField), the retained block for the time stepper (see
+:mod:`mmplab.solver`).  Per-mode arrays come from the Modes of either
+layout (:class:`mmplab.grid.Modes`).  :func:`state_norms` is the
 one definition of the norms, for torus rows (weighting the kz planes by the
 grid's Parseval multiplicity) and radial nodes alike; it holds two arrays
 of |z|^2 size at a time, the weighted energies and one scratch array for
@@ -124,13 +127,13 @@ def _read_only(view: np.ndarray) -> np.ndarray:
     return view
 
 
-def divergence_error(grid: Grid, z: np.ndarray, modes: Grid | Modes | None = None) -> float:
+def divergence_error(grid: Grid, z: np.ndarray, modes: Modes | None = None) -> float:
     """Max relative |xi . vhat| over the u and b rows of a (9, ...) state z
-    (solenoidality residual): half spectra of grid, or with modes
-    Grid.retained a retained block.  Either way the scale is the largest
-    |xi| of the half spectrum (Grid.xi_max), so a block has the bits of
-    its padded half spectra."""
-    xi_odd = (grid if modes is None else modes).xi_odd
+    (solenoidality residual) on modes, by default grid.half_modes(): half
+    spectra of grid, or with modes Grid.retained a retained block.  Either
+    way the scale is the largest |xi| of the half spectrum (Grid.xi_max),
+    so a block has the bits of its padded half spectra."""
+    xi_odd = (grid.half_modes() if modes is None else modes).xi_odd
     return max(_div_residual(xi_odd, grid.xi_max, z[0:3]),
                _div_residual(xi_odd, grid.xi_max, z[6:9]))
 
@@ -145,22 +148,19 @@ def _div_residual(xi: np.ndarray, xi_max: float, vhat: np.ndarray) -> float:
     return float(np.abs(div).max() / scale) if scale > 0 else 0.0
 
 
-def leray_project(modes: Grid | Modes, vhat: np.ndarray,
+def leray_project(modes: Modes, vhat: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Remove the gradient part: vhat - xi (xi . vhat) / |xi|^2.
 
     The zero mode passes through unchanged (the projector formula is
     singular there and the mean flow carries no gradient part).  modes is
-    Grid.retained for a retained block vhat, or for half spectra
-    Grid.half_modes() or a Grid, whose half_modes() is then built for this
-    call; another shape raises ContractViolation.  The result goes to out
+    Grid.retained for a retained block vhat, or Grid.half_modes() for half
+    spectra; another shape raises ContractViolation.  The result goes to out
     when it is given, which may be vhat itself, and to a new array
     otherwise.  The first axis of modes is split across the workers
     (grid.slab_map).
     """
-    if isinstance(modes, Grid):
-        modes = modes.half_modes()
-    shape = (3,) + modes.xi_sq.shape
+    shape = modes.xi_odd.shape  # built here, before the planes split
     if vhat.shape != shape:
         raise ContractViolation(f"expected shape {shape}, got {vhat.shape}")
     if out is None:
@@ -199,16 +199,16 @@ def curl_at(xi: np.ndarray, vhat: np.ndarray) -> np.ndarray:
 
 def spectrum_norm_sq(grid: Grid, *spectral_arrays: np.ndarray,
                      weight: np.ndarray | None = None,
-                     modes: Grid | Modes | None = None) -> float:
+                     modes: Modes | None = None) -> float:
     """L2 norm squared, volume * sum of |coefficients|^2, optionally weighted.
 
-    The arrays are half spectra of grid, or with modes Grid.retained
-    retained blocks.  The sum runs over the full spectrum: each stored
-    mode counts with its Parseval multiplicity.  Accumulation order is
-    fixed (numpy pairwise sum over C-ordered arrays), so results are
-    bit-stable across worker counts.
+    The arrays are on modes, by default grid.half_modes(): half spectra of
+    grid, or with modes Grid.retained retained blocks.  The sum runs over
+    the full spectrum: each stored mode counts with its Parseval
+    multiplicity.  Accumulation order is fixed (numpy pairwise sum over
+    C-ordered arrays), so results are bit-stable across worker counts.
     """
-    multiplicity = (grid if modes is None else modes).multiplicity
+    multiplicity = (grid.half_modes() if modes is None else modes).multiplicity
     total = 0.0
     for arr in spectral_arrays:
         mag = (arr.real ** 2 + arr.imag ** 2) * multiplicity

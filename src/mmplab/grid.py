@@ -29,14 +29,15 @@ k_z runs 0 .. c), and Grid.pad scatters a block back with zeros
 elsewhere.  The time stepper advances that block, takes its output rows
 from it and pads it only for the half spectra that leave a run.
 
-A Grid caches only what the stepper reads, none of it the size of a half
-spectrum: its 1-D axes (k_int, multiplicity), the block's slices, the
-per-mode arrays on the block (Grid.retained, built from the block's own
-1-D axes) and the divergence scale, the largest |xi| of the half
-spectrum (Grid.xi_max, a scalar).  The half spectrum's per-mode arrays
-(Grid.half_modes, and xi_odd, xi_sq, ... one at a time) are built by
-the call that reads them and dropped with it: the datum's draw builds
-them once and its divergence check builds xi_odd once.
+Per-mode arrays come only from a Modes, which holds the 1-D axes of
+one mode set and builds each array on its first read.  A Grid has two
+mode sets and caches only what the stepper reads, none of it the size of
+a half spectrum: its 1-D axes (k_int, multiplicity), the block's slices,
+the block's Modes (Grid.retained) and the divergence scale, the largest
+|xi| of the half spectrum (Grid.xi_max, a scalar).  The half spectrum's
+Modes (Grid.half_modes) are made per call and dropped with their
+caller: the datum's draw builds xi_odd and the Leray arrays, and its
+divergence check builds xi_odd.
 
 forward and inverse are the package's transforms, and both work on the
 retained block (Orszag 1971; Bowman & Roberts 2011): forward takes a
@@ -176,24 +177,6 @@ def run_beside(fn, *args) -> Future:
     return future
 
 
-@dataclass(frozen=True)
-class Modes:
-    """Per-mode arrays on one set of modes: the retained block
-    (Grid.retained) or the half spectrum (Grid.half_modes).  xi_odd is
-    the wavevector with its Nyquist component zeroed; leray_divisor is
-    |xi_odd|^2 with its zeros replaced by 1, and leray_fixed marks those
-    zeros (the mean and the pure-Nyquist modes), which the Leray
-    projection passes through unchanged.  multiplicity is per kz plane,
-    the set's planes of Grid.multiplicity."""
-
-    xi_odd: np.ndarray
-    xi_sq: np.ndarray
-    xi_mag: np.ndarray
-    leray_divisor: np.ndarray
-    leray_fixed: np.ndarray
-    multiplicity: np.ndarray
-
-
 def _vectors(axes) -> np.ndarray:
     """Wavevectors (3, len(x), len(y), len(z)) on the modes of three 1-D
     wavenumber axes (x, y, z)."""
@@ -213,12 +196,43 @@ def _sum_sq(axes) -> np.ndarray:
     return (x[:, None, None] ** 2 + y[None, :, None] ** 2) + z ** 2
 
 
-def _modes(axes, odd_axes, multiplicity) -> Modes:
-    """Modes on the axes, with odd_axes the same axes with their Nyquist
-    wavenumber zeroed."""
-    xi_sq, odd_sq = _sum_sq(axes), _sum_sq(odd_axes)
-    return Modes(_vectors(odd_axes), xi_sq, np.sqrt(xi_sq), np.where(odd_sq > 0, odd_sq, 1.0),
-                 odd_sq == 0, multiplicity)
+@dataclass(frozen=True, eq=False)
+class Modes:
+    """Per-mode arrays on one set of modes, the retained block
+    (Grid.retained) or the half spectrum (Grid.half_modes), each built from
+    the set's 1-D wavenumber axes (x, y, z) on its first read and kept.
+    odd_axes are the axes with the Nyquist wavenumber zeroed.  xi_odd is
+    the wavevector on them: the k = -n/2 plane has no conjugate partner,
+    so every sign-carrying factor uses it, while the even xi_sq and xi_mag
+    keep the full wavevector.  leray_divisor is |xi_odd|^2 with its zeros
+    replaced by 1, and leray_fixed marks those zeros (the mean and the
+    pure-Nyquist modes), which the Leray projection passes through
+    unchanged; one |xi_odd|^2 makes both.  multiplicity is per kz plane,
+    the set's planes of Grid.multiplicity."""
+
+    axes: tuple[np.ndarray, np.ndarray, np.ndarray]
+    odd_axes: tuple[np.ndarray, np.ndarray, np.ndarray]
+    multiplicity: np.ndarray
+
+    @cached_property
+    def xi_odd(self) -> np.ndarray:
+        return _vectors(self.odd_axes)
+
+    @cached_property
+    def xi_sq(self) -> np.ndarray:
+        return _sum_sq(self.axes)
+
+    @cached_property
+    def xi_mag(self) -> np.ndarray:
+        return np.sqrt(self.xi_sq)
+
+    @cached_property
+    def _leray(self) -> tuple[np.ndarray, np.ndarray]:
+        odd_sq = _sum_sq(self.odd_axes)
+        return np.where(odd_sq > 0, odd_sq, 1.0), odd_sq == 0
+
+    leray_divisor = property(lambda self: self._leray[0])
+    leray_fixed = property(lambda self: self._leray[1])
 
 
 @dataclass(frozen=True)
@@ -271,44 +285,18 @@ class Grid:
         return k, k, k[:self.n // 2 + 1]
 
     def half_modes(self) -> Modes:
-        """The per-mode arrays on the half spectrum, built on each call."""
-        return _modes(self._axes(False), self._axes(True), self.multiplicity)
-
-    @property
-    def xi_odd(self) -> np.ndarray:
-        """Wavevectors with the Nyquist component zeroed.
-
-        The k = -n/2 plane has no conjugate partner, so odd (sign-carrying)
-        operators built from it are ambiguous and would break the reality of
-        physical fields; every first-derivative-like factor uses this copy.
-        Even quantities (|xi|^2 weights) keep the full wavevector.
-        """
-        return _vectors(self._axes(True))
-
-    @property
-    def xi_sq(self) -> np.ndarray:
-        """|xi|^2, shape (n, n, n//2 + 1)."""
-        return _sum_sq(self._axes(False))
-
-    @property
-    def xi_mag(self) -> np.ndarray:
-        return np.sqrt(self.xi_sq)
+        """The half spectrum's Modes, made on each call, so its arrays live
+        as long as the caller holds it."""
+        return Modes(self._axes(False), self._axes(True), self.multiplicity)
 
     @cached_property
     def xi_max(self) -> float:
         """The largest |xi| of the half spectrum, at |k_i| = n/2 on every
         axis: a square, a sum and a root round monotonically, so the largest
-        wavenumbers give the largest element of xi_mag, with its bits."""
+        wavenumbers give the largest element of half_modes().xi_mag, with
+        its bits."""
         top = np.abs(self._axes(False)[0]).max(keepdims=True)
         return float(np.sqrt(_sum_sq((top, top, top)))[0, 0, 0])
-
-    @property
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean 2/3-rule mask: keep modes with |k_i| <= floor(n/3)."""
-        cut = self.n // 3
-        keep1 = np.abs(self.k_int) <= cut
-        return (keep1[:, None, None] & keep1[None, :, None]
-                & keep1[None, None, :self.n // 2 + 1])
 
     @property
     def retained_shape(self) -> tuple[int, int, int]:
@@ -349,7 +337,7 @@ class Grid:
         c = self.n // 3
         k = self.fundamental * np.r_[0:c + 1, -c:0].astype(float)
         axes = (k, k, k[:c + 1])
-        return _modes(axes, axes, self.multiplicity[:c + 1])
+        return Modes(axes, axes, self.multiplicity[:c + 1])
 
     @cached_property
     def multiplicity(self) -> np.ndarray:

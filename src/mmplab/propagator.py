@@ -20,16 +20,15 @@ is the same divided difference.
 Both take and return one array with z = (u, w, b) on a leading axis of 9.
 A kernel takes the layout of the wavevectors it is built on: (9, n_r) on
 the radial nodes, half spectra (9, n, n, n//2 + 1) on the grid's.  The
-grid propagator holds one kernel, on the 2/3-rule retained block
+grid propagator is the kernel on the 2/3-rule retained block
 (9, 2c + 1, 2c + 1, c + 1) (see :mod:`mmplab.grid`), the one layout the
-time stepper advances, and raises ContractViolation on any other shape;
-its spectral radius is read from that kernel's rates.
+time stepper advances, and raises ContractViolation on any other shape.
 
 An apply at a scalar time with cache=True keeps its weight table (the
 five per-mode weights of the sector and the magnetic factor) on the kernel
 under (t, kind) and reuses it at the next such call: the stepper's applies
-at a fixed step size evaluate their weights once.  drop_weights forgets
-them.  Array times and uncached calls evaluate the weights every time.
+at a fixed step size evaluate their weights once, and clearing tables
+forgets them.  Array times and uncached calls evaluate the weights every time.
 """
 
 from __future__ import annotations
@@ -124,6 +123,11 @@ class SectorKernel:
         self.lam_lo, self.lam_hi = sector_eigenvalues(self.a, self.b, params.chi ** 2 * q2)
         self.tables: dict[tuple[float, str], tuple[np.ndarray, ...]] = {}
 
+    @property
+    def spectral_radius(self) -> float:
+        """Largest decay rate over the kernel's modes."""
+        return float(max(-self.lam_lo.min(), -self.lam_w_long.min(), -self.lam_mag.min()))
+
     def apply(self, z: np.ndarray, t, kind: str = "exp", cache: bool = False) -> np.ndarray:
         """f(tM) z for z = (u, w, b) stacked on a leading axis of 9.
 
@@ -185,31 +189,19 @@ class SectorKernel:
         return out
 
 
-class GridPropagator:
-    """Sector-kernel propagator for one (grid, params) pair, on the grid's
-    retained block."""
+class GridPropagator(SectorKernel):
+    """The sector kernel of one (grid, params) pair on the grid's retained
+    block."""
 
     def __init__(self, grid: Grid, params: PhysParams):
+        super().__init__(grid.retained.xi_odd, grid.retained.xi_sq, params)
         self.grid = grid
-        self.retained_kernel = SectorKernel(grid.retained.xi_odd, grid.retained.xi_sq, params)
-
-    @property
-    def spectral_radius(self) -> float:
-        """Largest decay rate over the retained block, the modes the run
-        advances."""
-        k = self.retained_kernel
-        return float(max(-k.lam_lo.min(), -k.lam_w_long.min(), -k.lam_mag.min()))
 
     def apply(self, z: np.ndarray, t: float, kind: str = "exp",
               cache: bool = False) -> np.ndarray:
-        """Apply exp(tM), phi1(tM) or phi2(tM) to a retained block
-        (9, 2c + 1, 2c + 1, c + 1) (see SectorKernel.apply for cache);
+        """SectorKernel.apply on a retained block (9, 2c + 1, 2c + 1, c + 1);
         raises ContractViolation on any other shape, before any work."""
-        return self.retained_kernel.apply(check_retained(self.grid, z), t, kind, cache)
-
-    def drop_weights(self) -> None:
-        """Forget the cached weight tables."""
-        self.retained_kernel.tables.clear()
+        return SectorKernel.apply(self, check_retained(self.grid, z), t, kind, cache)
 
 
 def get_propagator(grid: Grid, params: PhysParams) -> GridPropagator:

@@ -115,9 +115,10 @@ def check_leray() -> tuple[bool, str]:
     grid = Grid(16)
     rng = np.random.Generator(np.random.Philox(9))
     vhat = _rfft3(rng.normal(size=(3, 16, 16, 16)))
-    proj = leray_project(grid, vhat)
-    div = np.abs((grid.xi_odd * proj).sum(axis=0)).max()
-    twice = np.abs(leray_project(grid, proj) - proj).max()
+    modes = grid.half_modes()
+    proj = leray_project(modes, vhat)
+    div = np.abs((modes.xi_odd * proj).sum(axis=0)).max()
+    twice = np.abs(leray_project(modes, proj) - proj).max()
     ok = div < 1e-12 and twice < 1e-13
     return ok, f"max divergence {div:.2e}, idempotence {twice:.2e}"
 
@@ -147,7 +148,7 @@ def check_half_parseval() -> tuple[bool, str]:
         phys += rng.normal(size=(3, n, n, 1)) * (-1.0) ** np.arange(n)  # kz = n/2
         half = _rfft3(phys)
         full = full_spectrum(half)
-        for weight in (None, grid.xi_sq):
+        for weight in (None, grid.half_modes().xi_sq):
             got = spectrum_norm_sq(grid, half, weight=weight)
             full_weight = 1.0 if weight is None else full_spectrum(weight).real
             want = grid.volume * float((np.abs(full) ** 2 * full_weight).sum())

@@ -61,11 +61,14 @@ def read_snapshot(path) -> StateField:
         if len(header) != _HEADER.size:
             raise SnapshotFormatError(f"{path} truncated in its header")
         n, length, _ = _HEADER.unpack(header)
+        try:
+            grid = Grid(n=n, length=length)
+        except ValueError as exc:
+            raise SnapshotFormatError(f"{path} has a bad header: {exc}") from None
         # checked before anything is allocated, so a bad n cannot ask for memory
         size = len(MAGIC) + _HEADER.size + 9 * 8 * n ** 3
         if (held := os.fstat(fh.fileno()).st_size) != size:
             raise SnapshotFormatError(f"{path} holds {held} bytes, an n = {n} snapshot {size}")
-        grid = Grid(n=n, length=length)
         z = np.empty((9,) + grid.spectral_shape, dtype=complex)
         for comp in z:
             raw = fh.read(8 * n ** 3)

@@ -1,7 +1,8 @@
 """Pseudo-spectral time integration of the full nonlinear system.
 
-States are half spectra of real fields (see :mod:`mmplab.grid`).  The
-quadratic terms are formed in physical space from dealiased spectra (2/3
+The stepper's state is the retained block of real fields' half spectra
+(see :mod:`mmplab.grid`); only the datum and the snapshots are half
+spectra.  The quadratic terms are formed in physical space from dealiased spectra (2/3
 rule) in divergence and curl form,
 
     (u.grad)u - (b.grad)b = div(u(x)u - b(x)b)
@@ -43,7 +44,7 @@ default scheme is the two-stage exponential integrator
 
 second order in h; an integrating-factor RK4 is available for convergence
 studies.  The stepper's applies cache their weight tables per (time,
-kind) on the propagator's kernel (SectorKernel.apply), so a run evaluates
+kind) on the propagator (SectorKernel.apply), so a run evaluates
 them once per step size: three for ETD-RK2 (exp, phi1, phi2 at h), two
 for IF-RK4 (exp at h and h/2); a halving of dt drops them.  Nothing is
 kept on the Grid but what it caches of itself (see :mod:`mmplab.grid`),
@@ -504,7 +505,7 @@ def simulate(config: SolverConfig, z0: StateField,
                 remaining *= 2
                 steps_per_output *= 2
                 traj.diagnostics["cfl_halvings"] += 1
-                prop.drop_weights()
+                prop.tables.clear()
             z = _step_arrays(prop, z, N, dt, config.scheme)
             remaining -= 1
         if not np.isfinite(z).all():

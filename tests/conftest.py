@@ -103,6 +103,13 @@ def full_xi_mag(grid):
     return np.sqrt(k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2)
 
 
+def dealias_mask(grid):
+    """The 2/3 rule on half spectra, from k_int alone: True on the modes
+    with every |k_i| <= n // 3."""
+    keep = np.abs(grid.k_int) <= grid.n // 3
+    return keep[:, None, None] & keep[None, :, None] & keep[None, None, :grid.n // 2 + 1]
+
+
 def random_state(grid, rng, solenoidal=True):
     """Random StateField of real fields, optionally projected."""
     from mmplab.fields import StateField, leray_project
@@ -112,8 +119,8 @@ def random_state(grid, rng, solenoidal=True):
 
     u, w, b = comp(), comp(), comp()
     if solenoidal:
-        u = leray_project(grid, u)
-        b = leray_project(grid, b)
+        u = leray_project(grid.half_modes(), u)
+        b = leray_project(grid.half_modes(), b)
     return StateField(grid, np.concatenate([u, w, b]))
 
 

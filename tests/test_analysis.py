@@ -83,7 +83,7 @@ class TestFourierSplit:
     def test_full_ball_equals_norm(self, grid8, rng):
         state = random_state(grid8, rng)
         # g(0) = sqrt(A); choose A beyond the largest resolved mode
-        A = (grid8.xi_mag.max() + 1.0) ** 2
+        A = (grid8.half_modes().xi_mag.max() + 1.0) ** 2
         assert fourier_split_integral(grid8, state.z, 0.0, A) == pytest.approx(
             spectrum_norm_sq(grid8, *state.components()), rel=1e-12)
 

@@ -44,10 +44,12 @@ def trajectory_bits(traj):
             [snap.z.tobytes() for snap in traj.snapshots])
 
 
-def holds_only_derived_arrays(grid):
-    """The Grid's instance dict has its fields and cached properties only."""
-    cached = {name for name, attr in vars(Grid).items() if isinstance(attr, cached_property)}
-    return set(vars(grid)) <= cached | {"n", "length"}
+def holds_only_derived_arrays(value):
+    """The instance dict of a Grid or a Modes has its fields and cached
+    properties only."""
+    cls = type(value)
+    cached = {name for name, attr in vars(cls).items() if isinstance(attr, cached_property)}
+    return set(vars(value)) <= cached | {field.name for field in dataclasses.fields(cls)}
 
 
 @pytest.mark.parametrize("n", [8, 12, 32])
@@ -181,12 +183,13 @@ def test_cached_apply_equals_fresh_kernel(n, threads, monkeypatch):
     grid = Grid(n, 2 * np.pi)
     rng = np.random.Generator(np.random.Philox(n))
     z1, z2 = (random_state(grid, rng).z for _ in range(2))
-    kernel = SectorKernel(grid.xi_odd, grid.xi_sq, PARAMS)
+    modes = grid.half_modes()
+    kernel = SectorKernel(modes.xi_odd, modes.xi_sq, PARAMS)
     for kind in KINDS:
         for t in (0.05, 3.0):
             miss = kernel.apply(z1, t, kind, cache=True)
             hit = kernel.apply(z2, t, kind, cache=True)
-            fresh = SectorKernel(grid.xi_odd, grid.xi_sq, PARAMS)
+            fresh = SectorKernel(modes.xi_odd, modes.xi_sq, PARAMS)
             assert miss.tobytes() == fresh.apply(z1, t, kind).tobytes()
             assert hit.tobytes() == fresh.apply(z2, t, kind).tobytes()
             assert not fresh.tables
@@ -224,7 +227,7 @@ def test_table_count_stays_bounded_across_halving_and_pairing(scheme, kept, monk
     (prop,) = props
     # only the final step size's tables are left: the halvings dropped the
     # others, and the paired run's applies at the output times kept none
-    assert set(prop.retained_kernel.tables) == kept(traj.diagnostics["dt_final"])
+    assert set(prop.tables) == kept(traj.diagnostics["dt_final"])
 
 
 def test_returned_increment_is_not_overwritten():
@@ -241,7 +244,8 @@ def test_returned_increment_is_not_overwritten():
 
 def test_run_grid_keeps_no_half_spectrum_array(tmp_path):
     # the datum's draw and check build the half spectrum's per-mode arrays
-    # and drop them; the run's Grid keeps only block-sized arrays
+    # and drop them; the run's Grid keeps only block-sized arrays, its
+    # retained Modes among them with every array the run read
     config = RunConfig.from_text("""
 [grid]
 n = 16
@@ -260,11 +264,15 @@ save_snapshots = true
     _, traj = execute_run(config, tmp_path / "run", pair_linear=True, record_tensor=True)
     grid = traj.snapshots[0].grid  # the t = 0 snapshot holds the datum on the run's Grid
     assert grid == config.grid() and holds_only_derived_arrays(grid)
+    assert holds_only_derived_arrays(grid.retained)
     arrays = [(name, value) for name, value in vars(grid).items()
               if isinstance(value, np.ndarray)]
-    arrays += [(f"retained.{field.name}", getattr(grid.retained, field.name))
-               for field in dataclasses.fields(grid.retained)]
-    assert {name for name, _ in arrays} >= {"k_int", "multiplicity", "retained.xi_odd"}
+    for name, value in vars(grid.retained).items():
+        arrays += [(f"retained.{name}", value) for value in
+                   (value if isinstance(value, tuple) else (value,))]
+    assert {name for name, _ in arrays} == {
+        "k_int", "multiplicity", "retained.axes", "retained.odd_axes", "retained.multiplicity",
+        "retained.xi_odd", "retained.xi_sq", "retained.xi_mag", "retained._leray"}
     for name, value in arrays:
         assert value.shape[-3:] != grid.spectral_shape, name
         assert value.size < np.prod(grid.spectral_shape), name

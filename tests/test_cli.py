@@ -400,9 +400,9 @@ class TestRunDirectory:
 
     def test_a_run_builds_its_wavevectors_on_one_grid(self, tmp_path, monkeypatch):
         # the datum is drawn on the grid the run advances, and no second
-        # Grid builds the half spectrum's axes: the draw builds xi and
-        # xi_odd, the datum's divergence check xi_odd and its scale xi,
-        # once each, and the rows none
+        # Grid builds the half spectrum's axes: the draw's half_modes() and
+        # the datum's divergence check's each build xi's and xi_odd's, its
+        # scale xi's, once each, and the rows none
         built = []
         axes = Grid._axes
 
@@ -412,7 +412,7 @@ class TestRunDirectory:
 
         monkeypatch.setattr(Grid, "_axes", counted)
         execute_run(RunConfig.from_text(CONFIG_TEXT), out_dir=tmp_path / "r", pair_linear=True)
-        assert [odd for _, odd in built] == [False, True, True, False]
+        assert [odd for _, odd in built] == [False, True, False, True, False]
         assert all(grid is built[0][0] for grid, _ in built)
 
     def test_zero_data_compare_linear_differences_vanish(self, tmp_path):
@@ -672,8 +672,13 @@ class TestSnapshots:
     @pytest.mark.parametrize("case, message", [
         ("short header", "truncated in its header"),
         ("huge n", "holds 32 bytes, an n = 4096 snapshot 4947802325024"),
-        ("trailing bytes", "holds 36897 bytes, an n = 8 snapshot 36896")],
-        ids=["short header", "huge n", "trailing bytes"])
+        ("trailing bytes", "holds 36897 bytes, an n = 8 snapshot 36896"),
+        ((6, 1.0), "has a bad header: grid size must be even and >= 8, got n=6"),
+        ((0, 1.0), "has a bad header: grid size must be even and >= 8, got n=0"),
+        ((8, -1.0), "has a bad header: box side must be positive and finite, got -1.0"),
+        ((8, float("nan")), "has a bad header: box side must be positive and finite, got nan")],
+        ids=["short header", "huge n", "trailing bytes", "n 6", "n 0", "length -1",
+             "length nan"])
     def test_malformed_file_is_one_error_line(self, tmp_path, capsys, case, message):
         # checked against 16 + 16 + 9 * 8 n^3 bytes before any allocation
         path = tmp_path / "bad.snap"
@@ -681,6 +686,9 @@ class TestSnapshots:
             path.write_bytes(MAGIC + b"\x08\x00")
         elif case == "huge n":  # 4.5 TiB of coefficients, had it been read
             path.write_bytes(MAGIC + struct.pack("<IdI", 4096, 1.0, 3))
+        elif isinstance(case, tuple):  # a header no Grid takes, on a file of its size
+            n, length = case
+            path.write_bytes(MAGIC + struct.pack("<IdI", n, length, 3) + bytes(9 * 8 * n ** 3))
         else:
             write_snapshot(path, StateField.zero(Grid(8, 2 * np.pi)))
             path.write_bytes(path.read_bytes() + b"\x00")

@@ -1,5 +1,6 @@
 """Ball masses, decay character estimation and shaped data."""
 
+import re
 import time
 
 import numpy as np
@@ -14,7 +15,8 @@ from mmplab.decay_character import (ShellProfile, SpectralProfile,
 from mmplab.fields import Grid, leray_project, spectrum_norm_sq
 from mmplab.grid import full_spectrum
 
-from conftest import full_xi_mag, hermitian_symmetrize, random_state, reality_error
+from conftest import (dealias_mask, full_xi_mag, hermitian_symmetrize, random_state,
+                      reality_error)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -23,10 +25,11 @@ def full_spectrum_datum(grid, r, seed, amplitude):
     """Oracle for generate_data_with_character: the same draws, symmetrized
     on the full (3, n, n, n) spectrum and sliced to the stored half."""
     sigma = grid.n * np.pi / (4.0 * grid.length)
-    mag = np.zeros_like(grid.xi_sq)
-    nonzero = grid.xi_sq > 0
-    mag[nonzero] = grid.xi_mag[nonzero] ** r * np.exp(-grid.xi_sq[nonzero] / (2.0 * sigma ** 2))
-    mag *= grid.dealias_mask
+    modes = grid.half_modes()
+    mag = np.zeros_like(modes.xi_sq)
+    nonzero = modes.xi_sq > 0
+    mag[nonzero] = modes.xi_mag[nonzero] ** r * np.exp(-modes.xi_sq[nonzero] / (2.0 * sigma ** 2))
+    mag *= dealias_mask(grid)
     rng = np.random.Generator(np.random.Philox(seed))
     shape = (3, grid.n, grid.n, grid.n)
 
@@ -37,7 +40,7 @@ def full_spectrum_datum(grid, r, seed, amplitude):
         return np.divide(noise, amp, out=np.ones_like(noise), where=amp > 0) * mag[None]
 
     def project_rescaled(vhat):
-        proj = leray_project(grid, vhat)
+        proj = leray_project(grid.half_modes(), vhat)
         amp = np.sqrt((np.abs(proj) ** 2).sum(axis=0))
         scale = np.divide(np.sqrt(3.0) * mag, amp, out=np.zeros_like(mag), where=amp > 0)
         return proj * scale[None]
@@ -180,7 +183,7 @@ class TestGenerator:
         assert state.divergence_error() < 1e-12
         for comp in state.components():
             assert np.abs(comp[:, 0, 0, 0]).max() == 0.0  # zero mean
-            assert np.abs(comp * ~grid.dealias_mask).max() == 0.0
+            assert np.abs(comp * ~dealias_mask(grid)).max() == 0.0
 
     # inline draws at one worker, draws beside the shaping at the default
     # count and at four
@@ -248,6 +251,24 @@ class TestGenerator:
             with pytest.raises(ValueError, match="amplitude must be finite"):
                 generate_data_with_character(grid, 0.0, seed=1, amplitude=amplitude)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, -np.inf])
+    def test_sigma_must_be_positive(self, sigma):
+        # sigma = 0 gave an all-zero state and NaN a NaN state, without an error
+        with pytest.raises(ValueError, match=re.escape(f"sigma must be positive, got {sigma!r}")):
+            generate_data_with_character(Grid(16), 0.0, seed=1, amplitude=1.0, sigma=sigma)
+
+    def test_infinite_sigma_is_no_envelope(self):
+        # r = 0 without an envelope: every retained nonzero mode of each w
+        # component has the same magnitude
+        grid = Grid(16)
+        state = generate_data_with_character(grid, 0.0, seed=1, amplitude=1.0, sigma=np.inf)
+        assert np.sqrt(spectrum_norm_sq(grid, *state.components())) == pytest.approx(1.0, rel=1e-12)
+        keep = dealias_mask(grid)
+        keep[0, 0, 0] = False
+        for comp in state.what:
+            mags = np.abs(comp[keep])
+            assert mags.min() > 0 and np.ptp(mags) <= 1e-12 * mags.max()
+
     @pytest.mark.parametrize("r", [-1.0, 0.0, 1.0])
     def test_estimator_self_consistency(self, r):
         # cutoff placed above the fit window so the envelope does not bend
@@ -279,13 +300,14 @@ class TestGenerator:
         # masses by an angular factor in [1/3, 1] and leaves r* in place
         grid = Grid(32, 2 * np.pi)
         rng = np.random.Generator(np.random.Philox(8))
-        mag = np.where(grid.xi_sq > 0, np.exp(-grid.xi_sq / (2 * 81.0)), 0.0)
-        mag *= grid.dealias_mask
+        xi_sq = grid.half_modes().xi_sq
+        mag = np.where(xi_sq > 0, np.exp(-xi_sq / (2 * 81.0)), 0.0)
+        mag *= dealias_mask(grid)
         noise = rng.normal(size=(3, 32, 32, 32)) + 1j * rng.normal(size=(3, 32, 32, 32))
         # shape white noise on the full spectrum (mag is even in k), keep the half
         full_mag = full_spectrum(mag).real
         vhat = hermitian_symmetrize(noise * full_mag[None])[..., :17]
-        proj = leray_project(grid, vhat)
+        proj = leray_project(grid.half_modes(), vhat)
         before = ShellProfile.from_spectral_array(grid, vhat)
         after = ShellProfile.from_spectral_array(grid, proj)
         ratio = after.shell_masses[1:11] / before.shell_masses[1:11]

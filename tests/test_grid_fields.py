@@ -11,7 +11,7 @@ from mmplab.fields import (ContractViolation, Grid, PhysParams, StateField, curl
                            state_norms)
 from mmplab.grid import forward, full_spectrum, inverse
 
-from conftest import (conjugate_flip, full_band_half, full_spectrum_oracle,
+from conftest import (conjugate_flip, dealias_mask, full_band_half, full_spectrum_oracle,
                       hermitian_symmetrize, irfft3, random_state, reality_error, rfft3)
 
 
@@ -47,21 +47,13 @@ class TestGrid:
 
     def test_wavevector_antisymmetry(self):
         grid = Grid(8, 3.0)
-        k, xi = grid.k_int, grid.xi_odd
+        k, xi = grid.k_int, grid.half_modes().xi_odd
         # every representable pair (k, -k); the Nyquist mode has no partner
         for i, ki in enumerate(k):
             if ki == -grid.n // 2:
                 continue
             j = int(np.where(k == -ki)[0][0])
             assert xi[0][i, 0, 0] == -xi[0][j, 0, 0]
-
-    def test_dealias_mask(self):
-        grid = Grid(8)
-        cut = 8 // 3
-        keep = np.abs(grid.k_int) <= cut
-        assert grid.dealias_mask[0, 0, 0]
-        assert not grid.dealias_mask[4, 0, 0]
-        assert grid.dealias_mask.sum() == keep.sum() ** 2 * keep[:5].sum()
 
     @pytest.mark.parametrize("n", [8, 10])
     def test_half_arrays_are_full_slices(self, n):
@@ -75,10 +67,11 @@ class TestGrid:
         keep = (np.abs(np.stack([KX, KY, KZ])) <= n // 3).all(axis=0)
         half = (Ellipsis, slice(0, n // 2 + 1))
         assert grid.spectral_shape == (n, n, n // 2 + 1)
-        assert np.array_equal(grid.xi_mag, np.sqrt((xi ** 2).sum(axis=0))[half])
-        assert np.array_equal(grid.xi_odd, odd[half])
-        assert np.array_equal(grid.xi_sq, (xi ** 2).sum(axis=0)[half])
-        assert np.array_equal(grid.dealias_mask, keep[half])
+        modes = grid.half_modes()
+        assert np.array_equal(modes.xi_mag, np.sqrt((xi ** 2).sum(axis=0))[half])
+        assert np.array_equal(modes.xi_odd, odd[half])
+        assert np.array_equal(modes.xi_sq, (xi ** 2).sum(axis=0)[half])
+        assert np.array_equal(dealias_mask(grid), keep[half])
         assert grid.multiplicity.tolist() == [1.0] + [2.0] * (n // 2 - 1) + [1.0]
 
 
@@ -140,8 +133,9 @@ class TestTransforms:
 def leray_oracle(grid, vhat):
     """Independent componentwise projection formula, plain loops."""
     out = np.array(vhat, dtype=complex)
+    xi_odd = grid.half_modes().xi_odd
     for i1, i2, i3 in np.ndindex(grid.spectral_shape):
-        xi = np.array([grid.xi_odd[a][i1, i2, i3] for a in range(3)])
+        xi = np.array([xi_odd[a][i1, i2, i3] for a in range(3)])
         s2 = xi @ xi
         if s2 == 0:
             continue
@@ -153,31 +147,31 @@ def leray_oracle(grid, vhat):
 class TestLeray:
     def test_annihilates_gradients(self, grid16, rng):
         ghat = rfft3(rng.normal(size=(16, 16, 16)))
-        grad = 1j * grid16.xi_odd * ghat[None]
-        proj = leray_project(grid16, grad)
+        grad = 1j * grid16.half_modes().xi_odd * ghat[None]
+        proj = leray_project(grid16.half_modes(), grad)
         assert np.abs(proj).max() < 1e-13 * np.abs(grad).max()
 
     def test_divergence_free_unchanged(self, grid16, rng):
-        vhat = leray_project(grid16, rfft3(rng.normal(size=(3, 16, 16, 16))))
-        again = leray_project(grid16, vhat)
+        vhat = leray_project(grid16.half_modes(), rfft3(rng.normal(size=(3, 16, 16, 16))))
+        again = leray_project(grid16.half_modes(), vhat)
         assert np.abs(again - vhat).max() < 1e-14
 
     def test_output_divergence_and_idempotence(self, grid16, rng):
         vhat = rfft3(rng.normal(size=(3, 16, 16, 16)))
-        proj = leray_project(grid16, vhat)
-        div = (grid16.xi_odd * proj).sum(axis=0)
+        proj = leray_project(grid16.half_modes(), vhat)
+        div = (grid16.half_modes().xi_odd * proj).sum(axis=0)
         assert np.abs(div).max() < 1e-12
-        assert np.abs(leray_project(grid16, proj) - proj).max() < 1e-13
+        assert np.abs(leray_project(grid16.half_modes(), proj) - proj).max() < 1e-13
 
     def test_matches_componentwise_oracle(self, grid8, rng):
         vhat = rfft3(rng.normal(size=(3, 8, 8, 8)))
-        assert np.abs(leray_project(grid8, vhat) -
+        assert np.abs(leray_project(grid8.half_modes(), vhat) -
                       leray_oracle(grid8, vhat)).max() < 1e-14
 
     def test_zero_mode_passthrough(self, grid8):
         vhat = np.zeros((3, 8, 8, 5), dtype=complex)
         vhat[:, 0, 0, 0] = [1.0, 2.0, 3.0]
-        proj = leray_project(grid8, vhat)
+        proj = leray_project(grid8.half_modes(), vhat)
         assert np.array_equal(proj[:, 0, 0, 0], vhat[:, 0, 0, 0])
 
     @settings(max_examples=100, deadline=None)
@@ -188,21 +182,21 @@ class TestLeray:
         rng = np.random.Generator(np.random.Philox(seed))
         shape = (3,) + grid.spectral_shape
         vhat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        proj = leray_project(grid, vhat)
+        proj = leray_project(grid.half_modes(), vhat)
         size = np.sqrt((np.abs(vhat) ** 2).sum(axis=0))
-        div = np.abs((grid.xi_odd * proj).sum(axis=0))
+        div = np.abs((grid.half_modes().xi_odd * proj).sum(axis=0))
         assert np.all(div <= 1e-12 * size)
-        again = np.sqrt((np.abs(leray_project(grid, proj) - proj) ** 2).sum(axis=0))
+        again = np.sqrt((np.abs(leray_project(grid.half_modes(), proj) - proj) ** 2).sum(axis=0))
         assert np.all(again <= 1e-13 * size)
         # the zero mode and the pure-Nyquist modes (each index 0 or n/2)
         # have xi_odd = 0 and pass through
-        fixed = ~grid.xi_odd.any(axis=0)
+        fixed = ~grid.half_modes().xi_odd.any(axis=0)
         assert fixed.sum() == 8
         assert np.array_equal(proj[:, fixed], vhat[:, fixed])
 
     def test_pythagoras(self, grid16, rng):
         vhat = rfft3(rng.normal(size=(3, 16, 16, 16)))
-        proj = leray_project(grid16, vhat)
+        proj = leray_project(grid16.half_modes(), vhat)
         rest = vhat - proj
         total = spectrum_norm_sq(grid16, vhat)
         split = spectrum_norm_sq(grid16, proj) + spectrum_norm_sq(grid16, rest)
@@ -257,39 +251,41 @@ class TestNorms:
         z = np.zeros((9, 8, 8, 5), dtype=complex)
         z[0, 0, 1, 0] = 0.5
         z[0, 0, -1 % 8, 0] = 0.5
-        norms = state_norms(z, grid.multiplicity, grid.xi_sq)
+        norms = state_norms(z, grid.multiplicity, grid.half_modes().xi_sq)
         assert abs(grid.volume * norms["h1_z_sq"] - spectrum_norm_sq(grid, z[0:3])) < 1e-13
 
     def test_constant_field_gradient(self, grid8):
         z = np.zeros((9, 8, 8, 5), dtype=complex)
         z[0:3, 0, 0, 0] = 1.0
-        assert state_norms(z, grid8.multiplicity, grid8.xi_sq)["h1_z_sq"] == 0.0
+        assert state_norms(z, grid8.multiplicity, grid8.half_modes().xi_sq)["h1_z_sq"] == 0.0
 
     def test_second_derivative_weight(self, grid8, rng):
         state = random_state(grid8, rng)
         direct = spectrum_norm_sq(grid8, *state.components(),
-                                  weight=grid8.xi_sq ** 2)
-        norms = state_norms(state.z, grid8.multiplicity, grid8.xi_sq)
+                                  weight=grid8.half_modes().xi_sq ** 2)
+        norms = state_norms(state.z, grid8.multiplicity, grid8.half_modes().xi_sq)
         assert abs(grid8.volume * norms["h2_z_sq"] - direct) < 1e-12
 
 
 class TestOperators:
     def test_curl_of_gradient_vanishes(self, grid16, rng):
         ghat = rfft3(rng.normal(size=(16, 16, 16)))
-        grad = 1j * grid16.xi_odd * ghat[None]
-        c = curl_at(grid16.xi_odd, grad)
+        xi = grid16.half_modes().xi_odd
+        grad = 1j * xi * ghat[None]
+        c = curl_at(xi, grad)
         assert np.abs(c).max() < 1e-13 * max(np.abs(grad).max(), 1.0)
 
     def test_divergence_of_curl_vanishes(self, grid16, rng):
         vhat = rfft3(rng.normal(size=(3, 16, 16, 16)))
-        d = 1j * (grid16.xi_odd * curl_at(grid16.xi_odd, vhat)).sum(axis=0)
+        xi = grid16.half_modes().xi_odd
+        d = 1j * (xi * curl_at(xi, vhat)).sum(axis=0)
         assert np.abs(d).max() < 1e-12 * np.abs(vhat).max()
 
     def test_reality_preserved(self, grid16, rng):
         state = random_state(grid16, rng)
-        proj = leray_project(grid16, state.uhat)
+        proj = leray_project(grid16.half_modes(), state.uhat)
         assert reality_error(proj) < 1e-14
-        assert reality_error(curl_at(grid16.xi_odd, state.what)) < 1e-14
+        assert reality_error(curl_at(grid16.half_modes().xi_odd, state.what)) < 1e-14
 
 
 class TestHermitianSymmetrize:

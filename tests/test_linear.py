@@ -13,7 +13,7 @@ from mmplab.propagator import get_propagator
 from mmplab.selftest import sphere_rule_26, sphere_rule_norms
 from mmplab.symbol import assemble_symbol, semigroup_apply
 
-from conftest import random_state, reality_error
+from conftest import dealias_mask, random_state, reality_error
 
 
 def evolve(state, params, t):
@@ -35,13 +35,14 @@ def realize_profile_on_grid(grid, profile):
     """
     z = np.zeros((9,) + grid.spectral_shape, dtype=complex)
     # the dealiased modes hold no Nyquist component, so xi_odd is xi there
-    mags, xi = grid.xi_mag, grid.xi_odd
+    modes = grid.half_modes()
+    mags, xi = modes.xi_mag, modes.xi_odd
     # One lattice cell covers d^3 xi = (2 pi / L)^3, and the package norm is
     # volume * sum |c_k|^2, so continuum intensity psi maps to coefficients
     # |c_k|^2 = psi(xi_k) (2 pi / L)^3 / volume.
     cell = grid.fundamental ** 3 / grid.volume
     dens = {}
-    for i1, i2, i3 in np.argwhere(grid.dealias_mask & (mags > 0)):
+    for i1, i2, i3 in np.argwhere(dealias_mask(grid) & (mags > 0)):
         rho = mags[i1, i2, i3]
         if rho not in dens:
             dens[rho] = profile.radial_density(rho) / (4.0 * np.pi * rho ** 2)

@@ -47,14 +47,15 @@ def grid_errors(grid, params, t, rng):
     """Largest |kernel - oracle| / |v| over MODES of the grid."""
     shape = (3,) + grid.spectral_shape
     v = np.concatenate([rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(3)])
-    kernel = SectorKernel(grid.xi_odd, grid.xi_sq, params)
+    modes = grid.half_modes()
+    kernel = SectorKernel(modes.xi_odd, modes.xi_sq, params)
     worst = {}
     for kind in KINDS:
         out = kernel.apply(v, t, kind=kind)
         errs = []
         for idx in MODES:
             at = (slice(None),) + idx
-            A = t * mode_matrix(grid.xi_odd[at], grid.xi_sq[idx], params)
+            A = t * mode_matrix(modes.xi_odd[at], modes.xi_sq[idx], params)
             errs.append(np.abs(oracle(A, kind) @ v[at] - out[at]).max() / np.abs(v[at]).max())
         worst[kind] = max(errs)
     return worst
@@ -64,9 +65,10 @@ def test_exactly_degenerate_nyquist_mode(rng):
     # at k = (-4, 0, 0) the coupling vanishes and a = b = 17 exactly
     grid = Grid(8, 2 * np.pi)
     params = PhysParams(mu=0.5625, gamma=1.0, chi=0.5, nu=1.0)
-    kernel = SectorKernel(grid.xi_odd, grid.xi_sq, params)
+    modes = grid.half_modes()
+    kernel = SectorKernel(modes.xi_odd, modes.xi_sq, params)
     idx = (4, 0, 0)
-    assert np.all(grid.xi_odd[(slice(None),) + idx] == 0)
+    assert np.all(modes.xi_odd[(slice(None),) + idx] == 0)
     assert kernel.a[idx] == kernel.b[idx] == 17.0
     assert kernel.lam_hi[idx] == kernel.lam_lo[idx]
     for kind, err in grid_errors(grid, params, 0.7, rng).items():

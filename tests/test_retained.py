@@ -21,7 +21,7 @@ from mmplab.fields import (ContractViolation, Grid, PhysParams, StateField, dive
 from mmplab.propagator import SectorKernel, get_propagator
 from mmplab.solver import SolverConfig, _norm_row, _step_arrays, nonlinear_rhs, simulate
 
-from conftest import padded_rhs, random_state
+from conftest import dealias_mask, padded_rhs, random_state
 
 PARAMS = PhysParams(mu=1.0, gamma=1.0, chi=0.5, nu=1.0)
 
@@ -35,7 +35,8 @@ def half_spectrum_kernel(grid):
     # dissipation weights are even and keep the full wavevector; the
     # rotational coupling and grad-div terms carry signs and use the
     # Nyquist-zeroed copy so realness survives the semigroup
-    return SectorKernel(grid.xi_odd, grid.xi_sq, PARAMS)
+    modes = grid.half_modes()
+    return SectorKernel(modes.xi_odd, modes.xi_sq, PARAMS)
 
 
 def half_spectrum_step(grid, z, N, dt, scheme):
@@ -73,36 +74,33 @@ def test_retained_block_is_the_dealias_mask(n):
     grid = Grid(n, 2 * np.pi)
     c = n // 3
     assert grid.retained_shape == (2 * c + 1, 2 * c + 1, c + 1)
-    assert np.prod(grid.retained_shape) == grid.dealias_mask.sum()
+    assert np.prod(grid.retained_shape) == dealias_mask(grid).sum()
     z = complex_noise((9,) + grid.spectral_shape, n)
     block = grid.truncate(z)
     assert block.shape == (9,) + grid.retained_shape
-    assert np.array_equal(grid.pad(block), z * grid.dealias_mask)
+    assert np.array_equal(grid.pad(block), z * dealias_mask(grid))
     assert np.array_equal(grid.truncate(grid.pad(block)), block)
     # the block keeps FFT order per axis: k = 0 .. c, then -c .. -1
-    k = grid.truncate(grid.xi_odd)[0, :, 0, 0] / grid.fundamental
+    k = grid.truncate(grid.half_modes().xi_odd)[0, :, 0, 0] / grid.fundamental
     assert np.array_equal(k, np.r_[0:c + 1, -c:0])
 
 
-def half_spectrum_arrays(grid):
+def per_mode_arrays(n, length):
     """The half spectrum's per-mode arrays as whole-array expressions of
-    its wavevectors, the Nyquist component zeroed in xi_odd, each sum of
-    squares by .sum(axis=0)."""
-    k = grid.fundamental * grid.k_int.astype(float)
-    odd = k.copy()
-    odd[grid.n // 2] = 0.0
-
-    def vectors(axis):
-        out = np.empty((3,) + grid.spectral_shape)
-        out[0] = axis[:, None, None]
-        out[1] = axis[None, :, None]
-        out[2] = axis[None, None, :grid.n // 2 + 1]
-        return out
-
-    xi, xi_odd = vectors(k), vectors(odd)
+    its wavevectors, from np.fft.fftfreq: the Nyquist component zeroed in
+    xi_odd, each sum of squares by .sum(axis=0); and the index arrays
+    (np.ix_) of the retained block, every |k_i| <= n // 3 in FFT order."""
+    k_int = np.fft.fftfreq(n, d=1.0 / n)
+    k = (2.0 * np.pi / length) * k_int
+    odd = np.where(k_int == -n // 2, 0.0, k)
+    kz = slice(0, n // 2 + 1)
+    xi = np.stack(np.meshgrid(k, k, k[kz], indexing="ij"))
+    xi_odd = np.stack(np.meshgrid(odd, odd, odd[kz], indexing="ij"))
     xi_sq, odd_sq = (xi ** 2).sum(axis=0), (xi_odd ** 2).sum(axis=0)
-    return {"xi_odd": xi_odd, "xi_sq": xi_sq, "xi_mag": np.sqrt(xi_sq),
-            "leray_divisor": np.where(odd_sq > 0, odd_sq, 1.0), "leray_fixed": odd_sq == 0}
+    arrays = {"xi_odd": xi_odd, "xi_sq": xi_sq, "xi_mag": np.sqrt(xi_sq),
+              "leray_divisor": np.where(odd_sq > 0, odd_sq, 1.0), "leray_fixed": odd_sq == 0}
+    kept = np.flatnonzero(np.abs(k_int) <= n // 3)
+    return arrays, np.ix_(kept, kept, kept[kept <= n // 3])
 
 
 def same_bits(a, b):
@@ -112,17 +110,15 @@ def same_bits(a, b):
 @pytest.mark.parametrize("length", [1.0, 2 * np.pi, 64 * np.pi])
 @pytest.mark.parametrize("n", [8, 30, 32, 48, 64])
 def test_retained_modes_are_the_truncated_arrays(n, length):
-    # the block's arrays come from its 1-D axes, the half spectrum's are
-    # built per call, and the divergence scale is a cached scalar: all
-    # with the bits of the whole-array expressions, truncated
+    # the two mode sets' arrays come from their 1-D axes, and the
+    # divergence scale is a cached scalar: all with the bits of the
+    # whole-array expressions, the block's at its modes
     grid = Grid(n, length)
-    half = half_spectrum_arrays(grid)
+    half, block = per_mode_arrays(n, length)
     modes = grid.half_modes()
     for name, want in half.items():
         assert same_bits(getattr(modes, name), want), name
-        assert same_bits(getattr(grid.retained, name), grid.truncate(want)), name
-        if name in ("xi_odd", "xi_sq", "xi_mag"):
-            assert same_bits(getattr(grid, name), want), name
+        assert same_bits(getattr(grid.retained, name), want[(...,) + block]), name
     assert np.float64(grid.xi_max).tobytes() == half["xi_mag"].max().tobytes()
     assert same_bits(modes.multiplicity, grid.multiplicity)
     assert np.array_equal(grid.retained.multiplicity, [1.0] + [2.0] * (n // 3))
@@ -136,7 +132,7 @@ def test_retained_modes_are_the_truncated_arrays(n, length):
 def test_retained_apply_equals_truncated_full_apply(n, kind, t, taylor):
     grid = Grid(n, 2 * np.pi)
     prop = get_propagator(grid, PARAMS)
-    small = np.abs(t * prop.retained_kernel.lam_lo) < 0.2  # the Taylor switch
+    small = np.abs(t * prop.lam_lo) < 0.2  # the Taylor switch
     assert small.all() if taylor == "all" else small.any() and not small.all()
     z = complex_noise((9,) + grid.spectral_shape, n)
     full = half_spectrum_kernel(grid).apply(z, t, kind=kind)
@@ -159,7 +155,7 @@ def test_retained_step_equals_full_layout_step(monkeypatch, threads, n, dt, sche
     assert block.shape == (9,) + grid.retained_shape
     assert block.tobytes() == grid.truncate(full).tobytes()
     assert np.abs(block).max() > 0
-    assert not full[:, ~grid.dealias_mask].any()
+    assert not full[:, ~dealias_mask(grid)].any()
 
 
 def test_half_spectra_as_a_bare_array_fail_before_any_work(monkeypatch):
@@ -178,9 +174,9 @@ def test_projection_takes_the_layout_its_caller_names(n):
     half = complex_noise((3,) + grid.spectral_shape, n)
     block = grid.truncate(half)
     got = leray_project(grid.retained, block)
-    assert got.tobytes() == grid.truncate(leray_project(grid, half)).tobytes()
+    assert got.tobytes() == grid.truncate(leray_project(grid.half_modes(), half)).tobytes()
     assert np.abs(got).max() > 0
-    for modes, arr in ((grid, block), (grid.retained, half)):
+    for modes, arr in ((grid.half_modes(), block), (grid.retained, half)):
         with pytest.raises(ContractViolation, match="expected shape"):
             leray_project(modes, arr)
 
@@ -191,7 +187,7 @@ def test_propagator_takes_only_the_retained_block(shape):
     prop = get_propagator(grid, PARAMS)
     with pytest.raises(ContractViolation, match=r"retained block of shape \(9, 11, 11, 6\)"):
         prop.apply(complex_noise(shape, 1), 0.05, kind="phi1", cache=True)
-    assert prop.retained_kernel.tables == {}  # no weights were computed
+    assert prop.tables == {}  # no weights were computed
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
@@ -210,7 +206,7 @@ def test_block_rows_match_the_padded_half_spectra(n):
     half, diff = grid.pad(z), grid.pad(z - z_lin)
     u, w, b = half[0:3], half[3:6], half[6:9]
     du, dw, db = diff[0:3], diff[3:6], diff[6:9]
-    xi_sq = grid.xi_sq
+    xi_sq = grid.half_modes().xi_sq
     want = {
         "l2_z_sq": spectrum_norm_sq(grid, u, w, b),
         "l2_u_sq": spectrum_norm_sq(grid, u),
@@ -220,7 +216,7 @@ def test_block_rows_match_the_padded_half_spectra(n):
         "h1_w_sq": spectrum_norm_sq(grid, w, weight=xi_sq),
         "h2_z_sq": spectrum_norm_sq(grid, u, w, b, weight=xi_sq ** 2),
         "ball_integral": spectrum_norm_sq(
-            grid, u, w, b, weight=(grid.xi_mag <= np.sqrt(A / (1 + t))).astype(float)),
+            grid, u, w, b, weight=(np.sqrt(xi_sq) <= np.sqrt(A / (1 + t))).astype(float)),
         "l2_diff_z_sq": spectrum_norm_sq(grid, du, dw, db),
         "l2_diff_w_sq": spectrum_norm_sq(grid, dw),
         "h1_diff_z_sq": spectrum_norm_sq(grid, du, dw, db, weight=xi_sq),
@@ -239,14 +235,14 @@ def test_rows_and_max_divergence_come_from_the_block():
     # largest divergence of the padded blocks
     grid = Grid(16, 2 * np.pi)
     z0 = random_state(grid, np.random.default_rng(5))
-    assert z0.z[:, ~grid.dealias_mask].any()
+    assert z0.z[:, ~dealias_mask(grid)].any()
     cfg = SolverConfig(grid=grid, params=PARAMS, dt=0.01, t_end=0.02, ball_A=30.0)
     traj = simulate(cfg, z0, pair_linear=True, save_snapshots=True)
     block = grid.truncate(z0.z)
     assert traj.norm_rows[0] == _norm_row(grid, block, 0.0, cfg.ball_A, block)
     assert traj.norm_rows[0]["l2_z_sq"] < spectrum_norm_sq(grid, z0.z[0:3], z0.z[3:6], z0.z[6:9])
     assert traj.snapshots[0].z.tobytes() == z0.z.tobytes()
-    assert not traj.snapshots[1].z[:, ~grid.dealias_mask].any()
+    assert not traj.snapshots[1].z[:, ~dealias_mask(grid)].any()
     divergences = [StateField(grid, grid.pad(grid.truncate(snap.z))).divergence_error()
                    for snap in traj.snapshots]
     assert traj.diagnostics["max_divergence"] == max(divergences) > 0

@@ -31,7 +31,7 @@ import pytest
 
 from mmplab import grid as grid_module
 from mmplab import solver as solver_module
-from mmplab.decay_character import SpectralProfile
+from mmplab.decay_character import SpectralProfile, generate_data_with_character
 from mmplab.fields import Grid, PhysParams, leray_project
 from mmplab.grid import forward, inverse
 from mmplab.harness import RunConfig, execute_run
@@ -214,12 +214,13 @@ def test_kernel_apply_equals_serial_plane_kernels(grid64, state64, pool_uses,
                                                   monkeypatch, kind, t, taylor):
     # kernels built on 8-plane slices are below the slab size and run serially
     monkeypatch.setenv("MMP_THREADS", "2")
-    kernel = SectorKernel(grid64.xi_odd, grid64.xi_sq, PARAMS)
+    modes = grid64.half_modes()
+    kernel = SectorKernel(modes.xi_odd, modes.xi_sq, PARAMS)
     small = np.abs(t * kernel.lam_lo) < 0.2  # the Taylor switch of the divided differences
     assert small.all() if taylor == "all" else small.any() and not small.all()
     whole = kernel.apply(state64.z, t, kind=kind)
     assert pool_uses == [2]
-    planes = [SectorKernel(grid64.xi_odd[:, i:i + 8], grid64.xi_sq[i:i + 8], PARAMS)
+    planes = [SectorKernel(modes.xi_odd[:, i:i + 8], modes.xi_sq[i:i + 8], PARAMS)
               .apply(state64.z[:, i:i + 8], t, kind=kind) for i in range(0, 64, 8)]
     assert pool_uses == [2]
     assert np.array_equal(whole, np.concatenate(planes, axis=1))
@@ -259,9 +260,9 @@ def test_leray_in_place_matches_new_array(monkeypatch, n):
     grid = Grid(n, 2 * np.pi)
     vhat = rfft3(np.random.Generator(np.random.Philox(n)).normal(size=(3, n, n, n)))
     vhat[:, 0, 0, 0] = complex(-0.0, -0.0)  # a mode the projection passes through
-    projected = leray_project(grid, vhat)
+    projected = leray_project(grid.half_modes(), vhat)
     in_place = vhat.copy()
-    assert leray_project(grid, in_place, out=in_place) is in_place
+    assert leray_project(grid.half_modes(), in_place, out=in_place) is in_place
     assert in_place.tobytes() == projected.tobytes()
     assert in_place[:, 0, 0, 0].tobytes() == vhat[:, 0, 0, 0].tobytes()
 
@@ -301,6 +302,20 @@ def test_leray_peak_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2 ** 20
+
+
+def test_divergence_check_peak_memory():
+    # the half spectrum's xi_odd and one scratch array: 10.3 MiB; the check
+    # builds no other per-mode array
+    grid = Grid(64, 2 * np.pi)
+    state = generate_data_with_character(grid, 0.0, seed=5, amplitude=0.5)
+    tracemalloc.start()
+    try:
+        state.divergence_error()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.5 * 2 ** 20
 
 
 @pytest.mark.parametrize("scheme", ["etd-rk2", "if-rk4"])
@@ -373,7 +388,8 @@ def test_small_grid_pool_use_is_the_transform_batches(pool_uses, monkeypatch):
     # the inverse batches of u and b and of w and two forward batches of
     # nine products; the slab stages between them run whole
     assert pool_uses == [2, 2, 2, 2]
-    kernel = SectorKernel(grid.xi_odd, grid.xi_sq, PARAMS)
+    modes = grid.half_modes()
+    kernel = SectorKernel(modes.xi_odd, modes.xi_sq, PARAMS)
     for kind in ("exp", "phi1", "phi2"):
         kernel.apply(state.z, 0.05, kind=kind)
     radial = make_radial_state(SpectralProfile.power_law(0.0), PARAMS)
@@ -390,7 +406,7 @@ def test_small_grid_pool_use_is_the_transform_batches(pool_uses, monkeypatch):
     assert rhs_calls and pool_uses == [2] * (4 * len(rhs_calls))
     # the slab stages take the pool at n = 64
     pool_uses.clear()
-    leray_project(Grid(64, 2 * np.pi), np.zeros((3, 64, 64, 33), dtype=complex))
+    leray_project(Grid(64, 2 * np.pi).half_modes(), np.zeros((3, 64, 64, 33), dtype=complex))
     assert pool_uses == [2]
 
 

@@ -18,7 +18,7 @@ from mmplab.solver import (BlowupError, SolverConfig, _norm_row, _step_arrays,
                            advective_products, energy_balance_check,
                            nonlinear_rhs, simulate, tensor_bound_report)
 
-from conftest import irfft3, padded_rhs, random_state, reality_error
+from conftest import dealias_mask, irfft3, padded_rhs, random_state, reality_error
 
 
 def two_mode_state(grid, k1, c1, k2, c2):
@@ -87,7 +87,7 @@ class TestNonlinearRHS:
         z[3:6] = random_state(grid8, rng, solenoidal=False).what
         N, _ = padded_rhs(grid8, z)
         Nu, Nw, Nb = N[0:3], N[3:6], N[6:9]
-        xi = grid8.xi_odd
+        xi = grid8.half_modes().xi_odd
         div_w = np.abs((xi * Nw).sum(axis=0)).max()
         div_u = np.abs((xi * Nu).sum(axis=0)).max()
         div_b = np.abs((xi * Nb).sum(axis=0)).max()
@@ -97,8 +97,8 @@ class TestNonlinearRHS:
         state = random_state(grid16, rng)
         N, _ = padded_rhs(grid16, state.z)
         Nu, Nb = N[0:3], N[6:9]
-        xi = grid16.xi_odd
-        scale = np.abs(Nu).max() * grid16.xi_mag.max()
+        xi = grid16.half_modes().xi_odd
+        scale = np.abs(Nu).max() * grid16.xi_max
         assert np.abs((xi * Nu).sum(axis=0)).max() < 1e-11 * scale
         assert np.abs((xi * Nb).sum(axis=0)).max() < 1e-11 * scale
 
@@ -123,8 +123,8 @@ class TestNonlinearRHS:
         oNb = leray_project(grid.retained, adv["b", "u"] - adv["u", "b"])
         for got, want in ((Nu, oNu), (Nw, oNw), (Nb, oNb)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        u = irfft3(state.uhat * grid.dealias_mask)
-        b = irfft3(state.bhat * grid.dealias_mask)
+        u = irfft3(state.uhat * dealias_mask(grid))
+        b = irfft3(state.bhat * dealias_mask(grid))
         assert speed == (np.sqrt((u ** 2).sum(axis=0)) + np.sqrt((b ** 2).sum(axis=0))).max()
 
     def test_bytes_independent_of_thread_count(self, grid16, rng, monkeypatch):
@@ -193,9 +193,9 @@ def convolution_oracle(state):
                 out[(slice(None),) + idx] += 1j * (cF @ (dk * kp)) * cG
         return (out * mask)[..., :n // 2 + 1]
 
-    Nu = leray_project(grid, conv("b", "b") - conv("u", "u"))
+    Nu = leray_project(grid.half_modes(), conv("b", "b") - conv("u", "u"))
     Nw = -conv("u", "w")
-    Nb = leray_project(grid, conv("b", "u") - conv("u", "b"))
+    Nb = leray_project(grid.half_modes(), conv("b", "u") - conv("u", "b"))
     return Nu, Nw, Nb
 
 
